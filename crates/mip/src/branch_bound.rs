@@ -36,7 +36,6 @@ pub struct Mip {
     lp: Lp,
     integer_vars: Vec<usize>,
     node_limit: usize,
-    warm: Option<Vec<f64>>,
 }
 
 /// Result of solving a [`Mip`].
@@ -75,27 +74,12 @@ impl Mip {
             lp,
             integer_vars,
             node_limit: 100_000,
-            warm: None,
         }
     }
 
     /// Caps the number of branch-and-bound nodes.
     pub fn node_limit(mut self, limit: usize) -> Self {
         self.node_limit = limit;
-        self
-    }
-
-    /// Warm-starts branch and bound from a previous solution's point — the
-    /// incremental re-solve path for elastic replans.
-    ///
-    /// The point is vetted against the *current* constraints ([`Lp::is_feasible`])
-    /// and integrality before it is installed as the initial incumbent, and
-    /// its objective is recomputed from the current coefficients — the
-    /// problem has typically changed since the point was optimal. An
-    /// infeasible or ill-shaped point is silently ignored (cold solve). The
-    /// outcome is identical to a cold solve; only pruning improves.
-    pub fn warm_start(mut self, x: Vec<f64>) -> Self {
-        self.warm = Some(x);
         self
     }
 
@@ -129,22 +113,6 @@ impl Mip {
         let mut stats = MipStats::default();
         let maximize = matches!(self.sense(), Sense::Maximize);
         let mut incumbent: Option<LpSolution> = None;
-        if let Some(x) = &self.warm {
-            if x.len() == self.lp.num_vars()
-                && self.lp.is_feasible(x, INT_TOL)
-                && self
-                    .integer_vars
-                    .iter()
-                    .all(|&v| (x[v] - x[v].round()).abs() <= INT_TOL)
-            {
-                let mut x = x.clone();
-                for &v in &self.integer_vars {
-                    x[v] = x[v].round();
-                }
-                let objective = self.lp.objective_value(&x);
-                incumbent = Some(LpSolution { x, objective });
-            }
-        }
 
         // Each node is a list of extra bound constraints (var, cmp, value).
         let mut stack: Vec<Vec<(usize, Cmp, f64)>> = vec![Vec::new()];
@@ -333,63 +301,6 @@ mod tests {
         let (out, stats) = Mip::new(lp, vec![0, 1]).solve_with_stats();
         assert!(matches!(out, MipOutcome::Optimal(_)));
         assert!(stats.nodes >= 1);
-    }
-
-    fn knapsack_lp() -> Lp {
-        // max 60a + 100b + 120c s.t. 10a + 20b + 30c <= 50, binary.
-        let mut lp = Lp::new(3, Sense::Maximize);
-        lp.set_objective(&[60.0, 100.0, 120.0]);
-        lp.add_constraint(&[10.0, 20.0, 30.0], Cmp::Le, 50.0);
-        for v in 0..3 {
-            let mut row = vec![0.0; 3];
-            row[v] = 1.0;
-            lp.add_constraint(&row, Cmp::Le, 1.0);
-        }
-        lp
-    }
-
-    #[test]
-    fn warm_start_preserves_optimum_with_no_more_nodes() {
-        let (cold, cold_stats) = Mip::new(knapsack_lp(), vec![0, 1, 2]).solve_with_stats();
-        let MipOutcome::Optimal(cold_sol) = cold else {
-            panic!("unexpected {cold:?}");
-        };
-        let (warm, warm_stats) = Mip::new(knapsack_lp(), vec![0, 1, 2])
-            .warm_start(cold_sol.x.clone())
-            .solve_with_stats();
-        match warm {
-            MipOutcome::Optimal(s) => assert_eq!(s.objective, cold_sol.objective),
-            other => panic!("unexpected {other:?}"),
-        }
-        assert!(warm_stats.nodes <= cold_stats.nodes);
-        assert!(warm_stats.pruned >= cold_stats.pruned);
-    }
-
-    #[test]
-    fn warm_incumbent_survives_zero_node_budget() {
-        // With no node budget at all, the vetted warm point is still
-        // returned as the incumbent.
-        let (out, stats) = Mip::new(knapsack_lp(), vec![0, 1, 2])
-            .warm_start(vec![0.0, 1.0, 1.0])
-            .node_limit(0)
-            .solve_with_stats();
-        match out {
-            MipOutcome::NodeLimit(Some(s)) => assert!((s.objective - 220.0).abs() < 1e-6),
-            other => panic!("unexpected {other:?}"),
-        }
-        assert_eq!(stats.nodes, 0);
-    }
-
-    #[test]
-    fn infeasible_warm_start_is_ignored() {
-        // Violates the knapsack row (and integrality): cold solve results.
-        let out = Mip::new(knapsack_lp(), vec![0, 1, 2])
-            .warm_start(vec![1.0, 1.0, 1.5])
-            .solve();
-        match out {
-            MipOutcome::Optimal(s) => assert!((s.objective - 220.0).abs() < 1e-6),
-            other => panic!("unexpected {other:?}"),
-        }
     }
 
     #[test]

@@ -124,39 +124,6 @@ impl Lp {
         self.rows.push((a.to_vec(), cmp, b));
     }
 
-    /// Evaluates the objective at an arbitrary point (no feasibility
-    /// implied).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != n`.
-    pub fn objective_value(&self, x: &[f64]) -> f64 {
-        assert_eq!(x.len(), self.n, "point dimension mismatch");
-        self.objective.iter().zip(x).map(|(c, v)| c * v).sum()
-    }
-
-    /// Whether `x` satisfies every constraint and the implicit `x >= 0`
-    /// variable bounds, within `tol`. Used to vet warm-start incumbents
-    /// before branch and bound trusts them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != n`.
-    pub fn is_feasible(&self, x: &[f64], tol: f64) -> bool {
-        assert_eq!(x.len(), self.n, "point dimension mismatch");
-        if x.iter().any(|&v| !v.is_finite() || v < -tol) {
-            return false;
-        }
-        self.rows.iter().all(|(a, cmp, b)| {
-            let lhs: f64 = a.iter().zip(x).map(|(c, v)| c * v).sum();
-            match cmp {
-                Cmp::Le => lhs <= b + tol,
-                Cmp::Ge => lhs >= b - tol,
-                Cmp::Eq => (lhs - b).abs() <= tol,
-            }
-        })
-    }
-
     /// Solves the program with two-phase primal simplex.
     pub fn solve(&self) -> LpOutcome {
         // Internally always maximize.

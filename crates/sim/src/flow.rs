@@ -16,7 +16,7 @@
 //! The model is *fluid*: rates stay constant between flow arrivals and
 //! departures, so the network only needs to be re-solved at those instants.
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
 
 use crate::validate::InvariantViolation;
 use crate::SimTime;
@@ -110,19 +110,69 @@ impl FlowRecord {
 #[derive(Debug, Clone, Default)]
 pub struct FlowNetwork {
     links: Vec<Link>,
-    flows: BTreeMap<FlowId, Flow>,
+    /// In-flight flows sorted by id. Ids are issued in ascending order, so
+    /// [`FlowNetwork::start_flow`] appends and lookups binary-search.
+    flows: Vec<(FlowId, Flow)>,
     next_id: u64,
     now: SimTime,
     strict: bool,
-    /// Cached priority partition: distinct priorities descending, each with
-    /// its member ids ascending. `None` means dirty — membership changed
-    /// since the last rate solve. Flow priorities are immutable after
-    /// [`FlowNetwork::start_flow`], so only add/remove invalidates; blocked
-    /// flows stay in the partition and are filtered at allocation time.
-    classes: Option<Vec<(Priority, Vec<FlowId>)>>,
+    classes: Classes,
     partition_rebuilds: u64,
     partition_reuses: u64,
+    scratch: Scratch,
     obs: Option<mobius_obs::Obs>,
+}
+
+/// Cached priority partition of the flow table. Flow priorities are
+/// immutable after [`FlowNetwork::start_flow`], so only add/remove
+/// invalidates it; blocked flows stay in the partition and are filtered at
+/// allocation time.
+#[derive(Debug, Clone, Default)]
+struct Classes {
+    /// Indices into the flow table, by priority descending, then id
+    /// ascending.
+    order: Vec<usize>,
+    /// End of each class in `order`, highest priority first.
+    ends: Vec<usize>,
+    /// False when membership changed since the last build.
+    valid: bool,
+}
+
+impl Classes {
+    /// Re-sorts `flows` into classes in one pass. Table index order is id
+    /// order, so the index breaks priority ties by id.
+    fn rebuild(&mut self, flows: &[(FlowId, Flow)]) {
+        self.order.clear();
+        self.order.extend(0..flows.len());
+        self.order
+            .sort_unstable_by_key(|&i| (Reverse(flows[i].1.priority), i));
+        self.ends.clear();
+        for (k, pair) in self.order.windows(2).enumerate() {
+            if flows[pair[0]].1.priority != flows[pair[1]].1.priority {
+                self.ends.push(k + 1);
+            }
+        }
+        if !self.order.is_empty() {
+            self.ends.push(self.order.len());
+        }
+        self.valid = true;
+    }
+}
+
+/// Buffers a rate solve works in, kept across solves so that a solve
+/// allocates nothing once they have grown to the network's size.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    /// Per-link capacity the classes solved so far left over.
+    residual: Vec<f64>,
+    /// Per-link capacity the current class's water-fill has left.
+    class_residual: Vec<f64>,
+    /// Per-link count of the current class's unfrozen flows.
+    users: Vec<usize>,
+    /// Unblocked flows of the current class, as table indices in id order.
+    members: Vec<usize>,
+    /// The members not frozen yet, in id order.
+    active: Vec<usize>,
 }
 
 /// Deterministic counters for the priority-partition cache inside
@@ -245,7 +295,7 @@ impl FlowNetwork {
         }
         let id = FlowId(self.next_id);
         self.next_id += 1;
-        self.flows.insert(
+        self.flows.push((
             id,
             Flow {
                 path,
@@ -257,10 +307,23 @@ impl FlowNetwork {
                 user,
                 blocked: false,
             },
-        );
-        self.classes = None;
+        ));
+        self.classes.valid = false;
         self.recompute_rates();
         id
+    }
+
+    /// Position of flow `id` in the id-sorted flow table.
+    fn index_of(&self, id: FlowId) -> Option<usize> {
+        self.flows.binary_search_by_key(&id, |&(fid, _)| fid).ok()
+    }
+
+    fn flow(&self, id: FlowId) -> Option<&Flow> {
+        self.index_of(id).map(|i| &self.flows[i].1)
+    }
+
+    fn flow_mut(&mut self, id: FlowId) -> Option<&mut Flow> {
+        self.index_of(id).map(|i| &mut self.flows[i].1)
     }
 
     /// Freezes or resumes a flow (fault injection: a stalled DMA engine).
@@ -268,7 +331,7 @@ impl FlowNetwork {
     /// excluded from the water-filling allocation, so its share is
     /// redistributed. No-op for unknown (already completed) ids.
     pub fn set_flow_blocked(&mut self, id: FlowId, blocked: bool) {
-        let Some(f) = self.flows.get_mut(&id) else {
+        let Some(f) = self.flow_mut(id) else {
             return;
         };
         if f.blocked != blocked {
@@ -281,33 +344,33 @@ impl FlowNetwork {
     ///
     /// [`set_flow_blocked`]: FlowNetwork::set_flow_blocked
     pub fn is_flow_blocked(&self, id: FlowId) -> Option<bool> {
-        self.flows.get(&id).map(|f| f.blocked)
+        self.flow(id).map(|f| f.blocked)
     }
 
     /// Ids of all in-flight flows, in ascending (start-order) id sequence —
     /// the deterministic victim order for injected transfer stalls.
     pub fn active_flow_ids(&self) -> Vec<FlowId> {
-        self.flows.keys().copied().collect()
+        self.flows.iter().map(|&(id, _)| id).collect()
     }
 
     /// The path of an active flow (for retrying it as a fresh flow).
     pub fn path_of(&self, id: FlowId) -> Option<Vec<LinkId>> {
-        self.flows.get(&id).map(|f| f.path.clone())
+        self.flow(id).map(|f| f.path.clone())
     }
 
     /// The priority of an active flow.
     pub fn priority_of(&self, id: FlowId) -> Option<Priority> {
-        self.flows.get(&id).map(|f| f.priority)
+        self.flow(id).map(|f| f.priority)
     }
 
     /// The current rate of a flow in bytes/second, if it is still active.
     pub fn rate_of(&self, id: FlowId) -> Option<f64> {
-        self.flows.get(&id).map(|f| f.rate)
+        self.flow(id).map(|f| f.rate)
     }
 
     /// Remaining bytes of a flow, if it is still active.
     pub fn remaining_of(&self, id: FlowId) -> Option<f64> {
-        self.flows.get(&id).map(|f| f.remaining)
+        self.flow(id).map(|f| f.remaining)
     }
 
     /// The earliest instant at which some flow drains, with its id.
@@ -316,7 +379,7 @@ impl FlowNetwork {
     /// Returns `None` when no flow is moving (no flows, or all blocked).
     pub fn next_completion(&self) -> Option<(SimTime, FlowId)> {
         let mut best: Option<(SimTime, FlowId)> = None;
-        for (&id, f) in &self.flows {
+        for (id, f) in &self.flows {
             if f.rate <= 0.0 {
                 continue;
             }
@@ -340,7 +403,7 @@ impl FlowNetwork {
             };
             match best {
                 Some((t, _)) if t <= at => {}
-                _ => best = Some((at, id)),
+                _ => best = Some((at, *id)),
             }
         }
         best
@@ -377,7 +440,7 @@ impl FlowNetwork {
         // Per-link allocated rate, total and by minimum contributing
         // priority (for the preemption-justification check).
         let mut allocated = vec![0.0f64; self.links.len()];
-        for f in self.flows.values() {
+        for (_, f) in &self.flows {
             if f.rate < 0.0 {
                 return Err(V::NegativeRate {
                     user: f.user,
@@ -398,7 +461,7 @@ impl FlowNetwork {
                 });
             }
         }
-        for f in self.flows.values() {
+        for (_, f) in &self.flows {
             if f.rate > 0.0 || f.blocked {
                 // A blocked flow is frozen by fault injection; zero rate is
                 // its defined behaviour, not starvation.
@@ -411,7 +474,8 @@ impl FlowNetwork {
                 let tol = 1.0f64.max(1e-6 * cap);
                 let high: f64 = self
                     .flows
-                    .values()
+                    .iter()
+                    .map(|(_, g)| g)
                     .filter(|g| g.priority >= f.priority)
                     .filter(|g| g.path.contains(l))
                     .map(|g| g.rate)
@@ -442,7 +506,7 @@ impl FlowNetwork {
     /// validators; never call this from simulation code.
     #[doc(hidden)]
     pub fn debug_set_rate(&mut self, id: FlowId, rate: f64) {
-        self.flows.get_mut(&id).expect("unknown flow id").rate = rate;
+        self.flow_mut(id).expect("unknown flow id").rate = rate;
     }
 
     /// Advances network time to `to`, draining every flow at its current
@@ -456,7 +520,7 @@ impl FlowNetwork {
             return;
         }
         let dt = (to - self.now).as_secs_f64();
-        for f in self.flows.values_mut() {
+        for (_, f) in &mut self.flows {
             f.remaining = (f.remaining - f.rate * dt).max(0.0);
         }
         self.now = to;
@@ -484,9 +548,10 @@ impl FlowNetwork {
     /// 64-byte floor for slow flows. Either violation is also emitted on
     /// the observer's violation lane when one is attached.
     pub fn complete(&mut self, id: FlowId) -> Result<FlowRecord, InvariantViolation> {
-        let Some(f) = self.flows.get(&id) else {
+        let Some(i) = self.index_of(id) else {
             return Err(self.report_violation(InvariantViolation::UnknownFlow { id }));
         };
+        let f = &self.flows[i].1;
         let tolerance = 64.0_f64.max(2e-9 * f.rate);
         if f.remaining > tolerance {
             let v = InvariantViolation::IncompleteFlow {
@@ -496,8 +561,8 @@ impl FlowNetwork {
             };
             return Err(self.report_violation(v));
         }
-        let f = self.flows.remove(&id).expect("flow checked present above");
-        self.classes = None;
+        let (_, f) = self.flows.remove(i);
+        self.classes.valid = false;
         self.recompute_rates();
         Ok(FlowRecord {
             bytes: f.total,
@@ -518,8 +583,8 @@ impl FlowNetwork {
     /// Cancels a flow without asserting completion (e.g. aborted prefetch),
     /// returning the bytes actually moved.
     pub fn cancel(&mut self, id: FlowId) -> Option<f64> {
-        let f = self.flows.remove(&id)?;
-        self.classes = None;
+        let (_, f) = self.flows.remove(self.index_of(id)?);
+        self.classes.valid = false;
         self.recompute_rates();
         Some(f.total - f.remaining)
     }
@@ -541,63 +606,51 @@ impl FlowNetwork {
     /// block/unblock toggles (the common case inside fault windows) reuse
     /// it, and only membership changes (start/complete/cancel) pay the
     /// re-sort. Blocked flows stay in the cached partition and are filtered
-    /// here, at allocation time, so blocking never invalidates.
+    /// here, at allocation time, so blocking never invalidates. The solve
+    /// works in `self.scratch` and allocates nothing once it has grown.
     fn recompute_rates(&mut self) {
-        let mut residual: Vec<f64> = self.links.iter().map(|l| l.capacity).collect();
-
-        if self.classes.is_none() {
-            let mut prios: Vec<Priority> = self.flows.values().map(|f| f.priority).collect();
-            prios.sort_unstable_by(|a, b| b.cmp(a));
-            prios.dedup();
-            let classes = prios
-                .into_iter()
-                .map(|p| {
-                    let members: Vec<FlowId> = self
-                        .flows
-                        .iter()
-                        .filter(|(_, f)| f.priority == p)
-                        .map(|(&id, _)| id)
-                        .collect();
-                    (p, members)
-                })
-                .collect();
-            self.classes = Some(classes);
-            self.partition_rebuilds += 1;
-            if let Some(obs) = &self.obs {
-                obs.counter_add("flow.partition_rebuild", 1.0);
-            }
-        } else {
+        if self.classes.valid {
             self.partition_reuses += 1;
             if let Some(obs) = &self.obs {
                 obs.counter_add("flow.partition_reuse", 1.0);
             }
+        } else {
+            self.classes.rebuild(&self.flows);
+            self.partition_rebuilds += 1;
+            if let Some(obs) = &self.obs {
+                obs.counter_add("flow.partition_rebuild", 1.0);
+            }
         }
 
-        for f in self.flows.values_mut() {
+        for (_, f) in &mut self.flows {
             f.rate = 0.0;
         }
 
-        let classes = self.classes.take().expect("partition built above");
-        for (_, members) in &classes {
+        let s = &mut self.scratch;
+        s.residual.clear();
+        s.residual.extend(self.links.iter().map(|l| l.capacity));
+        let mut start = 0;
+        for &end in &self.classes.ends {
             // Blocked (stalled) flows take no part in the allocation.
-            let ids: Vec<FlowId> = members
-                .iter()
-                .copied()
-                .filter(|id| !self.flows[id].blocked)
-                .collect();
-            if ids.is_empty() {
+            s.members.clear();
+            s.members.extend(
+                self.classes.order[start..end]
+                    .iter()
+                    .copied()
+                    .filter(|&i| !self.flows[i].1.blocked),
+            );
+            start = end;
+            if s.members.is_empty() {
                 continue;
             }
-            let rates = water_fill(&ids, &self.flows, &residual);
-            for (id, rate) in ids.iter().zip(rates.iter()) {
-                let f = self.flows.get_mut(id).expect("flow vanished");
-                f.rate = *rate;
+            water_fill(&mut self.flows, s);
+            for &i in &s.members {
+                let f = &self.flows[i].1;
                 for l in &f.path {
-                    residual[l.0] = (residual[l.0] - rate).max(0.0);
+                    s.residual[l.0] = (s.residual[l.0] - f.rate).max(0.0);
                 }
             }
         }
-        self.classes = Some(classes);
 
         if self.strict {
             self.assert_valid();
@@ -605,62 +658,62 @@ impl FlowNetwork {
     }
 }
 
-/// Max-min fair ("water-filling") allocation for one priority class.
+/// Max-min fair ("water-filling") allocation for one priority class: sets
+/// the rate of every flow in `s.members` against the capacity left in
+/// `s.residual`.
 ///
-/// Returns a rate for each flow in `ids`, in order.
-fn water_fill(ids: &[FlowId], flows: &BTreeMap<FlowId, Flow>, residual: &[f64]) -> Vec<f64> {
-    let n = ids.len();
-    let mut rates = vec![0.0f64; n];
-    if n == 0 {
-        return rates;
-    }
-    let mut frozen = vec![false; n];
-    let mut link_residual = residual.to_vec();
-
-    loop {
-        // Count unfrozen flows per link.
-        let mut users: Vec<usize> = vec![0; link_residual.len()];
-        for (i, id) in ids.iter().enumerate() {
-            if frozen[i] {
-                continue;
-            }
-            for l in &flows[id].path {
-                users[l.0] += 1;
-            }
+/// Each round freezes the unfrozen flows crossing the bottleneck link (the
+/// smallest residual per unfrozen user, lowest index on ties) at that
+/// share. A frozen flow leaves the per-link user counts, so a round costs
+/// one pass over the links plus one over the flows still unfrozen.
+fn water_fill(flows: &mut [(FlowId, Flow)], s: &mut Scratch) {
+    s.class_residual.clear();
+    s.class_residual.extend_from_slice(&s.residual);
+    s.users.clear();
+    s.users.resize(s.residual.len(), 0);
+    for &i in &s.members {
+        for l in &flows[i].1.path {
+            s.users[l.0] += 1;
         }
+    }
+    s.active.clear();
+    s.active.extend_from_slice(&s.members);
+
+    while !s.active.is_empty() {
         // Bottleneck link: minimal residual/users among used links.
         let mut bottleneck: Option<(usize, f64)> = None;
-        for (li, (&res, &u)) in link_residual.iter().zip(users.iter()).enumerate() {
+        for (li, (&res, &u)) in s.class_residual.iter().zip(&s.users).enumerate() {
             if u == 0 {
                 continue;
             }
             let share = res / u as f64;
             match bottleneck {
-                Some((_, s)) if s <= share => {}
+                Some((_, best)) if best <= share => {}
                 _ => bottleneck = Some((li, share)),
             }
         }
         let Some((bl, share)) = bottleneck else {
-            break; // every flow frozen
+            break; // defensive: unfrozen flows always use some link
         };
         // Freeze all unfrozen flows crossing the bottleneck at `share`.
-        let mut froze_any = false;
-        for (i, id) in ids.iter().enumerate() {
-            if frozen[i] || !flows[id].path.contains(&LinkId(bl)) {
-                continue;
+        let unfrozen = s.active.len();
+        let (class_residual, users) = (&mut s.class_residual, &mut s.users);
+        s.active.retain(|&i| {
+            let f = &mut flows[i].1;
+            if !f.path.contains(&LinkId(bl)) {
+                return true;
             }
-            rates[i] = share;
-            frozen[i] = true;
-            froze_any = true;
-            for l in &flows[id].path {
-                link_residual[l.0] = (link_residual[l.0] - share).max(0.0);
+            f.rate = share;
+            for l in &f.path {
+                class_residual[l.0] = (class_residual[l.0] - share).max(0.0);
+                users[l.0] -= 1;
             }
-        }
-        if !froze_any {
+            false
+        });
+        if s.active.len() == unfrozen {
             break; // defensive: should be unreachable
         }
     }
-    rates
 }
 
 #[cfg(test)]

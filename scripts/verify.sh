@@ -35,91 +35,70 @@ echo "==> example smoke runs (quickstart, topology_explorer)"
 cargo run --release -q --example quickstart >/dev/null
 cargo run --release -q --example topology_explorer >/dev/null
 
-echo "==> fault-injection determinism gate (two seeded runs, byte-identical JSON)"
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
-cargo run --release -q -p mobius-bench --bin resilience -- \
-  --quick --seed 42 --json "$tmpdir/a.json" >/dev/null 2>&1
-cargo run --release -q -p mobius-bench --bin resilience -- \
-  --quick --seed 42 --json "$tmpdir/b.json" >/dev/null 2>&1
-cmp "$tmpdir/a.json" "$tmpdir/b.json" || {
-  echo "FAIL: identically seeded resilience runs diverged" >&2
-  exit 1
+bench() { cargo run --release -q -p mobius-bench --bin "$@"; }
+run_cli() { cargo run --release -q -p mobius-repro --bin mobius-cli -- "$@"; }
+
+# same_bytes NAME WHY CMD... runs CMD twice, each time with a fresh output
+# file appended as its last argument, and fails with "FAIL: WHY" unless the
+# two files are byte-identical. The first run's file stays at
+# "$tmpdir/NAME.json" for the gates that follow.
+same_bytes() {
+  local name="$1" why="$2"
+  shift 2
+  "$@" "$tmpdir/$name.json" >/dev/null 2>&1
+  "$@" "$tmpdir/$name-rerun.json" >/dev/null 2>&1
+  cmp "$tmpdir/$name.json" "$tmpdir/$name-rerun.json" || {
+    echo "FAIL: $why" >&2
+    exit 1
+  }
 }
+
+echo "==> fault-injection determinism gate (two seeded runs, byte-identical JSON)"
+same_bytes resilience "identically seeded resilience runs diverged" \
+  bench resilience -- --quick --seed 42 --json
 
 echo "==> cluster-scaling determinism gate (two seeded runs, byte-identical JSON)"
-cargo run --release -q -p mobius-bench --bin scaling -- \
-  --quick --seed 42 --json "$tmpdir/c.json" >/dev/null 2>&1
-cargo run --release -q -p mobius-bench --bin scaling -- \
-  --quick --seed 42 --json "$tmpdir/d.json" >/dev/null 2>&1
-cmp "$tmpdir/c.json" "$tmpdir/d.json" || {
-  echo "FAIL: identically seeded scaling runs diverged" >&2
-  exit 1
-}
+same_bytes scaling "identically seeded scaling runs diverged" \
+  bench scaling -- --quick --seed 42 --json
 
 echo "==> recovery determinism gate (two seeded runs, byte-identical JSON)"
-cargo run --release -q -p mobius-bench --bin recovery -- \
-  --quick --seed 42 --json "$tmpdir/r1.json" >/dev/null 2>&1
-cargo run --release -q -p mobius-bench --bin recovery -- \
-  --quick --seed 42 --json "$tmpdir/r2.json" >/dev/null 2>&1
-cmp "$tmpdir/r1.json" "$tmpdir/r2.json" || {
-  echo "FAIL: identically seeded recovery runs diverged" >&2
-  exit 1
-}
+same_bytes recovery "identically seeded recovery runs diverged" \
+  bench recovery -- --quick --seed 42 --json
 
 echo "==> solver-perf determinism gate (two seeded runs, byte-identical JSON)"
-cargo run --release -q -p mobius-bench --bin solver_perf -- \
-  --deterministic --seed 42 --json "$tmpdir/e.json" >/dev/null 2>&1
-cargo run --release -q -p mobius-bench --bin solver_perf -- \
-  --deterministic --seed 42 --json "$tmpdir/f.json" >/dev/null 2>&1
-cmp "$tmpdir/e.json" "$tmpdir/f.json" || {
-  echo "FAIL: identically seeded solver-perf runs diverged" >&2
-  exit 1
-}
+same_bytes solver_perf "identically seeded solver-perf runs diverged" \
+  bench solver_perf -- --deterministic --seed 42 --json
 
 if [ "${UPDATE_BASELINE:-0}" = "1" ]; then
   echo "==> regenerating BENCH_solver.json (UPDATE_BASELINE=1)"
-  cargo run --release -q -p mobius-bench --bin solver_perf -- \
-    --quick --seed 42 --json BENCH_solver.json >/dev/null
+  bench solver_perf -- --quick --seed 42 --json BENCH_solver.json >/dev/null
 fi
 
 echo "==> serve determinism gate (two seeded load-generator runs, byte-identical JSON)"
-cargo run --release -q -p mobius-bench --bin serve -- \
-  --seed 42 --json "$tmpdir/s1.json" >/dev/null 2>&1
-cargo run --release -q -p mobius-bench --bin serve -- \
-  --seed 42 --json "$tmpdir/s2.json" >/dev/null 2>&1
-cmp "$tmpdir/s1.json" "$tmpdir/s2.json" || {
-  echo "FAIL: identically seeded serve load-generator runs diverged" >&2
-  exit 1
-}
+same_bytes serve "identically seeded serve load-generator runs diverged" \
+  bench serve -- --seed 42 --json
 
 if [ "${UPDATE_BASELINE:-0}" = "1" ]; then
   echo "==> regenerating BENCH_serve.json (UPDATE_BASELINE=1)"
-  cp "$tmpdir/s1.json" BENCH_serve.json
+  cp "$tmpdir/serve.json" BENCH_serve.json
 fi
 
 echo "==> attribution determinism gate (two analyzed runs, byte-identical JSON)"
-cargo run --release -q -p mobius-repro --bin mobius-cli -- \
-  step --model gpt2 --topo 2+2 --system mobius --strict \
-  --analyze-out "$tmpdir/attr_a.json" >/dev/null
-cargo run --release -q -p mobius-repro --bin mobius-cli -- \
-  step --model gpt2 --topo 2+2 --system mobius --strict \
-  --analyze-out "$tmpdir/attr_b.json" >/dev/null
-cmp "$tmpdir/attr_a.json" "$tmpdir/attr_b.json" || {
-  echo "FAIL: identical analyzed runs diverged" >&2
-  exit 1
-}
+same_bytes attribution "identical analyzed runs diverged" \
+  run_cli step --model gpt2 --topo 2+2 --system mobius --strict --analyze-out
 
 if [ "${UPDATE_GOLDEN:-0}" = "1" ]; then
   echo "==> regenerating tests/golden/attribution_cli.json (UPDATE_GOLDEN=1)"
-  cp "$tmpdir/attr_a.json" tests/golden/attribution_cli.json
+  cp "$tmpdir/attribution.json" tests/golden/attribution_cli.json
 fi
 
 echo "==> attribution golden gate (vs tests/golden/attribution_cli.json)"
 # The committed attribution JSON pins the analyze engine's output bytes —
 # critical path, blame, utilization, and what-if bounds. Regenerate with
 # UPDATE_GOLDEN=1 after an intentional engine or executor change.
-cmp "$tmpdir/attr_a.json" tests/golden/attribution_cli.json || {
+cmp "$tmpdir/attribution.json" tests/golden/attribution_cli.json || {
   echo "FAIL: attribution JSON drifted from the committed golden" >&2
   echo "      (rerun with UPDATE_GOLDEN=1 to regenerate after intentional changes)" >&2
   exit 1
@@ -131,7 +110,6 @@ echo "==> crash-resume gate (single server: stitched chunks byte-identical)"
 # segments equal the uninterrupted reference's bytes exactly.
 ck="$tmpdir/ckpt"
 mkdir -p "$ck"
-run_cli() { cargo run --release -q -p mobius-repro --bin mobius-cli -- "$@"; }
 run_cli step --model gpt2 --topo 2+2 --system mobius \
   --steps 6 --checkpoint-every 2 --checkpoint-out "$ck/ref" \
   --trace-out "$ck/ref-trace.json" --metrics-out "$ck/ref-metrics.json" \
@@ -206,8 +184,7 @@ echo "==> solver-perf baseline gate (counter diff vs BENCH_solver.json)"
 # shrink, reuse counters may only grow, checksums must match exactly. The
 # delta table is printed either way; regressions fail the build. Regenerate
 # the committed baseline with UPDATE_BASELINE=1 after intentional changes.
-cargo run --release -q -p mobius-bench --bin solver_perf -- \
-  --check BENCH_solver.json --seed 42 || {
+bench solver_perf -- --check BENCH_solver.json --seed 42 || {
   echo "FAIL: solver counters regressed vs BENCH_solver.json" >&2
   exit 1
 }
@@ -217,8 +194,7 @@ echo "==> serve baseline gate (counter diff vs BENCH_serve.json)"
 # grow, misses/evictions/latency percentiles may only shrink, and the
 # response-stream checksum must match exactly. Regenerate the committed
 # baseline with UPDATE_BASELINE=1 after intentional changes.
-cargo run --release -q -p mobius-bench --bin serve -- \
-  --check BENCH_serve.json --seed 42 || {
+bench serve -- --check BENCH_serve.json --seed 42 || {
   echo "FAIL: serve counters regressed vs BENCH_serve.json" >&2
   exit 1
 }

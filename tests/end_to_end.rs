@@ -2,16 +2,17 @@
 //! simulate → report for every system, and cross-crate consistency checks
 //! between the analytic planner and the contention-aware simulator.
 
-use mobius::{FineTuner, RunError, System};
+use mobius::{ClusterConfig, FineTuner, RunError, System};
+use mobius_cluster::{simulate_ring_allreduce, ClusterDpConfig, ReplicaTiming};
 use mobius_mapping::{Mapping, MappingAlgo};
 use mobius_model::{GptConfig, Model};
 use mobius_pipeline::{
-    check_differential, evaluate_analytic, simulate_step, stage_costs, PartitionAlgo,
-    PipelineConfig,
+    check_differential, evaluate_analytic, simulate_step, simulate_steps_traced, stage_costs,
+    PartitionAlgo, PipelineConfig, StageCosts,
 };
 use mobius_profiler::Profiler;
 use mobius_sim::CommKind;
-use mobius_topology::{GpuSpec, Topology};
+use mobius_topology::{Cluster, GpuSpec, Topology, COMMODITY_NIC_GBPS};
 
 fn commodity(groups: &[usize]) -> Topology {
     Topology::commodity(GpuSpec::rtx3090ti(), groups)
@@ -221,4 +222,110 @@ fn run_error_reports_oom_reason() {
         RunError::OutOfMemory(cause) => assert!(cause.to_string().contains("GiB")),
         other => panic!("expected OOM, got {other:?}"),
     }
+}
+
+// Exact step-simulation outputs. The flow network's rate solve must stay
+// bit-identical through any rewrite, so these pin the executor, ZeRO and
+// ring all-reduce results of five step-simulation cases to the nanosecond
+// and the byte: two Mobius pipelines, a ZeRO-Offload step, a 4-server
+// DeepSpeed-hetero cluster step and an 8-server ring all-reduce.
+
+/// A Mobius pipeline on the minimum-stage partition with cross mapping.
+fn pinned_pipeline(
+    cfg: &GptConfig,
+    groups: &[usize],
+    m: usize,
+) -> (Vec<StageCosts>, Mapping, Topology, PipelineConfig) {
+    let topo = commodity(groups);
+    let model = Model::from_config(cfg);
+    let profile =
+        Profiler::new(topo.gpu().clone()).profile(&model, model.config().default_microbatch);
+    let pcfg = PipelineConfig::mobius(m, topo.gpu_mem_bytes(), topo.avg_gpu_bandwidth());
+    let out =
+        mobius_pipeline::partition_model(PartitionAlgo::MinStage, &profile, topo.num_gpus(), &pcfg)
+            .unwrap();
+    let stages = stage_costs(&profile, &out.partition);
+    let mapping = Mapping::cross(&topo, stages.len());
+    (stages, mapping, topo, pcfg)
+}
+
+/// Two simulated steps: (step boundaries ns, drain ns, total traffic).
+fn pinned_two_steps(cfg: &GptConfig, groups: &[usize], m: usize) -> (Vec<u64>, u64, f64) {
+    let (stages, mapping, topo, pcfg) = pinned_pipeline(cfg, groups, m);
+    let rep = simulate_steps_traced(&stages, &mapping, &topo, &pcfg, 2, None).unwrap();
+    let steps = rep.step_boundaries.iter().map(|t| t.as_nanos()).collect();
+    (steps, rep.drain_time.as_nanos(), rep.trace.total_traffic())
+}
+
+#[test]
+fn pinned_mobius_15b_4p4_m32() {
+    assert_eq!(
+        pinned_two_steps(&GptConfig::gpt_15b(), &[4, 4], 32),
+        (
+            vec![6_945_325_043, 13_934_320_259],
+            13_976_789_772,
+            202_428_928_000.0
+        )
+    );
+}
+
+#[test]
+fn pinned_mobius_3b_2p2_m4() {
+    assert_eq!(
+        pinned_two_steps(&GptConfig::gpt_3b(), &[2, 2], 4),
+        (
+            vec![1_589_488_130, 3_194_864_988],
+            3_210_753_716,
+            48_868_073_472.0
+        )
+    );
+}
+
+#[test]
+fn pinned_zero_offload_8b_2p2() {
+    let rep = FineTuner::from_model(Model::from_config(&GptConfig::gpt_8b()))
+        .topology(commodity(&[2, 2]))
+        .system(System::ZeroOffload)
+        .run_step()
+        .unwrap();
+    assert_eq!(rep.step_time.as_nanos(), 4_507_069_178);
+    assert_eq!(rep.drain_time.as_nanos(), 4_507_069_178);
+    assert_eq!(rep.traffic_total(), 135_510_228_992.0);
+}
+
+#[test]
+fn pinned_ds_hetero_cluster_gpt2_2p2_x4() {
+    let rep = FineTuner::from_model(Model::from_config(&GptConfig::gpt2_small()))
+        .topology(commodity(&[2, 2]))
+        .system(System::DeepSpeedHetero)
+        .cluster(ClusterConfig::new(4, COMMODITY_NIC_GBPS))
+        .run_step()
+        .unwrap();
+    assert_eq!(rep.step_time.as_nanos(), 257_879_119);
+    assert_eq!(rep.drain_time.as_nanos(), 257_879_119);
+    assert_eq!(rep.traffic_total(), 16_965_249_280.0);
+}
+
+#[test]
+fn pinned_ring_allreduce_3b_2p2_x8() {
+    // Eight servers syncing the 3B model's per-stage gradient buckets,
+    // ready when a 2+2 replica's stages flushed them.
+    let (stages, mapping, topo, pcfg) = pinned_pipeline(&GptConfig::gpt_3b(), &[2, 2], 4);
+    let sim = simulate_step(&stages, &mapping, &topo, &pcfg).unwrap();
+    let replica = ReplicaTiming {
+        bucket_bytes: stages.iter().map(|s| s.grad_bytes as f64).collect(),
+        ready: sim.grad_flush,
+        ready_sids: Vec::new(),
+    };
+    let servers = 8;
+    let cluster = Cluster::new(topo, servers, COMMODITY_NIC_GBPS);
+    let rep = simulate_ring_allreduce(
+        &cluster,
+        &vec![replica; servers],
+        &ClusterDpConfig::default(),
+        None,
+    )
+    .unwrap();
+    assert_eq!(rep.sync_done.as_nanos(), 2_565_785_006);
+    assert_eq!(rep.per_server_tx.iter().sum::<f64>(), 96_040_763_392.0);
 }

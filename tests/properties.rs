@@ -1,6 +1,8 @@
 //! Property-based tests on the core invariants of the simulation and
 //! optimization substrates.
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 
 use mobius_mapping::Mapping;
@@ -8,7 +10,7 @@ use mobius_mip::{chain_partition_dp, SegmentObjective, SegmentSearch};
 use mobius_pipeline::{
     check_differential, evaluate_analytic, simulate_step, PipelineConfig, StageCosts,
 };
-use mobius_sim::{Cdf, FlowNetwork, IntervalSet, SimTime};
+use mobius_sim::{Cdf, FlowId, FlowNetwork, IntervalSet, LinkId, Priority, SimTime};
 use mobius_topology::{GpuSpec, Topology};
 
 const GB: u64 = 1 << 30;
@@ -238,6 +240,247 @@ proptest! {
             // Stages of one GPU are strictly increasing.
             let s = m.stages_of(g);
             prop_assert!(s.windows(2).all(|w| w[0] < w[1]));
+        }
+    }
+}
+
+/// A flow as the oracle solver sees it, rebuilt from public state.
+struct OracleFlow {
+    path: Vec<LinkId>,
+    priority: Priority,
+    blocked: bool,
+}
+
+/// The flow network's rate solve as it was before the flow table became
+/// an id-sorted `Vec` with scratch buffers: a `BTreeMap` flow table, one
+/// filter pass over all flows per priority class, and a full recount of
+/// link users in every water-filling round. It rebuilds every rate from
+/// the network's public state.
+fn oracle_rates(net: &FlowNetwork) -> BTreeMap<FlowId, f64> {
+    let flows: BTreeMap<FlowId, OracleFlow> = net
+        .active_flow_ids()
+        .into_iter()
+        .map(|id| {
+            let f = OracleFlow {
+                path: net.path_of(id).unwrap(),
+                priority: net.priority_of(id).unwrap(),
+                blocked: net.is_flow_blocked(id).unwrap(),
+            };
+            (id, f)
+        })
+        .collect();
+    let mut residual: Vec<f64> = net
+        .link_ids()
+        .iter()
+        .map(|&l| net.link_capacity(l))
+        .collect();
+
+    let mut prios: Vec<Priority> = flows.values().map(|f| f.priority).collect();
+    prios.sort_unstable_by(|a, b| b.cmp(a));
+    prios.dedup();
+    let classes: Vec<(Priority, Vec<FlowId>)> = prios
+        .into_iter()
+        .map(|p| {
+            let members: Vec<FlowId> = flows
+                .iter()
+                .filter(|(_, f)| f.priority == p)
+                .map(|(&id, _)| id)
+                .collect();
+            (p, members)
+        })
+        .collect();
+
+    let mut rates: BTreeMap<FlowId, f64> = flows.keys().map(|&id| (id, 0.0)).collect();
+    for (_, members) in &classes {
+        let ids: Vec<FlowId> = members
+            .iter()
+            .copied()
+            .filter(|id| !flows[id].blocked)
+            .collect();
+        if ids.is_empty() {
+            continue;
+        }
+        let class_rates = oracle_water_fill(&ids, &flows, &residual);
+        for (id, rate) in ids.iter().zip(class_rates.iter()) {
+            rates.insert(*id, *rate);
+            for l in &flows[id].path {
+                residual[l.index()] = (residual[l.index()] - rate).max(0.0);
+            }
+        }
+    }
+    rates
+}
+
+/// The oracle's max-min water-filling for one priority class; returns a
+/// rate for each flow in `ids`, in order.
+fn oracle_water_fill(
+    ids: &[FlowId],
+    flows: &BTreeMap<FlowId, OracleFlow>,
+    residual: &[f64],
+) -> Vec<f64> {
+    let n = ids.len();
+    let mut rates = vec![0.0f64; n];
+    if n == 0 {
+        return rates;
+    }
+    let mut frozen = vec![false; n];
+    let mut link_residual = residual.to_vec();
+
+    loop {
+        // Count unfrozen flows per link.
+        let mut users: Vec<usize> = vec![0; link_residual.len()];
+        for (i, id) in ids.iter().enumerate() {
+            if frozen[i] {
+                continue;
+            }
+            for l in &flows[id].path {
+                users[l.index()] += 1;
+            }
+        }
+        // Bottleneck link: minimal residual/users among used links.
+        let mut bottleneck: Option<(usize, f64)> = None;
+        for (li, (&res, &u)) in link_residual.iter().zip(users.iter()).enumerate() {
+            if u == 0 {
+                continue;
+            }
+            let share = res / u as f64;
+            match bottleneck {
+                Some((_, s)) if s <= share => {}
+                _ => bottleneck = Some((li, share)),
+            }
+        }
+        let Some((bl, share)) = bottleneck else {
+            break; // every flow frozen
+        };
+        // Freeze all unfrozen flows crossing the bottleneck at `share`.
+        let mut froze_any = false;
+        for (i, id) in ids.iter().enumerate() {
+            if frozen[i] || !flows[id].path.iter().any(|l| l.index() == bl) {
+                continue;
+            }
+            rates[i] = share;
+            frozen[i] = true;
+            froze_any = true;
+            for l in &flows[id].path {
+                link_residual[l.index()] = (link_residual[l.index()] - share).max(0.0);
+            }
+        }
+        if !froze_any {
+            break; // defensive: should be unreachable
+        }
+    }
+    rates
+}
+
+/// The oracle's next completion: earliest drain instant over the oracle
+/// rates, rounded up to the nanosecond, smallest id on ties.
+fn oracle_next_completion(
+    net: &FlowNetwork,
+    rates: &BTreeMap<FlowId, f64>,
+) -> Option<(SimTime, FlowId)> {
+    let now = net.now();
+    let mut best: Option<(SimTime, FlowId)> = None;
+    for (&id, &rate) in rates {
+        if rate <= 0.0 {
+            continue;
+        }
+        let remaining = net.remaining_of(id).unwrap();
+        let dt = remaining / rate;
+        let ns = mobius_sim::units::secs_to_ns(dt).ceil();
+        let at = now
+            + if ns >= u64::MAX as f64 {
+                SimTime::MAX
+            } else {
+                SimTime::from_nanos(ns as u64)
+            };
+        let at = if remaining > 0.0 && at == now {
+            now + SimTime::from_nanos(1)
+        } else {
+            at
+        };
+        match best {
+            Some((t, _)) if t <= at => {}
+            _ => best = Some((at, id)),
+        }
+    }
+    best
+}
+
+/// `len` distinct links drawn from the bytes of `bits`.
+fn distinct_links(links: &[LinkId], len: usize, bits: u64) -> Vec<LinkId> {
+    let mut pool = links.to_vec();
+    (0..len)
+        .map(|k| pool.swap_remove((bits >> (8 * k)) as usize % pool.len()))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The flow network's rate solve is bit-identical to the oracle solver
+    /// after every operation of a random schedule: starts, completions at
+    /// `next_completion`, cancels, block toggles and capacity changes.
+    /// Whole-GB/s capacities make equal bottleneck shares, and so the
+    /// tie-breaks, common.
+    #[test]
+    fn flow_solver_matches_oracle(
+        caps in prop::collection::vec(1u8..17, 1..13),
+        ops in prop::collection::vec(
+            (0u8..8, 0usize..1024, 0u64..u64::MAX, 0.1f64..10.0, 0u8..4),
+            1..160,
+        ),
+    ) {
+        let mut net = FlowNetwork::new();
+        let links: Vec<LinkId> = caps
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| net.add_link(format!("l{i}"), c as f64 * 1e9))
+            .collect();
+        for (step, (kind, pick, bits, gb, prio)) in ops.into_iter().enumerate() {
+            let ids = net.active_flow_ids();
+            match kind {
+                0..=3 if ids.len() < 40 => {
+                    let len = 1 + pick % links.len().min(4);
+                    net.start_flow(distinct_links(&links, len, bits), gb * 1e9, prio, 0);
+                }
+                4 => {
+                    if let Some((t, id)) = net.next_completion() {
+                        net.advance_to(t);
+                        prop_assert!(net.complete(id).is_ok(), "completion of {id:?} refused");
+                    }
+                }
+                5 if !ids.is_empty() => {
+                    // Drain part of the way to the next completion first,
+                    // so the cancelled flow has moved some bytes.
+                    if let Some((t, _)) = net.next_completion() {
+                        let now = net.now().as_nanos();
+                        net.advance_to(SimTime::from_nanos(now + (t.as_nanos() - now) / 2));
+                    }
+                    net.cancel(ids[pick % ids.len()]);
+                }
+                6 if !ids.is_empty() => {
+                    let id = ids[pick % ids.len()];
+                    net.set_flow_blocked(id, !net.is_flow_blocked(id).unwrap());
+                }
+                7 => {
+                    let cap = if bits % 2 == 0 { (1 + bits % 16) as f64 } else { gb * 2.0 };
+                    net.set_link_capacity(links[pick % links.len()], cap * 1e9);
+                }
+                _ => {}
+            }
+            let want = oracle_rates(&net);
+            for (&id, &rate) in &want {
+                prop_assert_eq!(
+                    net.rate_of(id).unwrap().to_bits(),
+                    rate.to_bits(),
+                    "rate of {:?} after op {}", id, step
+                );
+            }
+            prop_assert_eq!(
+                net.next_completion(),
+                oracle_next_completion(&net, &want),
+                "next completion after op {}", step
+            );
         }
     }
 }
