@@ -1,5 +1,5 @@
-//! Solver & engine fast-path benchmark: warm-started MIP replans,
-//! calendar-queue event scheduling, and flow-set partition reuse.
+//! Solver & engine hot-path benchmark: warm-started MIP replans, a seeded
+//! event storm, and flow-set partition reuse.
 //!
 //! Flags:
 //! * `--quick` — fewer wall-clock repetitions (the deterministic counter

@@ -1,19 +1,18 @@
-//! Solver & engine fast-path benchmark: warm-started MIP replans,
-//! calendar-queue event scheduling, and flow-set partition reuse.
+//! Solver & engine hot-path benchmark: warm-started MIP replans, a seeded
+//! event storm, and flow-set partition reuse.
 //!
-//! Three deterministic workloads exercise the hot paths this repo's
-//! optimisations target, counting work units (branch-and-bound nodes,
-//! events popped, partition sorts avoided) rather than wall time:
+//! Three deterministic workloads exercise the hot paths, counting work
+//! units (branch-and-bound nodes, events popped, partition sorts avoided)
+//! rather than wall time:
 //!
 //! 1. **warm-vs-cold replan** — the GPU-failure resilience workload: a
 //!    heterogeneous 16-layer profile is partitioned for 4 GPUs, then
 //!    re-partitioned for the 3-GPU survivor topology both cold and
 //!    warm-started from the 4-GPU incumbent. The warm solve must reach the
 //!    bit-identical predicted step while evaluating strictly fewer leaves.
-//! 2. **calendar vs reference engine** — a seeded mixed-scale event storm
-//!    driven through both [`mobius_sim::Engine`] (calendar queue) and
-//!    [`mobius_sim::ReferenceEngine`] (binary heap); the pop streams must
-//!    produce identical FNV-1a checksums.
+//! 2. **event storm** — a seeded mixed-scale storm of schedules and pop
+//!    bursts driven through [`mobius_sim::Engine`]; the FNV-1a checksum of
+//!    the `(time, payload)` pop stream pins the engine's pop order.
 //! 3. **flow-set cache** — a scripted capacity-wiggle/block/complete
 //!    workload on [`mobius_sim::FlowNetwork`], counting priority-partition
 //!    rebuilds vs reuses.
@@ -29,7 +28,7 @@
 use mobius_obs::WallTimer;
 use mobius_pipeline::{mip_partition_opts, MipPartitionOpts, PartitionOutcome, PipelineConfig};
 use mobius_profiler::{LayerProfile, ModelProfile};
-use mobius_sim::{Engine, FlowNetwork, ReferenceEngine, SimTime};
+use mobius_sim::{Engine, FlowNetwork, SimTime};
 
 use super::baseline::{check_counters, counters_experiment, Metric, Rule};
 use crate::{commodity, Experiment};
@@ -151,10 +150,10 @@ fn replan(metrics: &mut Vec<Metric>) -> Experiment {
 }
 
 // ---------------------------------------------------------------------------
-// Workload 2: calendar queue vs reference heap
+// Workload 2: seeded event storm
 // ---------------------------------------------------------------------------
 
-/// xorshift64* — the same tiny deterministic generator the sim tests use.
+/// xorshift64* — a tiny deterministic generator for the storm.
 fn xorshift(state: &mut u64) -> u64 {
     let mut x = *state;
     x ^= x << 13;
@@ -173,43 +172,25 @@ fn fnv1a(acc: u64, word: u64) -> u64 {
     h
 }
 
-/// Delay pattern of the seeded storm.
-#[derive(Clone, Copy)]
-enum StormShape {
-    /// Adversarial: dense ties early, a sparse horizon mid-storm, dense
-    /// again late — forcing calendar resizes and recalibrations. Used for
-    /// the determinism counters; the calendar's worst case.
-    Mixed,
-    /// Representative: time-local completion events a short uniform
-    /// horizon away, the distribution the simulator actually produces.
-    Uniform,
-}
+const STORM_EVENTS: usize = 20_000;
 
-fn storm_delay(shape: StormShape, i: usize, events: usize, r: u64) -> u64 {
-    match shape {
-        StormShape::Mixed => match i * 3 / events {
-            0 => r % 50,
-            1 => r % 5_000_000,
-            _ => r % 10,
-        },
-        StormShape::Uniform => r % 1_000,
-    }
-}
-
-/// The seeded storm, with pop bursts so the queue breathes between growth
-/// and drain. Replayed verbatim against both engines.
-fn run_calendar(
-    seed: u64,
-    events: usize,
-    shape: StormShape,
-) -> (u64, u64, u64, mobius_sim::EngineStats) {
+/// The seeded storm: dense ties early, a sparse millisecond horizon
+/// mid-storm, dense again late, with pop bursts so the queue breathes
+/// between growth and drain. The FNV-1a checksum of the pop stream and the
+/// pop count land in the counter table, where the baseline pins both
+/// exactly.
+fn event_storm(seed: u64, metrics: &mut Vec<Metric>) {
     let mut e: Engine<u64> = Engine::new();
     let mut rng = seed | 1;
     let mut checksum = 0xCBF2_9CE4_8422_2325u64;
     let mut popped = 0u64;
-    for i in 0..events {
+    for i in 0..STORM_EVENTS {
         let r = xorshift(&mut rng);
-        let delay = storm_delay(shape, i, events, r);
+        let delay = match i * 3 / STORM_EVENTS {
+            0 => r % 50,
+            1 => r % 5_000_000,
+            _ => r % 10,
+        };
         e.schedule(e.now() + SimTime::from_nanos(delay), r);
         if r % 7 < 3 {
             for _ in 0..(r % 4) {
@@ -224,97 +205,12 @@ fn run_calendar(
         checksum = fnv1a(fnv1a(checksum, at.as_nanos()), payload);
         popped += 1;
     }
-    let stats = e.stats();
-    (checksum, stats.scheduled, popped, stats)
-}
-
-fn run_reference(seed: u64, events: usize, shape: StormShape) -> (u64, u64, u64) {
-    let mut e: ReferenceEngine<u64> = ReferenceEngine::new();
-    let mut rng = seed | 1;
-    let mut checksum = 0xCBF2_9CE4_8422_2325u64;
-    let mut scheduled = 0u64;
-    let mut popped = 0u64;
-    for i in 0..events {
-        let r = xorshift(&mut rng);
-        let delay = storm_delay(shape, i, events, r);
-        e.schedule(e.now() + SimTime::from_nanos(delay), r);
-        scheduled += 1;
-        if r % 7 < 3 {
-            for _ in 0..(r % 4) {
-                if let Some((at, payload)) = e.pop() {
-                    checksum = fnv1a(fnv1a(checksum, at.as_nanos()), payload);
-                    popped += 1;
-                }
-            }
-        }
-    }
-    while let Some((at, payload)) = e.pop() {
-        checksum = fnv1a(fnv1a(checksum, at.as_nanos()), payload);
-        popped += 1;
-    }
-    (checksum, scheduled, popped)
-}
-
-const STORM_EVENTS: usize = 20_000;
-
-fn engine_events(seed: u64, metrics: &mut Vec<Metric>) -> Experiment {
-    let mut e = Experiment::new(
-        "solver-engine-events",
-        "Calendar-queue engine vs reference binary heap (seeded storm)",
-        "extension (no paper counterpart): the calendar queue pops the \
-         byte-identical (time, seq) stream as the reference heap across \
-         growth, shrink and recalibration",
-    )
-    .columns([
-        "engine",
-        "scheduled",
-        "popped",
-        "resizes",
-        "recalibrations",
-        "checksum",
-    ]);
-
-    let (cal_sum, cal_sched, cal_pop, stats) = run_calendar(seed, STORM_EVENTS, StormShape::Mixed);
-    let (ref_sum, ref_sched, ref_pop) = run_reference(seed, STORM_EVENTS, StormShape::Mixed);
-    e.push_row([
-        "calendar".to_string(),
-        cal_sched.to_string(),
-        cal_pop.to_string(),
-        stats.resizes.to_string(),
-        stats.recalibrations.to_string(),
-        format!("{cal_sum:016x}"),
-    ]);
-    e.push_row([
-        "reference".to_string(),
-        ref_sched.to_string(),
-        ref_pop.to_string(),
-        "-".to_string(),
-        "-".to_string(),
-        format!("{ref_sum:016x}"),
-    ]);
-
-    metrics.push(Metric::new("engine.popped", cal_pop, Rule::Exact));
+    metrics.push(Metric::new("engine.popped", popped, Rule::Exact));
     metrics.push(Metric::new(
         "engine.checksum",
-        format!("{cal_sum:016x}"),
+        format!("{checksum:016x}"),
         Rule::Exact,
     ));
-    metrics.push(Metric::new(
-        "engine.match",
-        u8::from(cal_sum == ref_sum && cal_pop == ref_pop && cal_sched == ref_sched),
-        Rule::Exact,
-    ));
-    metrics.push(Metric::new("engine.resizes", stats.resizes, Rule::AtMost));
-    metrics.push(Metric::new(
-        "engine.recalibrations",
-        stats.recalibrations,
-        Rule::AtMost,
-    ));
-
-    e.note(format!(
-        "{STORM_EVENTS} events, seed {seed}; pop order compared by FNV-1a checksum"
-    ));
-    e
 }
 
 // ---------------------------------------------------------------------------
@@ -427,7 +323,7 @@ fn flow_cache(metrics: &mut Vec<Metric>) -> Experiment {
 // Wall-clock experiment (machine-dependent; never baseline-diffed)
 // ---------------------------------------------------------------------------
 
-fn wall(quick: bool, seed: u64) -> Experiment {
+fn wall(quick: bool) -> Experiment {
     let mut e = Experiment::new(
         "solver-wall",
         "Hot-path wall timings (machine-dependent; excluded from baselines)",
@@ -467,40 +363,9 @@ fn wall(quick: bool, seed: u64) -> Experiment {
         crate::fmt_secs(warm),
     ]);
 
-    let events = if quick {
-        STORM_EVENTS
-    } else {
-        STORM_EVENTS * 5
-    };
-    for (label, shape) in [
-        ("uniform storm", StormShape::Uniform),
-        ("adversarial storm", StormShape::Mixed),
-    ] {
-        let cal = best(&|| {
-            let _ = run_calendar(seed, events, shape);
-        });
-        let reference = best(&|| {
-            let _ = run_reference(seed, events, shape);
-        });
-        e.push_row([
-            format!("{label} ({events} events)"),
-            "calendar".to_string(),
-            crate::fmt_secs(cal),
-        ]);
-        e.push_row([
-            format!("{label} ({events} events)"),
-            "reference heap".to_string(),
-            crate::fmt_secs(reference),
-        ]);
-    }
     e.note(format!(
         "best of {reps} run(s); regenerate with `cargo run -p mobius-bench --bin solver_perf`"
     ));
-    e.note(
-        "the adversarial storm mixes nanosecond ties with a millisecond horizon — the textbook \
-         worst case for a calendar queue, kept here so the degradation stays visible; the \
-         uniform storm is what the simulator's completion events actually look like",
-    );
     e
 }
 
@@ -514,7 +379,7 @@ fn wall(quick: bool, seed: u64) -> Experiment {
 pub fn deterministic(seed: u64) -> Vec<Experiment> {
     let mut metrics = Vec::new();
     let replan = replan(&mut metrics);
-    let engine = engine_events(seed, &mut metrics);
+    event_storm(seed, &mut metrics);
     let flows = flow_cache(&mut metrics);
 
     let mut counters = counters_experiment(
@@ -526,13 +391,13 @@ pub fn deterministic(seed: u64) -> Vec<Experiment> {
         &metrics,
     );
     counters.note("regenerate the baseline with `UPDATE_BASELINE=1 scripts/verify.sh`");
-    vec![replan, engine, flows, counters]
+    vec![replan, flows, counters]
 }
 
 /// Full run: deterministic workloads plus the wall-clock table.
 pub fn run(quick: bool, seed: u64) -> Vec<Experiment> {
     let mut all = deterministic(seed);
-    all.push(wall(quick, seed));
+    all.push(wall(quick));
     all
 }
 
@@ -577,14 +442,6 @@ mod tests {
         };
         assert_eq!(get("replan.warm_lt_cold"), "1");
         assert_eq!(get("replan.cost_match"), "1");
-    }
-
-    #[test]
-    fn calendar_and_reference_agree() {
-        let mut metrics = Vec::new();
-        let _ = engine_events(42, &mut metrics);
-        let m = metrics.iter().find(|m| m.name == "engine.match").unwrap();
-        assert_eq!(m.value, "1");
     }
 
     #[test]

@@ -42,6 +42,7 @@ proptest! {
     // Counters range over the format's exact-integer domain (< 2^53, the
     // f64 JSON bound documented on RunState); the fingerprint, framed as
     // a hex string, exercises all 64 bits.
+    #[test]
     fn encode_decode_encode_is_byte_identical(
         a in (0u64..u64::MAX, 0u64..1000, 0u64..1000, 0u64..1 << 53),
         b in (0u64..1 << 40, 0u64..1 << 20, 0u64..64, 0u64..64),
@@ -56,6 +57,7 @@ proptest! {
         prop_assert_eq!(decoded.encode(), text, "re-encode must be byte-identical");
     }
 
+    #[test]
     fn any_truncation_is_detected(
         a in (0u64..u64::MAX, 0u64..1000, 0u64..1000, 0u64..1 << 53),
         cut_permille in 0u64..1000,
@@ -73,6 +75,7 @@ proptest! {
         );
     }
 
+    #[test]
     fn any_single_byte_flip_in_payload_is_detected(
         a in (0u64..u64::MAX, 0u64..1000, 0u64..1000, 0u64..1 << 53),
         pos_seed in 0u64..1 << 32,

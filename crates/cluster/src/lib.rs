@@ -541,7 +541,8 @@ mod tests {
     fn malformed_inputs_are_typed_errors() {
         let r = replica(&[1e9], &[0]);
         assert_eq!(
-            simulate_ring_allreduce(&cluster(1), &[r.clone()], &strict(), None).unwrap_err(),
+            simulate_ring_allreduce(&cluster(1), std::slice::from_ref(&r), &strict(), None)
+                .unwrap_err(),
             ClusterSyncError::DegenerateCluster
         );
         assert_eq!(

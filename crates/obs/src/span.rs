@@ -117,7 +117,7 @@ mod tests {
 
     #[test]
     fn lanes_order_links_by_name() {
-        let mut lanes = vec![
+        let mut lanes = [
             Lane::Link("rc0-h2d".into()),
             Lane::Link("gpu0-lane-h2d".into()),
         ];

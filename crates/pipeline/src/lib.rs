@@ -65,8 +65,8 @@ pub use gantt::{render_gantt, utilization};
 pub use gpipe::{gpipe_memory, plan_gpipe, GpipePlan};
 pub use one_f_one_b::{evaluate_1f1b, OneFOneBSchedule};
 pub use partitioner::{
-    max_stage_partition, min_stage_partition, mip_partition, mip_partition_opts,
-    mip_partition_traced, partition_model, MipPartitionOpts, PartitionAlgo, PartitionOutcome,
+    max_stage_partition, min_stage_partition, mip_partition, mip_partition_opts, partition_model,
+    MipPartitionOpts, PartitionAlgo, PartitionOutcome,
 };
 pub use stage::{stage_costs, Partition, StageCosts};
 pub use validate::{

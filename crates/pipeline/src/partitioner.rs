@@ -164,30 +164,11 @@ pub fn mip_partition(
     cfg: &PipelineConfig,
     budget: Duration,
 ) -> Result<PartitionOutcome, ScheduleError> {
-    mip_partition_traced(profile, n_gpus, cfg, budget, None)
-}
-
-/// [`mip_partition`] with an optional observer: the branch-and-bound search
-/// reports incumbent marks on the solver lane plus `mip.*` counters, and the
-/// chosen partition's predicted step time lands in the
-/// `mip.predicted_step_secs` gauge.
-///
-/// # Errors
-///
-/// Returns [`ScheduleError::StageTooLarge`] when no feasible segmentation
-/// exists.
-pub fn mip_partition_traced(
-    profile: &ModelProfile,
-    n_gpus: usize,
-    cfg: &PipelineConfig,
-    budget: Duration,
-    obs: Option<&mobius_obs::Obs>,
-) -> Result<PartitionOutcome, ScheduleError> {
     let opts = MipPartitionOpts {
         budget: Some(budget),
         warm_start: None,
     };
-    mip_partition_opts(profile, n_gpus, cfg, &opts, obs)
+    mip_partition_opts(profile, n_gpus, cfg, &opts, None)
 }
 
 /// Options for the MIP partition search beyond [`mip_partition`]'s defaults.
@@ -208,9 +189,12 @@ pub struct MipPartitionOpts {
     pub warm_start: Option<Vec<usize>>,
 }
 
-/// [`mip_partition_traced`] with explicit [`MipPartitionOpts`]: optional
-/// wall budget (for deterministic-counter runs) and a warm-start incumbent
-/// (for incremental re-solves after a topology change).
+/// [`mip_partition`] with explicit [`MipPartitionOpts`] — optional wall
+/// budget (for deterministic-counter runs) and a warm-start incumbent (for
+/// incremental re-solves after a topology change) — and an optional
+/// observer: the branch-and-bound search reports incumbent marks on the
+/// solver lane plus `mip.*` counters, and the chosen partition's predicted
+/// step time lands in the `mip.predicted_step_secs` gauge.
 ///
 /// # Errors
 ///

@@ -586,7 +586,7 @@ mod tests {
         let row = &mut sch2.fwd_start[4];
         let shift = row[0] - SimTime::from_millis(1);
         for t in row.iter_mut() {
-            *t = *t - shift;
+            *t -= shift;
         }
         let err2 = v.validate(&sch2).unwrap_err();
         assert!(
@@ -639,7 +639,7 @@ mod tests {
         let s = stages.len() - 1;
         let shift = sch.bwd_start[s][0] - sch.fwd_start[s][0];
         for t in sch.bwd_start[s].iter_mut() {
-            *t = *t - shift;
+            *t -= shift;
         }
         let v = ScheduleValidator::new(&stages, &mapping, &cfg);
         assert!(matches!(
@@ -653,7 +653,7 @@ mod tests {
     fn wrong_step_time_is_caught() {
         let (stages, mapping, cfg) = eight_stage_case();
         let mut sch = evaluate_analytic(&stages, &mapping, &cfg).unwrap();
-        sch.step_time = sch.step_time + SimTime::from_secs(1);
+        sch.step_time += SimTime::from_secs(1);
         let v = ScheduleValidator::new(&stages, &mapping, &cfg);
         assert!(matches!(
             v.validate(&sch),

@@ -5,24 +5,10 @@
 //! [`crate::FlowNetwork`]. Events scheduled for the same instant pop in
 //! insertion order (FIFO tie-breaking), which keeps executors deterministic.
 //!
-//! # Event storage: calendar queue
-//!
-//! Internally the engine stores pending events in a *calendar queue*
-//! (Brown, CACM '88): an array of buckets, each covering one `width`-wide
-//! slice of simulated time, with timestamps hashed to buckets modulo the
-//! calendar "year" (`buckets × width`). Scheduling is O(1); popping scans
-//! forward from the last popped instant, one bucket-day at a time, and only
-//! falls back to a full scan when the next event is more than a year away.
-//! The bucket count and width adapt to the pending population, so both
-//! operations are amortised O(1) for the executor workloads here — versus
-//! the O(log n) per operation of the previous `BinaryHeap` storage.
-//!
-//! Order is *unchanged*: the pop order is byte-identical to a binary heap
-//! ordered on [`EventKey`] `(at, seq)`, because the calendar always selects
-//! the minimum pending key — only the cost of finding it differs. The
-//! differential proptests in `crates/sim/tests/proptests.rs` pit the
-//! calendar against [`ReferenceEngine`] (the retained heap implementation)
-//! to hold that guarantee under heavy timestamp ties.
+//! Pending events live in a [`BinaryHeap`] ordered on [`EventKey`]
+//! `(at, seq)`: the timestamp, then a global schedule counter that breaks
+//! ties. The key is a derived total order on integers, so the pop order is
+//! fully determined by the schedule/pop call sequence.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -45,11 +31,9 @@ use crate::SimTime;
 /// ```
 #[derive(Debug, Clone)]
 pub struct Engine<E> {
-    calendar: Calendar<E>,
+    heap: BinaryHeap<Scheduled<E>>,
     seq: u64,
     now: SimTime,
-    scheduled: u64,
-    popped: u64,
     obs: Option<mobius_obs::Obs>,
 }
 
@@ -95,173 +79,6 @@ impl<E> Ord for Scheduled<E> {
     }
 }
 
-/// Deterministic counters describing one engine's queue behaviour.
-///
-/// Everything here is a pure function of the schedule/pop call sequence —
-/// no wall-clock, no addresses — so the numbers are safe to snapshot into
-/// byte-compared artifacts like `BENCH_solver.json`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EngineStats {
-    /// Events accepted by [`Engine::schedule`].
-    pub scheduled: u64,
-    /// Events returned by [`Engine::pop`].
-    pub popped: u64,
-    /// Calendar resizes (bucket-count doublings/halvings).
-    pub resizes: u64,
-    /// Width recalibrations triggered by sparse-queue fallback scans.
-    pub recalibrations: u64,
-    /// Current bucket count.
-    pub buckets: usize,
-    /// Current bucket width in nanoseconds.
-    pub width_ns: u64,
-}
-
-const MIN_BUCKETS: usize = 8;
-const INITIAL_WIDTH_NS: u64 = 1024;
-
-/// The calendar-queue storage behind [`Engine`].
-///
-/// Invariants:
-/// * every pending event's key is `>= (cursor, 0)` — the cursor is the
-///   timestamp of the last event removed, and removal always takes the
-///   global minimum key;
-/// * `len` equals the total number of events across all buckets;
-/// * `width >= 1` ns, so the bucket index of any timestamp is defined.
-///
-/// Order within a bucket's `Vec` is arbitrary (removal is `swap_remove`);
-/// determinism comes from *selection* — the minimum `(at, seq)` key — not
-/// from storage order.
-#[derive(Debug, Clone)]
-struct Calendar<E> {
-    buckets: Vec<Vec<Scheduled<E>>>,
-    /// Bucket width in nanoseconds; always >= 1.
-    width: u64,
-    len: usize,
-    /// Search cursor: no pending event is earlier than this instant.
-    cursor: SimTime,
-    resizes: u64,
-    recalibrations: u64,
-}
-
-impl<E> Calendar<E> {
-    fn new() -> Self {
-        Calendar {
-            buckets: (0..MIN_BUCKETS).map(|_| Vec::new()).collect(),
-            width: INITIAL_WIDTH_NS,
-            len: 0,
-            cursor: SimTime::ZERO,
-            resizes: 0,
-            recalibrations: 0,
-        }
-    }
-
-    fn bucket_of(&self, at: SimTime) -> usize {
-        let nb = self.buckets.len() as u128;
-        let day = at.as_nanos() as u128 / self.width as u128;
-        (day % nb) as usize
-    }
-
-    fn push(&mut self, ev: Scheduled<E>) {
-        let b = self.bucket_of(ev.key.at);
-        self.buckets[b].push(ev);
-        self.len += 1;
-        if self.len > self.buckets.len() * 2 {
-            let nb = self.buckets.len() * 2;
-            self.rebuild(nb);
-            self.resizes += 1;
-        }
-    }
-
-    /// Locates the minimum pending key: `(bucket, index, found_in_rotation)`.
-    ///
-    /// Scans one full calendar rotation starting at the cursor's bucket,
-    /// accepting in each bucket only events that belong to that bucket's
-    /// current day — those are exactly the events no later event in any
-    /// other bucket can precede. Falls back to a global scan when the next
-    /// event is more than a whole year past the cursor.
-    fn locate_min(&self) -> Option<(usize, usize, bool)> {
-        if self.len == 0 {
-            return None;
-        }
-        let nb = self.buckets.len() as u128;
-        let w = self.width as u128;
-        let day0 = self.cursor.as_nanos() as u128 / w;
-        for step in 0..nb {
-            let day = day0 + step;
-            let idx = (day % nb) as usize;
-            let deadline = (day + 1) * w;
-            let mut best: Option<(usize, EventKey)> = None;
-            for (i, ev) in self.buckets[idx].iter().enumerate() {
-                if (ev.key.at.as_nanos() as u128) < deadline && best.is_none_or(|(_, k)| ev.key < k)
-                {
-                    best = Some((i, ev.key));
-                }
-            }
-            if let Some((i, _)) = best {
-                return Some((idx, i, true));
-            }
-        }
-        let mut best: Option<(usize, usize, EventKey)> = None;
-        for (b, bucket) in self.buckets.iter().enumerate() {
-            for (i, ev) in bucket.iter().enumerate() {
-                if best.is_none_or(|(_, _, k)| ev.key < k) {
-                    best = Some((b, i, ev.key));
-                }
-            }
-        }
-        best.map(|(b, i, _)| (b, i, false))
-    }
-
-    fn peek_key(&self) -> Option<EventKey> {
-        self.locate_min().map(|(b, i, _)| self.buckets[b][i].key)
-    }
-
-    fn take_min(&mut self) -> Option<Scheduled<E>> {
-        let (b, i, in_rotation) = self.locate_min()?;
-        let ev = self.buckets[b].swap_remove(i);
-        self.len -= 1;
-        self.cursor = ev.key.at;
-        if !in_rotation && self.len >= 4 {
-            // The remaining population is far from the cursor: recompute the
-            // width so it lands inside the next rotation again.
-            let nb = self.buckets.len();
-            self.rebuild(nb);
-            self.recalibrations += 1;
-        } else if self.len < self.buckets.len() / 4 && self.buckets.len() > MIN_BUCKETS {
-            let nb = (self.buckets.len() / 2).max(MIN_BUCKETS);
-            self.rebuild(nb);
-            self.resizes += 1;
-        }
-        Some(ev)
-    }
-
-    /// Re-buckets every pending event into `nb` buckets with a width set to
-    /// the average inter-event gap of the current population (clamped to
-    /// >= 1 ns). Pure restructuring: the pending key set is unchanged.
-    fn rebuild(&mut self, nb: usize) {
-        let mut events: Vec<Scheduled<E>> = Vec::with_capacity(self.len);
-        for bucket in &mut self.buckets {
-            events.append(bucket);
-        }
-        let mut lo = u64::MAX;
-        let mut hi = 0u64;
-        for ev in &events {
-            lo = lo.min(ev.key.at.as_nanos());
-            hi = hi.max(ev.key.at.as_nanos());
-        }
-        self.width = if events.is_empty() {
-            INITIAL_WIDTH_NS
-        } else {
-            ((hi - lo) / events.len() as u64).max(1)
-        };
-        self.buckets = (0..nb).map(|_| Vec::new()).collect();
-        for ev in events {
-            let b = self.bucket_of(ev.key.at);
-            self.buckets[b].push(ev);
-        }
-    }
-}
-
 impl<E> Default for Engine<E> {
     fn default() -> Self {
         Self::new()
@@ -272,11 +89,9 @@ impl<E> Engine<E> {
     /// Creates an empty engine at time zero.
     pub fn new() -> Self {
         Engine {
-            calendar: Calendar::new(),
+            heap: BinaryHeap::new(),
             seq: 0,
             now: SimTime::ZERO,
-            scheduled: 0,
-            popped: 0,
             obs: None,
         }
     }
@@ -300,12 +115,11 @@ impl<E> Engine<E> {
     /// in bandwidth arithmetic.
     pub fn schedule(&mut self, at: SimTime, payload: E) {
         let at = at.max(self.now);
-        self.calendar.push(Scheduled {
+        self.heap.push(Scheduled {
             key: EventKey { at, seq: self.seq },
             payload,
         });
         self.seq += 1;
-        self.scheduled += 1;
         if let Some(obs) = &self.obs {
             obs.counter_add("engine.scheduled", 1.0);
         }
@@ -318,7 +132,7 @@ impl<E> Engine<E> {
 
     /// Timestamp of the next event, if any, without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.calendar.peek_key().map(|k| k.at)
+        self.heap.peek().map(|s| s.key.at)
     }
 
     /// Pops the next event, advancing the clock to its timestamp.
@@ -332,7 +146,7 @@ impl<E> Engine<E> {
     /// [`InvariantViolation::ClockWentBackwards`] (and mirrored to the
     /// observer's violation lane when one is attached).
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let s = self.calendar.take_min()?;
+        let s = self.heap.pop()?;
         if s.key.at < self.now {
             let v = InvariantViolation::ClockWentBackwards {
                 now: self.now,
@@ -344,7 +158,6 @@ impl<E> Engine<E> {
             panic!("{v}");
         }
         self.now = s.key.at;
-        self.popped += 1;
         if let Some(obs) = &self.obs {
             obs.counter_add("engine.popped", 1.0);
         }
@@ -364,24 +177,12 @@ impl<E> Engine<E> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.calendar.len
+        self.heap.len()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.calendar.len == 0
-    }
-
-    /// Deterministic queue counters (see [`EngineStats`]).
-    pub fn stats(&self) -> EngineStats {
-        EngineStats {
-            scheduled: self.scheduled,
-            popped: self.popped,
-            resizes: self.calendar.resizes,
-            recalibrations: self.calendar.recalibrations,
-            buckets: self.calendar.buckets.len(),
-            width_ns: self.calendar.width,
-        }
+        self.heap.is_empty()
     }
 
     /// Test hook: forces the clock to `to` without consistency checks, so
@@ -390,74 +191,6 @@ impl<E> Engine<E> {
     #[doc(hidden)]
     pub fn debug_force_now(&mut self, to: SimTime) {
         self.now = to;
-    }
-}
-
-/// The previous `BinaryHeap`-backed engine, retained as a differential-test
-/// oracle for the calendar queue.
-///
-/// Semantically identical to [`Engine`] (same `(at, seq)` total order, same
-/// past-clamping), minus observability. Tests schedule the same workload
-/// into both and assert byte-identical `(SimTime, seq)` pop streams; it is
-/// not meant for production simulation loops.
-#[derive(Debug, Clone)]
-pub struct ReferenceEngine<E> {
-    heap: BinaryHeap<Scheduled<E>>,
-    seq: u64,
-    now: SimTime,
-}
-
-impl<E> Default for ReferenceEngine<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> ReferenceEngine<E> {
-    /// Creates an empty reference engine at time zero.
-    pub fn new() -> Self {
-        ReferenceEngine {
-            heap: BinaryHeap::new(),
-            seq: 0,
-            now: SimTime::ZERO,
-        }
-    }
-
-    /// The current simulated time: the timestamp of the last popped event.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Schedules `payload` at absolute time `at` (past clamps to `now`).
-    pub fn schedule(&mut self, at: SimTime, payload: E) {
-        let at = at.max(self.now);
-        self.heap.push(Scheduled {
-            key: EventKey { at, seq: self.seq },
-            payload,
-        });
-        self.seq += 1;
-    }
-
-    /// Timestamp of the next event, if any, without popping it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|s| s.key.at)
-    }
-
-    /// Pops the next event, advancing the clock to its timestamp.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let s = self.heap.pop()?;
-        self.now = s.key.at;
-        Some((s.key.at, s.payload))
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 }
 
@@ -514,7 +247,7 @@ mod tests {
         // mobius-lint: allow(D003, reason = "asserts PartialOrd agrees with the derived total order on integer keys")
         assert_eq!(b.partial_cmp(&a), Some(Ordering::Greater));
         assert_eq!(a.cmp(&a), Ordering::Equal);
-        assert!(a < b && !(b < a));
+        assert_eq!(b.cmp(&a), Ordering::Greater);
     }
 
     #[test]
@@ -582,61 +315,6 @@ mod tests {
     }
 
     #[test]
-    fn calendar_matches_reference_across_growth_and_shrink() {
-        // Push enough events to force several resizes, with deliberate
-        // collisions a year apart, then drain; the pop stream must match
-        // the heap oracle exactly.
-        let mut cal = Engine::new();
-        let mut heap = ReferenceEngine::new();
-        let mut x: u64 = 0x2545F4914F6CDD1D;
-        let mut next = move || {
-            // xorshift64*, fixed seed: deterministic pseudo-random times.
-            x ^= x >> 12;
-            x ^= x << 25;
-            x ^= x >> 27;
-            x.wrapping_mul(0x2545F4914F6CDD1D)
-        };
-        for i in 0..500u32 {
-            let t = SimTime::from_nanos(next() % 5_000_000);
-            cal.schedule(t, i);
-            heap.schedule(t, i);
-            if i % 3 == 0 {
-                assert_eq!(cal.pop(), heap.pop());
-            }
-        }
-        loop {
-            let (a, b) = (cal.pop(), heap.pop());
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
-        assert!(cal.stats().resizes > 0, "workload too small to resize");
-    }
-
-    #[test]
-    fn distant_events_trigger_recalibration_not_misorder() {
-        // A tight cluster followed by events years (of calendar time) away
-        // exercises the global-min fallback and the width recalibration.
-        let mut e = Engine::new();
-        for i in 0..16u32 {
-            e.schedule(SimTime::from_nanos(i as u64), i);
-        }
-        for i in 0..16u32 {
-            e.schedule(SimTime::from_secs(3600 + i as u64), 100 + i);
-        }
-        let mut last = SimTime::ZERO;
-        let mut n = 0;
-        while let Some((t, _)) = e.pop() {
-            assert!(t >= last);
-            last = t;
-            n += 1;
-        }
-        assert_eq!(n, 32);
-        assert!(e.stats().recalibrations > 0);
-    }
-
-    #[test]
     fn simtime_max_events_are_handled() {
         let mut e = Engine::new();
         e.schedule(SimTime::MAX, "end-of-time");
@@ -644,19 +322,5 @@ mod tests {
         assert_eq!(e.pop().map(|(_, v)| v), Some("soon"));
         assert_eq!(e.pop().map(|(_, v)| v), Some("end-of-time"));
         assert_eq!(e.pop(), None);
-    }
-
-    #[test]
-    fn stats_track_scheduled_and_popped() {
-        let mut e = Engine::new();
-        for i in 0..5u32 {
-            e.schedule(SimTime::from_secs(i as u64), i);
-        }
-        e.pop();
-        e.pop();
-        let s = e.stats();
-        assert_eq!((s.scheduled, s.popped), (5, 2));
-        assert!(s.width_ns >= 1);
-        assert!(s.buckets >= 8);
     }
 }

@@ -51,7 +51,7 @@ mod trace;
 pub mod units;
 mod validate;
 
-pub use engine::{Engine, EngineStats, ReferenceEngine};
+pub use engine::Engine;
 pub use fault::{
     CrashPoint, FaultAbort, FaultEvent, FaultKind, FaultSchedule, FaultStats, DEFAULT_MAX_RETRIES,
     DEFAULT_RETRY_BASE, DEFAULT_WATCHDOG,

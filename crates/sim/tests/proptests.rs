@@ -2,93 +2,58 @@
 
 use proptest::prelude::*;
 
-use mobius_sim::{Cdf, Engine, FlowNetwork, IntervalSet, ReferenceEngine, SimTime};
+use mobius_sim::{Cdf, Engine, FlowNetwork, IntervalSet, SimTime};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// The engine pops events in non-decreasing time order regardless of
-    /// insertion order, and same-time events pop FIFO.
+    /// insertion order, same-time events pop FIFO, and every event pops
+    /// exactly once at its (past-clamped) scheduled time.
+    ///
+    /// `shape` picks the time domain: microseconds up to 10 ms, a
+    /// tie-heavy 16-instant millisecond domain where most instants carry
+    /// several events, or sparse nanosecond horizons up to `u64::MAX / 2`.
+    /// Every fourth action pops instead of scheduling, so the queue grows
+    /// and drains while the clock moves.
     #[test]
-    fn engine_pops_sorted(times in prop::collection::vec(0u64..10_000, 1..200)) {
+    fn engine_pops_sorted(
+        shape in 0u8..3,
+        ops in prop::collection::vec((0u64..u64::MAX / 2, 0u8..4), 1..400),
+    ) {
         let mut engine = Engine::new();
-        for (i, &t) in times.iter().enumerate() {
-            engine.schedule(SimTime::from_micros(t), i);
-        }
-        let mut last_time = SimTime::ZERO;
-        let mut seen_at_time: Vec<usize> = Vec::new();
-        while let Some((t, idx)) = engine.pop() {
-            prop_assert!(t >= last_time);
-            if t == last_time {
-                // FIFO within a timestamp: payload indices increase.
-                if let Some(&prev) = seen_at_time.last() {
-                    if times[prev] == times[idx] {
-                        prop_assert!(idx > prev);
-                    }
-                }
-            } else {
-                seen_at_time.clear();
-            }
-            seen_at_time.push(idx);
-            last_time = t;
-        }
-    }
-
-    /// The calendar-queue engine and the reference `BinaryHeap` engine pop
-    /// byte-identical `(SimTime, seq)` streams under random schedules with
-    /// heavy timestamp ties (times are drawn from a tiny domain, so most
-    /// instants carry many tied events) and interleaved pops.
-    #[test]
-    fn calendar_queue_matches_reference_heap(
-        ops in prop::collection::vec((0u64..16, 0u8..4), 1..400),
-    ) {
-        let mut cal: Engine<u32> = Engine::new();
-        let mut heap: ReferenceEngine<u32> = ReferenceEngine::new();
-        let mut cal_stream = Vec::new();
-        let mut heap_stream = Vec::new();
-        for (i, &(t, action)) in ops.iter().enumerate() {
-            // Mostly schedules with a tie-heavy time domain; every fourth
-            // action pops from both engines instead.
+        // The time each schedule index must pop at: its requested time,
+        // clamped to the clock at the moment it was scheduled.
+        let mut due: Vec<Option<SimTime>> = vec![None; ops.len()];
+        let mut popped = Vec::new();
+        for (i, &(r, action)) in ops.iter().enumerate() {
             if action == 3 {
-                cal_stream.extend(cal.pop());
-                heap_stream.extend(heap.pop());
+                popped.extend(engine.pop());
             } else {
-                let at = SimTime::from_millis(t);
-                cal.schedule(at, i as u32);
-                heap.schedule(at, i as u32);
+                let at = match shape {
+                    0 => SimTime::from_micros(r % 10_000),
+                    1 => SimTime::from_millis(r % 16),
+                    _ => SimTime::from_nanos(r),
+                };
+                due[i] = Some(at.max(engine.now()));
+                engine.schedule(at, i);
             }
         }
-        while let Some(ev) = cal.pop() {
-            cal_stream.push(ev);
+        while let Some(ev) = engine.pop() {
+            popped.push(ev);
         }
-        while let Some(ev) = heap.pop() {
-            heap_stream.push(ev);
-        }
-        // The payload here is the schedule sequence number, so equality of
-        // the (time, payload) streams is equality of the (SimTime, seq)
-        // pop order, byte for byte.
-        prop_assert_eq!(cal_stream, heap_stream);
-    }
-
-    /// Same oracle under adversarially *sparse* schedules: timestamps far
-    /// enough apart to force the calendar's global-min fallback and width
-    /// recalibration, which must never reorder events.
-    #[test]
-    fn calendar_queue_matches_reference_heap_sparse(
-        times in prop::collection::vec(0u64..u64::MAX / 2, 1..100),
-    ) {
-        let mut cal: Engine<u32> = Engine::new();
-        let mut heap: ReferenceEngine<u32> = ReferenceEngine::new();
-        for (i, &t) in times.iter().enumerate() {
-            cal.schedule(SimTime::from_nanos(t), i as u32);
-            heap.schedule(SimTime::from_nanos(t), i as u32);
-        }
-        loop {
-            let (a, b) = (cal.pop(), heap.pop());
-            prop_assert_eq!(a, b);
-            if a.is_none() {
-                break;
+        prop_assert_eq!(popped.len(), due.iter().flatten().count());
+        let mut last: Option<(SimTime, usize)> = None;
+        for &(t, idx) in &popped {
+            prop_assert_eq!(Some(t), due[idx].take(), "index {} popped at the wrong time or twice", idx);
+            if let Some((prev_t, prev_idx)) = last {
+                prop_assert!(t >= prev_t, "clock went backwards: {:?} after {:?}", t, prev_t);
+                if t == prev_t {
+                    // FIFO within a timestamp: schedule indices increase.
+                    prop_assert!(idx > prev_idx, "tie at {:?}: {} popped after {}", t, idx, prev_idx);
+                }
             }
+            last = Some((t, idx));
         }
     }
 

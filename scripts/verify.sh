@@ -14,8 +14,8 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> cargo clippy --all-targets -- -D warnings"
-cargo clippy --all-targets -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> mobius-lint (determinism, layering, units & obs-registry gate)"
 # Hard gate: any unsuppressed D001-D007/D009 finding, a reason-less allow

@@ -42,7 +42,9 @@ pub mod prelude {
 
 /// Defines property tests. Mirrors `proptest::proptest!`: an optional
 /// `#![proptest_config(expr)]` header followed by test functions whose
-/// arguments are drawn from strategies (`arg in strategy`).
+/// arguments are drawn from strategies (`arg in strategy`). As in real
+/// proptest, each function carries its own `#[test]` attribute; the macro
+/// passes attributes through and adds none.
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($cfg:expr)] $($rest:tt)*) => {
@@ -65,7 +67,6 @@ macro_rules! __proptest_body {
         $($rest:tt)*
     ) => {
         $(#[$meta])*
-        #[test]
         fn $name() {
             let config: $crate::test_runner::ProptestConfig = $cfg;
             $crate::test_runner::run_cases(

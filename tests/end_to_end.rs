@@ -2,16 +2,20 @@
 //! simulate → report for every system, and cross-crate consistency checks
 //! between the analytic planner and the contention-aware simulator.
 
+use std::time::Duration;
+
 use mobius::{ClusterConfig, FineTuner, RunError, System};
 use mobius_cluster::{simulate_ring_allreduce, ClusterDpConfig, ReplicaTiming};
 use mobius_mapping::{Mapping, MappingAlgo};
 use mobius_model::{GptConfig, Model};
+use mobius_obs::Obs;
 use mobius_pipeline::{
-    check_differential, evaluate_analytic, simulate_step, simulate_steps_traced, stage_costs,
-    PartitionAlgo, PipelineConfig, StageCosts,
+    check_differential, evaluate_analytic, mip_partition, mip_partition_opts, simulate_step,
+    simulate_steps_traced, stage_costs, MipPartitionOpts, PartitionAlgo, PipelineConfig,
+    StageCosts,
 };
-use mobius_profiler::Profiler;
-use mobius_sim::CommKind;
+use mobius_profiler::{LayerProfile, ModelProfile, Profiler};
+use mobius_sim::{CommKind, SimTime};
 use mobius_topology::{Cluster, GpuSpec, Topology, COMMODITY_NIC_GBPS};
 
 fn commodity(groups: &[usize]) -> Topology {
@@ -117,6 +121,71 @@ fn analytic_and_simulator_agree_without_contention() {
         );
         check_differential(analytic, sim).unwrap();
     }
+}
+
+/// A 12-layer profile with deterministically uneven layer times, small
+/// enough for the unbudgeted partition search to finish in milliseconds.
+fn uneven_profile() -> ModelProfile {
+    ModelProfile::from_layers(
+        (0..12u64)
+            .map(|i| LayerProfile {
+                fwd: SimTime::from_millis(20 + (i * 37) % 97),
+                bwd: SimTime::from_millis(3 * (20 + (i * 37) % 97)),
+                param_bytes: (1 << 30) + (i % 3) * (1 << 28),
+                grad_bytes: 1 << 30,
+                output_act_bytes: 4 << 20,
+                workspace_bytes: 256 << 20,
+            })
+            .collect(),
+        1,
+    )
+}
+
+#[test]
+fn mip_partition_is_mip_partition_opts_with_its_budget() {
+    // The budgeted convenience entry point is a thin wrapper: with a budget
+    // the search never hits, it must choose exactly what the option-taking
+    // entry point chooses with no budget at all.
+    let topo = commodity(&[2, 2]);
+    let profile = uneven_profile();
+    let cfg = PipelineConfig::mobius(4, topo.gpu_mem_bytes(), topo.avg_gpu_bandwidth());
+    let budgeted = mip_partition(&profile, 4, &cfg, Duration::from_secs(60)).unwrap();
+    let unbudgeted =
+        mip_partition_opts(&profile, 4, &cfg, &MipPartitionOpts::default(), None).unwrap();
+    let (b, u) = (budgeted.stats.unwrap(), unbudgeted.stats.unwrap());
+    assert!(b.complete && u.complete, "both searches must finish");
+    assert!(!b.warm_started && !u.warm_started);
+    assert_eq!(budgeted.partition, unbudgeted.partition);
+    assert_eq!(budgeted.predicted_step, unbudgeted.predicted_step);
+    assert_eq!(
+        (b.evaluated, b.pruned, b.nodes),
+        (u.evaluated, u.pruned, u.nodes)
+    );
+}
+
+#[test]
+fn mip_partition_observer_is_passive_and_reports_the_search() {
+    let topo = commodity(&[2, 2]);
+    let profile = uneven_profile();
+    let cfg = PipelineConfig::mobius(4, topo.gpu_mem_bytes(), topo.avg_gpu_bandwidth());
+    let opts = MipPartitionOpts::default();
+    let plain = mip_partition_opts(&profile, 4, &cfg, &opts, None).unwrap();
+    let obs = Obs::new();
+    let traced = mip_partition_opts(&profile, 4, &cfg, &opts, Some(&obs)).unwrap();
+    assert_eq!(plain.partition, traced.partition);
+    assert_eq!(plain.predicted_step, traced.predicted_step);
+    let stats = traced.stats.unwrap();
+    assert_eq!(obs.counter("mip.evaluated"), stats.evaluated as f64);
+    assert_eq!(obs.counter("mip.nodes"), stats.nodes as f64);
+    assert_eq!(
+        obs.gauge("mip.stages"),
+        Some(traced.partition.num_stages() as f64)
+    );
+    assert_eq!(
+        obs.gauge("mip.predicted_step_secs")
+            .map(SimTime::from_secs_f64),
+        Some(traced.predicted_step)
+    );
 }
 
 #[test]

@@ -71,6 +71,18 @@ fn fig13_reports_tiny_gap() {
 }
 
 #[test]
+fn solver_counters_hold_against_the_committed_baseline() {
+    // The same diff `scripts/verify.sh` runs: work counters may not grow,
+    // and the event-storm pop count and checksum must match exactly.
+    let baseline = include_str!("../BENCH_solver.json");
+    let table = experiments::solver_perf::check_against(baseline, 42)
+        .unwrap_or_else(|delta| panic!("solver counters regressed:\n{delta}"));
+    for pinned in ["engine.popped", "engine.checksum"] {
+        assert!(table.contains(pinned), "{pinned} missing from:\n{table}");
+    }
+}
+
+#[test]
 fn fig14_reports_scaling() {
     let e = experiments::fig14::run(true);
     assert!(e.rows.len() >= 3);
