@@ -25,6 +25,19 @@
 //!   [`RunOutcome::Crashed`] instead of exiting, leaving process exit to
 //!   the CLI.
 //!
+//! **Plan once.** An invocation solves the Mobius plan once, at its first
+//! executed step, and runs every step on it; the first commit's partition
+//! capture reads the same plan ([`RunSummary::plan_solves`] counts the
+//! solve). The solve records into a private observer, and that record
+//! (solver-lane incumbent marks, `mip.*` counters and gauges, the
+//! `mapping.decision` mark) is replayed into each step's fresh observer
+//! where [`FineTuner::run_step`] would have recorded it — `run_step`
+//! itself goes through the same solve-then-replay path. Each chunk thus
+//! stays a function of the configuration, the committed state and the
+//! step index. A replan after a GPU loss or an OOM still solves inside
+//! its step. A resumed invocation solves again, so a search cut off by
+//! the wall-clock budget can still differ across a crash.
+//!
 //! Resuming onto a *different* topology (a GPU lost across the crash)
 //! routes the committed partition through [`FineTuner::warm_start`], so
 //! the first replanned step reuses the elastic-replan machinery instead
@@ -39,7 +52,8 @@ use mobius_ckpt::{
 use mobius_obs::Obs;
 use mobius_sim::CrashPoint;
 
-use crate::{FineTuner, RunError, StepReport, System};
+use crate::finetuner::SolvedPlan;
+use crate::{FineTuner, RunError, StepReport};
 
 /// Driver options for a checkpointed multi-step run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -142,6 +156,10 @@ pub struct RunSummary {
     pub resumed_from: Option<PathBuf>,
     /// Corrupt checkpoint files skipped during resume fallback, with why.
     pub fallbacks: Vec<(PathBuf, CkptError)>,
+    /// Mobius plans this invocation solved for its steps: 1 once a Mobius
+    /// step has run, else 0. Replans inside a step after a GPU loss or an
+    /// OOM are not counted.
+    pub plan_solves: u64,
 }
 
 /// The outcome of one driver invocation.
@@ -288,6 +306,7 @@ pub fn run_checkpointed(
         ckpt_overhead_ns: 0,
         resumed_from,
         fallbacks,
+        plan_solves: 0,
     };
 
     // Persists the dying process's checkpoint and assembles the crash
@@ -325,6 +344,8 @@ pub fn run_checkpointed(
     let mut pending_price = 0.0f64;
     let mut pending_traffic = 0.0f64;
     let mut pending_faults = mobius_sim::FaultStats::default();
+    // The plan every step runs on, solved at the first executed step.
+    let mut planned: Option<Option<SolvedPlan>> = None;
 
     for s in state.step..opts.steps {
         // Step-addressed crash: fires before executing step s. Stale
@@ -353,7 +374,14 @@ pub fn run_checkpointed(
             Some(o) => template.clone().observe(o.clone()),
             None => template.clone(),
         };
-        let rep = tuner.run_step().map_err(CkptRunError::Run)?;
+        let step_plan = planned.get_or_insert_with(|| {
+            let solved = template.solve_step_plan();
+            summary.plan_solves += u64::from(solved.is_some());
+            solved
+        });
+        let rep = tuner
+            .run_step_with(step_plan.as_ref())
+            .map_err(CkptRunError::Run)?;
 
         // Commit bookkeeping happens before emission so the checkpoint
         // write's simulated cost lands inside this step's trace chunk.
@@ -425,10 +453,10 @@ pub fn run_checkpointed(
             pending_price = 0.0;
             pending_traffic = 0.0;
             pending_faults = mobius_sim::FaultStats::default();
-            if ckpting && state.partition.is_empty() && template.system_sel() == System::Mobius {
-                // Capture the committed partition once, from an
-                // observer-free clone so the solve stays out of the trace.
-                if let Ok(plan) = template.plan() {
+            if ckpting && state.partition.is_empty() {
+                // Capture the committed partition once, from the plan the
+                // steps ran on.
+                if let Some(SolvedPlan { plan: Ok(plan), .. }) = step_plan {
                     state.partition = plan.partition.sizes().iter().map(|&s| s as u64).collect();
                 }
             }
@@ -463,6 +491,7 @@ fn empty_summary(start_step: u64, state: &RunState) -> RunSummary {
         ckpt_overhead_ns: 0,
         resumed_from: None,
         fallbacks: Vec::new(),
+        plan_solves: 0,
     }
 }
 

@@ -6,7 +6,7 @@ use std::time::Duration;
 use mobius_cluster::{simulate_ring_allreduce, ClusterDpConfig, ReplicaTiming};
 use mobius_mapping::{Mapping, MappingAlgo};
 use mobius_model::{GptConfig, Model};
-use mobius_obs::{AttrValue, Lane, Obs, WallSecs, WallTimer};
+use mobius_obs::{AttrValue, Lane, Obs, Recording, WallSecs, WallTimer};
 use mobius_pipeline::{
     partition_model, plan_gpipe, simulate_step_traced, simulate_steps_faulted,
     simulate_steps_traced, stage_costs, ExecError, MemoryMode, MultiStepReport, Partition,
@@ -460,10 +460,6 @@ impl FineTuner {
         &self.topo
     }
 
-    pub(crate) fn system_sel(&self) -> System {
-        self.system
-    }
-
     pub(crate) fn faults_cloned(&self) -> FaultSchedule {
         self.faults.clone().unwrap_or_default()
     }
@@ -609,6 +605,39 @@ impl FineTuner {
     /// when an attached [`FaultSchedule`] kills the step and the
     /// [`ResiliencePolicy`] cannot (or may not) recover it.
     pub fn run_step(&self) -> Result<StepReport, RunError> {
+        self.run_step_with(self.solve_step_plan().as_ref())
+    }
+
+    /// The Mobius plan every step of this configuration starts from,
+    /// solved once into a private recorder so that its observer record
+    /// (solver-lane incumbent marks, `mip.*` counters and gauges, the
+    /// `mapping.decision` mark) can be replayed into each step's observer.
+    /// `None` for the systems that do not plan through the partition
+    /// search.
+    pub(crate) fn solve_step_plan(&self) -> Option<SolvedPlan> {
+        if self.system != System::Mobius {
+            return None;
+        }
+        let recorder = Obs::new();
+        let mut quiet = self.clone();
+        quiet.obs = Some(recorder.clone());
+        let plan = quiet.plan();
+        Some(SolvedPlan {
+            plan,
+            record: recorder.recording(),
+        })
+    }
+
+    /// [`FineTuner::run_step`] on a plan solved beforehand by
+    /// [`FineTuner::solve_step_plan`] for this configuration: the plan's
+    /// record replays into the attached observer where the solve would
+    /// have recorded, so the step's trace and metrics match a
+    /// [`FineTuner::run_step`] that solved in place. Replans after a GPU
+    /// loss or an OOM still solve inside the step.
+    pub(crate) fn run_step_with(
+        &self,
+        planned: Option<&SolvedPlan>,
+    ) -> Result<StepReport, RunError> {
         let model_size = self.model.model_size_bytes();
         if self.active_cluster().is_some()
             && !matches!(self.system, System::Mobius | System::DeepSpeedHetero)
@@ -620,7 +649,7 @@ impl FineTuner {
             )));
         }
         match self.system {
-            System::Mobius => self.run_mobius_step(model_size),
+            System::Mobius => self.run_mobius_step(model_size, planned),
             System::Gpipe | System::DeepSpeedPipeline => {
                 let (_, profile) = self.profile();
                 let cfg = self.pipeline_cfg(MemoryMode::Resident);
@@ -676,7 +705,11 @@ impl FineTuner {
     /// failure, replan on the surviving topology → on OOM, walk the
     /// degradation ladder (more stages, then ZeRO-hetero). Every recovery
     /// step is recorded in the report's `degradations`.
-    fn run_mobius_step(&self, model_size: u64) -> Result<StepReport, RunError> {
+    fn run_mobius_step(
+        &self,
+        model_size: u64,
+        mut planned: Option<&SolvedPlan>,
+    ) -> Result<StepReport, RunError> {
         let mut degradations: Vec<Degradation> = Vec::new();
         let mut carried = FaultStats::default();
         let mut topo = self.topo.clone();
@@ -690,14 +723,24 @@ impl FineTuner {
 
         loop {
             let mut planned_sizes: Option<Vec<usize>> = None;
-            let attempt = self
-                .plan_on_warm(&topo, algo, warm.take())
-                .map_err(AttemptError::Run)
-                .and_then(|plan| {
-                    planned_sizes = Some(plan.partition.sizes().to_vec());
-                    let cfg = self.pipeline_cfg_on(&topo, MemoryMode::Heterogeneous);
-                    self.pipeline_attempt(&plan.stages, &plan.mapping, &topo, &cfg, &faults)
-                });
+            // The first attempt runs on the plan solved before the step
+            // (its solve already used the warm start); only a replan
+            // solves here.
+            let plan = match planned.take() {
+                Some(solved) => {
+                    warm = None;
+                    if let Some(obs) = &self.obs {
+                        obs.replay(&solved.record);
+                    }
+                    solved.plan.clone()
+                }
+                None => self.plan_on_warm(&topo, algo, warm.take()),
+            };
+            let attempt = plan.map_err(AttemptError::Run).and_then(|plan| {
+                planned_sizes = Some(plan.partition.sizes().to_vec());
+                let cfg = self.pipeline_cfg_on(&topo, MemoryMode::Heterogeneous);
+                self.pipeline_attempt(&plan.stages, &plan.mapping, &topo, &cfg, &faults)
+            });
             match attempt {
                 Ok(sim) => {
                     carried.absorb(&sim.faults);
@@ -1119,6 +1162,16 @@ impl FineTuner {
             cluster: None,
         }
     }
+}
+
+/// A Mobius plan solved once, with the observer record of its solve
+/// ([`FineTuner::solve_step_plan`]). Failed solves keep their error: the
+/// search records its counters either way, and the degradation ladder
+/// starts from the error.
+#[derive(Debug, Clone)]
+pub(crate) struct SolvedPlan {
+    pub(crate) plan: Result<Plan, RunError>,
+    record: Recording,
 }
 
 /// The common shape of one pipeline simulation attempt.

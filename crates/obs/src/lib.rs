@@ -302,6 +302,50 @@ impl Obs {
     pub fn with_events<R>(&self, f: impl FnOnce(&EventLog) -> R) -> R {
         f(&self.inner.borrow().log)
     }
+
+    /// Detaches what this recorder saw as a replayable [`Recording`]: its
+    /// events in recording order plus its counter and gauge values.
+    /// Histograms and DAG nodes are not captured, so record only sources
+    /// that emit neither (the planner).
+    pub fn recording(&self) -> Recording {
+        let inner = self.inner.borrow();
+        assert!(
+            inner.metrics.histograms().is_empty() && inner.dag.is_empty(),
+            "a recording carries no histograms or DAG nodes"
+        );
+        Recording {
+            events: inner.log.events().to_vec(),
+            counters: inner.metrics.counters().clone(),
+            gauges: inner.metrics.gauges().clone(),
+        }
+    }
+
+    /// Replays `rec` into this recorder: its events append in order, each
+    /// counter is added once and each gauge is set. A replay is
+    /// bit-identical to the recorded calls whenever the recorded source
+    /// added to each counter once (the planner does), whatever this
+    /// recorder already holds.
+    pub fn replay(&self, rec: &Recording) {
+        let mut inner = self.inner.borrow_mut();
+        for e in &rec.events {
+            inner.log.push(e.clone());
+        }
+        for (name, &v) in &rec.counters {
+            inner.metrics.counter_add(name, v);
+        }
+        for (name, &v) in &rec.gauges {
+            inner.metrics.gauge_set(name, v);
+        }
+    }
+}
+
+/// What one [`Obs`] saw, detached from it so it can be kept as a value and
+/// replayed into other recorders ([`Obs::recording`], [`Obs::replay`]).
+#[derive(Debug, Clone, Default)]
+pub struct Recording {
+    events: Vec<Event>,
+    counters: std::collections::BTreeMap<String, f64>,
+    gauges: std::collections::BTreeMap<String, f64>,
 }
 
 #[cfg(test)]
@@ -335,6 +379,42 @@ mod tests {
         obs.gauge_set("bubble.mean", 0.5);
         obs.gauge_set("bubble.mean", 0.25);
         assert_eq!(obs.gauge("bubble.mean"), Some(0.25));
+    }
+
+    #[test]
+    fn replay_is_byte_identical_to_the_recorded_calls() {
+        let emit = |obs: &Obs| {
+            obs.mark(Lane::Solver, "solver", "incumbent", 7, vec![]);
+            obs.counter_add("mip.evaluated", 0.1);
+            obs.gauge_set("mip.stages", 3.0);
+            obs.mark(Lane::Run, "plan", "mapping.decision", 0, vec![]);
+        };
+        let tail = |obs: &Obs| {
+            obs.counter_add("mip.evaluated", 0.7);
+            obs.span(Lane::Gpu(0), "compute", "fwd", 0, 10, vec![]);
+        };
+        let direct = Obs::new();
+        direct.counter_add("mip.evaluated", 0.2);
+        emit(&direct);
+        tail(&direct);
+
+        let source = Obs::new();
+        emit(&source);
+        let rec = source.recording();
+        let replayed = Obs::new();
+        replayed.counter_add("mip.evaluated", 0.2);
+        replayed.replay(&rec);
+        tail(&replayed);
+
+        assert_eq!(replayed.chrome_trace_json(), direct.chrome_trace_json());
+        assert_eq!(replayed.metrics_json(), direct.metrics_json());
+        // Replaying leaves the source untouched and can repeat.
+        assert_eq!(source.event_count(), 2);
+        let again = Obs::new();
+        again.replay(&rec);
+        again.replay(&rec);
+        assert_eq!(again.event_count(), 4);
+        assert_eq!(again.counter("mip.evaluated"), 0.2);
     }
 
     #[test]

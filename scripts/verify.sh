@@ -14,6 +14,13 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> mobius-perf tests (reference-checked smoke run of every workload)"
+# The benchmark is a package of its own, so plain `cargo test` skips it.
+# Its smoke run checks every op against mobius-perf/reference.txt,
+# including train-ckpt's sink and checkpoint digests, so a checkpointed
+# run whose bytes drift fails here and not only in the benchmark.
+cargo test -q --offline --manifest-path mobius-perf/Cargo.toml
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
