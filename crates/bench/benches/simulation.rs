@@ -40,7 +40,7 @@ fn step(system: System) -> f64 {
 
 fn bench_multi_step(c: &mut Criterion) {
     use mobius_mapping::Mapping;
-    use mobius_pipeline::{evaluate_1f1b, simulate_steps, PipelineConfig, StageCosts};
+    use mobius_pipeline::{evaluate_1f1b, simulate_steps_traced, PipelineConfig, StageCosts};
     use mobius_sim::SimTime;
     let stages: Vec<StageCosts> = (0..8)
         .map(|_| StageCosts {
@@ -57,7 +57,11 @@ fn bench_multi_step(c: &mut Criterion) {
     let topo = Topology::commodity(GpuSpec::rtx3090ti(), &[2, 2]);
     let cfg = PipelineConfig::mobius(4, 24 * (1u64 << 30), 13.1e9);
     c.bench_function("simulate_3_steps_8stages", |b| {
-        b.iter(|| std::hint::black_box(simulate_steps(&stages, &mapping, &topo, &cfg, 3).unwrap()))
+        b.iter(|| {
+            std::hint::black_box(
+                simulate_steps_traced(&stages, &mapping, &topo, &cfg, 3, None).unwrap(),
+            )
+        })
     });
     c.bench_function("evaluate_1f1b_8x16", |b| {
         b.iter(|| std::hint::black_box(evaluate_1f1b(&stages, 16, SimTime::ZERO).unwrap()))

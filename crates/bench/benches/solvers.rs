@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use mobius_mapping::Mapping;
 use mobius_mip::{chain_partition_dp, chain_partition_mip, Cmp, Lp, Sense};
 use mobius_model::{GptConfig, Model};
-use mobius_pipeline::{mip_partition, PipelineConfig};
+use mobius_pipeline::{mip_partition_opts, MipPartitionOpts, PipelineConfig};
 use mobius_profiler::Profiler;
 use mobius_topology::{GpuSpec, Topology};
 
@@ -44,10 +44,12 @@ fn bench_partition_search(c: &mut Criterion) {
     let model = Model::from_config(&GptConfig::gpt_8b());
     let profile = Profiler::new(GpuSpec::rtx3090ti()).profile(&model, 2);
     let cfg = PipelineConfig::mobius(4, 24 * (1u64 << 30), 13.1e9);
+    let opts = MipPartitionOpts {
+        budget: Some(Duration::from_millis(100)),
+        warm_start: None,
+    };
     c.bench_function("mip_partition_8b_100ms_budget", |b| {
-        b.iter(|| {
-            std::hint::black_box(mip_partition(&profile, 4, &cfg, Duration::from_millis(100)))
-        })
+        b.iter(|| std::hint::black_box(mip_partition_opts(&profile, 4, &cfg, &opts, None)))
     });
 }
 

@@ -25,7 +25,7 @@
 //! perturb the search. Wall timings live in a separate `solver-wall`
 //! experiment that the baseline diff and the determinism gate both ignore.
 
-use mobius_obs::WallTimer;
+use mobius_obs::{Obs, WallTimer};
 use mobius_pipeline::{mip_partition_opts, MipPartitionOpts, PartitionOutcome, PipelineConfig};
 use mobius_profiler::{LayerProfile, ModelProfile};
 use mobius_sim::{Engine, FlowNetwork, SimTime};
@@ -230,7 +230,17 @@ fn flow_cache(metrics: &mut Vec<Metric>) -> Experiment {
     )
     .columns(["phase", "rebuilds", "reuses", "completed", "checksum"]);
 
+    // The network's observer counts the partition cache's rebuilds and
+    // reuses.
+    let obs = Obs::new();
     let mut net = FlowNetwork::new();
+    net.set_obs(obs.clone());
+    let cache = || {
+        (
+            obs.counter("flow.partition_rebuild") as u64,
+            obs.counter("flow.partition_reuse") as u64,
+        )
+    };
     let links = [
         net.add_link("pcie-a", 10e9),
         net.add_link("pcie-b", 8e9),
@@ -245,11 +255,11 @@ fn flow_cache(metrics: &mut Vec<Metric>) -> Experiment {
         };
         ids.push(net.start_flow(path, (1.0 + i as f64) * 1e8, (i % 4) as u8, i));
     }
-    let after_start = net.flow_set_stats();
+    let (rebuilds, reuses) = cache();
     e.push_row([
         "start 12 flows".to_string(),
-        after_start.rebuilds.to_string(),
-        after_start.reuses.to_string(),
+        rebuilds.to_string(),
+        reuses.to_string(),
         "0".to_string(),
         "-".to_string(),
     ]);
@@ -269,11 +279,11 @@ fn flow_cache(metrics: &mut Vec<Metric>) -> Experiment {
     for &id in &ids {
         net.set_flow_blocked(id, false);
     }
-    let after_churn = net.flow_set_stats();
+    let (rebuilds, reuses) = cache();
     e.push_row([
         "8 churn rounds".to_string(),
-        after_churn.rebuilds.to_string(),
-        after_churn.reuses.to_string(),
+        rebuilds.to_string(),
+        reuses.to_string(),
         "0".to_string(),
         "-".to_string(),
     ]);
@@ -289,25 +299,17 @@ fn flow_cache(metrics: &mut Vec<Metric>) -> Experiment {
         checksum = fnv1a(fnv1a(checksum, rec.user), rec.finished.as_nanos());
         completed += 1;
     }
-    let after_drain = net.flow_set_stats();
+    let (rebuilds, reuses) = cache();
     e.push_row([
         "drain".to_string(),
-        after_drain.rebuilds.to_string(),
-        after_drain.reuses.to_string(),
+        rebuilds.to_string(),
+        reuses.to_string(),
         completed.to_string(),
         format!("{checksum:016x}"),
     ]);
 
-    metrics.push(Metric::new(
-        "flow.rebuilds",
-        after_drain.rebuilds,
-        Rule::AtMost,
-    ));
-    metrics.push(Metric::new(
-        "flow.reuses",
-        after_drain.reuses,
-        Rule::AtLeast,
-    ));
+    metrics.push(Metric::new("flow.rebuilds", rebuilds, Rule::AtMost));
+    metrics.push(Metric::new("flow.reuses", reuses, Rule::AtLeast));
     metrics.push(Metric::new("flow.completed", completed, Rule::Exact));
     metrics.push(Metric::new(
         "flow.checksum",

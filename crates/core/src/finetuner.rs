@@ -8,9 +8,8 @@ use mobius_mapping::{Mapping, MappingAlgo};
 use mobius_model::{GptConfig, Model};
 use mobius_obs::{AttrValue, Lane, Obs, Recording, WallSecs, WallTimer};
 use mobius_pipeline::{
-    partition_model, plan_gpipe, simulate_step_traced, simulate_steps_faulted,
-    simulate_steps_traced, stage_costs, ExecError, MemoryMode, MultiStepReport, Partition,
-    PartitionAlgo, PipelineConfig, StageCosts,
+    partition_model, plan_gpipe, simulate_steps_faulted, stage_costs, ExecError, MemoryMode,
+    MultiStepReport, Partition, PartitionAlgo, PipelineConfig, SimStepReport, StageCosts,
 };
 use mobius_profiler::{ModelProfile, Profiler};
 use mobius_sim::{Cdf, FaultAbort, FaultSchedule, FaultStats, SimTime, TraceRecorder};
@@ -649,7 +648,11 @@ impl FineTuner {
             )));
         }
         match self.system {
-            System::Mobius => self.run_mobius_step(model_size, planned),
+            System::Mobius => match planned {
+                Some(solved) => self.run_mobius_step(model_size, solved),
+                // `run_step` solves the plan and comes back with it.
+                None => self.run_step(),
+            },
             System::Gpipe | System::DeepSpeedPipeline => {
                 let (_, profile) = self.profile();
                 let cfg = self.pipeline_cfg(MemoryMode::Resident);
@@ -658,20 +661,19 @@ impl FineTuner {
                 let stages = stage_costs(&profile, &plan.partition);
                 let mapping =
                     Mapping::sequential(plan.partition.num_stages(), self.topo.num_gpus());
-                let sim = match self.active_faults() {
-                    // No recovery here: GPipe has no swap machinery to
-                    // replan around, so aborts surface typed.
-                    Some(faults) => self
-                        .pipeline_attempt(&stages, &mapping, &self.topo, &cfg, faults)
-                        .map_err(|e| match e {
-                            AttemptError::Run(e) => e,
-                            AttemptError::Fault { abort, .. } => RunError::Fault(abort),
-                        })?,
-                    None => {
-                        simulate_step_traced(&stages, &mapping, &self.topo, &cfg, self.obs.as_ref())
-                            .map(MobiusSim::from)?
-                    }
-                };
+                // No recovery here: GPipe has no swap machinery to replan
+                // around, so aborts surface typed.
+                let sim = simulate_steps_faulted(
+                    &stages,
+                    &mapping,
+                    &self.topo,
+                    &cfg,
+                    1,
+                    &self.faults_cloned(),
+                    self.obs.as_ref(),
+                )
+                .map(SimStepReport::from)
+                .map_err(AttemptError::from)?;
                 let factor = if self.system == System::DeepSpeedPipeline {
                     DS_PIPELINE_OVERHEAD
                 } else {
@@ -708,27 +710,29 @@ impl FineTuner {
     fn run_mobius_step(
         &self,
         model_size: u64,
-        mut planned: Option<&SolvedPlan>,
+        solved: &SolvedPlan,
     ) -> Result<StepReport, RunError> {
         let mut degradations: Vec<Degradation> = Vec::new();
         let mut carried = FaultStats::default();
         let mut topo = self.topo.clone();
-        let mut faults = self.faults.clone().unwrap_or_default();
+        let mut faults = self.faults_cloned();
         let mut algo = self.partition_algo;
-        // The partition running when a GPU fails warm-starts the replan's
-        // MIP on the survivor topology (incremental re-solve). A resumed
-        // checkpointed run seeds the same slot with its committed
-        // partition via [`FineTuner::warm_start`].
-        let mut warm: Option<Vec<usize>> = self.warm_start.clone();
+        // The first attempt runs on the plan solved before the step (a
+        // resumed checkpointed run's solve already used its committed
+        // partition as the warm start); only a replan solves here. The
+        // partition running when a GPU fails warm-starts the replan's MIP
+        // on the survivor topology (incremental re-solve).
+        let mut first = Some(solved);
+        let mut warm: Option<Vec<usize>> = None;
+        // Only a GPU loss desynchronizes this replica from the rest of the
+        // cluster; planning degradations (MoreStages) hit every server
+        // identically.
+        let mut replanned = false;
 
         loop {
             let mut planned_sizes: Option<Vec<usize>> = None;
-            // The first attempt runs on the plan solved before the step
-            // (its solve already used the warm start); only a replan
-            // solves here.
-            let plan = match planned.take() {
+            let plan = match first.take() {
                 Some(solved) => {
-                    warm = None;
                     if let Some(obs) = &self.obs {
                         obs.replay(&solved.record);
                     }
@@ -739,29 +743,36 @@ impl FineTuner {
             let attempt = plan.map_err(AttemptError::Run).and_then(|plan| {
                 planned_sizes = Some(plan.partition.sizes().to_vec());
                 let cfg = self.pipeline_cfg_on(&topo, MemoryMode::Heterogeneous);
-                self.pipeline_attempt(&plan.stages, &plan.mapping, &topo, &cfg, &faults)
+                let sim = simulate_steps_faulted(
+                    &plan.stages,
+                    &plan.mapping,
+                    &topo,
+                    &cfg,
+                    1,
+                    &faults,
+                    self.obs.as_ref(),
+                )?;
+                Ok((SimStepReport::from(sim), plan.stages))
             });
             match attempt {
-                Ok(sim) => {
+                Ok((sim, stages)) => {
                     carried.absorb(&sim.faults);
                     let local_step = sim.step_time;
                     let mut rep = self.report(sim.step_time, sim.drain_time, sim.trace, model_size);
                     rep.faults = carried;
                     if let Some(cluster) = self.active_cluster() {
-                        let step_head = sim.step_head;
                         let timing = ReplicaTiming {
-                            bucket_bytes: sim.stage_grads,
+                            bucket_bytes: grad_buckets(&stages),
                             ready: sim.grad_flush,
                             ready_sids: sim.grad_flush_sids,
                         };
-                        // Only a GPU loss desynchronizes this replica from
-                        // the rest of the cluster; planning degradations
-                        // (MoreStages) hit every server identically.
-                        let replanned = degradations
-                            .iter()
-                            .any(|d| matches!(d.action, DegradeAction::ElasticReplan { .. }));
                         self.attach_cluster_sync(
-                            &mut rep, &cluster, timing, local_step, step_head, replanned,
+                            &mut rep,
+                            &cluster,
+                            timing,
+                            local_step,
+                            sim.step_head,
+                            replanned.then_some(solved),
                         )?;
                     }
                     rep.degradations = degradations;
@@ -783,6 +794,7 @@ impl FineTuner {
                     if let Some(obs) = &self.obs {
                         obs.counter_add("fault.replans", 1.0);
                     }
+                    replanned = true;
                     degradations.push(Degradation {
                         action: DegradeAction::ElasticReplan {
                             failed_gpu: gpu,
@@ -831,12 +843,14 @@ impl FineTuner {
                                 ready: vec![rep.step_time],
                                 ready_sids: vec![None],
                             };
-                            let replanned = degradations
-                                .iter()
-                                .any(|d| matches!(d.action, DegradeAction::ElasticReplan { .. }));
                             let local_step = rep.step_time;
                             self.attach_cluster_sync(
-                                &mut rep, &cluster, timing, local_step, None, replanned,
+                                &mut rep,
+                                &cluster,
+                                timing,
+                                local_step,
+                                None,
+                                replanned.then_some(solved),
                             )?;
                         }
                         rep.degradations = degradations;
@@ -848,56 +862,16 @@ impl FineTuner {
         }
     }
 
-    /// One pipeline simulation attempt. With a non-empty schedule the
-    /// faulted executor runs and aborts surface with their accounting;
-    /// otherwise this is exactly the unfaulted single-step path.
-    fn pipeline_attempt(
-        &self,
-        stages: &[StageCosts],
-        mapping: &Mapping,
-        topo: &Topology,
-        cfg: &PipelineConfig,
-        faults: &FaultSchedule,
-    ) -> Result<MobiusSim, AttemptError> {
-        let stage_grads: Vec<f64> = stages.iter().map(|s| s.grad_bytes as f64).collect();
-        if faults.is_empty() {
-            return simulate_step_traced(stages, mapping, topo, cfg, self.obs.as_ref())
-                .map(|sim| {
-                    let mut m = MobiusSim::from(sim);
-                    m.stage_grads = stage_grads;
-                    m
-                })
-                .map_err(|e| AttemptError::Run(e.into()));
-        }
-        match simulate_steps_faulted(stages, mapping, topo, cfg, 1, faults, self.obs.as_ref()) {
-            Ok(mut multi) => {
-                let grad_flush = std::mem::take(&mut multi.grad_flush[0]);
-                let grad_flush_sids = std::mem::take(&mut multi.grad_flush_sids[0]);
-                Ok(MobiusSim {
-                    step_time: multi.step_boundaries[0],
-                    drain_time: multi.drain_time,
-                    trace: multi.trace,
-                    faults: multi.faults,
-                    grad_flush,
-                    stage_grads,
-                    step_head: multi.step_heads[0],
-                    grad_flush_sids,
-                })
-            }
-            Err(ExecError::Schedule(e)) => Err(AttemptError::Run(e.into())),
-            Err(ExecError::Fault { abort, stats }) => Err(AttemptError::Fault { abort, stats }),
-        }
-    }
-
     /// Runs the cross-server ring all-reduce for one step of this replica
     /// and folds it into the report: the sync trace merges in, step and
     /// drain extend to the synchronization, the price covers every server.
     ///
-    /// When `degraded`, this server replanned around a lost GPU and its
-    /// bucket structure no longer matches the healthy replicas', so every
-    /// replica collapses to one whole-model bucket
-    /// ([`ReplicaTiming::collapsed`]) and the healthy servers' timing comes
-    /// from an unfaulted shadow simulation.
+    /// When `degraded` carries the step's solved plan, this server
+    /// replanned around a lost GPU and its bucket structure no longer
+    /// matches the healthy replicas', so every replica collapses to one
+    /// whole-model bucket ([`ReplicaTiming::collapsed`]) and the healthy
+    /// servers' timing comes from an unfaulted shadow simulation of that
+    /// plan.
     fn attach_cluster_sync(
         &self,
         rep: &mut StepReport,
@@ -905,26 +879,19 @@ impl FineTuner {
         this: ReplicaTiming,
         local_step: SimTime,
         local_head: Option<u64>,
-        degraded: bool,
+        degraded: Option<&SolvedPlan>,
     ) -> Result<(), RunError> {
         let n = cluster.num_servers();
-        let (replicas, local_steps) = if degraded {
-            let healthy = self.healthy_shadow()?;
-            // The shadow ran unobserved, so its flush nodes do not exist in
-            // this server's DAG: the ring mirrors the healthy replicas.
-            let healthy_timing = ReplicaTiming {
-                bucket_bytes: healthy.stage_grads,
-                ready: healthy.grad_flush,
-                ready_sids: Vec::new(),
+        let (replicas, local_steps) = match degraded {
+            Some(solved) => {
+                let (healthy_timing, healthy_step) = self.healthy_shadow(solved)?;
+                let mut replicas = vec![healthy_timing; n];
+                replicas[0] = this.collapsed();
+                let mut steps = vec![healthy_step; n];
+                steps[0] = local_step;
+                (replicas, steps)
             }
-            .collapsed();
-            let mut replicas = vec![healthy_timing; n];
-            replicas[0] = this.collapsed();
-            let mut steps = vec![healthy.step_time; n];
-            steps[0] = local_step;
-            (replicas, steps)
-        } else {
-            (vec![this; n], vec![local_step; n])
+            None => (vec![this; n], vec![local_step; n]),
         };
         let grad_bytes = replicas[0].total_bytes();
         let cfg = ClusterDpConfig {
@@ -1019,19 +986,34 @@ impl FineTuner {
         Ok(())
     }
 
-    /// An unfaulted, unobserved simulation of the originally configured
-    /// server: the timing of the cluster's healthy replicas after this
-    /// server degraded. Runs without the observer so the shadow leaves no
-    /// spans in this server's trace.
-    fn healthy_shadow(&self) -> Result<MobiusSim, RunError> {
-        let mut quiet = self.clone();
-        quiet.obs = None;
-        let plan = quiet.plan()?;
-        let cfg = quiet.pipeline_cfg(MemoryMode::Heterogeneous);
-        let sim = simulate_step_traced(&plan.stages, &plan.mapping, &quiet.topo, &cfg, None)?;
-        let mut m = MobiusSim::from(sim);
-        m.stage_grads = plan.stages.iter().map(|s| s.grad_bytes as f64).collect();
-        Ok(m)
+    /// The collapsed ring timing and local step time of the cluster's
+    /// healthy replicas after this server degraded: an unfaulted,
+    /// unobserved step of the step's solved plan — the plan the healthy
+    /// replicas run — on the originally configured server. Runs without
+    /// the observer so the shadow leaves no spans in this server's trace.
+    fn healthy_shadow(&self, solved: &SolvedPlan) -> Result<(ReplicaTiming, SimTime), RunError> {
+        let plan = solved.plan.as_ref().map_err(RunError::clone)?;
+        let cfg = self.pipeline_cfg(MemoryMode::Heterogeneous);
+        let sim = simulate_steps_faulted(
+            &plan.stages,
+            &plan.mapping,
+            &self.topo,
+            &cfg,
+            1,
+            &FaultSchedule::default(),
+            None,
+        )
+        .map(SimStepReport::from)
+        .map_err(AttemptError::from)?;
+        // The shadow ran unobserved, so its flush nodes do not exist in
+        // this server's DAG: the ring mirrors the healthy replicas.
+        let timing = ReplicaTiming {
+            bucket_bytes: grad_buckets(&plan.stages),
+            ready: sim.grad_flush,
+            ready_sids: Vec::new(),
+        }
+        .collapsed();
+        Ok((timing, sim.step_time))
     }
 
     /// The ZeRO-hetero step on an arbitrary topology (also the last rung
@@ -1089,11 +1071,11 @@ impl FineTuner {
                 "multi-step cluster runs are not modeled; run_step() per step instead".into(),
             ));
         }
-        match self.system {
+        let (stages, mapping, cfg) = match self.system {
             System::Mobius => {
                 let plan = self.plan()?;
                 let cfg = self.pipeline_cfg(MemoryMode::Heterogeneous);
-                self.steps_sim(&plan.stages, &plan.mapping, &cfg, k)
+                (plan.stages, plan.mapping, cfg)
             }
             System::Gpipe | System::DeepSpeedPipeline => {
                 let (_, profile) = self.profile();
@@ -1102,45 +1084,25 @@ impl FineTuner {
                 let stages = stage_costs(&profile, &plan.partition);
                 let mapping =
                     Mapping::sequential(plan.partition.num_stages(), self.topo.num_gpus());
-                self.steps_sim(&stages, &mapping, &cfg, k)
+                (stages, mapping, cfg)
             }
-            other => Err(RunError::Unsupported(format!(
-                "{} steps are independent; run_step() per step instead",
-                other.label()
-            ))),
-        }
-    }
-
-    fn steps_sim(
-        &self,
-        stages: &[StageCosts],
-        mapping: &Mapping,
-        cfg: &PipelineConfig,
-        k: usize,
-    ) -> Result<MultiStepReport, RunError> {
-        match self.active_faults() {
-            Some(faults) => simulate_steps_faulted(
-                stages,
-                mapping,
-                &self.topo,
-                cfg,
-                k,
-                faults,
-                self.obs.as_ref(),
-            )
-            .map_err(|e| match e {
-                ExecError::Schedule(e) => e.into(),
-                ExecError::Fault { abort, .. } => RunError::Fault(abort),
-            }),
-            None => Ok(simulate_steps_traced(
-                stages,
-                mapping,
-                &self.topo,
-                cfg,
-                k,
-                self.obs.as_ref(),
-            )?),
-        }
+            other => {
+                return Err(RunError::Unsupported(format!(
+                    "{} steps are independent; run_step() per step instead",
+                    other.label()
+                )))
+            }
+        };
+        simulate_steps_faulted(
+            &stages,
+            &mapping,
+            &self.topo,
+            &cfg,
+            k,
+            &self.faults_cloned(),
+            self.obs.as_ref(),
+        )
+        .map_err(|e| AttemptError::from(e).into())
     }
 
     fn report(
@@ -1174,40 +1136,9 @@ pub(crate) struct SolvedPlan {
     record: Recording,
 }
 
-/// The common shape of one pipeline simulation attempt.
-struct MobiusSim {
-    step_time: SimTime,
-    drain_time: SimTime,
-    trace: TraceRecorder,
-    faults: FaultStats,
-    /// Per stage, when its gradients finished flushing to DRAM — the
-    /// cluster ring's bucket-ready times.
-    grad_flush: Vec<SimTime>,
-    /// Per stage, FP16 gradient bytes — the cluster ring's bucket sizes.
-    /// Empty on paths that never reach the cluster sync (GPipe/DeepSpeed
-    /// pipeline).
-    stage_grads: Vec<f64>,
-    /// Dependency-DAG node whose end is the local step boundary (`None`
-    /// without an attached observer).
-    step_head: Option<u64>,
-    /// Per stage, the DAG node of the gradient flush — the cluster ring's
-    /// bucket-ready nodes (`None`s without an observer).
-    grad_flush_sids: Vec<Option<u64>>,
-}
-
-impl From<mobius_pipeline::SimStepReport> for MobiusSim {
-    fn from(sim: mobius_pipeline::SimStepReport) -> Self {
-        MobiusSim {
-            step_time: sim.step_time,
-            drain_time: sim.drain_time,
-            trace: sim.trace,
-            faults: sim.faults,
-            grad_flush: sim.grad_flush,
-            stage_grads: Vec::new(),
-            step_head: sim.step_head,
-            grad_flush_sids: sim.grad_flush_sids,
-        }
-    }
+/// Per stage, FP16 gradient bytes — the cluster ring's bucket sizes.
+fn grad_buckets(stages: &[StageCosts]) -> Vec<f64> {
+    stages.iter().map(|s| s.grad_bytes as f64).collect()
 }
 
 /// Why one attempt failed: an ordinary planning/scheduling error, or an
@@ -1218,6 +1149,26 @@ enum AttemptError {
         abort: FaultAbort,
         stats: FaultStats,
     },
+}
+
+impl From<ExecError> for AttemptError {
+    fn from(e: ExecError) -> Self {
+        match e {
+            ExecError::Schedule(e) => AttemptError::Run(e.into()),
+            ExecError::Fault { abort, stats } => AttemptError::Fault { abort, stats },
+        }
+    }
+}
+
+/// Outside the recovery loop a fault abort surfaces typed, without its
+/// accounting.
+impl From<AttemptError> for RunError {
+    fn from(e: AttemptError) -> Self {
+        match e {
+            AttemptError::Run(e) => e,
+            AttemptError::Fault { abort, .. } => RunError::Fault(abort),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -8,11 +8,11 @@
 //! for Figures 6–8 and 11.
 //!
 //! The executor simulates one step ([`simulate_step`]) or a whole run of
-//! consecutive steps ([`simulate_steps`]). Across steps the Mobius pipeline
-//! keeps flowing: the next step's first stage uploads prefetch during the
-//! current step's backward tail — but a stage's parameters may only reload
-//! after its gradients reached DRAM and the CPU optimizer refreshed them
-//! (the cross-step data dependency).
+//! consecutive steps ([`simulate_steps_traced`]). Across steps the Mobius
+//! pipeline keeps flowing: the next step's first stage uploads prefetch
+//! during the current step's backward tail — but a stage's parameters may
+//! only reload after its gradients reached DRAM and the CPU optimizer
+//! refreshed them (the cross-step data dependency).
 //!
 //! # Fault injection
 //!
@@ -147,6 +147,21 @@ impl MultiStepReport {
     /// cross-step prefetching is fully warmed up.
     pub fn steady_state_step(&self) -> SimTime {
         self.step_duration(self.step_boundaries.len() - 1)
+    }
+}
+
+/// The first step of a run: the whole report of a one-step run.
+impl From<MultiStepReport> for SimStepReport {
+    fn from(mut multi: MultiStepReport) -> Self {
+        SimStepReport {
+            step_time: multi.step_boundaries[0],
+            drain_time: multi.drain_time,
+            trace: multi.trace,
+            faults: multi.faults,
+            grad_flush: std::mem::take(&mut multi.grad_flush[0]),
+            step_head: multi.step_heads[0],
+            grad_flush_sids: std::mem::take(&mut multi.grad_flush_sids[0]),
+        }
     }
 }
 
@@ -388,39 +403,13 @@ pub fn simulate_step_traced(
     cfg: &PipelineConfig,
     obs: Option<&Obs>,
 ) -> Result<SimStepReport, ScheduleError> {
-    let mut multi = simulate_steps_traced(stages, mapping, topo, cfg, 1, obs)?;
-    Ok(SimStepReport {
-        step_time: multi.step_boundaries[0],
-        drain_time: multi.drain_time,
-        trace: multi.trace,
-        faults: multi.faults,
-        grad_flush: std::mem::take(&mut multi.grad_flush[0]),
-        step_head: multi.step_heads[0],
-        grad_flush_sids: std::mem::take(&mut multi.grad_flush_sids[0]),
-    })
+    simulate_steps_traced(stages, mapping, topo, cfg, 1, obs).map(SimStepReport::from)
 }
 
-/// Simulates `steps` consecutive training steps. Step `s + 1`'s uploads
-/// prefetch during step `s`'s backward tail, gated per stage on the
+/// Simulates `steps` consecutive training steps with an optional observer
+/// (see [`simulate_step_traced`] for what gets recorded). Step `s + 1`'s
+/// uploads prefetch during step `s`'s backward tail, gated per stage on the
 /// gradient flush (the DRAM parameters must be refreshed before reloading).
-///
-/// # Errors
-///
-/// Returns [`ScheduleError`] when a stage cannot fit in GPU memory, the
-/// mapping mismatches the stage list or topology, or the workload is
-/// empty (`steps == 0`, no stages, no microbatches).
-pub fn simulate_steps(
-    stages: &[StageCosts],
-    mapping: &Mapping,
-    topo: &Topology,
-    cfg: &PipelineConfig,
-    steps: usize,
-) -> Result<MultiStepReport, ScheduleError> {
-    simulate_steps_traced(stages, mapping, topo, cfg, steps, None)
-}
-
-/// [`simulate_steps`] with an optional observer (see
-/// [`simulate_step_traced`] for what gets recorded).
 ///
 /// # Errors
 ///
@@ -1851,12 +1840,13 @@ mod tests {
     fn multi_step_boundaries_increase() {
         let stages: Vec<StageCosts> = (0..8).map(|_| stage(10, GB / 2, 1 << 20)).collect();
         let mapping = Mapping::sequential(8, 4);
-        let rep = simulate_steps(
+        let rep = simulate_steps_traced(
             &stages,
             &mapping,
             &topo22(),
             &cfg(4, MemoryMode::Heterogeneous),
             3,
+            None,
         )
         .unwrap();
         assert_eq!(rep.step_boundaries.len(), 3);
@@ -1873,12 +1863,13 @@ mod tests {
         // step.
         let stages: Vec<StageCosts> = (0..8).map(|_| stage(40, 2 * GB, 1 << 20)).collect();
         let mapping = Mapping::sequential(8, 4);
-        let rep = simulate_steps(
+        let rep = simulate_steps_traced(
             &stages,
             &mapping,
             &topo22(),
             &cfg(4, MemoryMode::Heterogeneous),
             4,
+            None,
         )
         .unwrap();
         let first = rep.step_duration(0).as_secs_f64();
@@ -1902,11 +1893,11 @@ mod tests {
         let stages: Vec<StageCosts> = (0..8).map(|_| stage(10, GB, 1 << 20)).collect();
         let mapping = Mapping::sequential(8, 4);
         let c = cfg(2, MemoryMode::Heterogeneous);
-        let one = simulate_steps(&stages, &mapping, &topo22(), &c, 1)
+        let one = simulate_steps_traced(&stages, &mapping, &topo22(), &c, 1, None)
             .unwrap()
             .trace
             .total_traffic();
-        let three = simulate_steps(&stages, &mapping, &topo22(), &c, 3)
+        let three = simulate_steps_traced(&stages, &mapping, &topo22(), &c, 3, None)
             .unwrap()
             .trace
             .total_traffic();
@@ -1932,8 +1923,15 @@ mod tests {
         };
         let mapping = Mapping::from_table(vec![0], 1);
         let topo = Topology::commodity(GpuSpec::rtx3090ti(), &[1]);
-        let rep =
-            simulate_steps(&[s], &mapping, &topo, &cfg(1, MemoryMode::Heterogeneous), 2).unwrap();
+        let rep = simulate_steps_traced(
+            &[s],
+            &mapping,
+            &topo,
+            &cfg(1, MemoryMode::Heterogeneous),
+            2,
+            None,
+        )
+        .unwrap();
         // Step 1 cannot finish before: step 0 compute (30ms) + gradient
         // offload (4 GiB) + parameter reload (1 GiB) + compute (30ms).
         let lower_bound = 0.030 + 4.0 * GB as f64 / 13.1e9 + GB as f64 / 13.1e9 + 0.030;
@@ -1957,7 +1955,7 @@ mod tests {
     #[test]
     fn empty_schedule_matches_unfaulted_run() {
         let (stages, mapping, topo, c) = hetero_setup();
-        let plain = simulate_steps(&stages, &mapping, &topo, &c, 2).unwrap();
+        let plain = simulate_steps_traced(&stages, &mapping, &topo, &c, 2, None).unwrap();
         let faulted =
             simulate_steps_faulted(&stages, &mapping, &topo, &c, 2, &FaultSchedule::new(), None)
                 .unwrap();
@@ -1969,7 +1967,7 @@ mod tests {
     #[test]
     fn degraded_uplink_slows_the_step() {
         let (stages, mapping, topo, c) = hetero_setup();
-        let base = simulate_steps(&stages, &mapping, &topo, &c, 1)
+        let base = simulate_steps_traced(&stages, &mapping, &topo, &c, 1, None)
             .unwrap()
             .step_boundaries[0];
         // Both root complexes at 20% capacity for most of the step.
@@ -1988,7 +1986,7 @@ mod tests {
     #[test]
     fn straggler_gpu_stretches_the_step() {
         let (stages, mapping, topo, c) = hetero_setup();
-        let base = simulate_steps(&stages, &mapping, &topo, &c, 1)
+        let base = simulate_steps_traced(&stages, &mapping, &topo, &c, 1, None)
             .unwrap()
             .step_boundaries[0];
         let faults = FaultSchedule::new().slow_gpu(0, 4.0, SimTime::ZERO, SimTime::from_secs(60));
@@ -2099,9 +2097,9 @@ mod tests {
     #[test]
     fn empty_workload_is_a_typed_error() {
         let (stages, mapping, topo, c) = hetero_setup();
-        let err = simulate_steps(&stages, &mapping, &topo, &c, 0).unwrap_err();
+        let err = simulate_steps_traced(&stages, &mapping, &topo, &c, 0, None).unwrap_err();
         assert!(matches!(err, ScheduleError::EmptyWorkload { .. }));
-        let err = simulate_steps(&[], &mapping, &topo, &c, 1).unwrap_err();
+        let err = simulate_steps_traced(&[], &mapping, &topo, &c, 1, None).unwrap_err();
         assert!(matches!(err, ScheduleError::EmptyWorkload { .. }));
     }
 
@@ -2109,7 +2107,7 @@ mod tests {
     fn gpu_count_mismatch_is_a_typed_error() {
         let (stages, _, topo, c) = hetero_setup();
         let mapping = Mapping::sequential(8, 2); // topology has 4 GPUs
-        let err = simulate_steps(&stages, &mapping, &topo, &c, 1).unwrap_err();
+        let err = simulate_steps_traced(&stages, &mapping, &topo, &c, 1, None).unwrap_err();
         assert!(matches!(
             err,
             ScheduleError::GpuCountMismatch { mapped: 2, topo: 4 }
@@ -2154,7 +2152,7 @@ mod tests {
         let (stages, mapping, topo, c) = hetero_setup();
         // Strict but untraced: the identity is verified internally, yet no
         // private node id may leak into the report.
-        let rep = simulate_steps(&stages, &mapping, &topo, &c, 2).unwrap();
+        let rep = simulate_steps_traced(&stages, &mapping, &topo, &c, 2, None).unwrap();
         assert!(rep.step_heads.iter().all(Option::is_none));
         assert!(rep.grad_flush_sids.iter().flatten().all(Option::is_none));
     }
@@ -2164,7 +2162,7 @@ mod tests {
         let (stages, mapping, topo, c) = hetero_setup();
         let obs = Obs::new();
         let traced = simulate_steps_traced(&stages, &mapping, &topo, &c, 2, Some(&obs)).unwrap();
-        let plain = simulate_steps(&stages, &mapping, &topo, &c, 2).unwrap();
+        let plain = simulate_steps_traced(&stages, &mapping, &topo, &c, 2, None).unwrap();
         assert_eq!(traced.step_boundaries, plain.step_boundaries);
         assert_eq!(traced.drain_time, plain.drain_time);
     }
@@ -2173,12 +2171,13 @@ mod tests {
     fn resident_multi_step_has_no_gating() {
         let stages: Vec<StageCosts> = (0..4).map(|_| stage(10, 100, 1)).collect();
         let mapping = Mapping::sequential(4, 4);
-        let rep = simulate_steps(
+        let rep = simulate_steps_traced(
             &stages,
             &mapping,
             &topo22(),
             &cfg(4, MemoryMode::Resident),
             2,
+            None,
         )
         .unwrap();
         // Two identical GPipe steps back to back.

@@ -58,14 +58,14 @@ pub use analytic::{
     TrafficEstimate, DEFAULT_ACT_LATENCY, DEFAULT_SWAP_OVERHEAD,
 };
 pub use executor::{
-    simulate_step, simulate_step_traced, simulate_steps, simulate_steps_faulted,
-    simulate_steps_traced, ExecError, MultiStepReport, SimStepReport,
+    simulate_step, simulate_step_traced, simulate_steps_faulted, simulate_steps_traced, ExecError,
+    MultiStepReport, SimStepReport,
 };
 pub use gantt::{render_gantt, utilization};
 pub use gpipe::{gpipe_memory, plan_gpipe, GpipePlan};
 pub use one_f_one_b::{evaluate_1f1b, OneFOneBSchedule};
 pub use partitioner::{
-    max_stage_partition, min_stage_partition, mip_partition, mip_partition_opts, partition_model,
+    max_stage_partition, min_stage_partition, mip_partition_opts, partition_model,
     MipPartitionOpts, PartitionAlgo, PartitionOutcome,
 };
 pub use stage::{stage_costs, Partition, StageCosts};

@@ -2,7 +2,7 @@
 //!
 //! Three partitioners are provided, matching the paper's ablation:
 //!
-//! * [`mip_partition`] — the paper's MIP partition algorithm: an exact
+//! * [`mip_partition_opts`] — the paper's MIP partition algorithm: an exact
 //!   branch-and-bound search over contiguous layer segmentations whose
 //!   objective is the full analytic pipeline makespan (constraints 4–11),
 //!   seeded with the best near-uniform segmentation and pruned with
@@ -57,7 +57,13 @@ pub fn partition_model(
     cfg: &PipelineConfig,
 ) -> Result<PartitionOutcome, ScheduleError> {
     match algo {
-        PartitionAlgo::Mip => mip_partition(profile, n_gpus, cfg, Duration::from_secs(5)),
+        PartitionAlgo::Mip => {
+            let opts = MipPartitionOpts {
+                budget: Some(Duration::from_secs(5)),
+                warm_start: None,
+            };
+            mip_partition_opts(profile, n_gpus, cfg, &opts, None)
+        }
         PartitionAlgo::MaxStage => max_stage_partition(profile, n_gpus, cfg),
         PartitionAlgo::MinStage => min_stage_partition(profile, n_gpus, cfg),
     }
@@ -150,28 +156,7 @@ pub fn max_stage_partition(
     })
 }
 
-/// The paper's MIP partition algorithm: exact branch-and-bound over
-/// contiguous segmentations, objective = analytic step time under
-/// sequential mapping, with a near-uniform seed and a wall-clock budget
-/// (anytime behaviour on big models, like a MIP solver's time limit).
-///
-/// # Errors
-///
-/// Returns [`ScheduleError::StageTooLarge`] if no feasible partition exists.
-pub fn mip_partition(
-    profile: &ModelProfile,
-    n_gpus: usize,
-    cfg: &PipelineConfig,
-    budget: Duration,
-) -> Result<PartitionOutcome, ScheduleError> {
-    let opts = MipPartitionOpts {
-        budget: Some(budget),
-        warm_start: None,
-    };
-    mip_partition_opts(profile, n_gpus, cfg, &opts, None)
-}
-
-/// Options for the MIP partition search beyond [`mip_partition`]'s defaults.
+/// Options for the MIP partition search ([`mip_partition_opts`]).
 #[derive(Debug, Clone, Default)]
 pub struct MipPartitionOpts {
     /// Wall-clock budget; `None` runs the search to the node limit, which
@@ -189,12 +174,16 @@ pub struct MipPartitionOpts {
     pub warm_start: Option<Vec<usize>>,
 }
 
-/// [`mip_partition`] with explicit [`MipPartitionOpts`] — optional wall
-/// budget (for deterministic-counter runs) and a warm-start incumbent (for
-/// incremental re-solves after a topology change) — and an optional
-/// observer: the branch-and-bound search reports incumbent marks on the
-/// solver lane plus `mip.*` counters, and the chosen partition's predicted
-/// step time lands in the `mip.predicted_step_secs` gauge.
+/// The paper's MIP partition algorithm: exact branch-and-bound over
+/// contiguous segmentations, objective = analytic step time under
+/// sequential mapping, with a near-uniform seed. [`MipPartitionOpts`] adds
+/// an optional wall-clock budget (anytime behaviour on big models, like a
+/// MIP solver's time limit; omit it for deterministic-counter runs) and a
+/// warm-start incumbent (for incremental re-solves after a topology
+/// change). With an observer attached, the branch-and-bound search reports
+/// incumbent marks on the solver lane plus `mip.*` counters, and the chosen
+/// partition's predicted step time lands in the `mip.predicted_step_secs`
+/// gauge.
 ///
 /// # Errors
 ///
@@ -434,6 +423,13 @@ mod tests {
         }
     }
 
+    fn budgeted(budget: Duration) -> MipPartitionOpts {
+        MipPartitionOpts {
+            budget: Some(budget),
+            warm_start: None,
+        }
+    }
+
     #[test]
     fn min_stage_is_singletons() {
         let p = uniform_profile(12, 50, GB);
@@ -467,7 +463,8 @@ mod tests {
     fn mip_beats_or_ties_heuristics() {
         let p = uniform_profile(16, 60, 2 * GB);
         let c = cfg();
-        let mip = mip_partition(&p, 4, &c, Duration::from_millis(500)).unwrap();
+        let mip =
+            mip_partition_opts(&p, 4, &c, &budgeted(Duration::from_millis(500)), None).unwrap();
         let maxs = max_stage_partition(&p, 4, &c).unwrap();
         let mins = min_stage_partition(&p, 4, &c).unwrap();
         assert!(
@@ -489,7 +486,7 @@ mod tests {
     fn mip_matches_exhaustive_on_tiny_instance() {
         let p = uniform_profile(6, 80, 3 * GB);
         let c = cfg();
-        let mip = mip_partition(&p, 2, &c, Duration::from_secs(2)).unwrap();
+        let mip = mip_partition_opts(&p, 2, &c, &budgeted(Duration::from_secs(2)), None).unwrap();
         // Exhaustive check over all compositions of 6 into >= 2 parts.
         let mut best = f64::INFINITY;
         let obj = PipelineObjective {
@@ -526,7 +523,9 @@ mod tests {
     fn oversized_layer_errors() {
         let p = uniform_profile(4, 10, 30 * GB);
         assert!(max_stage_partition(&p, 2, &cfg()).is_err());
-        assert!(mip_partition(&p, 2, &cfg(), Duration::from_millis(100)).is_err());
+        assert!(
+            mip_partition_opts(&p, 2, &cfg(), &budgeted(Duration::from_millis(100)), None).is_err()
+        );
     }
 
     #[test]

@@ -117,8 +117,6 @@ pub struct FlowNetwork {
     now: SimTime,
     strict: bool,
     classes: Classes,
-    partition_rebuilds: u64,
-    partition_reuses: u64,
     scratch: Scratch,
     obs: Option<mobius_obs::Obs>,
 }
@@ -173,19 +171,6 @@ struct Scratch {
     members: Vec<usize>,
     /// The members not frozen yet, in id order.
     active: Vec<usize>,
-}
-
-/// Deterministic counters for the priority-partition cache inside
-/// [`FlowNetwork`] — how often a rate solve had to rebuild the
-/// priority-sorted flow partition versus reusing the cached one ("sorts
-/// avoided"). Pure functions of the call sequence, safe to snapshot into
-/// byte-compared artifacts like `BENCH_solver.json`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FlowSetStats {
-    /// Rate solves that rebuilt (sorted) the priority partition.
-    pub rebuilds: u64,
-    /// Rate solves that reused the cached partition.
-    pub reuses: u64,
 }
 
 impl FlowNetwork {
@@ -589,15 +574,6 @@ impl FlowNetwork {
         Some(f.total - f.remaining)
     }
 
-    /// Deterministic counters for the priority-partition cache (see
-    /// [`FlowSetStats`]).
-    pub fn flow_set_stats(&self) -> FlowSetStats {
-        FlowSetStats {
-            rebuilds: self.partition_rebuilds,
-            reuses: self.partition_reuses,
-        }
-    }
-
     /// Re-solves rates: strict priority between classes, max-min water
     /// filling inside each class.
     ///
@@ -610,13 +586,11 @@ impl FlowNetwork {
     /// works in `self.scratch` and allocates nothing once it has grown.
     fn recompute_rates(&mut self) {
         if self.classes.valid {
-            self.partition_reuses += 1;
             if let Some(obs) = &self.obs {
                 obs.counter_add("flow.partition_reuse", 1.0);
             }
         } else {
             self.classes.rebuild(&self.flows);
-            self.partition_rebuilds += 1;
             if let Some(obs) = &self.obs {
                 obs.counter_add("flow.partition_rebuild", 1.0);
             }
@@ -983,12 +957,16 @@ mod tests {
     fn partition_cache_reused_for_capacity_and_block_changes() {
         let mut net = FlowNetwork::new();
         net.set_strict_validation(true);
+        let obs = mobius_obs::Obs::new();
+        net.set_obs(obs.clone());
+        let rebuilds = || obs.counter("flow.partition_rebuild");
+        let reuses = || obs.counter("flow.partition_reuse");
         let l = net.add_link("l", gbps(10.0));
         let a = net.start_flow(vec![l], gbps(10.0), 2, 0);
         let b = net.start_flow(vec![l], gbps(10.0), 0, 1);
-        let after_starts = net.flow_set_stats();
         // Membership changed on each start: those solves rebuild.
-        assert_eq!(after_starts.rebuilds, 2);
+        assert_eq!(rebuilds(), 2.0);
+        let reuses_after_starts = reuses();
 
         // Capacity wiggles and block toggles keep membership fixed: the
         // cached partition is reused, and rates still track exactly.
@@ -997,13 +975,12 @@ mod tests {
         assert!((net.rate_of(a).unwrap() - gbps(5.0)).abs() < 1.0);
         net.set_flow_blocked(b, false);
         net.set_link_capacity(l, gbps(10.0));
-        let after_wiggles = net.flow_set_stats();
-        assert_eq!(after_wiggles.rebuilds, after_starts.rebuilds);
-        assert_eq!(after_wiggles.reuses, after_starts.reuses + 4);
+        assert_eq!(rebuilds(), 2.0);
+        assert_eq!(reuses(), reuses_after_starts + 4.0);
 
         // Removal invalidates: the next solve re-sorts.
         net.cancel(a);
-        assert_eq!(net.flow_set_stats().rebuilds, after_starts.rebuilds + 1);
+        assert_eq!(rebuilds(), 3.0);
         assert!((net.rate_of(b).unwrap() - gbps(10.0)).abs() < 1.0);
     }
 

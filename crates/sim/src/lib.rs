@@ -56,7 +56,7 @@ pub use fault::{
     CrashPoint, FaultAbort, FaultEvent, FaultKind, FaultSchedule, FaultStats, DEFAULT_MAX_RETRIES,
     DEFAULT_RETRY_BASE, DEFAULT_WATCHDOG,
 };
-pub use flow::{FlowId, FlowNetwork, FlowRecord, FlowSetStats, LinkId, Priority};
+pub use flow::{FlowId, FlowNetwork, FlowRecord, LinkId, Priority};
 pub use intervals::IntervalSet;
 pub use time::SimTime;
 pub use trace::{BandwidthSample, Cdf, CommKind, FlowOccupancy, TraceRecorder};

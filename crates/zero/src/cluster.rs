@@ -17,7 +17,7 @@
 //! traffic below `2 · grad` regardless of `S`. This module simulates the
 //! NIC side of that contrast on the shared [`ClusterNetwork`] so switch and
 //! NIC contention are measured; the intra-server PCIe side is the existing
-//! [`simulate_zero_step`](crate::simulate_zero_step).
+//! [`simulate_zero_step_traced`](crate::simulate_zero_step_traced).
 //!
 //! [`mobius-cluster`]: https://docs.rs/mobius-cluster
 

@@ -35,9 +35,7 @@ mod validate;
 pub use cluster::{
     expected_cluster_nic_traffic, simulate_cluster_zero_step, ClusterZeroConfig, ClusterZeroReport,
 };
-pub use offload::{
-    check_offload_memory, simulate_zero_offload_step, simulate_zero_offload_step_traced,
-};
+pub use offload::{check_offload_memory, simulate_zero_offload_step_traced};
 pub use validate::{
     expected_step_traffic, verify_traffic_identity, ExpectedZeroTraffic, ZeroTrafficViolation,
 };
@@ -185,7 +183,12 @@ fn check_memory(profile: &ModelProfile, capacity: u64) -> Result<(), ZeroError> 
 }
 
 /// Simulates one ZeRO-3 offload training step on `topo`, with each GPU
-/// training its own microbatch (data parallelism).
+/// training its own microbatch (data parallelism), with an optional
+/// observer: transfers and compute intervals are emitted as spans on
+/// GPU/link lanes, byte counters mirror the per-kind traffic map, and a
+/// strict-mode traffic-identity failure is logged as a structured violation
+/// event before the panic. Observation is passive — results are
+/// bit-identical with or without it.
 ///
 /// The `profile` should be taken at the per-GPU microbatch size.
 ///
@@ -195,32 +198,15 @@ fn check_memory(profile: &ModelProfile, capacity: u64) -> Result<(), ZeroError> 
 /// use mobius_model::{GptConfig, Model};
 /// use mobius_profiler::Profiler;
 /// use mobius_topology::{GpuSpec, Topology};
-/// use mobius_zero::{simulate_zero_step, ZeroConfig};
+/// use mobius_zero::{simulate_zero_step_traced, ZeroConfig};
 ///
 /// let topo = Topology::commodity(GpuSpec::rtx3090ti(), &[2, 2]);
 /// let model = Model::from_config(&GptConfig::gpt_3b());
 /// let profile = Profiler::new(topo.gpu().clone()).profile(&model, 1);
-/// let report = simulate_zero_step(&profile, &topo, &ZeroConfig::default())?;
+/// let report = simulate_zero_step_traced(&profile, &topo, &ZeroConfig::default(), None)?;
 /// assert!(report.step_time.as_secs_f64() > 0.0);
 /// # Ok::<(), mobius_zero::ZeroError>(())
 /// ```
-///
-/// # Errors
-///
-/// Returns [`ZeroError::LayerTooLarge`] if a layer cannot fit on the GPU.
-pub fn simulate_zero_step(
-    profile: &ModelProfile,
-    topo: &Topology,
-    cfg: &ZeroConfig,
-) -> Result<ZeroReport, ZeroError> {
-    simulate_zero_step_traced(profile, topo, cfg, None)
-}
-
-/// [`simulate_zero_step`] with an optional observer: transfers and compute
-/// intervals are emitted as spans on GPU/link lanes, byte counters mirror
-/// the per-kind traffic map, and a strict-mode traffic-identity failure is
-/// logged as a structured violation event before the panic. Observation is
-/// passive — results are bit-identical with or without it.
 ///
 /// # Errors
 ///
@@ -587,7 +573,7 @@ mod tests {
     #[test]
     fn zero_completes_a_step() {
         let p = profile(&GptConfig::gpt_3b(), 1);
-        let rep = simulate_zero_step(&p, &topo22(), &ZeroConfig::default()).unwrap();
+        let rep = simulate_zero_step_traced(&p, &topo22(), &ZeroConfig::default(), None).unwrap();
         assert!(rep.step_time > SimTime::ZERO);
     }
 
@@ -597,7 +583,7 @@ mod tests {
         // twice).
         let p = profile(&GptConfig::gpt_3b(), 1);
         let model_fp16 = p.total_param_bytes() as f64;
-        let rep = simulate_zero_step(&p, &topo22(), &ZeroConfig::default()).unwrap();
+        let rep = simulate_zero_step_traced(&p, &topo22(), &ZeroConfig::default(), None).unwrap();
         let gather = rep.trace.traffic_by_kind()[&CommKind::ParamGather];
         let n = 4.0;
         // 2·N·P in fp16 bytes, plus backward activation re-uploads.
@@ -615,7 +601,7 @@ mod tests {
     fn contention_halves_effective_bandwidth() {
         // Figure 2: most bytes move at roughly half the root complex peak.
         let p = profile(&GptConfig::gpt_8b(), 1);
-        let rep = simulate_zero_step(&p, &topo22(), &ZeroConfig::default()).unwrap();
+        let rep = simulate_zero_step_traced(&p, &topo22(), &ZeroConfig::default(), None).unwrap();
         let cdf = rep.trace.bandwidth_cdf_of(CommKind::ParamGather);
         let median = cdf.median().expect("samples exist");
         assert!(
@@ -627,16 +613,17 @@ mod tests {
     #[test]
     fn prefetch_overlaps_and_speeds_up() {
         let p = profile(&GptConfig::gpt_3b(), 1);
-        let with = simulate_zero_step(&p, &topo22(), &ZeroConfig::default())
+        let with = simulate_zero_step_traced(&p, &topo22(), &ZeroConfig::default(), None)
             .unwrap()
             .step_time;
-        let without = simulate_zero_step(
+        let without = simulate_zero_step_traced(
             &p,
             &topo22(),
             &ZeroConfig {
                 prefetch: false,
                 ..ZeroConfig::default()
             },
+            None,
         )
         .unwrap()
         .step_time;
@@ -646,14 +633,14 @@ mod tests {
     #[test]
     fn nvlink_server_is_faster() {
         let commodity = profile(&GptConfig::gpt_8b(), 1);
-        let t_c = simulate_zero_step(&commodity, &topo22(), &ZeroConfig::default())
+        let t_c = simulate_zero_step_traced(&commodity, &topo22(), &ZeroConfig::default(), None)
             .unwrap()
             .step_time;
         let dc_gpu = GpuSpec::v100();
         let dc_profile =
             Profiler::new(dc_gpu.clone()).profile(&Model::from_config(&GptConfig::gpt_8b()), 1);
         let dc = Topology::data_center(dc_gpu, 4);
-        let t_dc = simulate_zero_step(&dc_profile, &dc, &ZeroConfig::default())
+        let t_dc = simulate_zero_step_traced(&dc_profile, &dc, &ZeroConfig::default(), None)
             .unwrap()
             .step_time;
         assert!(t_dc < t_c, "data center {t_dc} should beat commodity {t_c}");
@@ -664,7 +651,7 @@ mod tests {
         // A hypothetical block far beyond 24 GiB.
         let cfg = GptConfig::new("huge", 1000, 32768, 64, 2, 512, 1);
         let p = profile(&cfg, 1);
-        let err = simulate_zero_step(&p, &topo22(), &ZeroConfig::default());
+        let err = simulate_zero_step_traced(&p, &topo22(), &ZeroConfig::default(), None);
         assert!(matches!(err, Err(ZeroError::LayerTooLarge { .. })));
     }
 
@@ -673,10 +660,11 @@ mod tests {
         // More GPUs behind one root complex -> slower ZeRO step.
         let p = profile(&GptConfig::gpt_8b(), 1);
         let t = |groups: &[usize]| {
-            simulate_zero_step(
+            simulate_zero_step_traced(
                 &p,
                 &Topology::commodity(GpuSpec::rtx3090ti(), groups),
                 &ZeroConfig::default(),
+                None,
             )
             .unwrap()
             .step_time
@@ -692,10 +680,11 @@ mod tests {
     fn gather_bandwidth_scales_inversely_with_group_size() {
         let p = profile(&GptConfig::gpt_8b(), 1);
         let median = |groups: &[usize]| {
-            simulate_zero_step(
+            simulate_zero_step_traced(
                 &p,
                 &Topology::commodity(GpuSpec::rtx3090ti(), groups),
                 &ZeroConfig::default(),
+                None,
             )
             .unwrap()
             .trace
@@ -718,14 +707,15 @@ mod tests {
         // PCIe commodity server, with and without prefetch (prefetch
         // reorders transfers but must not change a single byte).
         let p = profile(&GptConfig::gpt_3b(), 1);
-        simulate_zero_step(&p, &topo22(), &strict).unwrap();
-        simulate_zero_step(
+        simulate_zero_step_traced(&p, &topo22(), &strict, None).unwrap();
+        simulate_zero_step_traced(
             &p,
             &topo22(),
             &ZeroConfig {
                 prefetch: false,
                 strict_validation: true,
             },
+            None,
         )
         .unwrap();
         // NVLink data-center server exercises the ring path.
@@ -733,7 +723,7 @@ mod tests {
         let dc_profile =
             Profiler::new(dc_gpu.clone()).profile(&Model::from_config(&GptConfig::gpt_3b()), 1);
         let dc = Topology::data_center(dc_gpu, 4);
-        simulate_zero_step(&dc_profile, &dc, &strict).unwrap();
+        simulate_zero_step_traced(&dc_profile, &dc, &strict, None).unwrap();
     }
 
     #[test]
@@ -755,7 +745,7 @@ mod tests {
     fn doctored_trace_fails_traffic_identity() {
         let p = profile(&GptConfig::gpt_3b(), 1);
         let topo = topo22();
-        let mut rep = simulate_zero_step(&p, &topo, &ZeroConfig::default()).unwrap();
+        let mut rep = simulate_zero_step_traced(&p, &topo, &ZeroConfig::default(), None).unwrap();
         assert!(verify_traffic_identity(&rep.trace, &p, &topo).is_ok());
         // Inject one spurious gather the data path never performs.
         let bogus = mobius_sim::FlowRecord {

@@ -51,23 +51,11 @@ struct GpuO {
 }
 
 /// Simulates one ZeRO-Offload training step (data parallel, one microbatch
-/// per GPU; the profile is taken at the per-GPU microbatch size).
-///
-/// # Errors
-///
-/// Returns [`ZeroError::LayerTooLarge`] when the full parameter copy does
-/// not fit on a GPU — ZeRO-Offload's defining limitation.
-pub fn simulate_zero_offload_step(
-    profile: &ModelProfile,
-    topo: &Topology,
-) -> Result<ZeroReport, ZeroError> {
-    simulate_zero_offload_step_traced(profile, topo, None)
-}
-
-/// [`simulate_zero_offload_step`] with an optional observer: gradient
-/// streams, parameter refreshes, and compute intervals are emitted as spans
-/// on GPU/link lanes and byte counters mirror the traffic map. Observation
-/// is passive — results are bit-identical with or without it.
+/// per GPU; the profile is taken at the per-GPU microbatch size), with an
+/// optional observer: gradient streams, parameter refreshes, and compute
+/// intervals are emitted as spans on GPU/link lanes and byte counters mirror
+/// the traffic map. Observation is passive — results are bit-identical with
+/// or without it.
 ///
 /// # Errors
 ///
@@ -189,15 +177,19 @@ mod tests {
     #[test]
     fn trains_8b_but_not_15b() {
         // ZeRO-Offload's capability rung: full fp16 params must fit one GPU.
-        assert!(simulate_zero_offload_step(&profile(&GptConfig::gpt_8b()), &topo22()).is_ok());
-        let err = simulate_zero_offload_step(&profile(&GptConfig::gpt_15b()), &topo22());
+        assert!(
+            simulate_zero_offload_step_traced(&profile(&GptConfig::gpt_8b()), &topo22(), None)
+                .is_ok()
+        );
+        let err =
+            simulate_zero_offload_step_traced(&profile(&GptConfig::gpt_15b()), &topo22(), None);
         assert!(matches!(err, Err(ZeroError::LayerTooLarge { .. })));
     }
 
     #[test]
     fn traffic_is_grads_plus_param_refresh() {
         let p = profile(&GptConfig::gpt_3b());
-        let rep = simulate_zero_offload_step(&p, &topo22()).unwrap();
+        let rep = simulate_zero_offload_step_traced(&p, &topo22(), None).unwrap();
         let params: f64 = p.total_param_bytes() as f64;
         let by_kind = rep.trace.traffic_by_kind();
         let grads = by_kind[&CommKind::GradientOffload];
@@ -214,9 +206,10 @@ mod tests {
         // With parameters resident, ZeRO-Offload moves far fewer bytes than
         // ZeRO-3 offload and must finish the step sooner.
         let p = profile(&GptConfig::gpt_3b());
-        let offload = simulate_zero_offload_step(&p, &topo22()).unwrap();
+        let offload = simulate_zero_offload_step_traced(&p, &topo22(), None).unwrap();
         let zero3 =
-            crate::simulate_zero_step(&p, &topo22(), &crate::ZeroConfig::default()).unwrap();
+            crate::simulate_zero_step_traced(&p, &topo22(), &crate::ZeroConfig::default(), None)
+                .unwrap();
         assert!(
             offload.step_time < zero3.step_time,
             "offload {} vs zero-3 {}",
@@ -231,7 +224,7 @@ mod tests {
         // communication is the parameter refresh at the end of the step
         // (full fp16 params through a root complex shared by two GPUs).
         let p = profile(&GptConfig::gpt_3b());
-        let rep = simulate_zero_offload_step(&p, &topo22()).unwrap();
+        let rep = simulate_zero_offload_step_traced(&p, &topo22(), None).unwrap();
         let compute: f64 = p
             .layers()
             .iter()

@@ -11,11 +11,13 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test -q --workspace"
+# Every member crate's unit tests and doctests, not only the root
+# package's integration tests.
+cargo test -q --workspace
 
 echo "==> mobius-perf tests (reference-checked smoke run of every workload)"
-# The benchmark is a package of its own, so plain `cargo test` skips it.
+# The benchmark is a package of its own, so `cargo test --workspace` skips it.
 # Its smoke run checks every op against mobius-perf/reference.txt,
 # including train-ckpt's sink and checkpoint digests, so a checkpointed
 # run whose bytes drift fails here and not only in the benchmark.

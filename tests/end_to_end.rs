@@ -10,7 +10,7 @@ use mobius_mapping::{Mapping, MappingAlgo};
 use mobius_model::{GptConfig, Model};
 use mobius_obs::Obs;
 use mobius_pipeline::{
-    check_differential, evaluate_analytic, mip_partition, mip_partition_opts, simulate_step,
+    check_differential, evaluate_analytic, mip_partition_opts, simulate_step,
     simulate_steps_traced, stage_costs, MipPartitionOpts, PartitionAlgo, PipelineConfig,
     StageCosts,
 };
@@ -142,14 +142,18 @@ fn uneven_profile() -> ModelProfile {
 }
 
 #[test]
-fn mip_partition_is_mip_partition_opts_with_its_budget() {
-    // The budgeted convenience entry point is a thin wrapper: with a budget
-    // the search never hits, it must choose exactly what the option-taking
-    // entry point chooses with no budget at all.
+fn unhit_mip_budget_matches_the_unbudgeted_search() {
+    // A wall budget only cuts the search off: with a budget the search
+    // never hits, it must choose exactly what it chooses with no budget at
+    // all, after exactly the same work.
     let topo = commodity(&[2, 2]);
     let profile = uneven_profile();
     let cfg = PipelineConfig::mobius(4, topo.gpu_mem_bytes(), topo.avg_gpu_bandwidth());
-    let budgeted = mip_partition(&profile, 4, &cfg, Duration::from_secs(60)).unwrap();
+    let opts = MipPartitionOpts {
+        budget: Some(Duration::from_secs(60)),
+        warm_start: None,
+    };
+    let budgeted = mip_partition_opts(&profile, 4, &cfg, &opts, None).unwrap();
     let unbudgeted =
         mip_partition_opts(&profile, 4, &cfg, &MipPartitionOpts::default(), None).unwrap();
     let (b, u) = (budgeted.stats.unwrap(), unbudgeted.stats.unwrap());

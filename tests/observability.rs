@@ -10,8 +10,7 @@ use mobius_mapping::Mapping;
 use mobius_model::GptConfig;
 use mobius_obs::{analyze, json, DagLog, Lane, Obs};
 use mobius_pipeline::{
-    simulate_step_traced, simulate_steps, simulate_steps_traced, PartitionAlgo, PipelineConfig,
-    StageCosts,
+    simulate_step_traced, simulate_steps_traced, PartitionAlgo, PipelineConfig, StageCosts,
 };
 use mobius_sim::SimTime;
 use mobius_topology::{GpuSpec, Topology};
@@ -147,7 +146,7 @@ fn tracing_does_not_change_timing() {
     let topo = Topology::commodity(GpuSpec::rtx3090ti(), &[2, 2]);
     let mapping = Mapping::sequential(stages.len(), topo.num_gpus());
     let cfg = PipelineConfig::mobius(4, topo.gpu_mem_bytes(), topo.avg_gpu_bandwidth());
-    let plain = simulate_steps(&stages, &mapping, &topo, &cfg, 3).unwrap();
+    let plain = simulate_steps_traced(&stages, &mapping, &topo, &cfg, 3, None).unwrap();
     let obs = Obs::new();
     let traced = simulate_steps_traced(&stages, &mapping, &topo, &cfg, 3, Some(&obs)).unwrap();
     assert_eq!(plain.step_boundaries, traced.step_boundaries);

@@ -7,7 +7,9 @@
 
 use std::error::Error as _;
 
-use mobius::{DegradeAction, FineTuner, OomCause, ResiliencePolicy, RunError, System};
+use mobius::{
+    ClusterConfig, DegradeAction, FineTuner, OomCause, ResiliencePolicy, RunError, System,
+};
 use mobius_mapping::Mapping;
 use mobius_model::GptConfig;
 use mobius_obs::Obs;
@@ -94,29 +96,59 @@ fn empty_schedule_is_bit_identical_to_no_subsystem() {
 }
 
 /// Same gate one layer up: attaching an empty schedule to the fine-tuner
-/// changes nothing about the step.
+/// changes nothing, on every executor path the tuner drives — the step
+/// times, the drain time, the Chrome trace and the metrics all match a run
+/// without a schedule, byte for byte.
 #[test]
 fn empty_schedule_on_the_tuner_changes_nothing() {
-    let plain_obs = Obs::new();
-    let plain = tuner(GptConfig::gpt_3b())
-        .observe(plain_obs.clone())
-        .run_step()
-        .unwrap();
-    let faulted_obs = Obs::new();
-    let faulted = tuner(GptConfig::gpt_3b())
-        .faults(FaultSchedule::new())
-        .resilience(ResiliencePolicy::recover())
-        .observe(faulted_obs.clone())
-        .run_step()
-        .unwrap();
-    assert_eq!(plain.step_time, faulted.step_time);
-    assert_eq!(plain.drain_time, faulted.drain_time);
-    assert_eq!(
-        plain_obs.chrome_trace_json(),
-        faulted_obs.chrome_trace_json()
-    );
-    assert!(faulted.degradations.is_empty());
-    assert_eq!(faulted.faults, Default::default());
+    let gpipe = || tuner(GptConfig::gpt_3b()).system(System::Gpipe);
+    let cases = [
+        ("mobius step", tuner(GptConfig::gpt_3b()), 1),
+        ("gpipe step", gpipe(), 1),
+        (
+            "ds-pipeline step",
+            tuner(GptConfig::gpt_3b()).system(System::DeepSpeedPipeline),
+            1,
+        ),
+        ("mobius 2 steps", tuner(GptConfig::gpt_3b()), 2),
+        ("gpipe 2 steps", gpipe(), 2),
+        (
+            "2-server mobius step",
+            tuner(GptConfig::gpt_3b()).cluster(ClusterConfig::new(2, 12.5)),
+            1,
+        ),
+    ];
+    for (label, base, steps) in cases {
+        let faulted = base
+            .clone()
+            .faults(FaultSchedule::new())
+            .resilience(ResiliencePolicy::recover());
+        assert_eq!(observed(base, steps), observed(faulted, steps), "{label}");
+    }
+}
+
+/// Step boundaries, drain time, Chrome trace and metrics JSON of an
+/// observed `run_step` (`steps == 1`) or `run_steps(steps)`, which must
+/// report no fault activity.
+fn observed(tuner: FineTuner, steps: usize) -> (Vec<SimTime>, SimTime, String, String) {
+    let obs = Obs::new();
+    let tuner = tuner.observe(obs.clone());
+    let (boundaries, drain) = if steps == 1 {
+        let rep = tuner.run_step().unwrap();
+        assert!(rep.degradations.is_empty());
+        assert_eq!(rep.faults, Default::default());
+        (vec![rep.step_time], rep.drain_time)
+    } else {
+        let rep = tuner.run_steps(steps).unwrap();
+        assert_eq!(rep.faults, Default::default());
+        (rep.step_boundaries, rep.drain_time)
+    };
+    (
+        boundaries,
+        drain,
+        obs.chrome_trace_json(),
+        obs.metrics_json(),
+    )
 }
 
 #[test]
