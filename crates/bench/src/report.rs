@@ -114,31 +114,26 @@ impl Experiment {
         out
     }
 
-    /// Renders the experiment as a JSON object. Written through the
+    /// Appends the experiment as a JSON object. Written through the
     /// [`mobius_obs::json`] helpers — the workspace `serde` is a marker
     /// shim, so all JSON in the tree is emitted by hand.
-    pub fn render_json(&self) -> String {
-        json::object([
-            ("id", json::string(self.id)),
-            ("title", json::string(self.title)),
-            ("paper_claim", json::string(self.paper_claim)),
-            (
-                "columns",
-                json::array(self.columns.iter().map(|c| json::string(c))),
-            ),
-            (
-                "rows",
-                json::array(
-                    self.rows
-                        .iter()
-                        .map(|r| json::array(r.iter().map(|c| json::string(c)))),
-                ),
-            ),
-            (
-                "notes",
-                json::array(self.notes.iter().map(|n| json::string(n))),
-            ),
-        ])
+    fn push_json(&self, out: &mut String) {
+        let strings = |out: &mut String, items: &[String]| {
+            json::push_array(out, items, |out, c| json::push_string(out, c));
+        };
+        out.push_str("{\"id\":");
+        json::push_string(out, self.id);
+        out.push_str(",\"title\":");
+        json::push_string(out, self.title);
+        out.push_str(",\"paper_claim\":");
+        json::push_string(out, self.paper_claim);
+        out.push_str(",\"columns\":");
+        strings(out, &self.columns);
+        out.push_str(",\"rows\":");
+        json::push_array(out, &self.rows, |out, r| strings(out, r));
+        out.push_str(",\"notes\":");
+        strings(out, &self.notes);
+        out.push('}');
     }
 
     /// Prints the text rendering to stdout.
@@ -155,14 +150,9 @@ pub const REPORT_SCHEMA_VERSION: u64 = 1;
 /// Renders a set of experiments as one JSON document:
 /// `{"schema_version":1,"experiments":[...]}`.
 pub fn render_json_report<'a, I: IntoIterator<Item = &'a Experiment>>(experiments: I) -> String {
-    let mut s = json::object([
-        ("schema_version", REPORT_SCHEMA_VERSION.to_string()),
-        (
-            "experiments",
-            json::array(experiments.into_iter().map(Experiment::render_json)),
-        ),
-    ]);
-    s.push('\n');
+    let mut s = format!("{{\"schema_version\":{REPORT_SCHEMA_VERSION},\"experiments\":");
+    json::push_array(&mut s, experiments, |out, e| e.push_json(out));
+    s.push_str("}\n");
     s
 }
 
@@ -239,12 +229,13 @@ mod tests {
 
     #[test]
     fn json_is_wellformed() {
-        let j = sample().render_json();
+        let j = render_json_report([&sample()]);
         assert_eq!(
             j,
-            "{\"id\":\"figXX\",\"title\":\"demo\",\"paper_claim\":\"a claim\",\
+            "{\"schema_version\":1,\"experiments\":[\
+             {\"id\":\"figXX\",\"title\":\"demo\",\"paper_claim\":\"a claim\",\
              \"columns\":[\"a\",\"b\"],\"rows\":[[\"1\",\"2\"]],\
-             \"notes\":[\"observation\"]}"
+             \"notes\":[\"observation\"]}]}\n"
         );
         let report = render_json_report([&sample(), &sample()]);
         assert!(report.starts_with("{\"schema_version\":1,\"experiments\":["));

@@ -43,6 +43,7 @@
 pub mod flow;
 
 use std::fmt;
+use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 use mobius_obs::json::{self, Value};
@@ -244,37 +245,35 @@ impl RunState {
 
     fn payload_json(&self) -> String {
         let f = &self.faults;
-        json::object([
-            (
-                "fingerprint",
-                json::string(&format!("{:016x}", self.fingerprint)),
-            ),
-            ("seq", format!("{}", self.seq)),
-            ("step", format!("{}", self.step)),
-            ("cum_ns", format!("{}", self.cum_ns)),
-            ("price_usd", json::number(self.price_usd)),
-            ("traffic_bytes", json::number(self.traffic_bytes)),
-            ("crash_step_cursor", format!("{}", self.crash_step_cursor)),
-            ("crash_ns_cursor", format!("{}", self.crash_ns_cursor)),
-            (
-                "partition",
-                json::array(self.partition.iter().map(|s| format!("{s}"))),
-            ),
-            ("topo", json::string(&self.topo)),
-            (
-                "faults",
-                json::object([
-                    ("injected", format!("{}", f.injected)),
-                    ("link_degrades", format!("{}", f.link_degrades)),
-                    ("slowdowns", format!("{}", f.slowdowns)),
-                    ("stalls", format!("{}", f.stalls)),
-                    ("gpu_failures", format!("{}", f.gpu_failures)),
-                    ("retries", format!("{}", f.retries)),
-                    ("aborted_transfers", format!("{}", f.aborted_transfers)),
-                    ("crashes", format!("{}", f.crashes)),
-                ]),
-            ),
-        ])
+        let mut out = format!(
+            "{{\"fingerprint\":\"{:016x}\",\"seq\":{},\"step\":{},\"cum_ns\":{},\"price_usd\":",
+            self.fingerprint, self.seq, self.step, self.cum_ns
+        );
+        json::push_number(&mut out, self.price_usd);
+        out.push_str(",\"traffic_bytes\":");
+        json::push_number(&mut out, self.traffic_bytes);
+        let _ = write!(
+            out,
+            ",\"crash_step_cursor\":{},\"crash_ns_cursor\":{},\"partition\":",
+            self.crash_step_cursor, self.crash_ns_cursor
+        );
+        json::push_array(&mut out, &self.partition, |out, s| json::push_u64(out, *s));
+        out.push_str(",\"topo\":");
+        json::push_string(&mut out, &self.topo);
+        let _ = write!(
+            out,
+            ",\"faults\":{{\"injected\":{},\"link_degrades\":{},\"slowdowns\":{},\"stalls\":{},\
+             \"gpu_failures\":{},\"retries\":{},\"aborted_transfers\":{},\"crashes\":{}}}}}",
+            f.injected,
+            f.link_degrades,
+            f.slowdowns,
+            f.stalls,
+            f.gpu_failures,
+            f.retries,
+            f.aborted_transfers,
+            f.crashes
+        );
+        out
     }
 
     /// Renders the full checkpoint file contents (three `\n`-terminated

@@ -35,6 +35,7 @@
 //! heads and therefore inert.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 use crate::dag::{DagEdge, DagLog, DagNode, ResourceClass, ResourceId};
 use crate::json;
@@ -519,69 +520,54 @@ impl Analysis {
     /// Renders the analysis as deterministic JSON (BTreeMap ordering, plain
     /// integer nanoseconds) suitable for golden-file gating.
     pub fn to_json(&self) -> String {
-        let steps = json::array(self.steps.iter().map(|s| {
-            let dur = s.end_ns - s.start_ns;
-            let path = json::array(s.path.iter().map(|seg| {
-                json::array([
-                    json::string(&seg.key),
-                    json::string(seg.class),
-                    format!("{}", seg.start_ns),
-                    format!("{}", seg.end_ns),
-                ])
-            }));
-            let blame = json::object(
-                s.blame
-                    .iter()
-                    .map(|(k, v)| (k.as_str(), format!("{v}")))
-                    .collect::<Vec<_>>(),
+        let mut out = String::from("{\"totalNs\":");
+        json::push_u64(&mut out, self.total_ns);
+        out.push_str(",\"whatifTotalNs\":");
+        json::push_object(&mut out, &self.whatif_total_ns, |out, v| {
+            json::push_u64(out, *v)
+        });
+        out.push_str(",\"steps\":");
+        json::push_array(&mut out, &self.steps, |out, s| {
+            let _ = write!(
+                out,
+                "{{\"step\":{},\"start\":{},\"end\":{},\"durNs\":{},\"cluster\":{},\"criticalPath\":",
+                s.step,
+                s.start_ns,
+                s.end_ns,
+                s.end_ns - s.start_ns,
+                s.cluster
             );
-            let class_blame = json::object(s.class_blame.iter().map(|(k, v)| (*k, format!("{v}"))));
-            let util = json::object(
-                s.utilization
-                    .iter()
-                    .map(|(k, u)| {
-                        (
-                            k.as_str(),
-                            json::object([
-                                ("class", json::string(u.class)),
-                                ("busy", format!("{}", u.busy_ns)),
-                                ("warmup", format!("{}", u.warmup_ns)),
-                                ("drain", format!("{}", u.drain_ns)),
-                                ("stall", format!("{}", u.stall_ns)),
-                            ]),
-                        )
-                    })
-                    .collect::<Vec<_>>(),
-            );
-            let whatif = json::object(s.whatif_ns.iter().map(|(k, v)| (*k, format!("{v}"))));
-            json::object([
-                ("step", format!("{}", s.step)),
-                ("start", format!("{}", s.start_ns)),
-                ("end", format!("{}", s.end_ns)),
-                ("durNs", format!("{dur}")),
-                ("cluster", format!("{}", s.cluster)),
-                ("criticalPath", path),
-                ("blameNs", blame),
-                ("classBlameNs", class_blame),
-                ("utilization", util),
-                ("whatifNs", whatif),
-            ])
-        }));
-        let whatif = json::object(
-            self.whatif_total_ns
-                .iter()
-                .map(|(k, v)| (*k, format!("{v}"))),
-        );
-        json::object([
-            ("totalNs", format!("{}", self.total_ns)),
-            ("whatifTotalNs", whatif),
-            ("steps", steps),
-        ])
+            json::push_array(out, &s.path, |out, seg| {
+                out.push('[');
+                json::push_string(out, &seg.key);
+                out.push(',');
+                json::push_string(out, seg.class);
+                let _ = write!(out, ",{},{}]", seg.start_ns, seg.end_ns);
+            });
+            out.push_str(",\"blameNs\":");
+            json::push_object(out, &s.blame, |out, v| json::push_u64(out, *v));
+            out.push_str(",\"classBlameNs\":");
+            json::push_object(out, &s.class_blame, |out, v| json::push_u64(out, *v));
+            out.push_str(",\"utilization\":");
+            json::push_object(out, &s.utilization, |out, u| {
+                out.push_str("{\"class\":");
+                json::push_string(out, u.class);
+                let _ = write!(
+                    out,
+                    ",\"busy\":{},\"warmup\":{},\"drain\":{},\"stall\":{}}}",
+                    u.busy_ns, u.warmup_ns, u.drain_ns, u.stall_ns
+                );
+            });
+            out.push_str(",\"whatifNs\":");
+            json::push_object(out, &s.whatif_ns, |out, v| json::push_u64(out, *v));
+            out.push('}');
+        });
+        out.push('}');
+        out
     }
 
     /// Renders a human-readable attribution report.
     pub fn render_table(&self) -> String {
-        use std::fmt::Write as _;
         let mut out = String::new();
         let _ = writeln!(
             out,

@@ -7,10 +7,11 @@
 //! are microseconds with nanosecond precision.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 use crate::dag::DagLog;
 use crate::json;
-use crate::span::{AttrValue, EventLog, Lane};
+use crate::span::{EventLog, Lane};
 
 const PID_RUN: u32 = 0;
 const PID_GPU: u32 = 1;
@@ -19,33 +20,21 @@ const PID_SOLVER: u32 = 3;
 const PID_SERVER: u32 = 4;
 const PID_SERVE: u32 = 5;
 
-/// Nanoseconds to a microsecond JSON number with ns precision.
-fn us(ns: u64) -> String {
-    format!("{}.{:03}", ns / 1_000, ns % 1_000)
-}
+/// Bytes a typical event takes in the document; sizes the buffer so one
+/// export does not regrow it.
+const EVENT_BYTES: usize = 160;
+/// Bytes a typical dependency-DAG node takes.
+const DAG_NODE_BYTES: usize = 120;
 
-fn attr_json(v: &AttrValue) -> String {
-    match v {
-        AttrValue::U64(x) => format!("{x}"),
-        AttrValue::I64(x) => format!("{x}"),
-        AttrValue::F64(x) => json::number(*x),
-        AttrValue::Str(s) => json::string(s),
-        AttrValue::Bool(b) => format!("{b}"),
-    }
-}
-
-fn args_json(attrs: &[(&'static str, AttrValue)]) -> String {
-    json::object(attrs.iter().map(|(k, v)| (*k, attr_json(v))))
-}
-
-fn meta(pid: u32, tid: u32, which: &str, name: &str) -> String {
-    json::object([
-        ("name", json::string(which)),
-        ("ph", json::string("M")),
-        ("pid", format!("{pid}")),
-        ("tid", format!("{tid}")),
-        ("args", json::object([("name", json::string(name))])),
-    ])
+fn push_meta(out: &mut String, pid: u32, tid: u32, which: &str, name: &str) {
+    out.push_str("{\"name\":");
+    json::push_string(out, which);
+    let _ = write!(
+        out,
+        ",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"args\":{{\"name\":"
+    );
+    json::push_string(out, name);
+    out.push_str("}},");
 }
 
 /// Renders the whole log as a Chrome trace JSON document. When `dag` is
@@ -57,21 +46,19 @@ pub fn export(log: &EventLog, dag: &DagLog) -> String {
     let mut link_tids: BTreeMap<&str, u32> = BTreeMap::new();
     for e in log.events() {
         if let Lane::Link(name) = &e.lane {
-            let next = link_tids.len() as u32;
-            link_tids.entry(name.as_str()).or_insert(next);
+            link_tids.insert(name.as_str(), 0);
         }
     }
-    let mut sorted: Vec<&str> = link_tids.keys().copied().collect();
-    sorted.sort_unstable();
-    for (i, name) in sorted.iter().enumerate() {
-        link_tids.insert(name, i as u32);
+    for (i, tid) in link_tids.values_mut().enumerate() {
+        *tid = i as u32;
     }
 
-    let mut events: Vec<String> = Vec::with_capacity(log.len() + 16);
-    events.push(meta(PID_RUN, 0, "process_name", "run"));
-    events.push(meta(PID_GPU, 0, "process_name", "GPUs"));
-    events.push(meta(PID_LINK, 0, "process_name", "PCIe links"));
-    events.push(meta(PID_SOLVER, 0, "process_name", "solver"));
+    let mut out = String::with_capacity(256 + log.len() * EVENT_BYTES + dag.len() * DAG_NODE_BYTES);
+    out.push_str("{\"traceEvents\":[");
+    push_meta(&mut out, PID_RUN, 0, "process_name", "run");
+    push_meta(&mut out, PID_GPU, 0, "process_name", "GPUs");
+    push_meta(&mut out, PID_LINK, 0, "process_name", "PCIe links");
+    push_meta(&mut out, PID_SOLVER, 0, "process_name", "solver");
     let mut gpu_tids: Vec<u32> = log
         .events()
         .iter()
@@ -83,10 +70,10 @@ pub fn export(log: &EventLog, dag: &DagLog) -> String {
     gpu_tids.sort_unstable();
     gpu_tids.dedup();
     for g in &gpu_tids {
-        events.push(meta(PID_GPU, *g, "thread_name", &format!("gpu{g}")));
+        push_meta(&mut out, PID_GPU, *g, "thread_name", &format!("gpu{g}"));
     }
-    for name in &sorted {
-        events.push(meta(PID_LINK, link_tids[name], "thread_name", name));
+    for (name, tid) in &link_tids {
+        push_meta(&mut out, PID_LINK, *tid, "thread_name", name);
     }
     // The servers process exists only when a cluster run recorded server
     // events, so single-server traces stay byte-identical.
@@ -101,15 +88,21 @@ pub fn export(log: &EventLog, dag: &DagLog) -> String {
     server_tids.sort_unstable();
     server_tids.dedup();
     if !server_tids.is_empty() {
-        events.push(meta(PID_SERVER, 0, "process_name", "servers"));
+        push_meta(&mut out, PID_SERVER, 0, "process_name", "servers");
         for s in &server_tids {
-            events.push(meta(PID_SERVER, *s, "thread_name", &format!("server{s}")));
+            push_meta(
+                &mut out,
+                PID_SERVER,
+                *s,
+                "thread_name",
+                &format!("server{s}"),
+            );
         }
     }
     // Likewise the serve process appears only when the planning service
     // recorded request spans, keeping all pre-serve goldens byte-identical.
     if log.events().iter().any(|e| e.lane == Lane::Serve) {
-        events.push(meta(PID_SERVE, 0, "process_name", "serve"));
+        push_meta(&mut out, PID_SERVE, 0, "process_name", "serve");
     }
 
     for e in log.events() {
@@ -121,47 +114,51 @@ pub fn export(log: &EventLog, dag: &DagLog) -> String {
             Lane::Server(s) => (PID_SERVER, *s as u32),
             Lane::Serve => (PID_SERVE, 0),
         };
-        let mut fields = vec![
-            ("name", json::string(&e.name)),
-            ("cat", json::string(e.cat)),
-        ];
+        out.push_str("{\"name\":");
+        json::push_string(&mut out, &e.name);
+        out.push_str(",\"cat\":");
+        json::push_string(&mut out, e.cat);
         match e.dur_ns {
             Some(d) => {
-                fields.push(("ph", json::string("X")));
-                fields.push(("ts", us(e.start_ns)));
-                fields.push(("dur", us(d)));
+                out.push_str(",\"ph\":\"X\",\"ts\":");
+                json::push_timestamp(&mut out, e.start_ns);
+                out.push_str(",\"dur\":");
+                json::push_timestamp(&mut out, d);
             }
             None => {
-                fields.push(("ph", json::string("i")));
-                fields.push(("ts", us(e.start_ns)));
-                fields.push(("s", json::string("t")));
+                out.push_str(",\"ph\":\"i\",\"ts\":");
+                json::push_timestamp(&mut out, e.start_ns);
+                out.push_str(",\"s\":\"t\"");
             }
         }
-        fields.push(("pid", format!("{pid}")));
-        fields.push(("tid", format!("{tid}")));
+        let _ = write!(out, ",\"pid\":{pid},\"tid\":{tid}");
         if !e.attrs.is_empty() {
-            fields.push(("args", args_json(&e.attrs)));
+            out.push_str(",\"args\":");
+            json::push_object(
+                &mut out,
+                e.attrs.iter().map(|(k, v)| (*k, v)),
+                json::push_attr,
+            );
         }
-        events.push(json::object(fields));
+        out.push_str("},");
     }
-
+    // Every event above ends in a comma; the last one closes the array.
+    out.pop();
+    out.push_str("],\"displayTimeUnit\":\"ms\"");
     // Dag-less traces keep their exact historical bytes: the key only
     // appears when a dependency DAG was recorded.
-    let dag_field = if dag.is_empty() {
-        String::new()
-    } else {
-        format!(",\"mobiusDag\":{}", dag.to_json())
-    };
-    format!(
-        "{{\"traceEvents\":{},\"displayTimeUnit\":\"ms\"{dag_field}}}",
-        json::array(events)
-    )
+    if !dag.is_empty() {
+        out.push_str(",\"mobiusDag\":");
+        dag.write_json(&mut out);
+    }
+    out.push('}');
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::Event;
+    use crate::span::{AttrValue, Event};
 
     fn sample_log() -> EventLog {
         let mut log = EventLog::new();
@@ -216,13 +213,6 @@ mod tests {
         assert!(with.contains("\"boundaries\":[[1000,0]]"));
         // Everything before the dag key is unchanged.
         assert!(with.starts_with(without.trim_end_matches('}')));
-    }
-
-    #[test]
-    fn microsecond_timestamps_keep_ns_precision() {
-        assert_eq!(us(1_500), "1.500");
-        assert_eq!(us(0), "0.000");
-        assert_eq!(us(1_000_001), "1000.001");
     }
 
     #[test]

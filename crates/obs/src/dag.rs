@@ -15,6 +15,8 @@
 //! so predecessor sids are always smaller than successor sids and sid order
 //! is a topological order.
 
+use std::fmt::Write as _;
+
 use crate::json::{self, Value};
 
 /// The typed resource a DAG node occupies.
@@ -107,14 +109,27 @@ impl ResourceId {
         }
     }
 
-    /// Tagged round-trip encoding used by the trace JSON.
-    fn encode(&self) -> String {
+    /// Appends the tagged round-trip encoding used by the trace JSON
+    /// (`"gpu:0"`, `"link:rc0-h2d"`) as a JSON string.
+    fn push_encoded(&self, out: &mut String) {
+        out.push('"');
         match self {
-            ResourceId::Gpu(g) => format!("gpu:{g}"),
-            ResourceId::Link(l) => format!("link:{l}"),
-            ResourceId::Server(s) => format!("server:{s}"),
-            ResourceId::Barrier(b) => format!("barrier:{b}"),
+            ResourceId::Gpu(g) => {
+                let _ = write!(out, "gpu:{g}");
+            }
+            ResourceId::Link(l) => {
+                out.push_str("link:");
+                json::push_escaped(out, l);
+            }
+            ResourceId::Server(s) => {
+                let _ = write!(out, "server:{s}");
+            }
+            ResourceId::Barrier(b) => {
+                out.push_str("barrier:");
+                json::push_escaped(out, b);
+            }
         }
+        out.push('"');
     }
 
     fn decode(s: &str) -> Option<ResourceId> {
@@ -316,42 +331,47 @@ impl DagLog {
     /// Renders the DAG as the deterministic JSON object embedded in the
     /// Chrome trace under the top-level `mobiusDag` key.
     pub fn to_json(&self) -> String {
-        let nodes = json::array(self.nodes.iter().map(|n| {
-            let deps = json::array(n.deps.iter().map(|d| {
-                json::array([
-                    format!("{}", d.pred),
-                    format!("{}", d.lat_ns),
-                    json::string(match d.edge {
-                        DagEdge::AfterEnd => "e",
-                        DagEdge::AfterStart => "s",
-                    }),
-                    json::string(&d.label),
-                ])
-            }));
-            let mut fields = vec![
-                ("sid", format!("{}", n.sid)),
-                ("cat", json::string(&n.cat)),
-                ("name", json::string(&n.name)),
-                ("res", json::string(&n.resource.encode())),
-                ("start", format!("{}", n.start_ns)),
-            ];
+        let mut out = String::new();
+        self.write_json(&mut out);
+        out
+    }
+
+    /// Appends [`DagLog::to_json`]'s bytes to `out`, so the Chrome
+    /// exporter embeds the DAG without an intermediate copy.
+    pub(crate) fn write_json(&self, out: &mut String) {
+        out.push_str("{\"nodes\":");
+        json::push_array(out, &self.nodes, |out, n| {
+            out.push_str("{\"sid\":");
+            json::push_u64(out, n.sid);
+            out.push_str(",\"cat\":");
+            json::push_string(out, &n.cat);
+            out.push_str(",\"name\":");
+            json::push_string(out, &n.name);
+            out.push_str(",\"res\":");
+            n.resource.push_encoded(out);
+            out.push_str(",\"start\":");
+            json::push_u64(out, n.start_ns);
             if let Some(end) = n.end_ns {
-                fields.push(("end", format!("{end}")));
+                out.push_str(",\"end\":");
+                json::push_u64(out, end);
             }
-            fields.push(("deps", deps));
-            json::object(fields)
-        }));
-        let pairs = |v: &[(u64, u64)]| {
-            json::array(
-                v.iter()
-                    .map(|&(t, sid)| json::array([format!("{t}"), format!("{sid}")])),
-            )
-        };
-        json::object([
-            ("nodes", nodes),
-            ("boundaries", pairs(&self.boundaries)),
-            ("cluster", pairs(&self.cluster_boundaries)),
-        ])
+            out.push_str(",\"deps\":");
+            json::push_array(out, &n.deps, |out, d| {
+                let edge = match d.edge {
+                    DagEdge::AfterEnd => 'e',
+                    DagEdge::AfterStart => 's',
+                };
+                let _ = write!(out, "[{},{},\"{edge}\",", d.pred, d.lat_ns);
+                json::push_string(out, &d.label);
+                out.push(']');
+            });
+            out.push('}');
+        });
+        out.push_str(",\"boundaries\":");
+        push_pairs(out, &self.boundaries);
+        out.push_str(",\"cluster\":");
+        push_pairs(out, &self.cluster_boundaries);
+        out.push('}');
     }
 
     /// Rebuilds a DAG from the parsed `mobiusDag` JSON value (the inverse
@@ -449,6 +469,13 @@ impl DagLog {
             cluster_boundaries: pairs("cluster")?,
         })
     }
+}
+
+/// Appends `(t_ns, sid)` pairs as a JSON array of two-element arrays.
+fn push_pairs(out: &mut String, pairs: &[(u64, u64)]) {
+    json::push_array(out, pairs, |out, (t, sid)| {
+        let _ = write!(out, "[{t},{sid}]");
+    });
 }
 
 #[cfg(test)]

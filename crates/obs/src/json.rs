@@ -4,60 +4,141 @@
 //! nothing), so every JSON emitter in the tree writes strings by hand. These
 //! helpers keep that honest: proper escaping and a number format that is
 //! stable across runs, which is what makes golden-file trace tests possible.
+//! Every exporter appends into one buffer through the `push_*` helpers;
+//! [`string`], [`number`] and [`object`] return a standalone value for
+//! callers that assemble a small document (the `mobius-perf` report).
 //! The recursive-descent [`parse`] exists for the one place the workspace
 //! *reads* JSON back: `mobius-cli analyze --trace-in`, which recovers the
 //! embedded `mobiusDag` object from a recorded Chrome trace.
 
 use std::fmt::Write as _;
 
-/// Escapes `s` for inclusion inside a JSON string literal (no quotes added).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+use crate::span::AttrValue;
+
+/// Appends the escaped body of `s` (no quotes). Every character that needs
+/// an escape is ASCII, so the scan runs over bytes and copies the clean
+/// stretches between escapes whole; a string with nothing to escape is one
+/// copy.
+pub(crate) fn push_escaped(out: &mut String, s: &str) {
+    let bytes = s.as_bytes();
+    let mut clean = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        let esc = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "", // any other control character: `\u00XX` below
+            _ => continue,
+        };
+        out.push_str(&s[clean..i]);
+        if esc.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(esc);
         }
+        clean = i + 1;
     }
-    out
+    out.push_str(&s[clean..]);
+}
+
+/// Appends `s` as a quoted, escaped JSON string.
+pub fn push_string(out: &mut String, s: &str) {
+    out.push('"');
+    push_escaped(out, s);
+    out.push('"');
+}
+
+/// Appends a finite f64 as a JSON number; non-finite values (which JSON
+/// cannot represent) become `null`.
+pub fn push_number(out: &mut String, v: f64) {
+    if v.is_finite() {
+        let _ = write!(out, "{v}");
+    } else {
+        out.push_str("null");
+    }
+}
+
+/// Appends nanoseconds as a microsecond JSON number with ns precision
+/// (`1500` → `1.500`).
+pub(crate) fn push_timestamp(out: &mut String, ns: u64) {
+    let _ = write!(out, "{}.{:03}", ns / 1_000, ns % 1_000);
+}
+
+/// Appends one span attribute value.
+pub(crate) fn push_attr(out: &mut String, v: &AttrValue) {
+    match v {
+        AttrValue::U64(x) => push_u64(out, *x),
+        AttrValue::I64(x) => {
+            let _ = write!(out, "{x}");
+        }
+        AttrValue::F64(x) => push_number(out, *x),
+        AttrValue::Str(s) => push_string(out, s),
+        AttrValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+    }
+}
+
+/// Appends an unsigned integer.
+pub fn push_u64(out: &mut String, v: u64) {
+    let _ = write!(out, "{v}");
+}
+
+/// Appends `[a,b,…]`, writing each item with `push`.
+pub fn push_array<T>(
+    out: &mut String,
+    items: impl IntoIterator<Item = T>,
+    mut push: impl FnMut(&mut String, T),
+) {
+    out.push('[');
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push(out, item);
+    }
+    out.push(']');
+}
+
+/// Appends `{"key":value,…}` with escaped keys, writing each value with
+/// `push`.
+pub fn push_object<K: AsRef<str>, T>(
+    out: &mut String,
+    fields: impl IntoIterator<Item = (K, T)>,
+    mut push: impl FnMut(&mut String, T),
+) {
+    out.push('{');
+    for (i, (k, v)) in fields.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_string(out, k.as_ref());
+        out.push(':');
+        push(out, v);
+    }
+    out.push('}');
 }
 
 /// Writes `s` as a quoted, escaped JSON string.
 pub fn string(s: &str) -> String {
-    format!("\"{}\"", escape(s))
+    let mut out = String::with_capacity(s.len() + 2);
+    push_string(&mut out, s);
+    out
 }
 
-/// Formats a finite f64 as a JSON number; non-finite values (which JSON
-/// cannot represent) become `null`.
+/// Formats a finite f64 as a JSON number; non-finite values become `null`.
 pub fn number(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Joins already-rendered JSON values into an array.
-pub fn array<I: IntoIterator<Item = String>>(items: I) -> String {
-    let body: Vec<String> = items.into_iter().collect();
-    format!("[{}]", body.join(","))
+    let mut out = String::new();
+    push_number(&mut out, v);
+    out
 }
 
 /// Joins already-rendered `"key":value` pairs into an object. Keys are
 /// escaped; values must already be valid JSON.
 pub fn object<'a, I: IntoIterator<Item = (&'a str, String)>>(fields: I) -> String {
-    let body: Vec<String> = fields
-        .into_iter()
-        .map(|(k, v)| format!("{}:{v}", string(k)))
-        .collect();
-    format!("{{{}}}", body.join(","))
+    let mut out = String::new();
+    push_object(&mut out, fields, |out, v| out.push_str(&v));
+    out
 }
 
 /// A parsed JSON value. Object members keep source order in a `Vec`
@@ -385,8 +466,18 @@ mod tests {
 
     #[test]
     fn escapes_specials() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
+        assert_eq!(string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(string("\u{1}x\u{1f}"), "\"\\u0001x\\u001f\"");
+        assert_eq!(string("plain é"), "\"plain é\"");
+    }
+
+    #[test]
+    fn microsecond_timestamps_keep_ns_precision() {
+        for (ns, want) in [(1_500, "1.500"), (0, "0.000"), (1_000_001, "1000.001")] {
+            let mut out = String::new();
+            push_timestamp(&mut out, ns);
+            assert_eq!(out, want);
+        }
     }
 
     #[test]
@@ -401,7 +492,9 @@ mod tests {
     fn composes_objects_and_arrays() {
         let o = object([("a", number(1.0)), ("b", string("x"))]);
         assert_eq!(o, "{\"a\":1,\"b\":\"x\"}");
-        assert_eq!(array(["1".to_string(), "2".to_string()]), "[1,2]");
+        let mut a = String::new();
+        push_array(&mut a, [1, 2], push_u64);
+        assert_eq!(a, "[1,2]");
     }
 
     #[test]
@@ -441,7 +534,7 @@ mod tests {
         let text = object([
             ("s", string("q\"uote")),
             ("n", number(1.25)),
-            ("a", array(["null".to_string(), "3".to_string()])),
+            ("a", "[null,3]".to_string()),
         ]);
         let v = parse(&text).unwrap();
         assert_eq!(v.get("s").and_then(Value::as_str), Some("q\"uote"));

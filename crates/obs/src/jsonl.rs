@@ -2,27 +2,28 @@
 //! recording order — streaming-friendly (a consumer can tail the file and
 //! parse line by line) where the Chrome export is a single document.
 
+use std::fmt::Write as _;
+
 use crate::json;
-use crate::span::{AttrValue, EventLog, Lane};
+use crate::span::{EventLog, Lane};
 
-fn lane_str(lane: &Lane) -> String {
+/// Appends the lane as its compact JSON string (`"gpu1"`, `"link:rc0-h2d"`).
+fn push_lane(out: &mut String, lane: &Lane) {
     match lane {
-        Lane::Run => "run".to_string(),
-        Lane::Gpu(g) => format!("gpu{g}"),
-        Lane::Link(name) => format!("link:{name}"),
-        Lane::Solver => "solver".to_string(),
-        Lane::Server(s) => format!("server{s}"),
-        Lane::Serve => "serve".to_string(),
-    }
-}
-
-fn attr_json(v: &AttrValue) -> String {
-    match v {
-        AttrValue::U64(x) => format!("{x}"),
-        AttrValue::I64(x) => format!("{x}"),
-        AttrValue::F64(x) => json::number(*x),
-        AttrValue::Str(s) => json::string(s),
-        AttrValue::Bool(b) => format!("{b}"),
+        Lane::Run => out.push_str("\"run\""),
+        Lane::Gpu(g) => {
+            let _ = write!(out, "\"gpu{g}\"");
+        }
+        Lane::Link(name) => {
+            out.push_str("\"link:");
+            json::push_escaped(out, name);
+            out.push('"');
+        }
+        Lane::Solver => out.push_str("\"solver\""),
+        Lane::Server(s) => {
+            let _ = write!(out, "\"server{s}\"");
+        }
+        Lane::Serve => out.push_str("\"serve\""),
     }
 }
 
@@ -32,23 +33,25 @@ fn attr_json(v: &AttrValue) -> String {
 pub fn export(log: &EventLog) -> String {
     let mut out = String::new();
     for e in log.events() {
-        let mut fields = vec![
-            ("lane", json::string(&lane_str(&e.lane))),
-            ("cat", json::string(e.cat)),
-            ("name", json::string(&e.name)),
-            ("startNs", format!("{}", e.start_ns)),
-        ];
+        out.push_str("{\"lane\":");
+        push_lane(&mut out, &e.lane);
+        out.push_str(",\"cat\":");
+        json::push_string(&mut out, e.cat);
+        out.push_str(",\"name\":");
+        json::push_string(&mut out, &e.name);
+        let _ = write!(out, ",\"startNs\":{}", e.start_ns);
         if let Some(d) = e.dur_ns {
-            fields.push(("durNs", format!("{d}")));
+            let _ = write!(out, ",\"durNs\":{d}");
         }
         if !e.attrs.is_empty() {
-            fields.push((
-                "attrs",
-                json::object(e.attrs.iter().map(|(k, v)| (*k, attr_json(v)))),
-            ));
+            out.push_str(",\"attrs\":");
+            json::push_object(
+                &mut out,
+                e.attrs.iter().map(|(k, v)| (*k, v)),
+                json::push_attr,
+            );
         }
-        out.push_str(&json::object(fields));
-        out.push('\n');
+        out.push_str("}\n");
     }
     out
 }
@@ -56,7 +59,7 @@ pub fn export(log: &EventLog) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::Event;
+    use crate::span::{AttrValue, Event};
 
     #[test]
     fn one_line_per_event_in_recording_order() {
@@ -97,9 +100,15 @@ mod tests {
 
     #[test]
     fn lanes_encode_compactly() {
-        assert_eq!(lane_str(&Lane::Link("rc0-h2d".into())), "link:rc0-h2d");
-        assert_eq!(lane_str(&Lane::Server(3)), "server3");
-        assert_eq!(lane_str(&Lane::Solver), "solver");
-        assert_eq!(lane_str(&Lane::Serve), "serve");
+        for (lane, want) in [
+            (Lane::Link("rc0-h2d".into()), "\"link:rc0-h2d\""),
+            (Lane::Server(3), "\"server3\""),
+            (Lane::Solver, "\"solver\""),
+            (Lane::Serve, "\"serve\""),
+        ] {
+            let mut out = String::new();
+            push_lane(&mut out, &lane);
+            assert_eq!(out, want);
+        }
     }
 }

@@ -7,36 +7,24 @@ use crate::metrics::MetricsRegistry;
 
 /// Renders the registry as `{"counters":…,"gauges":…,"histograms":…}`.
 pub fn render_json(m: &MetricsRegistry) -> String {
-    let counters = json::object(
-        m.counters()
-            .iter()
-            .map(|(k, v)| (k.as_str(), json::number(*v))),
-    );
-    let gauges = json::object(
-        m.gauges()
-            .iter()
-            .map(|(k, v)| (k.as_str(), json::number(*v))),
-    );
-    let histograms = json::object(m.histograms().iter().map(|(k, h)| {
-        let body = json::object([
-            (
-                "bounds",
-                json::array(h.bounds().iter().map(|b| json::number(*b))),
-            ),
-            (
-                "counts",
-                json::array(h.counts().iter().map(|c| format!("{c}"))),
-            ),
-            ("sum", json::number(h.sum())),
-            ("count", format!("{}", h.count())),
-        ]);
-        (k.as_str(), body)
-    }));
-    json::object([
-        ("counters", counters),
-        ("gauges", gauges),
-        ("histograms", histograms),
-    ])
+    let mut out = String::from("{\"counters\":");
+    json::push_object(&mut out, m.counters(), |out, v| json::push_number(out, *v));
+    out.push_str(",\"gauges\":");
+    json::push_object(&mut out, m.gauges(), |out, v| json::push_number(out, *v));
+    out.push_str(",\"histograms\":");
+    json::push_object(&mut out, m.histograms(), |out, h| {
+        out.push_str("{\"bounds\":");
+        json::push_array(out, h.bounds(), |out, b| json::push_number(out, *b));
+        out.push_str(",\"counts\":");
+        json::push_array(out, h.counts(), |out, c| json::push_u64(out, *c));
+        out.push_str(",\"sum\":");
+        json::push_number(out, h.sum());
+        out.push_str(",\"count\":");
+        json::push_u64(out, h.count());
+        out.push('}');
+    });
+    out.push('}');
+    out
 }
 
 /// Renders the registry as an aligned, sectioned text report.

@@ -13,8 +13,8 @@
 //! The contract for [`WallSecs`] holders:
 //!
 //! - The hand-written JSON/trace emitters ([`crate::json`], the Chrome
-//!   exporter, `mobius-bench`'s `render_json`) accept only strings and
-//!   `f64`s, so a `WallSecs` can reach an artifact only via an explicit
+//!   exporter, `mobius-bench`'s `render_json_report`) accept only strings
+//!   and plain numbers, so a `WallSecs` can reach an artifact only via an explicit
 //!   [`WallSecs::secs`] call — which is the greppable, reviewable boundary.
 //! - `.secs()` may feed stderr prints, human-facing tables that are
 //!   *documented* as machine-dependent (Figure 12), and test assertions.

@@ -8,25 +8,43 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> cargo build --release"
+# stage NAME prints the "==> NAME" header on stdout and starts timing NAME;
+# the stage before it ends there and its wall time goes to stderr, so the
+# stdout of a run is the same whatever the machine.
+now_ms() { echo $(( $(date +%s%N) / 1000000 )); }
+secs() { printf '%d.%03d s' $(( $1 / 1000 )) $(( $1 % 1000 )); }
+verify_start_ms="$(now_ms)"
+stage_name=""
+stage() {
+  local t
+  t="$(now_ms)"
+  if [ -n "$stage_name" ]; then
+    echo "    $(secs $(( t - stage_start_ms )))  $stage_name" >&2
+  fi
+  stage_name="$1"
+  stage_start_ms="$t"
+  echo "==> $1"
+}
+
+stage "cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q --workspace"
+stage "cargo test -q --workspace"
 # Every member crate's unit tests and doctests, not only the root
 # package's integration tests.
 cargo test -q --workspace
 
-echo "==> mobius-perf tests (reference-checked smoke run of every workload)"
+stage "mobius-perf tests (reference-checked smoke run of every workload)"
 # The benchmark is a package of its own, so `cargo test --workspace` skips it.
 # Its smoke run checks every op against mobius-perf/reference.txt,
 # including train-ckpt's sink and checkpoint digests, so a checkpointed
 # run whose bytes drift fails here and not only in the benchmark.
 cargo test -q --offline --manifest-path mobius-perf/Cargo.toml
 
-echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+stage "cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> mobius-lint (determinism, layering, units & obs-registry gate)"
+stage "mobius-lint (determinism, layering, units & obs-registry gate)"
 # Hard gate: any unsuppressed D001-D007/D009 finding, a reason-less allow
 # (D000), or a stale one (D008) fails the build. See DESIGN.md § Static
 # analysis. The scan is timed via the WallSecs diagnostics escape: the
@@ -34,13 +52,13 @@ echo "==> mobius-lint (determinism, layering, units & obs-registry gate)"
 # without touching stdout (the deterministic finding stream).
 cargo run --release -q -p mobius-lint -- --format human
 
-echo "==> cargo fmt --all -- --check"
+stage "cargo fmt --all -- --check"
 cargo fmt --all -- --check
 
-echo "==> cargo doc --no-deps (warnings denied)"
+stage "cargo doc --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
 
-echo "==> example smoke runs (quickstart, topology_explorer)"
+stage "example smoke runs (quickstart, topology_explorer)"
 cargo run --release -q --example quickstart >/dev/null
 cargo run --release -q --example topology_explorer >/dev/null
 
@@ -64,46 +82,46 @@ same_bytes() {
   }
 }
 
-echo "==> fault-injection determinism gate (two seeded runs, byte-identical JSON)"
+stage "fault-injection determinism gate (two seeded runs, byte-identical JSON)"
 same_bytes resilience "identically seeded resilience runs diverged" \
   bench resilience -- --quick --seed 42 --json
 
-echo "==> cluster-scaling determinism gate (two seeded runs, byte-identical JSON)"
+stage "cluster-scaling determinism gate (two seeded runs, byte-identical JSON)"
 same_bytes scaling "identically seeded scaling runs diverged" \
   bench scaling -- --quick --seed 42 --json
 
-echo "==> recovery determinism gate (two seeded runs, byte-identical JSON)"
+stage "recovery determinism gate (two seeded runs, byte-identical JSON)"
 same_bytes recovery "identically seeded recovery runs diverged" \
   bench recovery -- --quick --seed 42 --json
 
-echo "==> solver-perf determinism gate (two seeded runs, byte-identical JSON)"
+stage "solver-perf determinism gate (two seeded runs, byte-identical JSON)"
 same_bytes solver_perf "identically seeded solver-perf runs diverged" \
   bench solver_perf -- --deterministic --seed 42 --json
 
 if [ "${UPDATE_BASELINE:-0}" = "1" ]; then
-  echo "==> regenerating BENCH_solver.json (UPDATE_BASELINE=1)"
+  stage "regenerating BENCH_solver.json (UPDATE_BASELINE=1)"
   bench solver_perf -- --quick --seed 42 --json BENCH_solver.json >/dev/null
 fi
 
-echo "==> serve determinism gate (two seeded load-generator runs, byte-identical JSON)"
+stage "serve determinism gate (two seeded load-generator runs, byte-identical JSON)"
 same_bytes serve "identically seeded serve load-generator runs diverged" \
   bench serve -- --seed 42 --json
 
 if [ "${UPDATE_BASELINE:-0}" = "1" ]; then
-  echo "==> regenerating BENCH_serve.json (UPDATE_BASELINE=1)"
+  stage "regenerating BENCH_serve.json (UPDATE_BASELINE=1)"
   cp "$tmpdir/serve.json" BENCH_serve.json
 fi
 
-echo "==> attribution determinism gate (two analyzed runs, byte-identical JSON)"
+stage "attribution determinism gate (two analyzed runs, byte-identical JSON)"
 same_bytes attribution "identical analyzed runs diverged" \
   run_cli step --model gpt2 --topo 2+2 --system mobius --strict --analyze-out
 
 if [ "${UPDATE_GOLDEN:-0}" = "1" ]; then
-  echo "==> regenerating tests/golden/attribution_cli.json (UPDATE_GOLDEN=1)"
+  stage "regenerating tests/golden/attribution_cli.json (UPDATE_GOLDEN=1)"
   cp "$tmpdir/attribution.json" tests/golden/attribution_cli.json
 fi
 
-echo "==> attribution golden gate (vs tests/golden/attribution_cli.json)"
+stage "attribution golden gate (vs tests/golden/attribution_cli.json)"
 # The committed attribution JSON pins the analyze engine's output bytes —
 # critical path, blame, utilization, and what-if bounds. Regenerate with
 # UPDATE_GOLDEN=1 after an intentional engine or executor change.
@@ -113,7 +131,7 @@ cmp "$tmpdir/attribution.json" tests/golden/attribution_cli.json || {
   exit 1
 }
 
-echo "==> crash-resume gate (single server: stitched chunks byte-identical)"
+stage "crash-resume gate (single server: stitched chunks byte-identical)"
 # The checkpoint subsystem's headline contract: crash a run at step 5,
 # resume it, and the concatenated trace/metrics/analysis chunks of the two
 # segments equal the uninterrupted reference's bytes exactly.
@@ -145,7 +163,7 @@ for s in trace metrics analyze; do
   }
 done
 
-echo "==> crash-resume gate (cluster: stitched chunks byte-identical)"
+stage "crash-resume gate (cluster: stitched chunks byte-identical)"
 run_cli cluster --model gpt2 --topo 2+2 --servers 2 --system mobius \
   --steps 4 --checkpoint-every 2 --checkpoint-out "$ck/cl_ref" \
   --trace-out "$ck/clref-trace.json" --analyze-out "$ck/clref-analyze.json" \
@@ -174,11 +192,11 @@ done
 
 newest_ckpt="$ck/ref/$(ls "$ck/ref" | sort | tail -1)"
 if [ "${UPDATE_GOLDEN:-0}" = "1" ]; then
-  echo "==> regenerating tests/golden/checkpoint_gpt2.mckpt (UPDATE_GOLDEN=1)"
+  stage "regenerating tests/golden/checkpoint_gpt2.mckpt (UPDATE_GOLDEN=1)"
   cp "$newest_ckpt" tests/golden/checkpoint_gpt2.mckpt
 fi
 
-echo "==> checkpoint golden gate (vs tests/golden/checkpoint_gpt2.mckpt)"
+stage "checkpoint golden gate (vs tests/golden/checkpoint_gpt2.mckpt)"
 # The committed checkpoint pins the on-disk wire format bytes — magic,
 # version, payload field order, float formatting, FNV checksum. Regenerate
 # with UPDATE_GOLDEN=1 after an intentional format or executor change.
@@ -188,7 +206,7 @@ cmp "$newest_ckpt" tests/golden/checkpoint_gpt2.mckpt || {
   exit 1
 }
 
-echo "==> solver-perf baseline gate (counter diff vs BENCH_solver.json)"
+stage "solver-perf baseline gate (counter diff vs BENCH_solver.json)"
 # Direction-aware: work counters (B&B nodes, partition rebuilds) may only
 # shrink, reuse counters may only grow, checksums must match exactly. The
 # delta table is printed either way; regressions fail the build. Regenerate
@@ -198,7 +216,7 @@ bench solver_perf -- --check BENCH_solver.json --seed 42 || {
   exit 1
 }
 
-echo "==> serve baseline gate (counter diff vs BENCH_serve.json)"
+stage "serve baseline gate (counter diff vs BENCH_serve.json)"
 # Direction-aware: the plan-cache hit rate and warm-seed count may only
 # grow, misses/evictions/latency percentiles may only shrink, and the
 # response-stream checksum must match exactly. Regenerate the committed
@@ -208,4 +226,5 @@ bench serve -- --check BENCH_serve.json --seed 42 || {
   exit 1
 }
 
-echo "==> verify OK"
+stage "verify OK"
+echo "    total $(secs $(( $(now_ms) - verify_start_ms )))" >&2
