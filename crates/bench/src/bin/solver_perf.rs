@@ -1,5 +1,5 @@
 //! Solver & engine hot-path benchmark: warm-started MIP replans, a seeded
-//! event storm, and flow-set partition reuse.
+//! event storm, and a flow-network churn-and-drain script.
 //!
 //! Flags:
 //! * `--quick` — fewer wall-clock repetitions (the deterministic counter

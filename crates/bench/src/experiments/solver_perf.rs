@@ -1,9 +1,9 @@
 //! Solver & engine hot-path benchmark: warm-started MIP replans, a seeded
-//! event storm, and flow-set partition reuse.
+//! event storm, and a flow-network churn-and-drain script.
 //!
 //! Three deterministic workloads exercise the hot paths, counting work
-//! units (branch-and-bound nodes, events popped, partition sorts avoided)
-//! rather than wall time:
+//! units (branch-and-bound nodes, events popped, flows completed) rather
+//! than wall time:
 //!
 //! 1. **warm-vs-cold replan** — the GPU-failure resilience workload: a
 //!    heterogeneous 16-layer profile is partitioned for 4 GPUs, then
@@ -13,19 +13,19 @@
 //! 2. **event storm** — a seeded mixed-scale storm of schedules and pop
 //!    bursts driven through [`mobius_sim::Engine`]; the FNV-1a checksum of
 //!    the `(time, payload)` pop stream pins the engine's pop order.
-//! 3. **flow-set cache** — a scripted capacity-wiggle/block/complete
-//!    workload on [`mobius_sim::FlowNetwork`], counting priority-partition
-//!    rebuilds vs reuses.
+//! 3. **flow churn** — a scripted capacity-wiggle/block/complete workload
+//!    on [`mobius_sim::FlowNetwork`]; the FNV-1a checksum of the
+//!    `(user, finish time)` completion stream pins the rate solver.
 //!
 //! The counters roll up into the `solver-counters` table, which is the
 //! committed baseline (`BENCH_solver.json`) that `scripts/verify.sh` diffs
 //! against with direction-aware rules: work counters may only shrink,
-//! reuse counters may only grow, checksums must match exactly. All
+//! counts and checksums must match exactly. All
 //! deterministic solves run with `budget: None` so no wall-clock value can
 //! perturb the search. Wall timings live in a separate `solver-wall`
 //! experiment that the baseline diff and the determinism gate both ignore.
 
-use mobius_obs::{Obs, WallTimer};
+use mobius_obs::WallTimer;
 use mobius_pipeline::{mip_partition_opts, MipPartitionOpts, PartitionOutcome, PipelineConfig};
 use mobius_profiler::{LayerProfile, ModelProfile};
 use mobius_sim::{Engine, FlowNetwork, SimTime};
@@ -214,33 +214,14 @@ fn event_storm(seed: u64, metrics: &mut Vec<Metric>) {
 }
 
 // ---------------------------------------------------------------------------
-// Workload 3: flow-set partition cache
+// Workload 3: flow-network churn and drain
 // ---------------------------------------------------------------------------
 
 /// A scripted fabric workload: flows of mixed priority draining across
-/// three links while capacities wiggle and flows block/unblock — the exact
-/// churn the priority-partition cache exists to absorb.
-fn flow_cache(metrics: &mut Vec<Metric>) -> Experiment {
-    let mut e = Experiment::new(
-        "solver-flow-cache",
-        "Flow-set priority-partition cache under capacity churn",
-        "extension (no paper counterpart): capacity wiggles and fault \
-         block/unblock reuse the cached priority partition; only flow \
-         add/remove pays the sort",
-    )
-    .columns(["phase", "rebuilds", "reuses", "completed", "checksum"]);
-
-    // The network's observer counts the partition cache's rebuilds and
-    // reuses.
-    let obs = Obs::new();
+/// three links while capacities wiggle and flows block/unblock. Every
+/// completion instant depends on the rates solved along the way.
+fn flow_churn(metrics: &mut Vec<Metric>) {
     let mut net = FlowNetwork::new();
-    net.set_obs(obs.clone());
-    let cache = || {
-        (
-            obs.counter("flow.partition_rebuild") as u64,
-            obs.counter("flow.partition_reuse") as u64,
-        )
-    };
     let links = [
         net.add_link("pcie-a", 10e9),
         net.add_link("pcie-b", 8e9),
@@ -255,14 +236,6 @@ fn flow_cache(metrics: &mut Vec<Metric>) -> Experiment {
         };
         ids.push(net.start_flow(path, (1.0 + i as f64) * 1e8, (i % 4) as u8, i));
     }
-    let (rebuilds, reuses) = cache();
-    e.push_row([
-        "start 12 flows".to_string(),
-        rebuilds.to_string(),
-        reuses.to_string(),
-        "0".to_string(),
-        "-".to_string(),
-    ]);
 
     // Churn: wiggle each link and freeze/thaw a third of the flows.
     for round in 0..8u64 {
@@ -279,14 +252,6 @@ fn flow_cache(metrics: &mut Vec<Metric>) -> Experiment {
     for &id in &ids {
         net.set_flow_blocked(id, false);
     }
-    let (rebuilds, reuses) = cache();
-    e.push_row([
-        "8 churn rounds".to_string(),
-        rebuilds.to_string(),
-        reuses.to_string(),
-        "0".to_string(),
-        "-".to_string(),
-    ]);
 
     // Drain: advance to each completion and retire the flow.
     let mut checksum = 0xCBF2_9CE4_8422_2325u64;
@@ -299,26 +264,13 @@ fn flow_cache(metrics: &mut Vec<Metric>) -> Experiment {
         checksum = fnv1a(fnv1a(checksum, rec.user), rec.finished.as_nanos());
         completed += 1;
     }
-    let (rebuilds, reuses) = cache();
-    e.push_row([
-        "drain".to_string(),
-        rebuilds.to_string(),
-        reuses.to_string(),
-        completed.to_string(),
-        format!("{checksum:016x}"),
-    ]);
 
-    metrics.push(Metric::new("flow.rebuilds", rebuilds, Rule::AtMost));
-    metrics.push(Metric::new("flow.reuses", reuses, Rule::AtLeast));
     metrics.push(Metric::new("flow.completed", completed, Rule::Exact));
     metrics.push(Metric::new(
         "flow.checksum",
         format!("{checksum:016x}"),
         Rule::Exact,
     ));
-
-    e.note("blocked flows stay in the cached partition and are filtered at allocation time");
-    e
 }
 
 // ---------------------------------------------------------------------------
@@ -382,7 +334,7 @@ pub fn deterministic(seed: u64) -> Vec<Experiment> {
     let mut metrics = Vec::new();
     let replan = replan(&mut metrics);
     event_storm(seed, &mut metrics);
-    let flows = flow_cache(&mut metrics);
+    flow_churn(&mut metrics);
 
     let mut counters = counters_experiment(
         COUNTERS_ID,
@@ -393,7 +345,7 @@ pub fn deterministic(seed: u64) -> Vec<Experiment> {
         &metrics,
     );
     counters.note("regenerate the baseline with `UPDATE_BASELINE=1 scripts/verify.sh`");
-    vec![replan, flows, counters]
+    vec![replan, counters]
 }
 
 /// Full run: deterministic workloads plus the wall-clock table.
@@ -447,28 +399,6 @@ mod tests {
     }
 
     #[test]
-    fn flow_cache_reuses_partitions() {
-        let mut metrics = Vec::new();
-        let _ = flow_cache(&mut metrics);
-        let reuses: u64 = metrics
-            .iter()
-            .find(|m| m.name == "flow.reuses")
-            .unwrap()
-            .value
-            .parse()
-            .unwrap();
-        let completed: u64 = metrics
-            .iter()
-            .find(|m| m.name == "flow.completed")
-            .unwrap()
-            .value
-            .parse()
-            .unwrap();
-        assert_eq!(completed, 12);
-        assert!(reuses > 0, "churn rounds must hit the cache");
-    }
-
-    #[test]
     fn deterministic_runs_render_identically() {
         let a = render_json_report(deterministic(42).iter());
         let b = render_json_report(deterministic(42).iter());
@@ -515,7 +445,7 @@ mod tests {
     #[test]
     fn check_fails_on_a_missing_metric() {
         let doc = render_json_report(deterministic(42).iter());
-        let tampered = doc.replace("flow.reuses", "flow.reuses_renamed");
+        let tampered = doc.replace("flow.completed", "flow.completed_renamed");
         let err = check_against(&tampered, 42).expect_err("rename must fail");
         assert!(err.contains("<missing>"));
     }

@@ -11,17 +11,13 @@
 //!   schedule evaluator implementing constraints 4–11), an admissible lower
 //!   bound, and per-stage memory caps. This is the production path of the
 //!   `MipPartitioner`.
-//! * [`chain_partition_dp`] / [`chain_partition_mip`] — the classic min-max
-//!   chain partition solved exactly by dynamic programming and, as a
-//!   cross-check of the MIP machinery, by an explicit boolean-variable MIP
-//!   on the in-crate simplex/branch-and-bound solver.
+//! * [`chain_partition_dp`] — the classic min-max chain partition solved
+//!   exactly by dynamic programming (GPipe's balanced partitioner).
 
 use std::time::Duration;
 
 use mobius_obs::{WallSecs, WallTimer};
 use serde::{Deserialize, Serialize};
-
-use crate::{Cmp, Lp, Mip, MipOutcome, Sense};
 
 /// Objective supplied by the caller to [`SegmentSearch`].
 pub trait SegmentObjective {
@@ -32,16 +28,15 @@ pub trait SegmentObjective {
 
     /// Admissible lower bound on the cost of *any* completion of `prefix`
     /// (never over-estimates). The default is no bound.
-    fn lower_bound(&self, prefix: &[usize], covered: usize) -> f64 {
-        let _ = (prefix, covered);
+    fn lower_bound(&self, prefix: &[usize]) -> f64 {
+        let _ = prefix;
         0.0
     }
 
-    /// The largest permissible next-stage size when the stage would start at
-    /// item `first_item` as stage number `stage_index` (0-based). Defaults
-    /// to unbounded.
-    fn max_stage_size(&self, stage_index: usize, first_item: usize) -> usize {
-        let _ = (stage_index, first_item);
+    /// The largest permissible size of a stage starting at item
+    /// `first_item`. Defaults to unbounded.
+    fn max_stage_size(&self, first_item: usize) -> usize {
+        let _ = first_item;
         usize::MAX
     }
 }
@@ -161,10 +156,11 @@ impl SegmentSearch {
     /// candidate is re-evaluated under the **current** objective before the
     /// search begins, because the objective has typically changed since the
     /// sizes were optimal (fewer GPUs after a failure, different memory
-    /// caps). An infeasible or ill-shaped candidate (sizes not summing to
-    /// the item count) is silently ignored and the solve falls back to
-    /// cold; a feasible one becomes the initial incumbent so pruning bites
-    /// from a near-optimal bound on the very first node. The optimum found
+    /// caps). An infeasible or ill-shaped candidate (empty, a zero-sized
+    /// stage, more stages than allowed, or sizes not summing to the item
+    /// count) is silently ignored and the solve falls back to cold; a
+    /// feasible one becomes the initial incumbent so pruning bites from a
+    /// near-optimal bound on the very first node. The optimum found
     /// is identical to a cold solve — only the number of nodes explored
     /// changes.
     pub fn warm_start(mut self, sizes: Vec<usize>) -> Self {
@@ -203,7 +199,7 @@ impl SegmentSearch {
         // objective; if feasible and at least as good as any seed, it is
         // the initial incumbent.
         if let Some(sizes) = &self.warm {
-            if sizes.iter().sum::<usize>() == self.n_items && sizes.len() <= self.max_stages {
+            if self.well_shaped(sizes) {
                 stats.evaluated += 1;
                 if let Some(cost) = obj.cost(sizes) {
                     if best.as_ref().is_none_or(|(_, c)| cost < *c) {
@@ -248,6 +244,16 @@ impl SegmentSearch {
             }
         }
         best.map(|(sizes, cost)| SegmentResult { sizes, cost, stats })
+    }
+
+    /// Whether `sizes` is a segmentation this search could itself produce:
+    /// at most `max_stages` non-empty stages covering exactly `n_items`.
+    /// The sum is checked, so a corrupt candidate cannot overflow.
+    fn well_shaped(&self, sizes: &[usize]) -> bool {
+        !sizes.is_empty()
+            && sizes.len() <= self.max_stages
+            && !sizes.contains(&0)
+            && sizes.iter().try_fold(0usize, |sum, &s| sum.checked_add(s)) == Some(self.n_items)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -305,13 +311,13 @@ impl SegmentSearch {
         }
         // Bound pruning.
         if let Some((_, inc)) = best {
-            if obj.lower_bound(prefix, covered) >= *inc {
+            if obj.lower_bound(prefix) >= *inc {
                 stats.pruned += 1;
                 return;
             }
         }
         let remaining = self.n_items - covered;
-        let cap = obj.max_stage_size(prefix.len(), covered).min(remaining);
+        let cap = obj.max_stage_size(covered).min(remaining);
         if cap == 0 {
             return; // next stage cannot hold even one item
         }
@@ -380,106 +386,6 @@ pub fn chain_partition_dp(weights: &[f64], k: usize) -> (Vec<usize>, f64) {
     (sizes, best_cost)
 }
 
-/// The same min-max chain partition, encoded as a boolean MIP in the paper's
-/// `B_{i,j}` style and solved with the in-crate branch-and-bound solver.
-///
-/// Variables: `x[i][j] = 1` iff item `i` is in part `j`, plus the bottleneck
-/// `T`. Constraints: each item in exactly one part; each part contiguous
-/// (`x[i-1][j] + x[i+1][j] - 1 <= x[i][j]`); per-part load `<= T`.
-/// Minimizes `T`.
-///
-/// Exponential in `n·k` — use only for small instances (tests, demos); the
-/// production path is [`SegmentSearch`].
-///
-/// # Panics
-///
-/// Panics if `weights` is empty or `k == 0`.
-pub fn chain_partition_mip(weights: &[f64], k: usize) -> Option<(Vec<usize>, f64)> {
-    let n = weights.len();
-    assert!(n > 0 && k > 0, "need items and parts");
-    let k = k.min(n);
-    let nv = n * k + 1; // x variables then T
-    let t = n * k;
-    let x = |i: usize, j: usize| i * k + j;
-
-    let mut lp = Lp::new(nv, Sense::Minimize);
-    let mut c = vec![0.0; nv];
-    c[t] = 1.0;
-    lp.set_objective(&c);
-
-    // Each item in exactly one part.
-    for i in 0..n {
-        let mut row = vec![0.0; nv];
-        for j in 0..k {
-            row[x(i, j)] = 1.0;
-        }
-        lp.add_constraint(&row, Cmp::Eq, 1.0);
-    }
-    // Binary bounds.
-    for i in 0..n {
-        for j in 0..k {
-            let mut row = vec![0.0; nv];
-            row[x(i, j)] = 1.0;
-            lp.add_constraint(&row, Cmp::Le, 1.0);
-        }
-    }
-    // Contiguity: if two items are in part j, everything between them is
-    // too: x[a][j] + x[c][j] - 1 <= x[b][j] for a < b < c. O(n³k) rows —
-    // fine for the small instances this demo encoding targets.
-    for j in 0..k {
-        for a in 0..n {
-            for c in (a + 2)..n {
-                for b in (a + 1)..c {
-                    let mut row = vec![0.0; nv];
-                    row[x(a, j)] = 1.0;
-                    row[x(c, j)] = 1.0;
-                    row[x(b, j)] = -1.0;
-                    lp.add_constraint(&row, Cmp::Le, 1.0);
-                }
-            }
-        }
-    }
-    // Parts in order: item 0 in part 0; first item of part j+1 comes after
-    // any item of part j. A simple ordering cut that preserves optimality:
-    // sum over items of position-weighted membership must be non-decreasing
-    // per part is complex; instead order parts by requiring part j to be
-    // used before part j+1 (symmetry breaking): sum_i x[i][j] >= sum usage
-    // is optional — contiguity plus exact-cover already yields contiguous
-    // groups; part identity does not affect the min-max objective.
-
-    // Load constraints.
-    for j in 0..k {
-        let mut row = vec![0.0; nv];
-        for i in 0..n {
-            row[x(i, j)] = weights[i];
-        }
-        row[t] = -1.0;
-        lp.add_constraint(&row, Cmp::Le, 0.0);
-    }
-
-    let ints: Vec<usize> = (0..n * k).collect();
-    match Mip::new(lp, ints).node_limit(200_000).solve() {
-        MipOutcome::Optimal(sol) => {
-            // Recover contiguous sizes by scanning items in order.
-            let mut sizes = Vec::new();
-            let mut current_part: Option<usize> = None;
-            for i in 0..n {
-                let j = (0..k)
-                    .find(|&j| sol.x[x(i, j)] > 0.5)
-                    .expect("item uncovered");
-                if current_part == Some(j) {
-                    *sizes.last_mut().expect("nonempty") += 1;
-                } else {
-                    sizes.push(1);
-                    current_part = Some(j);
-                }
-            }
-            Some((sizes, sol.objective))
-        }
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -503,7 +409,7 @@ mod tests {
             Some(worst)
         }
 
-        fn lower_bound(&self, prefix: &[usize], covered: usize) -> f64 {
+        fn lower_bound(&self, prefix: &[usize]) -> f64 {
             // Bottleneck so far is a valid lower bound.
             let mut i = 0;
             let mut worst: f64 = 0.0;
@@ -511,7 +417,6 @@ mod tests {
                 worst = worst.max(self.weights[i..i + s].iter().sum());
                 i += s;
             }
-            let _ = covered;
             worst
         }
     }
@@ -540,25 +445,6 @@ mod tests {
     }
 
     #[test]
-    fn mip_matches_dp() {
-        let cases: Vec<(Vec<f64>, usize)> = vec![
-            (vec![1.0, 2.0, 3.0, 4.0], 2),
-            (vec![5.0, 1.0, 1.0, 1.0, 5.0], 3),
-            (vec![2.0, 2.0, 2.0], 3),
-            (vec![7.0], 1),
-            (vec![1.0, 1.0, 8.0, 1.0, 1.0], 2),
-        ];
-        for (w, k) in cases {
-            let (_, dp_cost) = chain_partition_dp(&w, k);
-            let (_, mip_cost) = chain_partition_mip(&w, k).expect("mip solved");
-            assert!(
-                (dp_cost - mip_cost).abs() < 1e-6,
-                "weights {w:?} k={k}: dp {dp_cost} vs mip {mip_cost}"
-            );
-        }
-    }
-
-    #[test]
     fn dp_uses_fewer_parts_when_beneficial() {
         // One huge item: extra parts can't help beyond isolating it.
         let (sizes, cost) = chain_partition_dp(&[10.0, 1.0, 1.0], 3);
@@ -573,7 +459,7 @@ mod tests {
             fn cost(&self, sizes: &[usize]) -> Option<f64> {
                 Some(sizes.len() as f64)
             }
-            fn max_stage_size(&self, _stage: usize, _first: usize) -> usize {
+            fn max_stage_size(&self, _first: usize) -> usize {
                 2
             }
         }
@@ -672,6 +558,38 @@ mod tests {
             .unwrap();
         assert!(!bad_stages.stats.warm_started);
         assert_eq!(bad_stages.cost, cold.cost);
+    }
+
+    #[test]
+    fn malformed_warm_start_is_ignored_not_a_panic() {
+        // Candidates a corrupt checkpoint can carry: a zero-sized stage, and
+        // sizes whose sum overflows `usize` (it wraps to the item count in
+        // release builds). Both must leave the solve cold.
+        let weights = vec![3.0, 1.0, 4.0, 1.0, 5.0, 9.0];
+        let obj = Balance {
+            weights: weights.clone(),
+            max_parts: 3,
+        };
+        let cold = SegmentSearch::new(6).max_stages(3).solve(&obj).unwrap();
+        let wrapping = vec![usize::MAX, 7];
+        assert_eq!(wrapping[0].wrapping_add(wrapping[1]), 6);
+        for candidate in [vec![0, 3, 3], wrapping] {
+            let warm = SegmentSearch::new(6)
+                .max_stages(3)
+                .warm_start(candidate.clone())
+                .solve(&obj)
+                .unwrap();
+            assert!(!warm.stats.warm_started, "{candidate:?} was installed");
+            assert_eq!(warm.sizes, cold.sizes, "{candidate:?}");
+            assert_eq!(warm.cost.to_bits(), cold.cost.to_bits(), "{candidate:?}");
+            assert_eq!(
+                warm.stats,
+                SearchStats {
+                    wall_elapsed: warm.stats.wall_elapsed,
+                    ..cold.stats
+                }
+            );
+        }
     }
 
     #[test]

@@ -1,10 +1,8 @@
-//! Property-based tests of the optimization machinery.
+//! Property-based tests of the partition search and the chain-partition DP.
 
 use proptest::prelude::*;
 
-use mobius_mip::{
-    chain_partition_dp, Cmp, Lp, LpOutcome, Mip, MipOutcome, SegmentObjective, SegmentSearch, Sense,
-};
+use mobius_mip::{chain_partition_dp, SegmentObjective, SegmentSearch};
 
 /// Bottleneck (max stage weight) objective over contiguous segmentations,
 /// capped at `max_parts` stages.
@@ -27,7 +25,7 @@ impl SegmentObjective for Bottleneck {
         Some(worst)
     }
 
-    fn lower_bound(&self, prefix: &[usize], _covered: usize) -> f64 {
+    fn lower_bound(&self, prefix: &[usize]) -> f64 {
         let mut i = 0;
         let mut worst: f64 = 0.0;
         for &s in prefix {
@@ -53,93 +51,8 @@ fn sizes_from_breaks(n: usize, mut breaks: Vec<usize>) -> Vec<usize> {
     sizes
 }
 
-/// Brute-force 0/1 knapsack for cross-checking the MIP solver.
-fn knapsack_brute(values: &[f64], weights: &[f64], cap: f64) -> f64 {
-    let n = values.len();
-    let mut best = 0.0f64;
-    for mask in 0u32..(1 << n) {
-        let (mut v, mut w) = (0.0, 0.0);
-        for i in 0..n {
-            if mask & (1 << i) != 0 {
-                v += values[i];
-                w += weights[i];
-            }
-        }
-        if w <= cap + 1e-9 {
-            best = best.max(v);
-        }
-    }
-    best
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// The LP optimum is at least as good as any sampled feasible point
-    /// (weak optimality check without an external solver).
-    #[test]
-    fn lp_dominates_feasible_points(
-        c in prop::collection::vec(0.1f64..5.0, 2..5),
-        rows in prop::collection::vec((0.1f64..3.0, 0.1f64..3.0, 1.0f64..20.0), 1..5),
-        point in prop::collection::vec(0.0f64..3.0, 2..5),
-    ) {
-        let n = c.len();
-        let mut lp = Lp::new(n, Sense::Maximize);
-        lp.set_objective(&c);
-        // Constraints of form a0*x0 + a1*(sum of rest) <= b, plus x_i <= 5.
-        for (a0, a1, b) in &rows {
-            let mut row = vec![*a1; n];
-            row[0] = *a0;
-            lp.add_constraint(&row, Cmp::Le, *b);
-        }
-        for i in 0..n {
-            let mut row = vec![0.0; n];
-            row[i] = 1.0;
-            lp.add_constraint(&row, Cmp::Le, 5.0);
-        }
-        let LpOutcome::Optimal(sol) = lp.solve() else {
-            return Err(TestCaseError::fail("bounded LP must be optimal"));
-        };
-        // Build a feasible point by scaling the sample down.
-        let point: Vec<f64> = point.iter().take(n).map(|&x| x.min(5.0)).collect();
-        let feasible = rows.iter().all(|(a0, a1, b)| {
-            let lhs = a0 * point[0] + a1 * point[1..].iter().sum::<f64>();
-            lhs <= *b
-        });
-        if feasible && point.len() == n {
-            let val: f64 = c.iter().zip(&point).map(|(ci, xi)| ci * xi).sum();
-            prop_assert!(sol.objective >= val - 1e-6,
-                "LP {} worse than feasible {}", sol.objective, val);
-        }
-    }
-
-    /// Branch-and-bound matches brute force on random knapsacks.
-    #[test]
-    fn mip_matches_brute_force_knapsack(
-        values in prop::collection::vec(1.0f64..20.0, 2..8),
-        weights in prop::collection::vec(1.0f64..10.0, 2..8),
-        cap_frac in 0.2f64..0.9,
-    ) {
-        let n = values.len().min(weights.len());
-        let values = &values[..n];
-        let weights = &weights[..n];
-        let cap = weights.iter().sum::<f64>() * cap_frac;
-        let mut lp = Lp::new(n, Sense::Maximize);
-        lp.set_objective(values);
-        lp.add_constraint(weights, Cmp::Le, cap);
-        for i in 0..n {
-            let mut row = vec![0.0; n];
-            row[i] = 1.0;
-            lp.add_constraint(&row, Cmp::Le, 1.0);
-        }
-        let out = Mip::new(lp, (0..n).collect()).solve();
-        let MipOutcome::Optimal(sol) = out else {
-            return Err(TestCaseError::fail("knapsack must solve"));
-        };
-        let brute = knapsack_brute(values, weights, cap);
-        prop_assert!((sol.objective - brute).abs() < 1e-6,
-            "bnb {} vs brute {}", sol.objective, brute);
-    }
 
     /// DP chain partition: the bottleneck never increases when more parts
     /// are allowed, and equals the max element when parts >= items.

@@ -331,7 +331,7 @@ impl SegmentObjective for PipelineObjective<'_> {
             .map(|s| s.step_time.as_secs_f64())
     }
 
-    fn lower_bound(&self, prefix: &[usize], covered: usize) -> f64 {
+    fn lower_bound(&self, prefix: &[usize]) -> f64 {
         let m = self.cfg.num_microbatches as f64;
         let layers = self.profile.layers();
         // Bound 1: total compute work spread perfectly over N GPUs.
@@ -357,12 +357,11 @@ impl SegmentObjective for PipelineObjective<'_> {
             gpu_load[idx % self.n_gpus] += m * t;
             start += s;
         }
-        let _ = covered;
         let max_gpu = gpu_load.iter().copied().fold(0.0, f64::max);
         total_work.max(bottleneck).max(max_gpu)
     }
 
-    fn max_stage_size(&self, _stage_index: usize, first_item: usize) -> usize {
+    fn max_stage_size(&self, first_item: usize) -> usize {
         max_feasible(self.profile, self.cfg, first_item)
     }
 }
@@ -372,6 +371,7 @@ mod tests {
     use super::*;
     use crate::MemoryMode;
     use mobius_profiler::LayerProfile;
+    use proptest::prelude::*;
 
     const GB: u64 = 1 << 30;
 
@@ -482,41 +482,82 @@ mod tests {
         assert!(mip.stats.is_some());
     }
 
-    #[test]
-    fn mip_matches_exhaustive_on_tiny_instance() {
-        let p = uniform_profile(6, 80, 3 * GB);
-        let c = cfg();
-        let mip = mip_partition_opts(&p, 2, &c, &budgeted(Duration::from_secs(2)), None).unwrap();
-        // Exhaustive check over all compositions of 6 into >= 2 parts.
-        let mut best = f64::INFINITY;
-        let obj = PipelineObjective {
-            profile: &p,
-            n_gpus: 2,
-            cfg: &c,
-        };
-        fn compositions(n: usize) -> Vec<Vec<usize>> {
-            if n == 0 {
-                return vec![vec![]];
+    /// Every composition of `n` items, in lexicographic order.
+    fn compositions(n: usize) -> Vec<Vec<usize>> {
+        if n == 0 {
+            return vec![vec![]];
+        }
+        let mut out = Vec::new();
+        for first in 1..=n {
+            for mut rest in compositions(n - first) {
+                rest.insert(0, first);
+                out.push(rest);
             }
-            let mut out = Vec::new();
-            for first in 1..=n {
-                for mut rest in compositions(n - first) {
-                    rest.insert(0, first);
-                    out.push(rest);
+        }
+        out
+    }
+
+    /// A layer with independent forward time, backward/forward ratio,
+    /// parameter bytes (up to a third of GPU memory, so some stages do not
+    /// fit) and activation bytes.
+    fn arb_layer() -> impl Strategy<Value = LayerProfile> {
+        (5u64..100, 1u64..4, 128u64..8192, 1u64..64).prop_map(|(fwd, ratio, param_mb, act_mb)| {
+            LayerProfile {
+                fwd: SimTime::from_millis(fwd),
+                bwd: SimTime::from_millis(ratio * fwd),
+                param_bytes: param_mb << 20,
+                grad_bytes: param_mb << 20,
+                output_act_bytes: act_mb << 20,
+                workspace_bytes: 256 << 20,
+            }
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The unbudgeted search is exact and its bound admissible: on random
+        /// small profiles the searched cost is the exhaustive minimum bit for
+        /// bit, and no prefix of any feasible composition has a lower bound
+        /// above that composition's cost.
+        #[test]
+        fn mip_matches_exhaustive_and_bound_is_admissible(
+            layers in prop::collection::vec(arb_layer(), 3..8),
+            n_gpus in 2usize..4,
+        ) {
+            let p = ModelProfile::from_layers(layers, 1);
+            let c = cfg();
+            let obj = PipelineObjective {
+                profile: &p,
+                n_gpus,
+                cfg: &c,
+            };
+            let mut best: Option<f64> = None;
+            for comp in compositions(p.len()) {
+                let Some(cost) = obj.cost(&comp) else {
+                    continue;
+                };
+                best = Some(best.map_or(cost, |b| b.min(cost)));
+                for k in 0..=comp.len() {
+                    let bound = obj.lower_bound(&comp[..k]);
+                    prop_assert!(
+                        bound <= cost,
+                        "bound {bound} > cost {cost} of {comp:?} at prefix {:?}",
+                        &comp[..k]
+                    );
                 }
             }
-            out
+            let mip = mip_partition_opts(&p, n_gpus, &c, &MipPartitionOpts::default(), None);
+            let Some(best) = best else {
+                prop_assert!(mip.is_err(), "search found a plan exhaustion did not");
+                return Ok(());
+            };
+            let mip = mip.expect("a feasible composition exists");
+            prop_assert!(mip.stats.expect("search stats").complete);
+            let cost = obj.cost(mip.partition.sizes()).expect("searched plan is feasible");
+            prop_assert_eq!(cost.to_bits(), best.to_bits(), "search {} vs exhaustive {}", cost, best);
+            prop_assert_eq!(mip.predicted_step, SimTime::from_secs_f64(best));
         }
-        for comp in compositions(6) {
-            if let Some(cost) = obj.cost(&comp) {
-                best = best.min(cost);
-            }
-        }
-        assert!(
-            (mip.predicted_step.as_secs_f64() - best).abs() < 1e-9,
-            "mip {} vs exhaustive {best}",
-            mip.predicted_step.as_secs_f64()
-        );
     }
 
     #[test]

@@ -121,10 +121,8 @@ pub struct FlowNetwork {
     obs: Option<mobius_obs::Obs>,
 }
 
-/// Cached priority partition of the flow table. Flow priorities are
-/// immutable after [`FlowNetwork::start_flow`], so only add/remove
-/// invalidates it; blocked flows stay in the partition and are filtered at
-/// allocation time.
+/// Priority partition of the flow table, re-sorted on every rate solve.
+/// Blocked flows stay in the partition and are filtered at allocation time.
 #[derive(Debug, Clone, Default)]
 struct Classes {
     /// Indices into the flow table, by priority descending, then id
@@ -132,8 +130,6 @@ struct Classes {
     order: Vec<usize>,
     /// End of each class in `order`, highest priority first.
     ends: Vec<usize>,
-    /// False when membership changed since the last build.
-    valid: bool,
 }
 
 impl Classes {
@@ -153,7 +149,6 @@ impl Classes {
         if !self.order.is_empty() {
             self.ends.push(self.order.len());
         }
-        self.valid = true;
     }
 }
 
@@ -293,7 +288,6 @@ impl FlowNetwork {
                 blocked: false,
             },
         ));
-        self.classes.valid = false;
         self.recompute_rates();
         id
     }
@@ -547,7 +541,6 @@ impl FlowNetwork {
             return Err(self.report_violation(v));
         }
         let (_, f) = self.flows.remove(i);
-        self.classes.valid = false;
         self.recompute_rates();
         Ok(FlowRecord {
             bytes: f.total,
@@ -569,7 +562,6 @@ impl FlowNetwork {
     /// returning the bytes actually moved.
     pub fn cancel(&mut self, id: FlowId) -> Option<f64> {
         let (_, f) = self.flows.remove(self.index_of(id)?);
-        self.classes.valid = false;
         self.recompute_rates();
         Some(f.total - f.remaining)
     }
@@ -577,23 +569,13 @@ impl FlowNetwork {
     /// Re-solves rates: strict priority between classes, max-min water
     /// filling inside each class.
     ///
-    /// The priority-sorted partition of flows into classes is cached across
-    /// solves: rate recomputations triggered by capacity changes or
-    /// block/unblock toggles (the common case inside fault windows) reuse
-    /// it, and only membership changes (start/complete/cancel) pay the
-    /// re-sort. Blocked flows stay in the cached partition and are filtered
-    /// here, at allocation time, so blocking never invalidates. The solve
-    /// works in `self.scratch` and allocates nothing once it has grown.
+    /// Every solve re-sorts the flows into priority classes; blocked flows
+    /// stay in the partition and are filtered here, at allocation time. The
+    /// solve works in `self.scratch` and allocates nothing once it has grown.
     fn recompute_rates(&mut self) {
-        if self.classes.valid {
-            if let Some(obs) = &self.obs {
-                obs.counter_add("flow.partition_reuse", 1.0);
-            }
-        } else {
-            self.classes.rebuild(&self.flows);
-            if let Some(obs) = &self.obs {
-                obs.counter_add("flow.partition_rebuild", 1.0);
-            }
+        self.classes.rebuild(&self.flows);
+        if let Some(obs) = &self.obs {
+            obs.counter_add("flow.partition_rebuild", 1.0);
         }
 
         for (_, f) in &mut self.flows {
@@ -954,40 +936,10 @@ mod tests {
     }
 
     #[test]
-    fn partition_cache_reused_for_capacity_and_block_changes() {
-        let mut net = FlowNetwork::new();
-        net.set_strict_validation(true);
-        let obs = mobius_obs::Obs::new();
-        net.set_obs(obs.clone());
-        let rebuilds = || obs.counter("flow.partition_rebuild");
-        let reuses = || obs.counter("flow.partition_reuse");
-        let l = net.add_link("l", gbps(10.0));
-        let a = net.start_flow(vec![l], gbps(10.0), 2, 0);
-        let b = net.start_flow(vec![l], gbps(10.0), 0, 1);
-        // Membership changed on each start: those solves rebuild.
-        assert_eq!(rebuilds(), 2.0);
-        let reuses_after_starts = reuses();
-
-        // Capacity wiggles and block toggles keep membership fixed: the
-        // cached partition is reused, and rates still track exactly.
-        net.set_link_capacity(l, gbps(5.0));
-        net.set_flow_blocked(b, true);
-        assert!((net.rate_of(a).unwrap() - gbps(5.0)).abs() < 1.0);
-        net.set_flow_blocked(b, false);
-        net.set_link_capacity(l, gbps(10.0));
-        assert_eq!(rebuilds(), 2.0);
-        assert_eq!(reuses(), reuses_after_starts + 4.0);
-
-        // Removal invalidates: the next solve re-sorts.
-        net.cancel(a);
-        assert_eq!(rebuilds(), 3.0);
-        assert!((net.rate_of(b).unwrap() - gbps(10.0)).abs() < 1.0);
-    }
-
-    #[test]
     fn cached_partition_matches_fresh_solve() {
-        // Same network driven twice — once exercising the cache, once with
-        // membership churn forcing rebuilds — must allocate identically.
+        // Same network driven twice — once with only capacity changes and
+        // block toggles, once with membership churn in between — must
+        // allocate identically.
         let build = |churn: bool| {
             let mut net = FlowNetwork::new();
             net.set_strict_validation(true);
@@ -997,7 +949,7 @@ mod tests {
             let b = net.start_flow(vec![up], gbps(50.0), 1, 1);
             let c = net.start_flow(vec![lane], gbps(50.0), 1, 2);
             if churn {
-                // Start+cancel a decoy to force a partition rebuild.
+                // Start+cancel a higher-priority decoy.
                 let d = net.start_flow(vec![up], gbps(1.0), 7, 9);
                 net.cancel(d);
             }

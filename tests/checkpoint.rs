@@ -7,7 +7,9 @@
 
 use std::path::{Path, PathBuf};
 
-use mobius::ckpt::{corrupt_newest, load_latest, CkptError, CorruptMode};
+use mobius::ckpt::{
+    corrupt_newest, load_latest, write_checkpoint, CkptError, CorruptMode, RunState,
+};
 use mobius::{run_checkpointed, CheckpointOpts, FineTuner, RunOutcome, RunSinks, System};
 use mobius_model::GptConfig;
 use mobius_pipeline::PartitionAlgo;
@@ -276,5 +278,80 @@ fn resume_onto_shrunken_topology_warm_starts_the_elastic_replan() {
     assert_eq!(summary.state.step, 4, "run completes on 3 GPUs");
     let rep = summary.last_report.expect("steps ran");
     assert!(rep.step_time > mobius_sim::SimTime::ZERO);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A checkpoint's partition is untrusted input: one with an empty stage,
+/// or with sizes whose sum overflows (wrapping to the layer count), must
+/// leave the elastic replan cold instead of panicking the planner.
+#[test]
+fn malformed_checkpoint_partition_resumes_with_a_cold_replan() {
+    let dir = scratch("bad-partition");
+    let full = Topology::commodity(GpuSpec::rtx3090ti(), &[2, 2]);
+    let make = |topo: Topology| {
+        FineTuner::new(GptConfig::gpt2_small())
+            .topology(topo)
+            .system(System::Mobius)
+    };
+    let opts = CheckpointOpts {
+        steps: 4,
+        every: 2,
+        dir: Some(dir.clone()),
+        ..CheckpointOpts::default()
+    };
+    let crashed = make(full.clone()).faults(FaultSchedule::new().crash_at_step(3));
+    let committed = match run_checkpointed(&crashed, &opts, &RunSinks::default()).unwrap() {
+        RunOutcome::Crashed { summary, .. } => summary.state,
+        RunOutcome::Completed(_) => panic!("crash:3 must fire"),
+    };
+    let layers: u64 = committed.partition.iter().sum();
+    assert!(
+        layers > 2,
+        "the committed checkpoint must carry the partition"
+    );
+
+    let shrunken = full.without_gpu(3).expect("4-GPU topology shrinks to 3");
+    let cold = make(shrunken.clone()).plan().expect("cold plan on 3 GPUs");
+    assert_eq!(cold.partition.num_layers() as u64, layers);
+    let resume_opts = CheckpointOpts {
+        resume: Some(dir.clone()),
+        ..opts
+    };
+    // A zero-sized stage with fewer and with more stages than GPUs, and
+    // sizes whose sum wraps to `L`.
+    let candidates = [
+        vec![0, layers],
+        vec![0, 1, 1, layers - 2],
+        vec![u64::MAX, layers + 1],
+    ];
+    for bad in candidates {
+        // Newest on disk: a doctored copy of the step-2 commit.
+        let newest = load_latest(&dir, Some(committed.fingerprint)).unwrap();
+        let state = RunState {
+            seq: newest.state.seq + 1,
+            partition: bad.clone(),
+            ..committed.clone()
+        };
+        write_checkpoint(&dir, &state, 8).unwrap();
+        let loaded = load_latest(&dir, Some(state.fingerprint)).unwrap();
+        assert_eq!(loaded.state, state, "the resume reads the doctored state");
+
+        let summary =
+            match run_checkpointed(&make(shrunken.clone()), &resume_opts, &RunSinks::default()) {
+                Ok(RunOutcome::Completed(s)) => s,
+                other => panic!("{bad:?}: resume must complete, got {other:?}"),
+            };
+        assert_eq!(summary.start_step, 2);
+        assert_eq!(summary.state.step, 4, "{bad:?}: run completes on 3 GPUs");
+
+        // The warm start is ignored: the replan is the cold plan, covering
+        // every layer.
+        let warm = make(shrunken.clone())
+            .warm_start(bad.iter().map(|&s| s as usize).collect())
+            .plan()
+            .expect("a malformed warm start is ignored");
+        assert_eq!(warm.partition.sizes(), cold.partition.sizes(), "{bad:?}");
+        assert_eq!(warm.partition.num_layers() as u64, layers);
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
