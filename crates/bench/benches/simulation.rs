@@ -31,7 +31,6 @@ fn step(system: System) -> f64 {
     FineTuner::new(GptConfig::gpt_3b())
         .topology(Topology::commodity(GpuSpec::rtx3090ti(), &[2, 2]))
         .system(system)
-        .mip_budget_ms(50)
         .run_step()
         .expect("3B runs on every system")
         .step_time

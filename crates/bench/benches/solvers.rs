@@ -24,10 +24,10 @@ fn bench_partition_search(c: &mut Criterion) {
     let profile = Profiler::new(GpuSpec::rtx3090ti()).profile(&model, 2);
     let cfg = PipelineConfig::mobius(4, 24 * (1u64 << 30), 13.1e9);
     let opts = MipPartitionOpts {
-        budget: Some(Duration::from_millis(100)),
+        budgeted: true,
         warm_start: None,
     };
-    c.bench_function("mip_partition_8b_100ms_budget", |b| {
+    c.bench_function("mip_partition_8b_node_budget", |b| {
         b.iter(|| std::hint::black_box(mip_partition_opts(&profile, 4, &cfg, &opts, None)))
     });
 }

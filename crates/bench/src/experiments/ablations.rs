@@ -12,28 +12,27 @@ use mobius::{FineTuner, System};
 use mobius_model::GptConfig;
 use mobius_topology::{GpuSpec, Topology};
 
-use crate::{commodity, fmt_secs, mip_ms, Experiment};
+use crate::{commodity, fmt_secs, Experiment};
 
-fn base(cfg: &GptConfig, quick: bool) -> FineTuner {
+fn base(cfg: &GptConfig) -> FineTuner {
     FineTuner::new(cfg.clone())
         .topology(commodity(&[2, 2]))
         .system(System::Mobius)
-        .mip_budget_ms(mip_ms(quick))
 }
 
 /// Step time with one design knob changed.
-pub fn variants(cfg: &GptConfig, quick: bool) -> Vec<(String, f64)> {
+pub fn variants(cfg: &GptConfig) -> Vec<(String, f64)> {
     let mut out = Vec::new();
-    let full = base(cfg, quick).run_step().unwrap().step_time.as_secs_f64();
+    let full = base(cfg).run_step().unwrap().step_time.as_secs_f64();
     out.push(("Mobius (full)".into(), full));
-    let no_prefetch = base(cfg, quick)
+    let no_prefetch = base(cfg)
         .prefetch(false)
         .run_step()
         .unwrap()
         .step_time
         .as_secs_f64();
     out.push(("- prefetch".into(), no_prefetch));
-    let no_prio = base(cfg, quick)
+    let no_prio = base(cfg)
         .prioritized_loads(false)
         .run_step()
         .unwrap()
@@ -45,7 +44,6 @@ pub fn variants(cfg: &GptConfig, quick: bool) -> Vec<(String, f64)> {
         let t = FineTuner::new(cfg.clone())
             .topology(topo)
             .system(System::Mobius)
-            .mip_budget_ms(mip_ms(quick))
             .run_step()
             .unwrap()
             .step_time
@@ -56,7 +54,7 @@ pub fn variants(cfg: &GptConfig, quick: bool) -> Vec<(String, f64)> {
 }
 
 /// Runs the ablation table.
-pub fn run(quick: bool) -> Experiment {
+pub fn run(_quick: bool) -> Experiment {
     let mut e = Experiment::new(
         "ablations",
         "Design-choice ablations (15B, Topo 2+2)",
@@ -65,7 +63,7 @@ pub fn run(quick: bool) -> Experiment {
     )
     .columns(["variant", "step time", "vs full"]);
     let cfg = GptConfig::gpt_15b();
-    let rows = variants(&cfg, quick);
+    let rows = variants(&cfg);
     let full = rows[0].1;
     for (name, t) in rows {
         e.push_row([name, fmt_secs(t), format!("{:.2}x", t / full)]);
@@ -79,7 +77,7 @@ mod tests {
 
     #[test]
     fn every_ablation_hurts_or_ties() {
-        let rows = variants(&GptConfig::gpt_15b(), true);
+        let rows = variants(&GptConfig::gpt_15b());
         let full = rows[0].1;
         for (name, t) in &rows[1..] {
             assert!(
@@ -91,7 +89,7 @@ mod tests {
 
     #[test]
     fn slower_ssd_hurts_more() {
-        let rows = variants(&GptConfig::gpt_15b(), true);
+        let rows = variants(&GptConfig::gpt_15b());
         let ssd: Vec<f64> = rows
             .iter()
             .filter(|(n, _)| n.starts_with("SSD"))

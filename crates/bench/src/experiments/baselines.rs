@@ -5,7 +5,7 @@
 use mobius::{FineTuner, RunError, System};
 use mobius_model::GptConfig;
 
-use crate::{commodity, fmt_secs, mip_ms, Experiment};
+use crate::{commodity, fmt_secs, Experiment};
 
 const SYSTEMS: [System; 5] = [
     System::Gpipe,
@@ -16,11 +16,10 @@ const SYSTEMS: [System; 5] = [
 ];
 
 /// Step time in seconds, or `None` for OOM (Topo 2+2).
-pub fn step_secs(cfg: &GptConfig, system: System, quick: bool) -> Option<f64> {
+pub fn step_secs(cfg: &GptConfig, system: System) -> Option<f64> {
     match FineTuner::new(cfg.clone())
         .topology(commodity(&[2, 2]))
         .system(system)
-        .mip_budget_ms(mip_ms(quick))
         .run_step()
     {
         Ok(r) => Some(r.step_time.as_secs_f64()),
@@ -58,7 +57,7 @@ pub fn run(quick: bool) -> Experiment {
     for cfg in &models {
         let mut row = vec![cfg.name.clone()];
         for &s in &SYSTEMS {
-            row.push(step_secs(cfg, s, quick).map_or("OOM".into(), fmt_secs));
+            row.push(step_secs(cfg, s).map_or("OOM".into(), fmt_secs));
         }
         e.push_row(row);
     }
@@ -77,18 +76,18 @@ mod tests {
     #[test]
     fn ladder_shape() {
         // 3B: everyone. 8B: offload + hetero. 15B: hetero only.
-        assert!(step_secs(&GptConfig::gpt_3b(), System::Gpipe, true).is_some());
-        assert!(step_secs(&GptConfig::gpt_8b(), System::Gpipe, true).is_none());
-        assert!(step_secs(&GptConfig::gpt_8b(), System::ZeroOffload, true).is_some());
-        assert!(step_secs(&GptConfig::gpt_15b(), System::ZeroOffload, true).is_none());
-        assert!(step_secs(&GptConfig::gpt_15b(), System::Mobius, true).is_some());
+        assert!(step_secs(&GptConfig::gpt_3b(), System::Gpipe).is_some());
+        assert!(step_secs(&GptConfig::gpt_8b(), System::Gpipe).is_none());
+        assert!(step_secs(&GptConfig::gpt_8b(), System::ZeroOffload).is_some());
+        assert!(step_secs(&GptConfig::gpt_15b(), System::ZeroOffload).is_none());
+        assert!(step_secs(&GptConfig::gpt_15b(), System::Mobius).is_some());
     }
 
     #[test]
     fn offload_between_zero3_and_mobius_on_8b() {
         let cfg = GptConfig::gpt_8b();
-        let offload = step_secs(&cfg, System::ZeroOffload, true).unwrap();
-        let zero3 = step_secs(&cfg, System::DeepSpeedHetero, true).unwrap();
+        let offload = step_secs(&cfg, System::ZeroOffload).unwrap();
+        let zero3 = step_secs(&cfg, System::DeepSpeedHetero).unwrap();
         assert!(
             offload < zero3,
             "resident params must beat per-layer gathers: {offload:.2} vs {zero3:.2}"

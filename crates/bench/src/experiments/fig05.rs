@@ -5,7 +5,7 @@ use mobius::{FineTuner, RunError, System};
 use mobius_model::GptConfig;
 use mobius_topology::Topology;
 
-use crate::{fmt_secs, mip_ms, paper_topologies, Experiment};
+use crate::{fmt_secs, paper_topologies, Experiment};
 
 const SYSTEMS: [System; 4] = [
     System::Gpipe,
@@ -15,11 +15,10 @@ const SYSTEMS: [System; 4] = [
 ];
 
 /// Step time in seconds, or `None` for OOM.
-pub fn step_secs(cfg: &GptConfig, topo: &Topology, system: System, quick: bool) -> Option<f64> {
+pub fn step_secs(cfg: &GptConfig, topo: &Topology, system: System) -> Option<f64> {
     let run = FineTuner::new(cfg.clone())
         .topology(topo.clone())
         .system(system)
-        .mip_budget_ms(mip_ms(quick))
         .run_step();
     match run {
         Ok(r) => Some(r.step_time.as_secs_f64()),
@@ -57,10 +56,8 @@ pub fn run(quick: bool) -> Experiment {
     };
     for cfg in &models {
         for topo in paper_topologies() {
-            let cells: Vec<Option<f64>> = SYSTEMS
-                .iter()
-                .map(|&s| step_secs(cfg, &topo, s, quick))
-                .collect();
+            let cells: Vec<Option<f64>> =
+                SYSTEMS.iter().map(|&s| step_secs(cfg, &topo, s)).collect();
             let speedup = match (cells[2], cells[3]) {
                 (Some(ds), Some(mb)) => format!("{:.2}x", ds / mb),
                 _ => "-".into(),
@@ -83,10 +80,10 @@ mod tests {
     #[test]
     fn ooms_match_paper() {
         let topo = commodity(&[2, 2]);
-        assert!(step_secs(&GptConfig::gpt_3b(), &topo, System::Gpipe, true).is_some());
-        assert!(step_secs(&GptConfig::gpt_8b(), &topo, System::Gpipe, true).is_none());
-        assert!(step_secs(&GptConfig::gpt_8b(), &topo, System::DeepSpeedPipeline, true).is_none());
-        assert!(step_secs(&GptConfig::gpt_8b(), &topo, System::DeepSpeedHetero, true).is_some());
+        assert!(step_secs(&GptConfig::gpt_3b(), &topo, System::Gpipe).is_some());
+        assert!(step_secs(&GptConfig::gpt_8b(), &topo, System::Gpipe).is_none());
+        assert!(step_secs(&GptConfig::gpt_8b(), &topo, System::DeepSpeedPipeline).is_none());
+        assert!(step_secs(&GptConfig::gpt_8b(), &topo, System::DeepSpeedHetero).is_some());
     }
 
     #[test]
@@ -94,8 +91,8 @@ mod tests {
         let cfg = GptConfig::gpt_15b();
         let speedup = |groups: &[usize]| {
             let topo = commodity(groups);
-            let ds = step_secs(&cfg, &topo, System::DeepSpeedHetero, true).unwrap();
-            let mb = step_secs(&cfg, &topo, System::Mobius, true).unwrap();
+            let ds = step_secs(&cfg, &topo, System::DeepSpeedHetero).unwrap();
+            let mb = step_secs(&cfg, &topo, System::Mobius).unwrap();
             ds / mb
         };
         let contended = speedup(&[4]);
@@ -110,13 +107,13 @@ mod tests {
     #[test]
     fn mobius_stable_across_topologies() {
         let cfg = GptConfig::gpt_8b();
-        let t4 = step_secs(&cfg, &commodity(&[4]), System::Mobius, true).unwrap();
-        let t22 = step_secs(&cfg, &commodity(&[2, 2]), System::Mobius, true).unwrap();
+        let t4 = step_secs(&cfg, &commodity(&[4]), System::Mobius).unwrap();
+        let t22 = step_secs(&cfg, &commodity(&[2, 2]), System::Mobius).unwrap();
         // "Almost stable": within ~40% between best and worst topology,
         // versus DeepSpeed's ~2x swing.
         assert!(t4 / t22 < 1.45, "Mobius swing too large: {:.2}", t4 / t22);
-        let d4 = step_secs(&cfg, &commodity(&[4]), System::DeepSpeedHetero, true).unwrap();
-        let d22 = step_secs(&cfg, &commodity(&[2, 2]), System::DeepSpeedHetero, true).unwrap();
+        let d4 = step_secs(&cfg, &commodity(&[4]), System::DeepSpeedHetero).unwrap();
+        let d22 = step_secs(&cfg, &commodity(&[2, 2]), System::DeepSpeedHetero).unwrap();
         assert!(d4 / d22 > t4 / t22, "DeepSpeed should swing more");
     }
 }

@@ -4,13 +4,12 @@
 use mobius::{FineTuner, StepReport, System};
 use mobius_model::GptConfig;
 
-use crate::{commodity, fmt_gb, fmt_x, mip_ms, Experiment};
+use crate::{commodity, fmt_gb, fmt_x, Experiment};
 
-fn run_one(cfg: &GptConfig, system: System, quick: bool) -> StepReport {
+fn run_one(cfg: &GptConfig, system: System) -> StepReport {
     FineTuner::new(cfg.clone())
         .topology(commodity(&[2, 2]))
         .system(system)
-        .mip_budget_ms(mip_ms(quick))
         .run_step()
         .expect("both systems train these models")
 }
@@ -41,8 +40,8 @@ pub fn run(quick: bool) -> Experiment {
         ]
     };
     for cfg in &models {
-        let ds = run_one(cfg, System::DeepSpeedHetero, quick);
-        let mb = run_one(cfg, System::Mobius, quick);
+        let ds = run_one(cfg, System::DeepSpeedHetero);
+        let mb = run_one(cfg, System::Mobius);
         // The paper's "model size" reference is the FP32 parameter bytes
         // (2x the FP16 bytes the GPUs actually move).
         let fp32 = 2.0 * ds.model_size_bytes as f64;
@@ -70,8 +69,8 @@ mod tests {
     #[test]
     fn ratios_match_paper_shape() {
         let cfg = GptConfig::gpt_8b();
-        let ds = run_one(&cfg, System::DeepSpeedHetero, true);
-        let mb = run_one(&cfg, System::Mobius, true);
+        let ds = run_one(&cfg, System::DeepSpeedHetero);
+        let mb = run_one(&cfg, System::Mobius);
         let fp32 = 2.0 * ds.model_size_bytes as f64;
         let ds_ratio = ds.traffic_total() / fp32;
         let mb_ratio = mb.traffic_total() / fp32;

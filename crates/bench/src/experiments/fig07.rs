@@ -5,13 +5,12 @@ use mobius::{FineTuner, System};
 use mobius_model::GptConfig;
 use mobius_topology::Topology;
 
-use crate::{cdf_cells, mip_ms, paper_topologies, Experiment};
+use crate::{cdf_cells, paper_topologies, Experiment};
 
-fn cdf_row(cfg: &GptConfig, topo: &Topology, system: System, quick: bool) -> Vec<String> {
+fn cdf_row(cfg: &GptConfig, topo: &Topology, system: System) -> Vec<String> {
     let report = FineTuner::new(cfg.clone())
         .topology(topo.clone())
         .system(system)
-        .mip_budget_ms(mip_ms(quick))
         .run_step()
         .expect("hetero systems train these models");
     let cells = cdf_cells(&report.bandwidth_cdf());
@@ -48,7 +47,7 @@ pub fn run(quick: bool) -> Experiment {
     for cfg in &models {
         for topo in paper_topologies() {
             for system in [System::DeepSpeedHetero, System::Mobius] {
-                e.push_row(cdf_row(cfg, &topo, system, quick));
+                e.push_row(cdf_row(cfg, &topo, system));
             }
         }
     }
@@ -68,7 +67,6 @@ mod tests {
             FineTuner::new(cfg.clone())
                 .topology(topo.clone())
                 .system(system)
-                .mip_budget_ms(120)
                 .run_step()
                 .unwrap()
                 .bandwidth_cdf()

@@ -5,13 +5,12 @@ use mobius::{FineTuner, System};
 use mobius_model::GptConfig;
 use mobius_topology::Topology;
 
-use crate::{mip_ms, paper_topologies, Experiment};
+use crate::{paper_topologies, Experiment};
 
-fn fraction(cfg: &GptConfig, topo: &Topology, system: System, quick: bool) -> f64 {
+fn fraction(cfg: &GptConfig, topo: &Topology, system: System) -> f64 {
     FineTuner::new(cfg.clone())
         .topology(topo.clone())
         .system(system)
-        .mip_budget_ms(mip_ms(quick))
         .run_step()
         .expect("hetero systems train these models")
         .non_overlapped_fraction()
@@ -33,8 +32,8 @@ pub fn run(quick: bool) -> Experiment {
     };
     for cfg in &models {
         for topo in paper_topologies() {
-            let ds = fraction(cfg, &topo, System::DeepSpeedHetero, quick);
-            let mb = fraction(cfg, &topo, System::Mobius, quick);
+            let ds = fraction(cfg, &topo, System::DeepSpeedHetero);
+            let mb = fraction(cfg, &topo, System::Mobius);
             e.push_row([
                 cfg.name.clone(),
                 topo.name(),
@@ -56,8 +55,8 @@ mod tests {
     fn mobius_overlaps_much_more() {
         let cfg = GptConfig::gpt_15b();
         let topo = commodity(&[2, 2]);
-        let ds = fraction(&cfg, &topo, System::DeepSpeedHetero, true);
-        let mb = fraction(&cfg, &topo, System::Mobius, true);
+        let ds = fraction(&cfg, &topo, System::DeepSpeedHetero);
+        let mb = fraction(&cfg, &topo, System::Mobius);
         assert!(
             ds - mb > 0.3,
             "expected >30pp reduction, got DS {ds:.2} vs Mobius {mb:.2}"
@@ -67,8 +66,8 @@ mod tests {
     #[test]
     fn mobius_overlap_best_on_2_plus_2() {
         let cfg = GptConfig::gpt_15b();
-        let relaxed = fraction(&cfg, &commodity(&[2, 2]), System::Mobius, true);
-        let contended = fraction(&cfg, &commodity(&[4]), System::Mobius, true);
+        let relaxed = fraction(&cfg, &commodity(&[2, 2]), System::Mobius);
+        let contended = fraction(&cfg, &commodity(&[4]), System::Mobius);
         assert!(relaxed < contended);
     }
 }

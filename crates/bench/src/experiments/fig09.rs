@@ -5,16 +5,15 @@ use mobius::{FineTuner, System};
 use mobius_model::GptConfig;
 use mobius_pipeline::PartitionAlgo;
 
-use crate::{commodity, mip_ms, Experiment};
+use crate::{commodity, Experiment};
 
 /// Step time in seconds for one partition algorithm.
-pub fn step_secs(cfg: &GptConfig, mbs: usize, algo: PartitionAlgo, quick: bool) -> f64 {
+pub fn step_secs(cfg: &GptConfig, mbs: usize, algo: PartitionAlgo) -> f64 {
     FineTuner::new(cfg.clone())
         .topology(commodity(&[2, 2]))
         .system(System::Mobius)
         .partition_algo(algo)
         .microbatch_size(mbs)
-        .mip_budget_ms(mip_ms(quick))
         .run_step()
         .expect("all partition algorithms are feasible here")
         .step_time
@@ -45,9 +44,9 @@ pub fn run(quick: bool) -> Experiment {
     .columns(["model", "mbs", "MIP", "max-stage", "min-stage"]);
     for (cfg, mbss) in sweeps(quick) {
         for mbs in mbss {
-            let mip = step_secs(&cfg, mbs, PartitionAlgo::Mip, quick);
-            let maxs = step_secs(&cfg, mbs, PartitionAlgo::MaxStage, quick);
-            let mins = step_secs(&cfg, mbs, PartitionAlgo::MinStage, quick);
+            let mip = step_secs(&cfg, mbs, PartitionAlgo::Mip);
+            let maxs = step_secs(&cfg, mbs, PartitionAlgo::MaxStage);
+            let mins = step_secs(&cfg, mbs, PartitionAlgo::MinStage);
             e.push_row([
                 cfg.name.clone(),
                 mbs.to_string(),
@@ -68,8 +67,8 @@ mod tests {
     #[test]
     fn max_stage_is_much_worse() {
         let cfg = GptConfig::gpt_8b();
-        let mip = step_secs(&cfg, 2, PartitionAlgo::Mip, true);
-        let maxs = step_secs(&cfg, 2, PartitionAlgo::MaxStage, true);
+        let mip = step_secs(&cfg, 2, PartitionAlgo::Mip);
+        let maxs = step_secs(&cfg, 2, PartitionAlgo::MaxStage);
         assert!(
             maxs / mip > 1.4,
             "max-stage should lose badly: {:.2}x",
@@ -81,8 +80,8 @@ mod tests {
     fn mip_at_least_matches_min_stage() {
         let cfg = GptConfig::gpt_8b();
         for mbs in [2usize, 8] {
-            let mip = step_secs(&cfg, mbs, PartitionAlgo::Mip, true);
-            let mins = step_secs(&cfg, mbs, PartitionAlgo::MinStage, true);
+            let mip = step_secs(&cfg, mbs, PartitionAlgo::Mip);
+            let mins = step_secs(&cfg, mbs, PartitionAlgo::MinStage);
             // The MIP objective is the analytic model; allow a hair of
             // planner/simulator mismatch.
             assert!(
@@ -95,10 +94,10 @@ mod tests {
     #[test]
     fn min_stage_converges_to_mip_at_large_mbs() {
         let cfg = GptConfig::gpt_8b();
-        let gap_small = step_secs(&cfg, 2, PartitionAlgo::MinStage, true)
-            / step_secs(&cfg, 2, PartitionAlgo::Mip, true);
-        let gap_large = step_secs(&cfg, 8, PartitionAlgo::MinStage, true)
-            / step_secs(&cfg, 8, PartitionAlgo::Mip, true);
+        let gap_small =
+            step_secs(&cfg, 2, PartitionAlgo::MinStage) / step_secs(&cfg, 2, PartitionAlgo::Mip);
+        let gap_large =
+            step_secs(&cfg, 8, PartitionAlgo::MinStage) / step_secs(&cfg, 8, PartitionAlgo::Mip);
         assert!(
             gap_large <= gap_small + 0.02,
             "gap should shrink with mbs: small {gap_small:.3} large {gap_large:.3}"

@@ -5,16 +5,15 @@ use mobius::{FineTuner, System};
 use mobius_mapping::MappingAlgo;
 use mobius_model::GptConfig;
 
-use crate::{commodity, mip_ms, Experiment};
+use crate::{commodity, Experiment};
 
 /// Step time in seconds under a mapping policy (8 GPUs, Topo 4+4).
-pub fn step_secs(cfg: &GptConfig, mbs: usize, algo: MappingAlgo, quick: bool) -> f64 {
+pub fn step_secs(cfg: &GptConfig, mbs: usize, algo: MappingAlgo) -> f64 {
     FineTuner::new(cfg.clone())
         .topology(commodity(&[4, 4]))
         .system(System::Mobius)
         .mapping_algo(algo)
         .microbatch_size(mbs)
-        .mip_budget_ms(mip_ms(quick))
         .run_step()
         .expect("Mobius trains these models on 8 GPUs")
         .step_time
@@ -40,8 +39,8 @@ pub fn run(quick: bool) -> Experiment {
     };
     for (cfg, mbss) in sweeps {
         for mbs in mbss {
-            let seq = step_secs(&cfg, mbs, MappingAlgo::Sequential, quick);
-            let cross = step_secs(&cfg, mbs, MappingAlgo::Cross, quick);
+            let seq = step_secs(&cfg, mbs, MappingAlgo::Sequential);
+            let cross = step_secs(&cfg, mbs, MappingAlgo::Cross);
             e.push_row([
                 cfg.name.clone(),
                 mbs.to_string(),
@@ -68,8 +67,8 @@ mod tests {
     fn cross_never_loses() {
         let cfg = GptConfig::gpt_8b();
         for mbs in [2usize, 8] {
-            let seq = step_secs(&cfg, mbs, MappingAlgo::Sequential, true);
-            let cross = step_secs(&cfg, mbs, MappingAlgo::Cross, true);
+            let seq = step_secs(&cfg, mbs, MappingAlgo::Sequential);
+            let cross = step_secs(&cfg, mbs, MappingAlgo::Cross);
             assert!(
                 cross <= seq * 1.005,
                 "mbs {mbs}: cross {cross:.3}s vs sequential {seq:.3}s"
@@ -81,8 +80,8 @@ mod tests {
     fn gain_shrinks_with_microbatches() {
         let cfg = GptConfig::gpt_8b();
         let gain = |mbs| {
-            1.0 - step_secs(&cfg, mbs, MappingAlgo::Cross, true)
-                / step_secs(&cfg, mbs, MappingAlgo::Sequential, true)
+            1.0 - step_secs(&cfg, mbs, MappingAlgo::Cross)
+                / step_secs(&cfg, mbs, MappingAlgo::Sequential)
         };
         let small = gain(2);
         let large = gain(8);

@@ -5,15 +5,14 @@ use mobius_mapping::MappingAlgo;
 use mobius_model::GptConfig;
 use mobius_sim::Cdf;
 
-use crate::{cdf_cells, commodity, mip_ms, Experiment};
+use crate::{cdf_cells, commodity, Experiment};
 
-fn cdf(cfg: &GptConfig, mbs: usize, algo: MappingAlgo, quick: bool) -> Cdf {
+fn cdf(cfg: &GptConfig, mbs: usize, algo: MappingAlgo) -> Cdf {
     FineTuner::new(cfg.clone())
         .topology(commodity(&[4, 4]))
         .system(System::Mobius)
         .mapping_algo(algo)
         .microbatch_size(mbs)
-        .mip_budget_ms(mip_ms(quick))
         .run_step()
         .expect("Mobius trains these models on 8 GPUs")
         .bandwidth_cdf()
@@ -48,7 +47,7 @@ pub fn run(quick: bool) -> Experiment {
                 ("sequential", MappingAlgo::Sequential),
                 ("cross", MappingAlgo::Cross),
             ] {
-                let c = cdf(&cfg, mbs, algo, quick);
+                let c = cdf(&cfg, mbs, algo);
                 let cells = cdf_cells(&c);
                 let mut row = vec![cfg.name.clone(), mbs.to_string(), label.to_string()];
                 row.extend(cells);
@@ -68,8 +67,8 @@ mod tests {
         // The clearest case (matching the paper's Figure 11): 15B at
         // microbatch size 1, where sequential mapping's prefetches collide.
         let cfg = GptConfig::gpt_15b();
-        let seq = cdf(&cfg, 1, MappingAlgo::Sequential, true);
-        let cross = cdf(&cfg, 1, MappingAlgo::Cross, true);
+        let seq = cdf(&cfg, 1, MappingAlgo::Sequential);
+        let cross = cdf(&cfg, 1, MappingAlgo::Cross);
         let (s_med, c_med) = (seq.median().unwrap(), cross.median().unwrap());
         assert!(
             c_med > s_med,

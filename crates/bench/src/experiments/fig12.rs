@@ -3,7 +3,7 @@
 use mobius::FineTuner;
 use mobius_model::GptConfig;
 
-use crate::{commodity, fmt_secs, mip_ms, Experiment};
+use crate::{commodity, fmt_secs, Experiment};
 
 /// Regenerates Figure 12 on the Topo 1+3 server, as in the paper.
 pub fn run(quick: bool) -> Experiment {
@@ -31,9 +31,7 @@ pub fn run(quick: bool) -> Experiment {
         ]
     };
     for cfg in &models {
-        let tuner = FineTuner::new(cfg.clone())
-            .topology(commodity(&[1, 3]))
-            .mip_budget_ms(mip_ms(quick));
+        let tuner = FineTuner::new(cfg.clone()).topology(commodity(&[1, 3]));
         let plan = tuner.plan().expect("planning succeeds");
         // Naive profiling time for the comparison column.
         let model = mobius_model::Model::from_config(cfg);
@@ -68,7 +66,6 @@ mod tests {
     fn overheads_are_seconds_not_hours() {
         let plan = FineTuner::new(GptConfig::gpt_8b())
             .topology(commodity(&[1, 3]))
-            .mip_budget_ms(150)
             .plan()
             .unwrap();
         assert!(plan.overheads.profiling.as_secs_f64() < 300.0);

@@ -5,10 +5,10 @@
 use mobius::{FineTuner, System};
 use mobius_model::GptConfig;
 
-use crate::{commodity, fmt_secs, mip_ms, Experiment};
+use crate::{commodity, fmt_secs, Experiment};
 
 /// Samples-per-second throughput at `n` GPUs.
-pub fn throughput(n: usize, quick: bool) -> f64 {
+pub fn throughput(n: usize) -> f64 {
     let half = n / 2;
     let groups: Vec<usize> = if half == 0 {
         vec![n]
@@ -20,7 +20,6 @@ pub fn throughput(n: usize, quick: bool) -> f64 {
         .system(System::Mobius)
         .microbatch_size(1)
         .num_microbatches(n)
-        .mip_budget_ms(mip_ms(quick))
         .run_step()
         .expect("Mobius scales on the 15B model")
         .step_time
@@ -43,9 +42,9 @@ pub fn run(quick: bool) -> Experiment {
     } else {
         (2..=8).collect()
     };
-    let base = throughput(2, quick) / 2.0;
+    let base = throughput(2) / 2.0;
     for &n in &counts {
-        let t = throughput(n, quick);
+        let t = throughput(n);
         e.push_row([
             n.to_string(),
             fmt_secs(n as f64 / t),
@@ -62,8 +61,8 @@ mod tests {
 
     #[test]
     fn near_linear_scaling() {
-        let t2 = throughput(2, true);
-        let t8 = throughput(8, true);
+        let t2 = throughput(2);
+        let t8 = throughput(8);
         let efficiency = (t8 / t2) / 4.0;
         assert!(
             efficiency > 0.75,
@@ -76,8 +75,8 @@ mod tests {
     #[test]
     fn uneven_split_dips() {
         // Per-GPU throughput at N=5 (2+3 split) is below N=4 (2+2).
-        let t4 = throughput(4, true) / 4.0;
-        let t5 = throughput(5, true) / 5.0;
+        let t4 = throughput(4) / 4.0;
+        let t5 = throughput(5) / 5.0;
         assert!(t5 < t4 * 1.02, "expected a dip at N=5: {t5:.3} vs {t4:.3}");
     }
 }

@@ -5,15 +5,14 @@ use mobius::{FineTuner, StepReport, System};
 use mobius_model::GptConfig;
 use mobius_topology::Topology;
 
-use crate::{commodity, data_center, fmt_secs, mip_ms, Experiment};
+use crate::{commodity, data_center, fmt_secs, Experiment};
 
 /// One (system, server) cell of the figure.
-pub fn run_one(cfg: &GptConfig, topo: &Topology, system: System, quick: bool) -> StepReport {
+pub fn run_one(cfg: &GptConfig, topo: &Topology, system: System) -> StepReport {
     FineTuner::new(cfg.clone())
         .topology(topo.clone())
         .system(system)
         .microbatch_size(2)
-        .mip_budget_ms(mip_ms(quick))
         .run_step()
         .expect("hetero systems run on both servers")
 }
@@ -36,7 +35,7 @@ pub fn run(quick: bool) -> Experiment {
     for cfg in &models {
         for (server, topo) in [("DC", data_center()), ("commodity", commodity(&[2, 2]))] {
             for system in [System::DeepSpeedHetero, System::Mobius] {
-                let r = run_one(cfg, &topo, system, quick);
+                let r = run_one(cfg, &topo, system);
                 e.push_row([
                     cfg.name.clone(),
                     r.system.label().to_string(),
@@ -63,8 +62,8 @@ mod tests {
     fn deepspeed_wins_on_nvlink() {
         let cfg = GptConfig::gpt_8b();
         let dc = data_center();
-        let ds = run_one(&cfg, &dc, System::DeepSpeedHetero, true);
-        let mb = run_one(&cfg, &dc, System::Mobius, true);
+        let ds = run_one(&cfg, &dc, System::DeepSpeedHetero);
+        let mb = run_one(&cfg, &dc, System::Mobius);
         assert!(
             ds.step_time <= mb.step_time,
             "on NVLink DeepSpeed ({}) should beat Mobius ({})",
@@ -77,8 +76,8 @@ mod tests {
     fn both_faster_on_the_dc_server() {
         let cfg = GptConfig::gpt_8b();
         for system in [System::DeepSpeedHetero, System::Mobius] {
-            let dc = run_one(&cfg, &data_center(), system, true);
-            let c = run_one(&cfg, &commodity(&[2, 2]), system, true);
+            let dc = run_one(&cfg, &data_center(), system);
+            let c = run_one(&cfg, &commodity(&[2, 2]), system);
             assert!(
                 dc.step_time < c.step_time,
                 "{:?} should speed up on NVLink",
@@ -90,8 +89,8 @@ mod tests {
     #[test]
     fn mobius_commodity_trades_time_for_price() {
         let cfg = GptConfig::gpt_8b();
-        let ds_dc = run_one(&cfg, &data_center(), System::DeepSpeedHetero, true);
-        let mb_c = run_one(&cfg, &commodity(&[2, 2]), System::Mobius, true);
+        let ds_dc = run_one(&cfg, &data_center(), System::DeepSpeedHetero);
+        let mb_c = run_one(&cfg, &commodity(&[2, 2]), System::Mobius);
         assert!(mb_c.step_time > ds_dc.step_time, "slower on commodity");
         assert!(
             mb_c.price_usd < ds_dc.price_usd,

@@ -6,15 +6,14 @@ use mobius::{FineTuner, System};
 use mobius_model::GptConfig;
 use mobius_sim::{Cdf, CommKind};
 
-use crate::{cdf_cells, data_center, mip_ms, Experiment};
+use crate::{cdf_cells, data_center, Experiment};
 
 /// The PCIe-only (GPU↔CPU) bandwidth CDF of a system on the DC server.
-pub fn host_cdf(system: System, quick: bool) -> Cdf {
+pub fn host_cdf(system: System) -> Cdf {
     let report = FineTuner::new(GptConfig::gpt_8b())
         .topology(data_center())
         .system(system)
         .microbatch_size(2)
-        .mip_budget_ms(mip_ms(quick))
         .run_step()
         .expect("both systems run on the DC server");
     // Restrict to host transfers: stage/param movement and offloads, not
@@ -40,7 +39,7 @@ pub fn host_cdf(system: System, quick: bool) -> Cdf {
 }
 
 /// Regenerates Figure 16.
-pub fn run(quick: bool) -> Experiment {
+pub fn run(_quick: bool) -> Experiment {
     let mut e = Experiment::new(
         "fig16",
         "GPU-CPU bandwidth CDF on the data-center server",
@@ -54,7 +53,7 @@ pub fn run(quick: bool) -> Experiment {
         "bytes > 12 GB/s",
     ]);
     for system in [System::DeepSpeedHetero, System::Mobius] {
-        let cdf = host_cdf(system, quick);
+        let cdf = host_cdf(system);
         let cells = cdf_cells(&cdf);
         let mut row = vec![match system {
             System::DeepSpeedHetero => "DeepSpeed".to_string(),
@@ -72,8 +71,8 @@ mod tests {
 
     #[test]
     fn mobius_host_traffic_less_contended() {
-        let ds = host_cdf(System::DeepSpeedHetero, true);
-        let mb = host_cdf(System::Mobius, true);
+        let ds = host_cdf(System::DeepSpeedHetero);
+        let mb = host_cdf(System::Mobius);
         let (dsm, mbm) = (ds.median().unwrap_or(0.0), mb.median().unwrap_or(0.0));
         assert!(
             mbm >= dsm * 0.95,

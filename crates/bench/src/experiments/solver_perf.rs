@@ -21,8 +21,8 @@
 //! committed baseline (`BENCH_solver.json`) that `scripts/verify.sh` diffs
 //! against with direction-aware rules: work counters may only shrink,
 //! counts and checksums must match exactly. All
-//! deterministic solves run with `budget: None` so no wall-clock value can
-//! perturb the search. Wall timings live in a separate `solver-wall`
+//! deterministic solves run unbudgeted (to the search's node cap), so the
+//! counters cover the whole search. Wall timings live in a separate `solver-wall`
 //! experiment that the baseline diff and the determinism gate both ignore.
 
 use mobius_obs::WallTimer;
@@ -68,8 +68,8 @@ fn replan_cfg() -> PipelineConfig {
 
 fn solve(n_gpus: usize, warm: Option<Vec<usize>>) -> PartitionOutcome {
     let opts = MipPartitionOpts {
-        // No wall-clock budget: the node counts below are byte-compared.
-        budget: None,
+        // Unbudgeted: the node counts below cover the whole search.
+        budgeted: false,
         warm_start: warm,
     };
     mip_partition_opts(&replan_profile(), n_gpus, &replan_cfg(), &opts, None)

@@ -5,7 +5,7 @@
 use mobius::{FineTuner, System};
 use mobius_model::GptConfig;
 
-use crate::{commodity, fmt_secs, mip_ms, Experiment};
+use crate::{commodity, fmt_secs, Experiment};
 
 /// First-step and steady-state durations over a `k`-step run.
 pub fn first_vs_steady(cfg: &GptConfig, system: System, quick: bool) -> (f64, f64) {
@@ -13,7 +13,6 @@ pub fn first_vs_steady(cfg: &GptConfig, system: System, quick: bool) -> (f64, f6
     let rep = FineTuner::new(cfg.clone())
         .topology(commodity(&[2, 2]))
         .system(system)
-        .mip_budget_ms(mip_ms(quick))
         .run_steps(k)
         .expect("pipeline systems support multi-step runs");
     (

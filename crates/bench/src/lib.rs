@@ -38,15 +38,6 @@ pub fn data_center() -> Topology {
     Topology::data_center(GpuSpec::v100(), 4)
 }
 
-/// MIP search budget in milliseconds: shorter in quick (test) mode.
-pub fn mip_ms(quick: bool) -> u64 {
-    if quick {
-        120
-    } else {
-        1_500
-    }
-}
-
 /// Summary cells for a bandwidth CDF: median, fraction of bytes at or below
 /// half the root-complex peak, and fraction above 12 GB/s (near peak).
 pub fn cdf_cells(cdf: &Cdf) -> [String; 3] {

@@ -35,8 +35,9 @@
 //! itself goes through the same solve-then-replay path. Each chunk thus
 //! stays a function of the configuration, the committed state and the
 //! step index. A replan after a GPU loss or an OOM still solves inside
-//! its step. A resumed invocation solves again, so a search cut off by
-//! the wall-clock budget can still differ across a crash.
+//! its step. A resumed invocation solves again; the search's fixed node
+//! budget makes that solve, its record and the resumed chunks the same as
+//! the uninterrupted run's.
 //!
 //! Resuming onto a *different* topology (a GPU lost across the crash)
 //! routes the committed partition through [`FineTuner::warm_start`], so

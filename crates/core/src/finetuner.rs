@@ -1,8 +1,6 @@
 //! The high-level API: pick a model, a server, and a system; get a plan
 //! and a measured training step.
 
-use std::time::Duration;
-
 use mobius_cluster::{simulate_ring_allreduce, ClusterDpConfig, ReplicaTiming};
 use mobius_mapping::{Mapping, MappingAlgo};
 use mobius_model::{GptConfig, Model};
@@ -182,6 +180,10 @@ pub struct StepReport {
     /// Cross-server accounting of a multi-server run. `None` for
     /// single-server runs (including a configured 1-server cluster).
     pub cluster: Option<ClusterStepReport>,
+    /// Partition-search accounting of the plan the step ran on ([`Plan::search`]).
+    /// `None` when no partition search ran (non-Mobius systems, non-MIP
+    /// partition algorithms, or a step degraded to ZeRO-hetero).
+    pub search: Option<mobius_mip::SearchStats>,
 }
 
 impl StepReport {
@@ -220,7 +222,6 @@ impl StepReport {
 /// let report = FineTuner::new(GptConfig::gpt_8b())
 ///     .topology(Topology::commodity(GpuSpec::rtx3090ti(), &[2, 2]))
 ///     .system(System::Mobius)
-///     .mip_budget_ms(200)
 ///     .run_step()?;
 /// assert!(report.step_time.as_secs_f64() > 0.0);
 /// # Ok::<(), mobius::RunError>(())
@@ -234,7 +235,6 @@ pub struct FineTuner {
     mapping_algo: MappingAlgo,
     microbatch_size: Option<usize>,
     num_microbatches: Option<usize>,
-    mip_budget: Duration,
     unbudgeted_solver: bool,
     efficiency: Option<f64>,
     prefetch: bool,
@@ -266,7 +266,6 @@ impl FineTuner {
             mapping_algo: MappingAlgo::Cross,
             microbatch_size: None,
             num_microbatches: None,
-            mip_budget: Duration::from_secs(3),
             unbudgeted_solver: false,
             efficiency: None,
             prefetch: true,
@@ -317,20 +316,16 @@ impl FineTuner {
         self
     }
 
-    /// Wall-clock budget for the MIP partition search.
-    pub fn mip_budget_ms(mut self, ms: u64) -> Self {
-        self.mip_budget = Duration::from_millis(ms);
-        self
-    }
-
-    /// Runs the MIP partition search to completion with no wall-clock
-    /// budget, making its node counts (and therefore [`Plan::search`])
-    /// byte-deterministic across machines. `mobius-serve` plans this way so
-    /// cached plans are reproducible. A `Duration::ZERO` budget is *not*
-    /// equivalent: the wall-timer truncation it triggers is machine-speed
-    /// dependent. Deliberately excluded from [`Self::config_fingerprint`] —
-    /// it changes how long the search runs, never which run the config
-    /// names (and the hashed bytes must stay stable for old checkpoints).
+    /// Runs the MIP partition search to [`SegmentSearch`]'s node cap
+    /// instead of stopping at [`PLAN_NODE_BUDGET`] nodes: slower on big
+    /// models, and it may prove optimal a plan the budgeted search only
+    /// found. Both are deterministic. `mobius-serve` plans this way.
+    /// Deliberately excluded from [`Self::config_fingerprint`] — it changes
+    /// how long the search runs, never which run the config names (and the
+    /// hashed bytes must stay stable for old checkpoints).
+    ///
+    /// [`SegmentSearch`]: mobius_mip::SegmentSearch
+    /// [`PLAN_NODE_BUDGET`]: mobius_pipeline::PLAN_NODE_BUDGET
     pub fn unbudgeted_solver(mut self, on: bool) -> Self {
         self.unbudgeted_solver = on;
         self
@@ -444,7 +439,9 @@ impl FineTuner {
             format!("sys={}", self.system.label()),
             format!("part={:?}", self.partition_algo),
             format!("map={:?}", self.mapping_algo),
-            format!("budget={:?}", self.mip_budget),
+            // A fixed literal: every checkpoint persists this hash, including
+            // tests/golden/checkpoint_gpt2.mckpt and mobius-perf's train-ckpt digests.
+            "budget=3s".to_string(),
             format!("eff={:?}", self.efficiency),
             format!(
                 "pf={} pl={} sv={}",
@@ -544,12 +541,10 @@ impl FineTuner {
         let solve_timer = WallTimer::start();
         let outcome = match algo {
             PartitionAlgo::Mip => {
-                let budget = if self.unbudgeted_solver {
-                    None
-                } else {
-                    Some(self.mip_budget)
+                let opts = mobius_pipeline::MipPartitionOpts {
+                    budgeted: !self.unbudgeted_solver,
+                    warm_start,
                 };
-                let opts = mobius_pipeline::MipPartitionOpts { budget, warm_start };
                 mobius_pipeline::mip_partition_opts(&profile, n, &cfg, &opts, self.obs.as_ref())?
             }
             other => partition_model(other, &profile, n, &cfg)?,
@@ -731,6 +726,7 @@ impl FineTuner {
 
         loop {
             let mut planned_sizes: Option<Vec<usize>> = None;
+            let mut search = None;
             let plan = match first.take() {
                 Some(solved) => {
                     if let Some(obs) = &self.obs {
@@ -742,6 +738,7 @@ impl FineTuner {
             };
             let attempt = plan.map_err(AttemptError::Run).and_then(|plan| {
                 planned_sizes = Some(plan.partition.sizes().to_vec());
+                search = plan.search;
                 let cfg = self.pipeline_cfg_on(&topo, MemoryMode::Heterogeneous);
                 let sim = simulate_steps_faulted(
                     &plan.stages,
@@ -760,6 +757,7 @@ impl FineTuner {
                     let local_step = sim.step_time;
                     let mut rep = self.report(sim.step_time, sim.drain_time, sim.trace, model_size);
                     rep.faults = carried;
+                    rep.search = search;
                     if let Some(cluster) = self.active_cluster() {
                         let timing = ReplicaTiming {
                             bucket_bytes: grad_buckets(&stages),
@@ -1051,7 +1049,6 @@ impl FineTuner {
     /// use mobius_model::GptConfig;
     ///
     /// let run = FineTuner::new(GptConfig::gpt_8b())
-    ///     .mip_budget_ms(150)
     ///     .run_steps(2)?;
     /// assert!(run.steady_state_step().as_secs_f64() > 0.0);
     /// # Ok::<(), mobius::RunError>(())
@@ -1122,6 +1119,7 @@ impl FineTuner {
             faults: FaultStats::default(),
             degradations: Vec::new(),
             cluster: None,
+            search: None,
         }
     }
 }
@@ -1184,7 +1182,6 @@ mod tests {
         FineTuner::new(cfg)
             .topology(commodity(&[2, 2]))
             .system(system)
-            .mip_budget_ms(150)
     }
 
     #[test]
@@ -1287,7 +1284,6 @@ mod tests {
         let ssd = FineTuner::new(cfg)
             .topology(ssd_topo)
             .system(System::Mobius)
-            .mip_budget_ms(150)
             .run_step()
             .unwrap();
         assert!(
@@ -1306,7 +1302,6 @@ mod tests {
             let rep = FineTuner::from_model(model.clone())
                 .topology(commodity(&[2, 2]))
                 .system(System::Mobius)
-                .mip_budget_ms(150)
                 .run_step()
                 .unwrap_or_else(|e| panic!("{name} failed: {e}"));
             assert!(rep.step_time > SimTime::ZERO, "{name}");
@@ -1467,7 +1462,6 @@ mod tests {
             .topology(commodity(&[2, 2]))
             .system(System::Mobius)
             .num_microbatches(4)
-            .mip_budget_ms(500)
             .faults(FaultSchedule::new().fail_gpu(2, SimTime::from_millis(50)))
             .resilience(ResiliencePolicy::recover())
             .observe(obs.clone())
@@ -1484,7 +1478,6 @@ mod tests {
             .topology(survivor)
             .system(System::Mobius)
             .num_microbatches(4)
-            .mip_budget_ms(500)
             .run_step()
             .unwrap();
         assert_eq!(

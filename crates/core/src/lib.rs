@@ -26,7 +26,6 @@
 //! let mobius = FineTuner::new(GptConfig::gpt_8b())
 //!     .topology(topo.clone())
 //!     .system(System::Mobius)
-//!     .mip_budget_ms(200)
 //!     .run_step()?;
 //! let deepspeed = FineTuner::new(GptConfig::gpt_8b())
 //!     .topology(topo)

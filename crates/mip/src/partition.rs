@@ -14,8 +14,6 @@
 //! * [`chain_partition_dp`] — the classic min-max chain partition solved
 //!   exactly by dynamic programming (GPipe's balanced partitioner).
 
-use std::time::Duration;
-
 use mobius_obs::{WallSecs, WallTimer};
 use serde::{Deserialize, Serialize};
 
@@ -57,8 +55,8 @@ pub struct SearchStats {
     /// it never reaches a byte-compared artifact (see
     /// [`mobius_obs::walltime`]).
     pub wall_elapsed: WallSecs,
-    /// Whether the search ran to completion (`false` = budget exhausted;
-    /// the result is the best incumbent).
+    /// Whether the search ran to completion (`false` = node limit
+    /// reached; the result is the best incumbent, not proved optimal).
     pub complete: bool,
 }
 
@@ -107,7 +105,6 @@ pub struct SegmentSearch {
     n_items: usize,
     max_stages: usize,
     node_limit: usize,
-    time_budget: Option<Duration>,
     seed: Option<(Vec<usize>, f64)>,
     warm: Option<Vec<usize>>,
     obs: Option<mobius_obs::Obs>,
@@ -125,7 +122,6 @@ impl SegmentSearch {
             n_items,
             max_stages: n_items,
             node_limit: 2_000_000,
-            time_budget: None,
             seed: None,
             warm: None,
             obs: None,
@@ -180,13 +176,6 @@ impl SegmentSearch {
         self
     }
 
-    /// Wall-clock budget; the best incumbent so far is returned when it
-    /// expires.
-    pub fn time_budget(mut self, d: Duration) -> Self {
-        self.time_budget = Some(d);
-        self
-    }
-
     /// Runs the search; `None` means no feasible segmentation exists.
     pub fn solve<O: SegmentObjective>(&self, obj: &O) -> Option<SegmentResult> {
         let timer = WallTimer::start();
@@ -211,15 +200,7 @@ impl SegmentSearch {
         }
         let mut prefix: Vec<usize> = Vec::new();
         let mut nodes = 0usize;
-        self.dfs(
-            obj,
-            &mut prefix,
-            0,
-            &mut best,
-            &mut stats,
-            &mut nodes,
-            &timer,
-        );
+        self.dfs(obj, &mut prefix, 0, &mut best, &mut stats, &mut nodes);
         stats.nodes = nodes;
         stats.wall_elapsed = timer.elapsed();
         if let Some(obs) = &self.obs {
@@ -256,7 +237,6 @@ impl SegmentSearch {
             && sizes.iter().try_fold(0usize, |sum, &s| sum.checked_add(s)) == Some(self.n_items)
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn dfs<O: SegmentObjective>(
         &self,
         obj: &O,
@@ -265,7 +245,6 @@ impl SegmentSearch {
         best: &mut Option<(Vec<usize>, f64)>,
         stats: &mut SearchStats,
         nodes: &mut usize,
-        timer: &WallTimer,
     ) {
         if covered == self.n_items {
             stats.evaluated += 1;
@@ -300,12 +279,6 @@ impl SegmentSearch {
             stats.complete = false;
             return;
         }
-        if let Some(budget) = self.time_budget {
-            if (*nodes).is_multiple_of(64) && timer.exceeded(budget) {
-                stats.complete = false;
-                return;
-            }
-        }
         if prefix.len() >= self.max_stages {
             return;
         }
@@ -329,7 +302,7 @@ impl SegmentSearch {
         sizes.sort_by_key(|&s| (s as i64 - ideal as i64).abs());
         for s in sizes {
             prefix.push(s);
-            self.dfs(obj, prefix, covered + s, best, stats, nodes, timer);
+            self.dfs(obj, prefix, covered + s, best, stats, nodes);
             prefix.pop();
             if !stats.complete {
                 return;

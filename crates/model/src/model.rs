@@ -86,12 +86,6 @@ impl Model {
         self.layers.iter().map(|l| l.optimizer_bytes()).sum()
     }
 
-    /// Sum of boundary activation bytes for one microbatch (what activation
-    /// checkpointing stores per microbatch).
-    pub fn total_boundary_act_bytes(&self, mbs: usize) -> u64 {
-        self.layers.iter().map(|l| l.output_act_bytes(mbs)).sum()
-    }
-
     /// Builds a LLaMA-style model (SwiGLU blocks, untied head) with the
     /// given dimensions; `intermediate` defaults to LLaMA's `≈ 8/3 ×
     /// hidden` rounded to a multiple of 256.

@@ -6,7 +6,7 @@
 //! runs). Real wall-clock reads are the easiest way to poison one of those
 //! artifacts, so `mobius-lint` (D001) bans `Instant::now` /
 //! `SystemTime::now` everywhere **except this module**: code that
-//! legitimately needs wall-clock diagnostics (MIP solver budgets, replan
+//! legitimately needs wall-clock diagnostics (MIP solve timings, replan
 //! latency prints, Figure 12's planning-overhead table) goes through
 //! [`WallTimer`] and carries the result as a [`WallSecs`].
 //!
@@ -21,7 +21,7 @@
 //!   It must never feed a byte-compared artifact (goldens, seeded bench
 //!   JSON, Chrome traces).
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// A started wall-clock timer. The only sanctioned source of wall-clock
 /// readings in the workspace (see the module docs).
@@ -44,13 +44,6 @@ impl WallTimer {
     #[must_use]
     pub fn elapsed(&self) -> WallSecs {
         WallSecs(self.started.elapsed().as_secs_f64())
-    }
-
-    /// Whether more than `budget` has elapsed — the anytime-search budget
-    /// check (e.g. the MIP partition search's `time_budget`).
-    #[must_use]
-    pub fn exceeded(&self, budget: Duration) -> bool {
-        self.started.elapsed() > budget
     }
 }
 
@@ -90,18 +83,6 @@ mod tests {
         let b = t.elapsed();
         assert!(a.secs() >= 0.0);
         assert!(b.secs() >= a.secs());
-    }
-
-    #[test]
-    fn zero_budget_is_exceeded_quickly() {
-        let t = WallTimer::start();
-        // Burn a little time so even coarse clocks tick.
-        let mut x = 0u64;
-        for i in 0..10_000u64 {
-            x = x.wrapping_add(i);
-        }
-        assert!(x > 0 || t.elapsed().secs() >= 0.0);
-        assert!(!t.exceeded(Duration::from_secs(3600)));
     }
 
     #[test]

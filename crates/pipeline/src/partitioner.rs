@@ -12,8 +12,6 @@
 //! * [`min_stage_partition`] — one layer per stage (most, smallest stages;
 //!   maximal activation traffic).
 
-use std::time::Duration;
-
 use mobius_mapping::Mapping;
 use mobius_mip::{SearchStats, SegmentObjective, SegmentSearch};
 use mobius_profiler::ModelProfile;
@@ -21,6 +19,12 @@ use mobius_sim::SimTime;
 use serde::{Deserialize, Serialize};
 
 use crate::{evaluate_analytic, stage_costs, Partition, PipelineConfig, ScheduleError};
+
+/// Node budget of a budgeted MIP partition search
+/// ([`MipPartitionOpts::budgeted`]). 8,192 = 2^13 is the number of internal
+/// nodes in the full search tree of any model with 14 or fewer layers, so
+/// every such search (GPT-2 small included) runs to a proof.
+pub const PLAN_NODE_BUDGET: usize = 8_192;
 
 /// Which partition algorithm to run (selected by the `mobius` facade).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -59,7 +63,7 @@ pub fn partition_model(
     match algo {
         PartitionAlgo::Mip => {
             let opts = MipPartitionOpts {
-                budget: Some(Duration::from_secs(5)),
+                budgeted: true,
                 warm_start: None,
             };
             mip_partition_opts(profile, n_gpus, cfg, &opts, None)
@@ -159,11 +163,11 @@ pub fn max_stage_partition(
 /// Options for the MIP partition search ([`mip_partition_opts`]).
 #[derive(Debug, Clone, Default)]
 pub struct MipPartitionOpts {
-    /// Wall-clock budget; `None` runs the search to the node limit, which
-    /// keeps the search statistics byte-deterministic across machines (the
-    /// mode the solver-perf bench and its committed baseline require —
-    /// wall-clock cutoffs fire at machine-dependent nodes).
-    pub budget: Option<Duration>,
+    /// Stops the search after [`PLAN_NODE_BUDGET`] nodes. `false` (the
+    /// default) searches to [`SegmentSearch`]'s 2,000,000-node cap. Either
+    /// way the result and its statistics are a function of the inputs
+    /// alone.
+    pub budgeted: bool,
     /// A previous solution's per-stage sizes, used to warm-start the
     /// branch-and-bound (see [`SegmentSearch::warm_start`]). The elastic
     /// replan path passes the partition that was running when a GPU failed:
@@ -177,13 +181,12 @@ pub struct MipPartitionOpts {
 /// The paper's MIP partition algorithm: exact branch-and-bound over
 /// contiguous segmentations, objective = analytic step time under
 /// sequential mapping, with a near-uniform seed. [`MipPartitionOpts`] adds
-/// an optional wall-clock budget (anytime behaviour on big models, like a
-/// MIP solver's time limit; omit it for deterministic-counter runs) and a
-/// warm-start incumbent (for incremental re-solves after a topology
-/// change). With an observer attached, the branch-and-bound search reports
-/// incumbent marks on the solver lane plus `mip.*` counters, and the chosen
-/// partition's predicted step time lands in the `mip.predicted_step_secs`
-/// gauge.
+/// an optional fixed node budget (anytime behaviour on big models, like a
+/// MIP solver's node limit) and a warm-start incumbent (for incremental
+/// re-solves after a topology change). With an observer attached, the
+/// branch-and-bound search reports incumbent marks on the solver lane plus
+/// `mip.*` counters, and the chosen partition's predicted step time lands
+/// in the `mip.predicted_step_secs` gauge.
 ///
 /// # Errors
 ///
@@ -227,8 +230,8 @@ pub fn mip_partition_opts(
     }
 
     let mut search = SegmentSearch::new(l);
-    if let Some(budget) = opts.budget {
-        search = search.time_budget(budget);
+    if opts.budgeted {
+        search = search.node_limit(PLAN_NODE_BUDGET);
     }
     if let Some((sizes, cost)) = &seed {
         search = search.seed(sizes.clone(), *cost);
@@ -423,9 +426,9 @@ mod tests {
         }
     }
 
-    fn budgeted(budget: Duration) -> MipPartitionOpts {
+    fn budgeted() -> MipPartitionOpts {
         MipPartitionOpts {
-            budget: Some(budget),
+            budgeted: true,
             warm_start: None,
         }
     }
@@ -463,8 +466,7 @@ mod tests {
     fn mip_beats_or_ties_heuristics() {
         let p = uniform_profile(16, 60, 2 * GB);
         let c = cfg();
-        let mip =
-            mip_partition_opts(&p, 4, &c, &budgeted(Duration::from_millis(500)), None).unwrap();
+        let mip = mip_partition_opts(&p, 4, &c, &budgeted(), None).unwrap();
         let maxs = max_stage_partition(&p, 4, &c).unwrap();
         let mins = min_stage_partition(&p, 4, &c).unwrap();
         assert!(
@@ -564,9 +566,7 @@ mod tests {
     fn oversized_layer_errors() {
         let p = uniform_profile(4, 10, 30 * GB);
         assert!(max_stage_partition(&p, 2, &cfg()).is_err());
-        assert!(
-            mip_partition_opts(&p, 2, &cfg(), &budgeted(Duration::from_millis(100)), None).is_err()
-        );
+        assert!(mip_partition_opts(&p, 2, &cfg(), &budgeted(), None).is_err());
     }
 
     #[test]
@@ -586,15 +586,15 @@ mod tests {
     #[test]
     fn warm_replan_matches_cold_with_less_work() {
         // The elastic-replan shape: solve for 4 GPUs, lose one, re-solve
-        // for 3 warm-started from the 4-GPU segmentation. No wall budget —
-        // both solves run to completion, so the comparison is exact.
+        // for 3 warm-started from the 4-GPU segmentation. Unbudgeted — both
+        // solves run to completion, so the comparison is exact.
         let p = varied_profile(14);
         let c = cfg();
         let cold_opts = MipPartitionOpts::default();
         let four = mip_partition_opts(&p, 4, &c, &cold_opts, None).unwrap();
         let cold = mip_partition_opts(&p, 3, &c, &cold_opts, None).unwrap();
         let warm_opts = MipPartitionOpts {
-            budget: None,
+            budgeted: false,
             warm_start: Some(four.partition.sizes().to_vec()),
         };
         let warm = mip_partition_opts(&p, 3, &c, &warm_opts, None).unwrap();

@@ -89,11 +89,6 @@ impl ModelProfile {
         self.layers.iter().map(|l| l.fwd).sum()
     }
 
-    /// Total backward time of one microbatch across the whole model.
-    pub fn total_bwd(&self) -> SimTime {
-        self.layers.iter().map(|l| l.bwd).sum()
-    }
-
     /// Total FP16 parameter bytes.
     pub fn total_param_bytes(&self) -> u64 {
         self.layers.iter().map(|l| l.param_bytes).sum()

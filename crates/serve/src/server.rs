@@ -12,10 +12,12 @@
 //! ```
 //!
 //! Every `plan`/`estimate` is addressed by the fingerprint tuple
-//! (model, topology, system, budget) via [`mobius::fingerprint`]; a hit
-//! replays the cached payload bytes and runs no solver at all, a miss
-//! solves with the unbudgeted (byte-deterministic) MIP, seeded from the
-//! most recent same-model entry when one exists (the PR 6 warm start).
+//! (model, topology, system, budget) via [`mobius::fingerprint`]. The
+//! `budget_ms` key is a cache-key label only: every miss solves the same
+//! way whatever it says. A hit replays the cached payload bytes and runs
+//! no solver at all, a miss solves with the unbudgeted (byte-deterministic)
+//! MIP, seeded from the most recent same-model entry when one exists (the
+//! warm-start path).
 //!
 //! Service latency is *simulated*: a hit costs a fixed dispatch constant,
 //! a miss costs a setup constant plus a per-evaluated-leaf charge taken
@@ -132,6 +134,7 @@ struct Target {
     model_name: String,
     topo: Topology,
     system: System,
+    /// A cache-key label only; the solver never reads it.
     budget_ms: u64,
 }
 
@@ -283,9 +286,6 @@ impl Server {
             .topology(target.topo.clone())
             .system(target.system)
             .unbudgeted_solver(true);
-        if target.budget_ms > 0 {
-            tuner = tuner.mip_budget_ms(target.budget_ms);
-        }
         if let Some(sizes) = warm {
             tuner = tuner.warm_start(sizes);
         }

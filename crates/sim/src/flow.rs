@@ -233,11 +233,6 @@ impl FlowNetwork {
         self.recompute_rates();
     }
 
-    /// Number of links.
-    pub fn link_count(&self) -> usize {
-        self.links.len()
-    }
-
     /// Ids of all links, in insertion order — pairs with
     /// [`FlowNetwork::link_labels`] for label-based lookups (fault
     /// injection matches degradation windows against link labels).

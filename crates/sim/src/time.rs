@@ -82,11 +82,6 @@ impl SimTime {
         units::ns_to_secs(self.0 as f64)
     }
 
-    /// Time as fractional milliseconds.
-    pub fn as_millis_f64(self) -> f64 {
-        units::ns_to_ms(self.0 as f64)
-    }
-
     /// Saturating difference: `self - other`, or zero when `other` is later.
     pub fn saturating_sub(self, other: SimTime) -> SimTime {
         SimTime(self.0.saturating_sub(other.0))

@@ -371,11 +371,6 @@ impl TraceRecorder {
             .map_or(SimTime::ZERO, |s| s.measure())
     }
 
-    /// Communication busy time of one GPU.
-    pub fn comm_time(&self, gpu: usize) -> SimTime {
-        self.comm.get(&gpu).map_or(SimTime::ZERO, |s| s.measure())
-    }
-
     /// Communication time of `gpu` *not* overlapped by its own computation.
     pub fn non_overlapped_comm(&self, gpu: usize) -> SimTime {
         let comm = match self.comm.get(&gpu) {

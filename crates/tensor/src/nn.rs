@@ -102,11 +102,6 @@ impl TinyGpt {
         self.params.len()
     }
 
-    /// Total scalar parameter count.
-    pub fn num_params(&self) -> usize {
-        self.params.iter().map(|t| t.rows() * t.cols()).sum()
-    }
-
     /// Immutable access to parameter tensors (for checkpoint comparisons).
     pub fn params(&self) -> &[Tensor] {
         &self.params

@@ -200,11 +200,6 @@ impl ClusterNetwork {
         }
         Some(vec![self.nic_tx[from], self.switch, self.nic_rx[to]])
     }
-
-    /// Convenience: the rate a lone server→server transfer sees (bytes/s).
-    pub fn uncontended_rate(&self) -> f64 {
-        (self.cluster.nic_gbps() * 1e9).min(self.cluster.switch_gbps() * 1e9)
-    }
 }
 
 #[cfg(test)]

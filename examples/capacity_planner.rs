@@ -52,7 +52,6 @@ fn main() {
             let run = FineTuner::from_model(model.clone())
                 .topology(topo.clone())
                 .system(system)
-                .mip_budget_ms(500)
                 .run_step();
             match run {
                 Ok(r) => candidates.push(Candidate {

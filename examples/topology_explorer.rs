@@ -27,7 +27,6 @@ fn main() {
             let run = FineTuner::new(model.clone())
                 .topology(topo.clone())
                 .system(system)
-                .mip_budget_ms(500)
                 .run_step();
             match run {
                 Ok(r) => println!(

@@ -131,37 +131,56 @@ cmp "$tmpdir/attribution.json" tests/golden/attribution_cli.json || {
   exit 1
 }
 
+# crash_resume_gate TAG STEPS CRASH ARGS... runs `step ARGS` for STEPS
+# steps with a checkpoint every 2, once uninterrupted and once crashed at
+# step CRASH then resumed, and fails unless the concatenated trace,
+# metrics and analysis chunks of the two segments equal the uninterrupted
+# run's bytes exactly. The uninterrupted run's checkpoints stay in
+# "$ck/TAG/ref".
+ck="$tmpdir/ckpt"
+mkdir -p "$ck"
+# sinks DIR NAME prints the trace, metrics and analysis output flags of one run.
+sinks() {
+  echo --trace-out "$1/$2-trace.json" --metrics-out "$1/$2-metrics.json" \
+    --analyze-out "$1/$2-analyze.json"
+}
+crash_resume_gate() {
+  local tag="$1" steps="$2" crash="$3" rc=0 s
+  shift 3
+  local d="$ck/$tag"
+  mkdir -p "$d"
+  run_cli step "$@" --steps "$steps" --checkpoint-every 2 \
+    --checkpoint-out "$d/ref" $(sinks "$d" ref) >/dev/null
+  run_cli step "$@" --faults "crash:$crash" --steps "$steps" --checkpoint-every 2 \
+    --checkpoint-out "$d/crash" $(sinks "$d" c1) >/dev/null 2>&1 || rc=$?
+  [ "$rc" -eq 6 ] || {
+    echo "FAIL: $tag: injected crash must exit 6, got $rc" >&2
+    exit 1
+  }
+  run_cli step "$@" --faults "crash:$crash" --steps "$steps" --checkpoint-every 2 \
+    --checkpoint-out "$d/crash" --resume "$d/crash" $(sinks "$d" c2) >/dev/null
+  for s in trace metrics analyze; do
+    cat "$d/c1-$s.json" "$d/c2-$s.json" > "$d/stitched-$s.json"
+    cmp "$d/stitched-$s.json" "$d/ref-$s.json" || {
+      echo "FAIL: $tag crash+resume $s chunks diverged from the uninterrupted run" >&2
+      exit 1
+    }
+  done
+}
+
 stage "crash-resume gate (single server: stitched chunks byte-identical)"
 # The checkpoint subsystem's headline contract: crash a run at step 5,
 # resume it, and the concatenated trace/metrics/analysis chunks of the two
 # segments equal the uninterrupted reference's bytes exactly.
-ck="$tmpdir/ckpt"
-mkdir -p "$ck"
-run_cli step --model gpt2 --topo 2+2 --system mobius \
-  --steps 6 --checkpoint-every 2 --checkpoint-out "$ck/ref" \
-  --trace-out "$ck/ref-trace.json" --metrics-out "$ck/ref-metrics.json" \
-  --analyze-out "$ck/ref-analyze.json" >/dev/null
-rc=0
-run_cli step --model gpt2 --topo 2+2 --system mobius --faults crash:5 \
-  --steps 6 --checkpoint-every 2 --checkpoint-out "$ck/crash" \
-  --trace-out "$ck/c1-trace.json" --metrics-out "$ck/c1-metrics.json" \
-  --analyze-out "$ck/c1-analyze.json" >/dev/null 2>&1 || rc=$?
-[ "$rc" -eq 6 ] || {
-  echo "FAIL: injected crash must exit 6, got $rc" >&2
-  exit 1
-}
-run_cli step --model gpt2 --topo 2+2 --system mobius --faults crash:5 \
-  --steps 6 --checkpoint-every 2 --checkpoint-out "$ck/crash" \
-  --resume "$ck/crash" \
-  --trace-out "$ck/c2-trace.json" --metrics-out "$ck/c2-metrics.json" \
-  --analyze-out "$ck/c2-analyze.json" >/dev/null
-for s in trace metrics analyze; do
-  cat "$ck/c1-$s.json" "$ck/c2-$s.json" > "$ck/stitched-$s.json"
-  cmp "$ck/stitched-$s.json" "$ck/ref-$s.json" || {
-    echo "FAIL: crash+resume $s chunks diverged from the uninterrupted run" >&2
-    exit 1
-  }
-done
+crash_resume_gate gpt2 6 5 --model gpt2 --topo 2+2 --system mobius
+
+stage "paper-scale planning determinism gate (8B crash-resume, two 15B metrics runs)"
+# On Table 3 presets the MIP stops at its fixed node budget, so a resumed
+# invocation re-solves to the same plan and record, and two identical
+# steps write the same metrics bytes.
+crash_resume_gate paper8b 4 3 --model 8b --topo 2+2 --system mobius
+same_bytes paper15b "identical 15B 4+4 steps wrote different metrics" \
+  run_cli step --model 15b --topo 4+4 --metrics-out
 
 stage "crash-resume gate (cluster: stitched chunks byte-identical)"
 run_cli cluster --model gpt2 --topo 2+2 --servers 2 --system mobius \
@@ -190,7 +209,7 @@ for s in trace analyze; do
   }
 done
 
-newest_ckpt="$ck/ref/$(ls "$ck/ref" | sort | tail -1)"
+newest_ckpt="$ck/gpt2/ref/$(ls "$ck/gpt2/ref" | sort | tail -1)"
 if [ "${UPDATE_GOLDEN:-0}" = "1" ]; then
   stage "regenerating tests/golden/checkpoint_gpt2.mckpt (UPDATE_GOLDEN=1)"
   cp "$newest_ckpt" tests/golden/checkpoint_gpt2.mckpt

@@ -24,6 +24,7 @@ use mobius::{
     run_checkpointed, CheckpointOpts, CkptRunError, ClusterConfig, FineTuner, ResiliencePolicy,
     RunError, RunOutcome, RunSinks, System,
 };
+use mobius_mip::SearchStats;
 use mobius_model::{GptConfig, Model};
 use mobius_pipeline::{evaluate_analytic, render_gantt, MemoryMode, PipelineConfig};
 use mobius_topology::{GpuSpec, Topology};
@@ -446,11 +447,13 @@ fn checkpointed_run(tuner: FineTuner, args: &[String], sinks: RunSinks) -> Resul
         .last_report
         .as_ref()
         .map_or("run", |r| r.system.label());
+    let search = summary.last_report.as_ref().and_then(|r| r.search.as_ref());
     println!(
-        "{label}: {} step(s) committed  run clock {}  ${:.4} total",
+        "{label}: {} step(s) committed  run clock {}  ${:.4} total{}",
         summary.state.step,
         SimTime::from_nanos(summary.state.cum_ns),
         summary.state.price_usd,
+        search_outcome(search, "  plan "),
     );
     if summary.ckpt_writes > 0 || summary.ckpt_overhead_ns > 0 {
         println!(
@@ -515,11 +518,12 @@ fn parse_system(s: &str) -> Result<System, CliError> {
 fn plan(tuner: FineTuner, topo: &Topology) -> Result<(), CliError> {
     let plan = tuner.plan()?;
     println!(
-        "{} stages over {} GPUs ({}), contention degree {:.1}",
+        "{} stages over {} GPUs ({}), contention degree {:.1}{}",
         plan.partition.num_stages(),
         topo.num_gpus(),
         topo.name(),
         plan.contention_degree,
+        search_outcome(plan.search.as_ref(), ", "),
     );
     println!(
         "predicted step {}; overheads: profiling {}, MIP {:.2}s, mapping {:.3}s",
@@ -544,6 +548,19 @@ fn plan(tuner: FineTuner, topo: &Topology) -> Result<(), CliError> {
     Ok(())
 }
 
+/// Why the partition search stopped, after `sep`; empty when no search
+/// ran. Printed on stdout only, never recorded in an artifact.
+fn search_outcome(search: Option<&SearchStats>, sep: &str) -> String {
+    match search {
+        Some(s) if s.complete => format!("{sep}proved optimal ({} leaves)", s.evaluated),
+        Some(s) => format!(
+            "{sep}node budget reached after {} leaves (best found, not proved)",
+            s.evaluated
+        ),
+        None => String::new(),
+    }
+}
+
 fn step(
     tuner: FineTuner,
     timeline: bool,
@@ -560,7 +577,7 @@ fn step(
     let r = tuner.run_step()?;
     println!(
         "{}: step {}  drain {}  traffic {:.1} GB ({:.1}x fp16 model)  \
-         non-overlapped {:.0}%  ${:.4}/step",
+         non-overlapped {:.0}%  ${:.4}/step{}",
         r.system.label(),
         r.step_time,
         r.drain_time,
@@ -568,6 +585,7 @@ fn step(
         r.traffic_ratio(),
         r.non_overlapped_fraction() * 100.0,
         r.price_usd,
+        search_outcome(r.search.as_ref(), "  plan "),
     );
     if r.faults.injected > 0 {
         println!(

@@ -42,27 +42,26 @@ fn read(p: &Option<PathBuf>) -> Vec<u8> {
     std::fs::read(p.as_ref().unwrap()).unwrap()
 }
 
-/// The headline validator: crash at step k, resume, and the concatenated
-/// per-step chunks of every sink equal the uninterrupted reference's
-/// bytes exactly.
-#[test]
-fn crash_then_resume_is_byte_identical_to_uninterrupted_run() {
-    let dir = scratch("headline");
+/// Runs `base` for `steps` steps uninterrupted, then crashed at step 3
+/// and resumed, and asserts the concatenated per-step chunks of every
+/// sink equal the uninterrupted reference's bytes exactly.
+fn assert_crash_resume_stitches(base: FineTuner, steps: u64, tag: &str) {
+    let dir = scratch(tag);
     let opts = |ckpt_dir: &Path| CheckpointOpts {
-        steps: 5,
+        steps,
         every: 2,
         dir: Some(ckpt_dir.to_path_buf()),
         ..CheckpointOpts::default()
     };
 
     let ref_sinks = sinks(&dir, "ref");
-    match run_checkpointed(&tuner(), &opts(&dir.join("ref")), &ref_sinks).unwrap() {
-        RunOutcome::Completed(s) => assert_eq!(s.state.step, 5),
+    match run_checkpointed(&base, &opts(&dir.join("ref")), &ref_sinks).unwrap() {
+        RunOutcome::Completed(s) => assert_eq!(s.state.step, steps),
         RunOutcome::Crashed { at, .. } => panic!("unexpected crash at {at}"),
     }
 
     let crash_store = dir.join("crash");
-    let crashed = tuner().faults(FaultSchedule::new().crash_at_step(3));
+    let crashed = base.faults(FaultSchedule::new().crash_at_step(3));
     let c_sinks = sinks(&dir, "c1");
     match run_checkpointed(&crashed, &opts(&crash_store), &c_sinks).unwrap() {
         RunOutcome::Crashed {
@@ -84,7 +83,7 @@ fn crash_then_resume_is_byte_identical_to_uninterrupted_run() {
     match run_checkpointed(&crashed, &resume_opts, &r_sinks).unwrap() {
         RunOutcome::Completed(s) => {
             assert_eq!(s.start_step, 2);
-            assert_eq!(s.state.step, 5);
+            assert_eq!(s.state.step, steps);
             assert!(s.fallbacks.is_empty(), "{:?}", s.fallbacks);
         }
         RunOutcome::Crashed { at, .. } => panic!("consumed crash re-fired at {at}"),
@@ -98,14 +97,32 @@ fn crash_then_resume_is_byte_identical_to_uninterrupted_run() {
         let reference = read(&get(&ref_sinks));
         let mut stitched = read(&get(&c_sinks));
         stitched.extend(read(&get(&r_sinks)));
-        assert_eq!(
-            stitched,
-            reference,
+        assert!(
+            stitched == reference,
             "concatenated crash+resume chunks must equal the reference bytes for {:?}",
             get(&ref_sinks)
         );
     }
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The headline validator: crash at step k, resume, and the concatenated
+/// per-step chunks of every sink equal the uninterrupted reference's
+/// bytes exactly.
+#[test]
+fn crash_then_resume_is_byte_identical_to_uninterrupted_run() {
+    assert_crash_resume_stitches(tuner(), 5, "headline");
+}
+
+/// The same contract on a paper-scale model planned by the MIP: the
+/// resumed invocation solves again, and its node-budgeted search must
+/// reproduce the uninterrupted run's plan and `mip.*` record exactly.
+#[test]
+fn paper_scale_crash_then_resume_is_byte_identical() {
+    let base = FineTuner::new(GptConfig::gpt_8b())
+        .topology(Topology::commodity(GpuSpec::rtx3090ti(), &[2, 2]))
+        .system(System::Mobius);
+    assert_crash_resume_stitches(base, 4, "paper-scale");
 }
 
 /// A deliberately corrupted dying write (torn checkpoint) is skipped and

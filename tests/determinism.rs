@@ -11,6 +11,7 @@ use mobius::FineTuner;
 use mobius_mip::{SegmentObjective, SegmentSearch};
 use mobius_model::GptConfig;
 use mobius_obs::Obs;
+use mobius_topology::{GpuSpec, Topology};
 
 /// One full plan + step with the MIP solver lane observed; returns the
 /// exported Chrome trace bytes.
@@ -31,6 +32,33 @@ fn repeated_traced_runs_are_byte_identical() {
         a == b,
         "two identical runs exported different trace bytes — wall-clock (or \
          other nondeterminism) is leaking into an artifact lane"
+    );
+}
+
+/// On a paper-scale preset the planner stops at its node budget, not at a
+/// wall clock, so two observed steps record the same search: identical
+/// `mip.*` counters in the metrics and identical trace bytes.
+#[test]
+fn paper_scale_observed_steps_are_byte_identical() {
+    let observed_step = || {
+        let obs = Obs::new();
+        FineTuner::new(GptConfig::gpt_15b())
+            .topology(Topology::commodity(GpuSpec::rtx3090ti(), &[4, 4]))
+            .observe(obs.clone())
+            .run_step()
+            .expect("step succeeds");
+        (obs.metrics_json(), obs.chrome_trace_json())
+    };
+    let (metrics_a, trace_a) = observed_step();
+    let (metrics_b, trace_b) = observed_step();
+    assert!(metrics_a.contains("mip.evaluated"));
+    assert!(
+        metrics_a == metrics_b,
+        "two 15B 4+4 steps exported different metrics"
+    );
+    assert!(
+        trace_a == trace_b,
+        "two 15B 4+4 steps exported different traces"
     );
 }
 

@@ -2,8 +2,6 @@
 //! simulate → report for every system, and cross-crate consistency checks
 //! between the analytic planner and the contention-aware simulator.
 
-use std::time::Duration;
-
 use mobius::{ClusterConfig, FineTuner, RunError, System};
 use mobius_cluster::{simulate_ring_allreduce, ClusterDpConfig, ReplicaTiming};
 use mobius_mapping::{Mapping, MappingAlgo};
@@ -31,7 +29,6 @@ fn figure5_oom_matrix() {
         FineTuner::new(cfg.clone())
             .topology(topo.clone())
             .system(system)
-            .mip_budget_ms(120)
             .strict_validation(true)
             .run_step()
             .is_ok()
@@ -75,7 +72,6 @@ fn headline_speedup_band() {
             let mobius = FineTuner::new(cfg.clone())
                 .topology(topo.clone())
                 .system(System::Mobius)
-                .mip_budget_ms(150)
                 .strict_validation(true)
                 .run_step()
                 .unwrap();
@@ -142,15 +138,15 @@ fn uneven_profile() -> ModelProfile {
 }
 
 #[test]
-fn unhit_mip_budget_matches_the_unbudgeted_search() {
-    // A wall budget only cuts the search off: with a budget the search
-    // never hits, it must choose exactly what it chooses with no budget at
-    // all, after exactly the same work.
+fn node_budget_matches_the_unbudgeted_search() {
+    // The node budget only cuts the search off: on a search that fits in
+    // it, the budgeted solve must choose exactly what the unbudgeted one
+    // chooses, after exactly the same work.
     let topo = commodity(&[2, 2]);
     let profile = uneven_profile();
     let cfg = PipelineConfig::mobius(4, topo.gpu_mem_bytes(), topo.avg_gpu_bandwidth());
     let opts = MipPartitionOpts {
-        budget: Some(Duration::from_secs(60)),
+        budgeted: true,
         warm_start: None,
     };
     let budgeted = mip_partition_opts(&profile, 4, &cfg, &opts, None).unwrap();
@@ -165,6 +161,55 @@ fn unhit_mip_budget_matches_the_unbudgeted_search() {
         (b.evaluated, b.pruned, b.nodes),
         (u.evaluated, u.pruned, u.nodes)
     );
+}
+
+#[test]
+fn node_budget_proves_every_gpt2_small_plan() {
+    // GPT-2 small (14 layers) is what the goldens, the crash-resume gates
+    // and the planning service plan. Its full search tree has at most
+    // 2^13 internal nodes, so on every topology and microbatch count the
+    // default budgeted plan must be the unbudgeted plan, proved, after
+    // the same work.
+    let groups: [&[usize]; 11] = [
+        &[2],
+        &[1, 1],
+        &[3],
+        &[1, 2],
+        &[2, 1],
+        &[1, 1, 1],
+        &[4],
+        &[1, 3],
+        &[2, 2],
+        &[4, 4],
+        &[8],
+    ];
+    let mut max_nodes = 0;
+    for g in groups {
+        let topo = commodity(g);
+        let n = topo.num_gpus();
+        let mut ms = vec![n, 2 * n, 4 * n, 4, 8, 16, 32];
+        ms.sort_unstable();
+        ms.dedup();
+        for m in ms {
+            let tuner = FineTuner::new(GptConfig::gpt2_small())
+                .topology(topo.clone())
+                .num_microbatches(m);
+            let budgeted = tuner.plan().unwrap();
+            let unbudgeted = tuner.unbudgeted_solver(true).plan().unwrap();
+            let (b, u) = (budgeted.search.unwrap(), unbudgeted.search.unwrap());
+            let case = format!("topo {} M={m}", topo.name());
+            assert!(b.complete, "{case}: budget reached after {} nodes", b.nodes);
+            assert_eq!(budgeted.partition, unbudgeted.partition, "{case}");
+            assert_eq!(budgeted.predicted_step, unbudgeted.predicted_step, "{case}");
+            assert_eq!(
+                (b.evaluated, b.pruned, b.nodes),
+                (u.evaluated, u.pruned, u.nodes),
+                "{case}"
+            );
+            max_nodes = max_nodes.max(b.nodes);
+        }
+    }
+    assert!(max_nodes <= mobius_pipeline::PLAN_NODE_BUDGET);
 }
 
 #[test]
@@ -220,7 +265,6 @@ fn mobius_plan_is_deterministic() {
     let t = || {
         FineTuner::new(GptConfig::gpt_8b())
             .topology(commodity(&[2, 2]))
-            .mip_budget_ms(200)
             .strict_validation(true)
             .plan()
             .unwrap()
@@ -238,7 +282,6 @@ fn cross_mapping_used_by_default_beats_nothing_on_flat_topology() {
     let report = FineTuner::new(GptConfig::gpt_8b())
         .topology(commodity(&[4]))
         .mapping_algo(MappingAlgo::Cross)
-        .mip_budget_ms(120)
         .strict_validation(true)
         .run_step()
         .unwrap();
@@ -249,7 +292,6 @@ fn cross_mapping_used_by_default_beats_nothing_on_flat_topology() {
 fn step_report_invariants() {
     let report = FineTuner::new(GptConfig::gpt_8b())
         .topology(commodity(&[2, 2]))
-        .mip_budget_ms(120)
         .strict_validation(true)
         .run_step()
         .unwrap();
@@ -270,7 +312,6 @@ fn more_microbatches_increase_step_but_improve_throughput() {
         FineTuner::new(GptConfig::gpt_8b())
             .topology(commodity(&[2, 2]))
             .num_microbatches(m)
-            .mip_budget_ms(120)
             .strict_validation(true)
             .run_step()
             .unwrap()

@@ -160,7 +160,6 @@ fn spans_cover_every_gpu_and_comm_kind() {
     let rep = FineTuner::new(GptConfig::gpt_15b())
         .topology(Topology::commodity(GpuSpec::rtx3090ti(), &[2, 2]))
         .system(System::Mobius)
-        .mip_budget_ms(150)
         .observe(obs.clone())
         .run_step()
         .unwrap();
