@@ -9,7 +9,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use mobius::{FineTuner, System};
 use mobius_model::GptConfig;
 use mobius_sim::FlowNetwork;
-use mobius_topology::{GpuSpec, Topology};
+use mobius_topology::{GpuSpec, ServerNetwork, Topology};
 
 fn bench_flow_network(c: &mut Criterion) {
     c.bench_function("flow_network_32flows_rate_solve", |b| {
@@ -23,6 +23,54 @@ fn bench_flow_network(c: &mut Criterion) {
                 net.start_flow(path, 1e9, (i % 3) as u8, i);
             }
             std::hint::black_box(net.next_completion())
+        })
+    });
+
+    // The common executor regime: about three flows in flight, nearly each
+    // in a priority class of its own, churning on a 4+4 server.
+    let topo = Topology::commodity(GpuSpec::rtx3090ti(), &[4, 4]);
+    c.bench_function("flow_network_churn_3flows_many_classes", |b| {
+        b.iter(|| {
+            let mut server = ServerNetwork::new(&topo);
+            for i in 0..256usize {
+                let g = i % 8;
+                let path = if i % 2 == 0 {
+                    server.dram_to_gpu(g)
+                } else {
+                    server.gpu_to_dram(g)
+                };
+                let prio = (100 + i % 100) as u8;
+                let net = server.net_mut();
+                net.start_flow(path, 1e8 * (1 + i % 5) as f64, prio, 0);
+                if net.active_flows() > 3 {
+                    let (t, id) = net.next_completion().expect("flows are moving");
+                    net.advance_to(t);
+                    net.complete(id).expect("drained at its completion");
+                }
+            }
+            std::hint::black_box(server.net().next_completion())
+        })
+    });
+
+    // The activation-hop regime: one priority-255 class of 96 flows,
+    // drained to empty one completion at a time.
+    c.bench_function("flow_network_96flows_one_class_drain", |b| {
+        b.iter(|| {
+            let mut server = ServerNetwork::new(&topo);
+            for i in 0..96usize {
+                let path = server
+                    .gpu_to_gpu(i % 8, (i + 1) % 8)
+                    .expect("distinct GPUs");
+                server
+                    .net_mut()
+                    .start_flow(path, 1e6 * (1 + i % 7) as f64, 255, 0);
+            }
+            let net = server.net_mut();
+            while let Some((t, id)) = net.next_completion() {
+                net.advance_to(t);
+                net.complete(id).expect("drained at its completion");
+            }
+            std::hint::black_box(net.now())
         })
     });
 }

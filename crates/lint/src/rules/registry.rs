@@ -19,7 +19,9 @@
 //! registry row naming something never emitted is a finding at the row —
 //! dead documentation is drift too. Dynamic name segments
 //! (`format!("bytes.{}", label)`) are normalized to `*`, so the registry
-//! documents name *patterns*, one row per family.
+//! documents name *patterns*, one row per family. A name built once for
+//! reuse with `counter_name!("link.{label}.bytes")` counts as a counter
+//! use at the macro call.
 
 use crate::scan::{is_ident, Cleaned};
 use crate::types::{Code, Finding};
@@ -228,6 +230,7 @@ pub fn collect_uses(path: &str, cleaned: &Cleaned, in_test: &[bool]) -> Vec<ObsU
     let mut uses = Vec::new();
     for (pat, kind) in [
         ("counter_add", ObsKind::Counter),
+        ("counter_name!", ObsKind::Counter),
         ("gauge_set", ObsKind::Gauge),
         ("histogram_record", ObsKind::Histogram),
     ] {
@@ -366,6 +369,15 @@ mod tests {
             names,
             vec!["bytes.*", "ckpt.bytes", "bubble.mean", "Solver"]
         );
+    }
+
+    #[test]
+    fn names_built_ahead_count_as_counter_uses() {
+        let src = "let n = counter_name!(\"link.{label}.bytes\");\nobs.counter_add(&n, b);\n";
+        let uses = collect_uses("x.rs", &clean_rust(src), &[]);
+        let names: Vec<&str> = uses.iter().map(|u| u.name.as_str()).collect();
+        assert_eq!(names, vec!["link.*.bytes"]);
+        assert_eq!(uses[0].kind, ObsKind::Counter);
     }
 
     #[test]

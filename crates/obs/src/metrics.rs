@@ -149,7 +149,11 @@ impl MetricsRegistry {
     /// accumulator (e.g. `TraceRecorder`'s per-kind traffic map) stays
     /// bit-identical to it when fed the same increments in the same order.
     pub fn counter_add(&mut self, name: &str, delta: f64) {
-        *self.counters.entry(name.to_string()).or_insert(0.0) += delta;
+        // Look up before inserting: only a new counter allocates its name.
+        match self.counters.get_mut(name) {
+            Some(c) => *c += delta,
+            None => *self.counters.entry(name.to_string()).or_insert(0.0) += delta,
+        }
     }
 
     /// Reads a counter; zero when never incremented.

@@ -278,8 +278,10 @@ enum Ev {
         /// End of the stall window that armed this watchdog.
         stalled_until: SimTime,
     },
-    /// Relaunch of a cancelled transfer after its backoff elapsed.
-    Relaunch(RetrySpec),
+    /// Relaunch of a cancelled transfer after its backoff elapsed. Boxed:
+    /// the largest payload would otherwise size every event the engine's
+    /// heap moves, and retries only happen under faults.
+    Relaunch(Box<RetrySpec>),
 }
 
 /// Everything needed to relaunch a cancelled transfer as a fresh flow.
@@ -288,19 +290,28 @@ struct RetrySpec {
     path: Vec<LinkId>,
     bytes: f64,
     prio: u8,
-    purpose: Purpose,
-    kind: CommKind,
-    gpus: Vec<usize>,
+    /// The cancelled attempt's transfer. Its `sid` is the attempt's DAG
+    /// node; the relaunch chains after it with the backoff as the edge
+    /// latency.
+    transfer: Transfer,
     /// Retries performed so far, this relaunch included.
     attempt: u32,
     /// End of the stall window that triggered the retry: relaunching
     /// inside it freezes again (the outage is still on).
     stalled_until: SimTime,
-    /// DAG node of the cancelled attempt; the relaunch chains after it
-    /// with the backoff as the edge latency.
-    prev_sid: Option<u64>,
     /// Backoff separating the cancel from this relaunch.
     backoff: SimTime,
+}
+
+/// What an in-flight flow carries for the executor.
+#[derive(Debug, Clone)]
+struct Transfer {
+    purpose: Purpose,
+    kind: CommKind,
+    /// GPUs whose PCIe lanes the transfer occupies.
+    gpus: Vec<usize>,
+    /// The flow's DAG node.
+    sid: Option<u64>,
 }
 
 struct Executor<'a> {
@@ -311,8 +322,11 @@ struct Executor<'a> {
     engine: Engine<Ev>,
     trace: TraceRecorder,
     gpus: Vec<GpuRt>,
-    // mobius-lint: allow(D002, reason = "lookup-only; inserted on launch, removed on completion, never iterated")
-    flows: HashMap<FlowId, (Purpose, CommKind, Vec<usize>, Option<u64>)>,
+    /// In-flight transfers, indexed by their flow's `user` token. A
+    /// finished transfer's slot is reused by the next launch.
+    transfers: Vec<Option<Transfer>>,
+    /// Free slots of `transfers`.
+    free_transfers: Vec<usize>,
     /// `act_in[step][stage][mb]` / `grad_in[step][stage][mb]`.
     act_in: Vec<Vec<Vec<bool>>>,
     grad_in: Vec<Vec<Vec<bool>>>,
@@ -618,8 +632,8 @@ fn simulate_steps_inner(
         engine,
         trace,
         gpus,
-        // mobius-lint: allow(D002, reason = "lookup-only; inserted on launch, removed on completion, never iterated")
-        flows: HashMap::new(),
+        transfers: Vec::new(),
+        free_transfers: Vec::new(),
         act_in: vec![vec![vec![false; m]; s]; steps],
         grad_in: vec![vec![vec![false; m]; s]; steps],
         grad_flushed: vec![vec![!hetero; s]; steps],
@@ -837,7 +851,7 @@ impl Executor<'_> {
             } => self.watchdog_check(fid, remaining, attempt, stalled_until),
             Ev::Relaunch(spec) => {
                 self.pending_relaunches -= 1;
-                self.relaunch(spec);
+                self.relaunch(*spec);
             }
         }
     }
@@ -1026,10 +1040,8 @@ impl Executor<'_> {
             });
             return;
         }
-        let (purpose, kind, gpus, prev_sid) = self
-            .flows
-            .remove(&fid)
-            .expect("retried flow without metadata");
+        let slot = self.server.net().user_of(fid).expect("retried flow user");
+        let transfer = self.take_transfer(slot as usize);
         let path = self.server.net().path_of(fid).expect("retried flow path");
         let prio = self
             .server
@@ -1039,7 +1051,7 @@ impl Executor<'_> {
         self.server.net_mut().cancel(fid);
         // The cancelled attempt's occupancy ends here; the relaunch node
         // chains after it with the backoff as the edge latency.
-        if let (Some(dag), Some(sid)) = (&self.dag_obs, prev_sid) {
+        if let (Some(dag), Some(sid)) = (&self.dag_obs, transfer.sid) {
             dag.dag_close(sid, now.as_nanos());
         }
         self.fault_stats.retries += 1;
@@ -1063,30 +1075,27 @@ impl Executor<'_> {
         self.pending_relaunches += 1;
         self.engine.schedule_after(
             backoff,
-            Ev::Relaunch(RetrySpec {
+            Ev::Relaunch(Box::new(RetrySpec {
                 path,
                 bytes: rem_now.max(1.0),
                 prio,
-                purpose,
-                kind,
-                gpus,
+                transfer,
                 attempt: next,
                 stalled_until,
-                prev_sid,
                 backoff,
-            }),
+            })),
         );
     }
 
     /// Re-queues a cancelled transfer as a fresh flow. If the stall window
     /// that killed it is still open, the relaunch freezes too and the
     /// watchdog keeps counting toward the retry budget.
-    fn relaunch(&mut self, spec: RetrySpec) {
+    fn relaunch(&mut self, mut spec: RetrySpec) {
         let Some(faults) = self.faults else { return };
         if self.abort.is_some() {
             return;
         }
-        let deps = match spec.prev_sid {
+        let deps = match spec.transfer.sid {
             Some(p) => vec![DagDep::after_end(
                 p,
                 spec.backoff.as_nanos(),
@@ -1094,13 +1103,8 @@ impl Executor<'_> {
             )],
             None => Vec::new(),
         };
-        let sid = self.open_flow_node(&spec.path, spec.kind, deps);
-        let fid = self
-            .server
-            .net_mut()
-            .start_flow(spec.path, spec.bytes, spec.prio, 0);
-        self.flows
-            .insert(fid, (spec.purpose, spec.kind, spec.gpus, sid));
+        spec.transfer.sid = self.open_flow_node(&spec.path, spec.transfer.kind, deps);
+        let fid = self.start_transfer(spec.path, spec.bytes, spec.prio, spec.transfer);
         let now = self.engine.now();
         if now < spec.stalled_until {
             self.server.net_mut().set_flow_blocked(fid, true);
@@ -1125,25 +1129,22 @@ impl Executor<'_> {
                 // A fault window tore this flow down (the watchdog cancelled
                 // a stalled transfer and relaunched it under a fresh id)
                 // before this completion was delivered. The retry carries
-                // the bytes, so the stale completion and its metadata are
-                // dropped rather than unwinding the simulation.
+                // the bytes (and took the metadata), so the stale completion
+                // is dropped rather than unwinding the simulation.
                 if let Some(obs) = &self.obs {
                     obs.counter_add("fault.stale_completions", 1.0);
                 }
-                self.flows.remove(&fid);
                 return;
             }
             Err(v) => panic!("flow completion failed: {v}"),
         };
-        let (purpose, kind, gpus, sid) = self
-            .flows
-            .remove(&fid)
-            .expect("completed flow without metadata");
-        self.trace.record_flow(&rec, kind, &gpus);
+        let transfer = self.take_transfer(rec.user as usize);
+        let sid = transfer.sid;
+        self.trace.record_flow(&rec, transfer.kind, &transfer.gpus);
         if let (Some(dag), Some(fsid)) = (&self.dag_obs, sid) {
             dag.dag_close(fsid, self.engine.now().as_nanos());
         }
-        match purpose {
+        match transfer.purpose {
             Purpose::Load { gpu, idx, residual } => {
                 let overhead = self.cfg.swap_overhead;
                 if let (Some(_), Some(fsid)) = (&self.dag_obs, sid) {
@@ -1661,11 +1662,40 @@ impl Executor<'_> {
         deps: Vec<DagDep>,
     ) {
         let sid = self.open_flow_node(&path, kind, deps);
-        let fid = self
-            .server
+        let transfer = Transfer {
+            purpose,
+            kind,
+            gpus,
+            sid,
+        };
+        self.start_transfer(path, bytes as f64, prio, transfer);
+    }
+
+    /// Starts the flow of `transfer`, filing it in a free slot that the
+    /// flow's `user` token names.
+    fn start_transfer(
+        &mut self,
+        path: Vec<LinkId>,
+        bytes: f64,
+        prio: u8,
+        transfer: Transfer,
+    ) -> FlowId {
+        let slot = self.free_transfers.pop().unwrap_or_else(|| {
+            self.transfers.push(None);
+            self.transfers.len() - 1
+        });
+        self.transfers[slot] = Some(transfer);
+        self.server
             .net_mut()
-            .start_flow(path, bytes as f64, prio, 0);
-        self.flows.insert(fid, (purpose, kind, gpus, sid));
+            .start_flow(path, bytes, prio, slot as u64)
+    }
+
+    /// Takes the transfer filed in `slot` and frees the slot.
+    fn take_transfer(&mut self, slot: usize) -> Transfer {
+        self.free_transfers.push(slot);
+        self.transfers[slot]
+            .take()
+            .expect("in-flight flow without metadata")
     }
 }
 

@@ -15,8 +15,8 @@
 //!
 //! The model is *fluid*: rates stay constant between flow arrivals and
 //! departures, so the network only needs to be re-solved at those instants.
-
-use std::cmp::Reverse;
+//! The priority classes are kept in step with the flow table (a start files
+//! the flow, a completion or cancel unfiles it), so a solve never sorts.
 
 use crate::validate::InvariantViolation;
 use crate::SimTime;
@@ -116,40 +116,13 @@ pub struct FlowNetwork {
     next_id: u64,
     now: SimTime,
     strict: bool,
-    classes: Classes,
+    /// The priority classes: indices into the flow table, by priority
+    /// descending, then id ascending; a class is a run of equal priority.
+    /// Kept in step with the table, so a solve never sorts. Blocked flows
+    /// stay in and are filtered at allocation time.
+    classes: Vec<usize>,
     scratch: Scratch,
     obs: Option<mobius_obs::Obs>,
-}
-
-/// Priority partition of the flow table, re-sorted on every rate solve.
-/// Blocked flows stay in the partition and are filtered at allocation time.
-#[derive(Debug, Clone, Default)]
-struct Classes {
-    /// Indices into the flow table, by priority descending, then id
-    /// ascending.
-    order: Vec<usize>,
-    /// End of each class in `order`, highest priority first.
-    ends: Vec<usize>,
-}
-
-impl Classes {
-    /// Re-sorts `flows` into classes in one pass. Table index order is id
-    /// order, so the index breaks priority ties by id.
-    fn rebuild(&mut self, flows: &[(FlowId, Flow)]) {
-        self.order.clear();
-        self.order.extend(0..flows.len());
-        self.order
-            .sort_unstable_by_key(|&i| (Reverse(flows[i].1.priority), i));
-        self.ends.clear();
-        for (k, pair) in self.order.windows(2).enumerate() {
-            if flows[pair[0]].1.priority != flows[pair[1]].1.priority {
-                self.ends.push(k + 1);
-            }
-        }
-        if !self.order.is_empty() {
-            self.ends.push(self.order.len());
-        }
-    }
 }
 
 /// Buffers a rate solve works in, kept across solves so that a solve
@@ -252,7 +225,8 @@ impl FlowNetwork {
     /// # Panics
     ///
     /// Panics if `path` is empty (zero-hop copies are the caller's business —
-    /// model them as instantaneous) or `bytes` is not positive and finite.
+    /// model them as instantaneous), crosses a link twice, or `bytes` is not
+    /// positive and finite.
     pub fn start_flow(
         &mut self,
         path: Vec<LinkId>,
@@ -265,8 +239,12 @@ impl FlowNetwork {
             bytes.is_finite() && bytes > 0.0,
             "flow size must be positive"
         );
-        for l in &path {
+        for (k, l) in path.iter().enumerate() {
             assert!(l.0 < self.links.len(), "unknown link in path");
+            assert!(
+                !path[..k].contains(l),
+                "a path crosses each link at most once"
+            );
         }
         let id = FlowId(self.next_id);
         self.next_id += 1;
@@ -283,6 +261,13 @@ impl FlowNetwork {
                 blocked: false,
             },
         ));
+        // The new flow's table index is the largest: it goes last in its
+        // class.
+        let flows = &self.flows;
+        let at = self
+            .classes
+            .partition_point(|&j| flows[j].1.priority >= priority);
+        self.classes.insert(at, flows.len() - 1);
         self.recompute_rates();
         id
     }
@@ -335,6 +320,11 @@ impl FlowNetwork {
     /// The priority of an active flow.
     pub fn priority_of(&self, id: FlowId) -> Option<Priority> {
         self.flow(id).map(|f| f.priority)
+    }
+
+    /// The `user` token an active flow was started with.
+    pub fn user_of(&self, id: FlowId) -> Option<u64> {
+        self.flow(id).map(|f| f.user)
     }
 
     /// The current rate of a flow in bytes/second, if it is still active.
@@ -535,8 +525,7 @@ impl FlowNetwork {
             };
             return Err(self.report_violation(v));
         }
-        let (_, f) = self.flows.remove(i);
-        self.recompute_rates();
+        let f = self.remove_flow(i);
         Ok(FlowRecord {
             bytes: f.total,
             started: f.started,
@@ -556,19 +545,32 @@ impl FlowNetwork {
     /// Cancels a flow without asserting completion (e.g. aborted prefetch),
     /// returning the bytes actually moved.
     pub fn cancel(&mut self, id: FlowId) -> Option<f64> {
-        let (_, f) = self.flows.remove(self.index_of(id)?);
-        self.recompute_rates();
+        let f = self.remove_flow(self.index_of(id)?);
         Some(f.total - f.remaining)
+    }
+
+    /// Removes the flow at table index `i` from the table and its class
+    /// (every index above it moves down by one), then re-solves rates.
+    fn remove_flow(&mut self, i: usize) -> Flow {
+        self.classes.retain_mut(|j| {
+            let keep = *j != i;
+            if *j > i {
+                *j -= 1;
+            }
+            keep
+        });
+        let (_, f) = self.flows.remove(i);
+        self.recompute_rates();
+        f
     }
 
     /// Re-solves rates: strict priority between classes, max-min water
     /// filling inside each class.
     ///
-    /// Every solve re-sorts the flows into priority classes; blocked flows
-    /// stay in the partition and are filtered here, at allocation time. The
-    /// solve works in `self.scratch` and allocates nothing once it has grown.
+    /// Blocked flows stay in their class and are filtered here, at
+    /// allocation time. The solve works in `self.scratch` and allocates
+    /// nothing once it has grown.
     fn recompute_rates(&mut self) {
-        self.classes.rebuild(&self.flows);
         if let Some(obs) = &self.obs {
             obs.counter_add("flow.partition_rebuild", 1.0);
         }
@@ -580,21 +582,33 @@ impl FlowNetwork {
         let s = &mut self.scratch;
         s.residual.clear();
         s.residual.extend(self.links.iter().map(|l| l.capacity));
-        let mut start = 0;
-        for &end in &self.classes.ends {
+        let mut rest = &self.classes[..];
+        while let Some(&first) = rest.first() {
+            let prio = self.flows[first].1.priority;
+            let len = rest
+                .iter()
+                .position(|&i| self.flows[i].1.priority != prio)
+                .unwrap_or(rest.len());
+            let (class, tail) = rest.split_at(len);
+            rest = tail;
             // Blocked (stalled) flows take no part in the allocation.
             s.members.clear();
-            s.members.extend(
-                self.classes.order[start..end]
-                    .iter()
-                    .copied()
-                    .filter(|&i| !self.flows[i].1.blocked),
-            );
-            start = end;
-            if s.members.is_empty() {
-                continue;
+            s.members
+                .extend(class.iter().copied().filter(|&i| !self.flows[i].1.blocked));
+            match s.members[..] {
+                [] => continue,
+                // A lone flow's water-fill share is the smallest residual on
+                // its path: `x / 1.0` is exact, and a residual is never -0.0.
+                [i] => {
+                    let f = &mut self.flows[i].1;
+                    f.rate = f
+                        .path
+                        .iter()
+                        .map(|l| s.residual[l.0])
+                        .fold(f64::INFINITY, f64::min);
+                }
+                _ => water_fill(&mut self.flows, s),
             }
-            water_fill(&mut self.flows, s);
             for &i in &s.members {
                 let f = &self.flows[i].1;
                 for l in &f.path {

@@ -39,6 +39,18 @@ impl IntervalSet {
         if end <= start {
             return;
         }
+        // Recordings arrive nearly in time order: a span starting inside or
+        // after the last one touches no other.
+        if let Some(last) = self.spans.last_mut() {
+            if start > last.1 {
+                self.spans.push((start, end));
+                return;
+            }
+            if start >= last.0 {
+                last.1 = last.1.max(end);
+                return;
+            }
+        }
         // Find insertion window: all spans overlapping or touching [start, end).
         let lo = self.spans.partition_point(|&(_, e)| e < start);
         let hi = self.spans.partition_point(|&(s, _)| s <= end);

@@ -59,5 +59,5 @@ pub use fault::{
 pub use flow::{FlowId, FlowNetwork, FlowRecord, LinkId, Priority};
 pub use intervals::IntervalSet;
 pub use time::SimTime;
-pub use trace::{BandwidthSample, Cdf, CommKind, FlowOccupancy, TraceRecorder};
+pub use trace::{BandwidthSample, Cdf, CommKind, TraceRecorder};
 pub use validate::InvariantViolation;

@@ -7,7 +7,7 @@
 
 use std::collections::BTreeMap;
 
-use mobius_obs::{AttrValue, Lane, Obs, GBPS_BUCKETS};
+use mobius_obs::{counter_name, AttrValue, Lane, Obs, GBPS_BUCKETS};
 use serde::{Deserialize, Serialize};
 
 use crate::units::bytes_per_sec_to_gbps;
@@ -37,6 +37,18 @@ pub enum CommKind {
 }
 
 impl CommKind {
+    /// Every kind, in declaration order (`kind as usize` indexes it).
+    const ALL: [CommKind; 8] = [
+        CommKind::StageUpload,
+        CommKind::ActivationTransfer,
+        CommKind::ActivationOffload,
+        CommKind::ActivationUpload,
+        CommKind::GradientOffload,
+        CommKind::ParamGather,
+        CommKind::GradientReduce,
+        CommKind::Other,
+    ];
+
     /// Stable short label for tables.
     pub fn label(self) -> &'static str {
         match self {
@@ -155,27 +167,6 @@ impl Cdf {
     }
 }
 
-/// One completed flow viewed as a *resource occupancy*: the transfer held
-/// its path's bottleneck link for `[started, finished]`. These records are
-/// what `mobius-analyze` attributes critical-path time to — a flow blames
-/// the narrowest link on its path, since widening any other link cannot
-/// speed it up.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FlowOccupancy {
-    /// Transfer category.
-    pub kind: CommKind,
-    /// Bytes moved.
-    pub bytes: f64,
-    /// Flow start time.
-    pub started: SimTime,
-    /// Flow completion time.
-    pub finished: SimTime,
-    /// Label of the path's bottleneck link (smallest base capacity, first
-    /// on ties); `None` when labels/capacities were not supplied or the
-    /// path was empty.
-    pub bottleneck: Option<String>,
-}
-
 /// Collects everything an experiment needs to report: samples, per-kind
 /// traffic, and per-GPU compute/communication busy intervals.
 ///
@@ -194,7 +185,11 @@ pub struct TraceRecorder {
     obs: Option<Obs>,
     link_labels: Vec<String>,
     link_capacities: Vec<f64>,
-    occupancy: Vec<FlowOccupancy>,
+    /// `bytes.<kind>` counter names, indexed by `CommKind as usize`; built
+    /// when an observer is attached.
+    kind_counters: Vec<String>,
+    /// `link.<label>.bytes` counter names, indexed by [`LinkId::index`].
+    link_counters: Vec<String>,
 }
 
 impl TraceRecorder {
@@ -206,6 +201,10 @@ impl TraceRecorder {
     /// Attaches an observer; subsequent recordings also emit spans/counters.
     pub fn set_obs(&mut self, obs: Obs) {
         self.obs = Some(obs);
+        self.kind_counters = CommKind::ALL
+            .iter()
+            .map(|k| counter_name!("bytes.{}", k.label()))
+            .collect();
     }
 
     /// The attached observer, if any.
@@ -216,6 +215,10 @@ impl TraceRecorder {
     /// Supplies link names indexed by [`crate::LinkId`] so flow spans can be
     /// placed on per-link lanes (see [`crate::FlowNetwork::link_labels`]).
     pub fn set_link_labels(&mut self, labels: Vec<String>) {
+        self.link_counters = labels
+            .iter()
+            .map(|label| counter_name!("link.{label}.bytes"))
+            .collect();
         self.link_labels = labels;
     }
 
@@ -257,13 +260,6 @@ impl TraceRecorder {
             kind,
         });
         *self.traffic.entry(kind).or_insert(0.0) += rec.bytes;
-        self.occupancy.push(FlowOccupancy {
-            kind,
-            bytes: rec.bytes,
-            started: rec.started,
-            finished: rec.finished,
-            bottleneck: self.bottleneck_label(&rec.path).map(str::to_string),
-        });
         for &g in gpus {
             self.comm
                 .entry(g)
@@ -271,7 +267,7 @@ impl TraceRecorder {
                 .insert(rec.started, rec.finished);
         }
         if let Some(obs) = &self.obs {
-            obs.counter_add(&format!("bytes.{}", kind.label()), rec.bytes);
+            obs.counter_add(&self.kind_counters[kind as usize], rec.bytes);
             obs.histogram_record("flow.gbps", &GBPS_BUCKETS, gbps);
             let (start, end) = (rec.started.as_nanos(), rec.finished.as_nanos());
             let attrs = |gpu: Option<usize>| {
@@ -296,7 +292,7 @@ impl TraceRecorder {
             }
             for link in &rec.path {
                 if let Some(label) = self.link_labels.get(link.index()) {
-                    obs.counter_add(&format!("link.{label}.bytes"), rec.bytes);
+                    obs.counter_add(&self.link_counters[link.index()], rec.bytes);
                     obs.span(
                         Lane::Link(label.clone()),
                         "comm",
@@ -315,7 +311,7 @@ impl TraceRecorder {
     pub fn record_local(&mut self, bytes: f64, kind: CommKind) {
         *self.traffic.entry(kind).or_insert(0.0) += bytes;
         if let Some(obs) = &self.obs {
-            obs.counter_add(&format!("bytes.{}", kind.label()), bytes);
+            obs.counter_add(&self.kind_counters[kind as usize], bytes);
         }
     }
 
@@ -337,11 +333,6 @@ impl TraceRecorder {
     /// All bandwidth samples.
     pub fn samples(&self) -> &[BandwidthSample] {
         &self.samples
-    }
-
-    /// Per-flow resource-occupancy records, in completion order.
-    pub fn occupancy(&self) -> &[FlowOccupancy] {
-        &self.occupancy
     }
 
     /// Byte-weighted bandwidth CDF over all transfers.
@@ -458,13 +449,12 @@ impl TraceRecorder {
     /// aggregates several steps).
     pub fn merge(&mut self, other: &TraceRecorder) {
         self.samples.extend_from_slice(&other.samples);
-        self.occupancy.extend_from_slice(&other.occupancy);
         for (&k, &b) in &other.traffic {
             *self.traffic.entry(k).or_insert(0.0) += b;
             // Mirror the merge into the byte counters so they keep tracking
             // the traffic map exactly (same += of the same per-kind total).
             if let Some(obs) = &self.obs {
-                obs.counter_add(&format!("bytes.{}", k.label()), b);
+                obs.counter_add(&self.kind_counters[k as usize], b);
             }
         }
         for (&g, set) in &other.compute {
@@ -588,32 +578,19 @@ mod tests {
     }
 
     #[test]
-    fn occupancy_blames_the_bottleneck_link() {
+    fn bottleneck_label_picks_the_narrowest_link() {
         let mut tr = TraceRecorder::new();
         tr.set_link_labels(vec!["rc0-h2d".into(), "gpu0-lane-h2d".into()]);
         // The GPU lane is the narrower link: it is the bottleneck even
         // though it comes second on the path.
         tr.set_link_capacities(vec![16e9, 8e9]);
-        let rec = FlowRecord {
-            bytes: 1e9,
-            started: SimTime::ZERO,
-            finished: SimTime::from_secs(1),
-            path: vec![LinkId(0), LinkId(1)],
-            user: 0,
-        };
-        tr.record_flow(&rec, CommKind::StageUpload, &[0]);
-        let occ = tr.occupancy();
-        assert_eq!(occ.len(), 1);
-        assert_eq!(occ[0].bottleneck.as_deref(), Some("gpu0-lane-h2d"));
-        assert_eq!(occ[0].kind, CommKind::StageUpload);
+        let path = [LinkId(0), LinkId(1)];
+        assert_eq!(tr.bottleneck_label(&path), Some("gpu0-lane-h2d"));
         assert_eq!(tr.link_label(LinkId(0)), Some("rc0-h2d"));
 
         // Ties go to the first link on the path.
         tr.set_link_capacities(vec![8e9, 8e9]);
-        assert_eq!(
-            tr.bottleneck_label(&[LinkId(0), LinkId(1)]),
-            Some("rc0-h2d")
-        );
+        assert_eq!(tr.bottleneck_label(&path), Some("rc0-h2d"));
         // Unknown capacities disable attribution rather than guessing.
         assert_eq!(tr.bottleneck_label(&[LinkId(5)]), None);
         assert_eq!(tr.bottleneck_label(&[]), None);

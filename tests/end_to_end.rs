@@ -395,6 +395,35 @@ fn pinned_mobius_3b_2p2_m4() {
     );
 }
 
+/// Work counters of two observed simulated steps: flow-rate solves
+/// (`flow.partition_rebuild`), engine events scheduled and popped, and
+/// stage swaps. A change in how many solves or events a run takes fails
+/// here, not only in the benchmark's digests.
+fn pinned_work_counts(cfg: &GptConfig, groups: &[usize], m: usize) -> [f64; 4] {
+    let (stages, mapping, topo, pcfg) = pinned_pipeline(cfg, groups, m);
+    let obs = Obs::new();
+    simulate_steps_traced(&stages, &mapping, &topo, &pcfg, 2, Some(&obs)).unwrap();
+    [
+        "flow.partition_rebuild",
+        "engine.scheduled",
+        "engine.popped",
+        "swap.count",
+    ]
+    .map(|name| obs.counter(name))
+}
+
+#[test]
+fn pinned_work_counts_of_observed_runs() {
+    assert_eq!(
+        pinned_work_counts(&GptConfig::gpt2_small(), &[4, 4], 32),
+        [5_160.0, 3_512.0, 3_512.0, 56.0]
+    );
+    assert_eq!(
+        pinned_work_counts(&GptConfig::gpt_3b(), &[2, 2], 4),
+        [3_912.0, 2_360.0, 2_360.0, 264.0]
+    );
+}
+
 #[test]
 fn pinned_zero_offload_8b_2p2() {
     let rep = FineTuner::from_model(Model::from_config(&GptConfig::gpt_8b()))

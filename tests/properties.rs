@@ -414,20 +414,37 @@ fn distinct_links(links: &[LinkId], len: usize, bits: u64) -> Vec<LinkId> {
         .collect()
 }
 
+/// A flow priority for oracle mode `mode` from the raw draw `raw`:
+/// mode 0 draws from 0–3, so equal priorities (and with them classes of
+/// several flows) are common; mode 1 from the executor's spread (20 and 30
+/// for offloads, 100–200 for stage loads, 255 for activation hops); mode 2
+/// puts every flow in one priority-255 class.
+fn oracle_priority(mode: u8, raw: u8) -> Priority {
+    match (mode, raw % 4) {
+        (0, p) => p,
+        (1, 0) => 20,
+        (1, 1) => 30,
+        (1, 2) => 100 + raw % 101,
+        _ => 255,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// The flow network's rate solve is bit-identical to the oracle solver
     /// after every operation of a random schedule: starts, completions at
-    /// `next_completion`, cancels, block toggles and capacity changes.
+    /// `next_completion`, cancels at random positions of the flow table
+    /// (and so of its priority class), block toggles and capacity changes.
     /// Whole-GB/s capacities make equal bottleneck shares, and so the
-    /// tie-breaks, common.
+    /// tie-breaks, common. Mode 2 grows one class to up to 120 flows.
     #[test]
     fn flow_solver_matches_oracle(
+        mode in 0u8..3,
         caps in prop::collection::vec(1u8..17, 1..13),
         ops in prop::collection::vec(
-            (0u8..8, 0usize..1024, 0u64..u64::MAX, 0.1f64..10.0, 0u8..4),
-            1..160,
+            (0u8..10, 0usize..1024, 0u64..u64::MAX, 0.1f64..10.0, 0u8..255),
+            1..400,
         ),
     ) {
         let mut net = FlowNetwork::new();
@@ -436,20 +453,22 @@ proptest! {
             .enumerate()
             .map(|(i, &c)| net.add_link(format!("l{i}"), c as f64 * 1e9))
             .collect();
-        for (step, (kind, pick, bits, gb, prio)) in ops.into_iter().enumerate() {
+        let max_flows = if mode == 2 { 120 } else { 40 };
+        for (step, (kind, pick, bits, gb, raw)) in ops.into_iter().enumerate() {
             let ids = net.active_flow_ids();
             match kind {
-                0..=3 if ids.len() < 40 => {
+                0..=5 if ids.len() < max_flows => {
                     let len = 1 + pick % links.len().min(4);
+                    let prio = oracle_priority(mode, raw);
                     net.start_flow(distinct_links(&links, len, bits), gb * 1e9, prio, 0);
                 }
-                4 => {
+                6 => {
                     if let Some((t, id)) = net.next_completion() {
                         net.advance_to(t);
                         prop_assert!(net.complete(id).is_ok(), "completion of {id:?} refused");
                     }
                 }
-                5 if !ids.is_empty() => {
+                7 if !ids.is_empty() => {
                     // Drain part of the way to the next completion first,
                     // so the cancelled flow has moved some bytes.
                     if let Some((t, _)) = net.next_completion() {
@@ -458,11 +477,11 @@ proptest! {
                     }
                     net.cancel(ids[pick % ids.len()]);
                 }
-                6 if !ids.is_empty() => {
+                8 if !ids.is_empty() => {
                     let id = ids[pick % ids.len()];
                     net.set_flow_blocked(id, !net.is_flow_blocked(id).unwrap());
                 }
-                7 => {
+                9 => {
                     let cap = if bits % 2 == 0 { (1 + bits % 16) as f64 } else { gb * 2.0 };
                     net.set_link_capacity(links[pick % links.len()], cap * 1e9);
                 }
