@@ -177,12 +177,48 @@ impl std::error::Error for CkptError {}
 
 /// FNV-1a 64-bit hash — the workspace's standard content checksum.
 pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut h = Fnv64::new();
+    h.write(bytes);
+    h.finish()
+}
+
+/// Streaming [`fnv64`]: feeding bytes in any number of pieces yields the
+/// hash of their concatenation. As a [`fmt::Write`] sink it hashes
+/// formatted text without building a `String`.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv64(u64);
+
+impl Fnv64 {
+    /// The hash of no bytes (the FNV-1a 64 offset basis).
+    pub const fn new() -> Self {
+        Fnv64(0xcbf2_9ce4_8422_2325)
     }
-    h
+
+    /// Feeds `bytes`.
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// The hash of every byte fed so far.
+    pub const fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv64 {
+    fn default() -> Self {
+        Fnv64::new()
+    }
+}
+
+impl fmt::Write for Fnv64 {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.write(s.as_bytes());
+        Ok(())
+    }
 }
 
 /// The committed state of a checkpointed multi-step run: everything the
@@ -596,6 +632,16 @@ mod tests {
         assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv64(b"foobar"), 0x85944171f73967e8);
+    }
+
+    #[test]
+    fn streamed_fnv64_hashes_the_concatenation() {
+        let mut h = Fnv64::new();
+        h.write(b"foo");
+        let r = 'r';
+        write!(h, "ba{r}").unwrap();
+        assert_eq!(h.finish(), fnv64(b"foobar"));
+        assert_eq!(Fnv64::default().finish(), fnv64(b""));
     }
 
     #[test]

@@ -432,24 +432,27 @@ impl FineTuner {
             .as_ref()
             .map(FaultSchedule::without_crashes)
             .filter(|f| !f.is_empty());
-        crate::fingerprint::fingerprint_of([
-            self.model.config().name.clone(),
-            format!("mbs={}", self.mbs()),
-            format!("m={:?}", self.num_microbatches),
-            format!("sys={}", self.system.label()),
-            format!("part={:?}", self.partition_algo),
-            format!("map={:?}", self.mapping_algo),
+        crate::fingerprint::Fingerprint::new()
+            .part(format_args!("{}", self.model.config().name))
+            .part(format_args!("mbs={}", self.mbs()))
+            .part(format_args!("m={:?}", self.num_microbatches))
+            .part(format_args!("sys={}", self.system.label()))
+            .part(format_args!("part={:?}", self.partition_algo))
+            .part(format_args!("map={:?}", self.mapping_algo))
             // A fixed literal: every checkpoint persists this hash, including
             // tests/golden/checkpoint_gpt2.mckpt and mobius-perf's train-ckpt digests.
-            "budget=3s".to_string(),
-            format!("eff={:?}", self.efficiency),
-            format!(
+            .part(format_args!("budget=3s"))
+            .part(format_args!("eff={:?}", self.efficiency))
+            .part(format_args!(
                 "pf={} pl={} sv={}",
                 self.prefetch, self.prioritized_loads, self.strict_validation
-            ),
-            format!("faults={:?}", faults.as_ref().map(|f| f.events())),
-            format!("cluster={:?}", self.cluster),
-        ])
+            ))
+            .part(format_args!(
+                "faults={:?}",
+                faults.as_ref().map(|f| f.events())
+            ))
+            .part(format_args!("cluster={:?}", self.cluster))
+            .finish()
     }
 
     pub(crate) fn topo_ref(&self) -> &Topology {

@@ -8,24 +8,54 @@
 //! would orphan every committed checkpoint (the golden
 //! `tests/golden/checkpoint_gpt2.mckpt` pins the bytes).
 
-use mobius_ckpt::fnv64;
+use std::fmt::{self, Write as _};
+
+use mobius_ckpt::Fnv64;
 use mobius_model::Model;
 use mobius_topology::Topology;
 
-/// Fingerprints a configuration from its descriptor strings (model,
-/// system, schedule, …), separator-framed so `["ab","c"]` and `["a","bc"]`
-/// hash differently.
-pub fn fingerprint_of<I, S>(parts: I) -> u64
-where
-    I: IntoIterator<Item = S>,
-    S: AsRef<str>,
-{
-    let mut buf = String::new();
-    for p in parts {
-        buf.push_str(p.as_ref());
-        buf.push('\u{1f}');
+/// Terminates every fingerprint part.
+const SEPARATOR: u8 = 0x1f;
+
+/// Streams separator-framed descriptor parts (model, system, schedule, …)
+/// straight into FNV-1a-64, so `["ab","c"]` and `["a","bc"]` hash
+/// differently and no part is ever built as a `String`.
+///
+/// Text written through [`fmt::Write`] extends the current part;
+/// [`Fingerprint::end_part`] terminates it. [`Fingerprint::part`] does
+/// both for one formatted part.
+#[derive(Debug, Clone, Default)]
+pub struct Fingerprint(Fnv64);
+
+impl Fingerprint {
+    /// A fingerprint of no parts.
+    pub const fn new() -> Self {
+        Fingerprint(Fnv64::new())
     }
-    fnv64(buf.as_bytes())
+
+    /// Appends one formatted part, e.g. `fp.part(format_args!("seq={n}"))`.
+    pub fn part(&mut self, args: fmt::Arguments<'_>) -> &mut Self {
+        // Hashing never fails, and neither do the workspace's formatters.
+        let _ = self.0.write_fmt(args);
+        self.end_part()
+    }
+
+    /// Terminates the part written so far.
+    pub fn end_part(&mut self) -> &mut Self {
+        self.0.write(&[SEPARATOR]);
+        self
+    }
+
+    /// The hash of every part so far.
+    pub fn finish(&self) -> u64 {
+        self.0.finish()
+    }
+}
+
+impl fmt::Write for Fingerprint {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0.write_str(s)
+    }
 }
 
 /// Content fingerprint of a model: preset name plus every shape field that
@@ -33,16 +63,16 @@ where
 /// but differ in shape (or vice versa) address different cache entries.
 pub fn model_fingerprint(model: &Model) -> u64 {
     let c = model.config();
-    fingerprint_of([
-        c.name.clone(),
-        format!("vocab={}", c.vocab),
-        format!("hidden={}", c.hidden),
-        format!("heads={}", c.heads),
-        format!("blocks={}", c.num_layers),
-        format!("seq={}", c.seq_len),
-        format!("mbs={}", c.default_microbatch),
-        format!("layers={}", model.num_layers()),
-    ])
+    Fingerprint::new()
+        .part(format_args!("{}", c.name))
+        .part(format_args!("vocab={}", c.vocab))
+        .part(format_args!("hidden={}", c.hidden))
+        .part(format_args!("heads={}", c.heads))
+        .part(format_args!("blocks={}", c.num_layers))
+        .part(format_args!("seq={}", c.seq_len))
+        .part(format_args!("mbs={}", c.default_microbatch))
+        .part(format_args!("layers={}", model.num_layers()))
+        .finish()
 }
 
 /// Content fingerprint of a topology: the name (which encodes GPU model,
@@ -50,26 +80,41 @@ pub fn model_fingerprint(model: &Model) -> u64 {
 /// figures, so a cache entry never survives a hardware change that would
 /// alter the plan.
 pub fn topology_fingerprint(topo: &Topology) -> u64 {
-    fingerprint_of([
-        topo.name(),
-        format!("gpus={}", topo.num_gpus()),
-        format!("groups={:?}", topo.groups()),
-        format!("mem={}", topo.gpu_mem_bytes()),
-        format!("bw={:?}", topo.avg_gpu_bandwidth()),
-        format!("ssd={:?}", topo.ssd_gbps()),
-    ])
+    let mut fp = Fingerprint::new();
+    let _ = topo.write_name(&mut fp);
+    fp.end_part()
+        .part(format_args!("gpus={}", topo.num_gpus()))
+        .part(format_args!("groups={:?}", topo.groups()))
+        .part(format_args!("mem={}", topo.gpu_mem_bytes()))
+        .part(format_args!("bw={:?}", topo.avg_gpu_bandwidth()))
+        .part(format_args!("ssd={:?}", topo.ssd_gbps()))
+        .finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mobius_ckpt::fnv64;
     use mobius_model::GptConfig;
     use mobius_topology::{GpuSpec, Topology};
 
+    fn parts(parts: &[&str]) -> u64 {
+        let mut fp = Fingerprint::new();
+        for p in parts {
+            fp.part(format_args!("{p}"));
+        }
+        fp.finish()
+    }
+
     #[test]
     fn fingerprint_is_framing_sensitive() {
-        assert_ne!(fingerprint_of(["ab", "c"]), fingerprint_of(["a", "bc"]));
-        assert_eq!(fingerprint_of(["a", "b"]), fingerprint_of(["a", "b"]));
+        assert_ne!(parts(&["ab", "c"]), parts(&["a", "bc"]));
+        assert_eq!(parts(&["a", "b"]), parts(&["a", "b"]));
+        // A part may be written in pieces before it is terminated.
+        let mut fp = Fingerprint::new();
+        fp.write_str("a").unwrap();
+        fp.end_part().part(format_args!("{}", 'b'));
+        assert_eq!(fp.finish(), parts(&["a", "b"]));
     }
 
     #[test]
@@ -77,10 +122,8 @@ mod tests {
         // The exact value `mobius_ckpt::fingerprint_of` produced before the
         // extraction: separator-framed FNV-1a 64. Pinning it here keeps the
         // checkpoint wire format honest across the move.
-        assert_eq!(
-            fingerprint_of(["a", "b"]),
-            fnv64("a\u{1f}b\u{1f}".as_bytes())
-        );
+        assert_eq!(parts(&["a", "b"]), fnv64("a\u{1f}b\u{1f}".as_bytes()));
+        assert_eq!(parts(&[]), fnv64(b""));
     }
 
     #[test]

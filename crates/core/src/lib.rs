@@ -47,6 +47,7 @@ mod finetuner;
 pub mod fingerprint;
 pub mod pricing;
 mod resilience;
+mod topo_spec;
 
 pub use checkpoint::{
     run_checkpointed, CheckpointOpts, CkptRunError, RunOutcome, RunSinks, RunSummary,
@@ -57,6 +58,7 @@ pub use finetuner::{
     System,
 };
 pub use resilience::{Degradation, DegradeAction, ResiliencePolicy};
+pub use topo_spec::{parse_topology, TopoSpecError, MAX_SERVER_GPUS};
 
 // Re-export the sub-crates so downstream users need a single dependency.
 pub use mobius_ckpt as ckpt;

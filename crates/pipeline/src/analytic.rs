@@ -145,6 +145,14 @@ pub enum ScheduleError {
         /// GPUs in the topology.
         topo: usize,
     },
+    /// The model has fewer layers than the topology has GPUs, so every
+    /// partition leaves a GPU without a stage.
+    TooFewLayers {
+        /// Layers in the model.
+        layers: usize,
+        /// GPUs in the topology.
+        gpus: usize,
+    },
 }
 
 impl fmt::Display for ScheduleError {
@@ -172,6 +180,11 @@ impl fmt::Display for ScheduleError {
                     "mapping addresses {mapped} GPUs but the topology has {topo}"
                 )
             }
+            ScheduleError::TooFewLayers { layers, gpus } => write!(
+                f,
+                "the model has {layers} layers but the topology has {gpus} GPUs; \
+                 every GPU needs at least one stage"
+            ),
         }
     }
 }

@@ -200,6 +200,14 @@ pub fn mip_partition_opts(
     obs: Option<&mobius_obs::Obs>,
 ) -> Result<PartitionOutcome, ScheduleError> {
     let l = profile.len();
+    if l < n_gpus {
+        // Every partition has at most `l` stages, and the objective
+        // rejects one that leaves a GPU idle: no memory limit is involved.
+        return Err(ScheduleError::TooFewLayers {
+            layers: l,
+            gpus: n_gpus,
+        });
+    }
     let objective = PipelineObjective {
         profile,
         n_gpus,

@@ -27,14 +27,15 @@
 //! [`SearchStats`]: mobius_mip::SearchStats
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::io::{BufRead, Write};
 
-use mobius::fingerprint::{fingerprint_of, model_fingerprint, topology_fingerprint};
-use mobius::{pricing, FineTuner, System};
+use mobius::fingerprint::{model_fingerprint, topology_fingerprint, Fingerprint};
+use mobius::{pricing, FineTuner, System, TopoSpecError};
 use mobius_model::{GptConfig, Model};
 use mobius_obs::{AttrValue, Lane, Obs};
 use mobius_sim::units::{secs_to_us, NS_PER_US_U64};
-use mobius_topology::{GpuSpec, Topology};
+use mobius_topology::Topology;
 
 use crate::cache::{Entry, PlanCache};
 
@@ -128,10 +129,15 @@ impl ServeStats {
     }
 }
 
+/// A request's `key=value` pairs, borrowed from the line. Sorted, so an
+/// unknown-key error always names the same key.
+type Kv<'a> = BTreeMap<&'a str, &'a str>;
+
 /// A parsed `plan`/`estimate` target.
-struct Target {
+struct Target<'a> {
     model: Model,
-    model_name: String,
+    /// As written in the request; a miss lowercases it into the payload.
+    model_name: &'a str,
     topo: Topology,
     system: System,
     /// A cache-key label only; the solver never reads it.
@@ -184,7 +190,7 @@ impl Server {
         }
         let mut words = line.split_whitespace();
         let cmd = words.next().expect("non-empty line has a first word");
-        let kv = parse_kv(words.collect::<Vec<_>>().as_slice())?;
+        let kv = parse_kv(words)?;
         self.stats.requests += 1;
         self.counter_add("serve.requests", 1.0);
         let response = match cmd {
@@ -218,11 +224,7 @@ impl Server {
         Ok(())
     }
 
-    fn plan_or_estimate(
-        &mut self,
-        kv: &BTreeMap<String, String>,
-        want_plan: bool,
-    ) -> Result<String, ServeError> {
+    fn plan_or_estimate(&mut self, kv: &Kv<'_>, want_plan: bool) -> Result<String, ServeError> {
         let verb = if want_plan { "plan" } else { "estimate" };
         let target = parse_target(kv, verb)?;
         let model_fp = model_fingerprint(&target.model);
@@ -231,16 +233,22 @@ impl Server {
 
         if let Some(entry) = self.cache.lookup(key) {
             let payload = if want_plan {
-                entry.plan_payload.clone()
+                &entry.plan_payload
             } else {
-                entry.estimate_payload.clone()
+                &entry.estimate_payload
             };
+            // `ok <verb> cache=hit latency_us=<u64> | <payload>`, written once.
+            let mut response = String::with_capacity(verb.len() + payload.len() + 50);
+            response.push_str("ok ");
+            response.push_str(verb);
+            response.push_str(" cache=hit latency_us=");
+            let _ = write!(response, "{HIT_SERVICE_US}");
+            response.push_str(" | ");
+            response.push_str(payload);
             self.stats.hits += 1;
             self.counter_add("serve.cache.hit", 1.0);
-            let latency = self.finish_request(verb, "hit", HIT_SERVICE_US);
-            return Ok(format!(
-                "ok {verb} cache=hit latency_us={latency} | {payload}"
-            ));
+            self.finish_request(verb, "hit", HIT_SERVICE_US);
+            return Ok(response);
         }
 
         // Miss: solve, seeded from the nearest cached relative if allowed.
@@ -299,9 +307,10 @@ impl Server {
             .map(|s| plan.mapping.gpu_of(s))
             .collect();
         let step_us = secs_to_us(plan.predicted_step.as_secs_f64());
+        let model_name = target.model_name.to_ascii_lowercase();
         let plan_payload = format!(
             "model={} topo={} stages={:?} map={:?} predicted_step_us={:.3} contention={:.3}",
-            target.model_name,
+            model_name,
             target.topo.name(),
             sizes,
             map,
@@ -311,7 +320,7 @@ impl Server {
         let price = pricing::step_price_usd(&target.topo, plan.predicted_step);
         let estimate_payload = format!(
             "model={} topo={} predicted_step_us={:.3} price_usd_per_step={:.6} stages={}",
-            target.model_name,
+            model_name,
             target.topo.name(),
             step_us,
             price,
@@ -332,7 +341,7 @@ impl Server {
         Ok((entry, evaluated, warm_started))
     }
 
-    fn invalidate(&mut self, kv: &BTreeMap<String, String>) -> Result<String, ServeError> {
+    fn invalidate(&mut self, kv: &Kv<'_>) -> Result<String, ServeError> {
         reject_unknown_keys(kv, &["model", "topo", "system"], "invalidate")?;
         let model_fp = kv
             .get("model")
@@ -359,7 +368,7 @@ impl Server {
         ))
     }
 
-    fn render_stats(&mut self, kv: &BTreeMap<String, String>) -> Result<String, ServeError> {
+    fn render_stats(&mut self, kv: &Kv<'_>) -> Result<String, ServeError> {
         reject_unknown_keys(kv, &[], "stats")?;
         let latency = self.finish_request("stats", "n/a", HIT_SERVICE_US);
         let s = self.stats;
@@ -406,34 +415,30 @@ impl Server {
 /// Combines the fingerprint tuple into the cache's content address, framed
 /// exactly like every other fingerprint in the workspace.
 pub fn cache_key(model_fp: u64, topo_fp: u64, system: System, budget_ms: u64) -> u64 {
-    fingerprint_of([
-        format!("{model_fp:016x}"),
-        format!("{topo_fp:016x}"),
-        system.label().to_string(),
-        format!("budget_ms={budget_ms}"),
-    ])
+    Fingerprint::new()
+        .part(format_args!("{model_fp:016x}"))
+        .part(format_args!("{topo_fp:016x}"))
+        .part(format_args!("{}", system.label()))
+        .part(format_args!("budget_ms={budget_ms}"))
+        .finish()
 }
 
-fn parse_kv(words: &[&str]) -> Result<BTreeMap<String, String>, ServeError> {
-    let mut kv = BTreeMap::new();
+fn parse_kv<'a>(words: impl Iterator<Item = &'a str>) -> Result<Kv<'a>, ServeError> {
+    let mut kv = Kv::new();
     for w in words {
         let (k, v) = w
             .split_once('=')
             .ok_or_else(|| ServeError::Protocol(format!("expected key=value, got `{w}`")))?;
-        if kv.insert(k.to_string(), v.to_string()).is_some() {
+        if kv.insert(k, v).is_some() {
             return Err(ServeError::Protocol(format!("duplicate key `{k}`")));
         }
     }
     Ok(kv)
 }
 
-fn reject_unknown_keys(
-    kv: &BTreeMap<String, String>,
-    allowed: &[&str],
-    cmd: &str,
-) -> Result<(), ServeError> {
+fn reject_unknown_keys(kv: &Kv<'_>, allowed: &[&str], cmd: &str) -> Result<(), ServeError> {
     for k in kv.keys() {
-        if !allowed.contains(&k.as_str()) {
+        if !allowed.contains(k) {
             return Err(ServeError::Protocol(format!(
                 "unknown key `{k}` for `{cmd}`"
             )));
@@ -442,13 +447,12 @@ fn reject_unknown_keys(
     Ok(())
 }
 
-fn parse_target(kv: &BTreeMap<String, String>, verb: &str) -> Result<Target, ServeError> {
+fn parse_target<'a>(kv: &Kv<'a>, verb: &str) -> Result<Target<'a>, ServeError> {
     reject_unknown_keys(kv, &["model", "topo", "system", "budget_ms"], verb)?;
-    let model_name = kv
+    let model_name = *kv
         .get("model")
-        .ok_or_else(|| ServeError::Protocol(format!("`{verb}` requires model=")))?
-        .clone();
-    let model = parse_model(&model_name)?;
+        .ok_or_else(|| ServeError::Protocol(format!("`{verb}` requires model=")))?;
+    let model = parse_model(model_name)?;
     let topo = parse_topo(
         kv.get("topo")
             .ok_or_else(|| ServeError::Protocol(format!("`{verb}` requires topo=")))?,
@@ -471,7 +475,7 @@ fn parse_target(kv: &BTreeMap<String, String>, verb: &str) -> Result<Target, Ser
     };
     Ok(Target {
         model,
-        model_name: model_name.to_ascii_lowercase(),
+        model_name,
         topo,
         system,
         budget_ms,
@@ -483,13 +487,14 @@ fn parse_target(kv: &BTreeMap<String, String>, verb: &str) -> Result<Target, Ser
 /// branch-and-bound's admissible load bound real pruning power — the
 /// regime where warm-start seeding visibly saves leaf evaluations.
 pub fn parse_model(s: &str) -> Result<Model, ServeError> {
-    match s.to_ascii_lowercase().as_str() {
-        "3b" => Ok(Model::from_config(&GptConfig::gpt_3b())),
-        "8b" => Ok(Model::from_config(&GptConfig::gpt_8b())),
-        "15b" => Ok(Model::from_config(&GptConfig::gpt_15b())),
-        "51b" => Ok(Model::from_config(&GptConfig::gpt_51b())),
-        "gpt2" => Ok(Model::from_config(&GptConfig::gpt2_small())),
-        "gpt2-long" => {
+    let is = |name: &str| s.eq_ignore_ascii_case(name);
+    match s {
+        _ if is("3b") => Ok(Model::from_config(&GptConfig::gpt_3b())),
+        _ if is("8b") => Ok(Model::from_config(&GptConfig::gpt_8b())),
+        _ if is("15b") => Ok(Model::from_config(&GptConfig::gpt_15b())),
+        _ if is("51b") => Ok(Model::from_config(&GptConfig::gpt_51b())),
+        _ if is("gpt2") => Ok(Model::from_config(&GptConfig::gpt2_small())),
+        _ if is("gpt2-long") => {
             let base = GptConfig::gpt2_small();
             Ok(Model::from_config(&GptConfig::new(
                 "GPT-2-long",
@@ -501,24 +506,25 @@ pub fn parse_model(s: &str) -> Result<Model, ServeError> {
                 1,
             )))
         }
-        "llama7b" => Ok(Model::llama2_7b()),
-        "llama13b" => Ok(Model::llama2_13b()),
-        other => Err(ServeError::Protocol(format!("unknown model `{other}`"))),
+        _ if is("llama7b") => Ok(Model::llama2_7b()),
+        _ if is("llama13b") => Ok(Model::llama2_13b()),
+        other => Err(ServeError::Protocol(format!(
+            "unknown model `{}`",
+            other.to_ascii_lowercase()
+        ))),
     }
 }
 
-/// Parses a topology spec: `dc` or `+`-separated root-complex group sizes.
+/// Parses a topology spec with [`mobius::parse_topology`]: `dc` or
+/// `+`-separated root-complex group sizes, at most
+/// [`mobius::MAX_SERVER_GPUS`] GPUs.
 pub fn parse_topo(s: &str) -> Result<Topology, ServeError> {
-    if s.eq_ignore_ascii_case("dc") {
-        return Ok(Topology::data_center(GpuSpec::v100(), 4));
-    }
-    let groups: Result<Vec<usize>, _> = s.split('+').map(str::parse).collect();
-    match groups {
-        Ok(g) if !g.is_empty() && g.iter().all(|&x| x > 0) => {
-            Ok(Topology::commodity(GpuSpec::rtx3090ti(), &g))
-        }
-        _ => Err(ServeError::Protocol(format!("bad topology `{s}`"))),
-    }
+    mobius::parse_topology(s).map_err(|e| {
+        ServeError::Protocol(match e {
+            TopoSpecError::Malformed => format!("bad topology `{s}`"),
+            TopoSpecError::TooManyGpus => format!("bad topology `{s}`: {e}"),
+        })
+    })
 }
 
 /// Parses a system name (the same names the CLI accepts).

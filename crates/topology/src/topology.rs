@@ -1,6 +1,8 @@
 //! Server topologies: which GPUs hang off which CPU root complex, and
 //! whether a high-bandwidth NVLink fabric exists.
 
+use std::fmt;
+
 use serde::Serialize;
 
 use crate::GpuSpec;
@@ -191,15 +193,31 @@ impl Topology {
 
     /// Human name in the paper's style: `Topo 4`, `Topo 2+2`, `Topo 1+3`.
     pub fn name(&self) -> String {
-        let body = self
-            .groups
-            .iter()
-            .map(|g| g.to_string())
-            .collect::<Vec<_>>()
-            .join("+");
+        let mut name = String::new();
+        self.write_name(&mut name)
+            .expect("writing to a String cannot fail");
+        name
+    }
+
+    /// Writes [`Topology::name`] to `out` without allocating.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `out` returns.
+    pub fn write_name(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        out.write_str(match self.interconnect {
+            Interconnect::PcieOnly => "Topo ",
+            Interconnect::NvLink => "DC ",
+        })?;
+        for (i, g) in self.groups.iter().enumerate() {
+            if i > 0 {
+                out.write_char('+')?;
+            }
+            write!(out, "{g}")?;
+        }
         match self.interconnect {
-            Interconnect::PcieOnly => format!("Topo {body}"),
-            Interconnect::NvLink => format!("DC {body} (NVLink)"),
+            Interconnect::PcieOnly => Ok(()),
+            Interconnect::NvLink => out.write_str(" (NVLink)"),
         }
     }
 

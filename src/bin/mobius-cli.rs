@@ -22,12 +22,12 @@ use mobius::obs::Obs;
 use mobius::sim::{FaultSchedule, SimTime};
 use mobius::{
     run_checkpointed, CheckpointOpts, CkptRunError, ClusterConfig, FineTuner, ResiliencePolicy,
-    RunError, RunOutcome, RunSinks, System,
+    RunError, RunOutcome, RunSinks, System, TopoSpecError,
 };
 use mobius_mip::SearchStats;
 use mobius_model::{GptConfig, Model};
 use mobius_pipeline::{evaluate_analytic, render_gantt, MemoryMode, PipelineConfig};
-use mobius_topology::{GpuSpec, Topology};
+use mobius_topology::Topology;
 
 /// What went wrong, classed for the exit code: bad usage exits 2, OOM 3,
 /// scheduling errors 4, unrecovered faults 5, an injected crash 6, a
@@ -138,7 +138,8 @@ usage:
                      [--checkpoint-keep J] [--resume DIR] [--crash-corrupt]
   mobius-cli analyze --trace-in FILE [--analyze-out FILE]
   mobius-cli serve   --script FILE [--capacity N] [--no-warm-seed]
-topology GROUPS like 2+2, 1+3, 4, 4+4 (commodity 3090-Ti); dc = 4xV100 NVLink
+topology GROUPS like 2+2, 1+3, 4, 4+4 (commodity 3090-Ti), at most 16 GPUs
+  per server; dc = 4xV100 NVLink
 cluster scales the server out N ways: Mobius runs one pipeline replica per
   server with a ring all-reduce over the NICs; ds-hetero shards ZeRO-3
   across every GPU of every server
@@ -490,18 +491,12 @@ fn parse_model(s: &str) -> Result<Model, CliError> {
 }
 
 fn parse_topo(s: &str) -> Result<Topology, CliError> {
-    if s.eq_ignore_ascii_case("dc") {
-        return Ok(Topology::data_center(GpuSpec::v100(), 4));
-    }
-    let groups: Result<Vec<usize>, _> = s.split('+').map(str::parse).collect();
-    match groups {
-        Ok(g) if !g.is_empty() && g.iter().all(|&x| x > 0) => {
-            Ok(Topology::commodity(GpuSpec::rtx3090ti(), &g))
+    mobius::parse_topology(s).map_err(|e| match e {
+        TopoSpecError::Malformed => {
+            usage(format!("bad topology `{s}` (try 2+2, 1+3, 4, 4+4 or dc)"))
         }
-        _ => Err(usage(format!(
-            "bad topology `{s}` (try 2+2, 1+3, 4, 4+4 or dc)"
-        ))),
-    }
+        TopoSpecError::TooManyGpus => usage(format!("bad topology `{s}`: {e}")),
+    })
 }
 
 fn parse_system(s: &str) -> Result<System, CliError> {
@@ -798,6 +793,26 @@ mod tests {
     }
 
     #[test]
+    fn oversized_topologies_are_usage_errors_and_the_limit_is_documented() {
+        let err = run(&argv(&["plan", "--model", "gpt2", "--topo", "400000000"])).unwrap_err();
+        assert_eq!(err.exit_code(), 2, "{err}");
+        assert_eq!(
+            err.to_string(),
+            "bad topology `400000000`: a server holds at most 16 GPUs"
+        );
+        let limit = format!("at most {} GPUs", mobius::MAX_SERVER_GPUS);
+        assert!(USAGE.contains(&limit), "--help must state the GPU limit");
+    }
+
+    #[test]
+    fn fewer_layers_than_gpus_is_a_scheduling_error() {
+        // GPT-2 small has 14 layers; 16 GPUs leave some without a stage.
+        let err = run(&argv(&["plan", "--model", "gpt2", "--topo", "16"])).unwrap_err();
+        assert_eq!(err.exit_code(), 4, "{err}");
+        assert!(err.to_string().contains("14 layers"), "{err}");
+    }
+
+    #[test]
     fn parses_systems() {
         assert_eq!(parse_system("mobius").unwrap(), System::Mobius);
         assert_eq!(parse_system("ds-hetero").unwrap(), System::DeepSpeedHetero);
@@ -1055,6 +1070,12 @@ mod tests {
         let err = run(&argv(&["serve", "--script", &p_s])).unwrap_err();
         assert_eq!(err.exit_code(), 8, "{err}");
         assert!(matches!(err, CliError::Serve(_)), "{err}");
+
+        // So does a topology no server could hold.
+        std::fs::write(&p, "estimate model=gpt2 topo=300000000\n").unwrap();
+        let err = run(&argv(&["serve", "--script", &p_s])).unwrap_err();
+        assert_eq!(err.exit_code(), 8, "{err}");
+        assert!(err.to_string().contains("at most 16 GPUs"), "{err}");
 
         let _ = std::fs::remove_file(&p);
     }

@@ -10,7 +10,7 @@ use mobius_obs::Obs;
 use mobius_pipeline::{
     check_differential, evaluate_analytic, mip_partition_opts, simulate_step,
     simulate_steps_traced, stage_costs, MipPartitionOpts, PartitionAlgo, PipelineConfig,
-    StageCosts,
+    ScheduleError, StageCosts,
 };
 use mobius_profiler::{LayerProfile, ModelProfile, Profiler};
 use mobius_sim::{CommKind, SimTime};
@@ -471,4 +471,20 @@ fn pinned_ring_allreduce_3b_2p2_x8() {
     .unwrap();
     assert_eq!(rep.sync_done.as_nanos(), 2_565_785_006);
     assert_eq!(rep.per_server_tx.iter().sum::<f64>(), 96_040_763_392.0);
+}
+
+#[test]
+fn fewer_layers_than_gpus_is_a_scheduling_error_not_an_oom() {
+    // GPT-2 small has 14 layers: no partition gives each of 16 GPUs a stage.
+    let err = FineTuner::new(GptConfig::gpt2_small())
+        .topology(commodity(&[16]))
+        .plan()
+        .unwrap_err();
+    assert_eq!(
+        err,
+        RunError::Schedule(ScheduleError::TooFewLayers {
+            layers: 14,
+            gpus: 16
+        })
+    );
 }

@@ -215,3 +215,80 @@ fn load_generator_is_byte_deterministic_and_cache_amortizes_zipf_skew() {
     assert_ne!(other.response_fnv, r1.response_fnv);
     assert!(other.hit_rate > 0.5);
 }
+
+fn protocol_error(line: &str) -> String {
+    let mut s = Server::new(ServeConfig::default());
+    s.handle(line).unwrap_err().to_string()
+}
+
+#[test]
+fn protocol_errors_keep_their_precedence_and_wording() {
+    // A malformed pair is reported before the command is even looked at.
+    assert_eq!(
+        protocol_error("frobnicate bad"),
+        "protocol error: expected key=value, got `bad`"
+    );
+    assert_eq!(
+        protocol_error("frobnicate model=gpt2"),
+        "protocol error: unknown command `frobnicate` (try plan/estimate/invalidate/stats)"
+    );
+    assert_eq!(
+        protocol_error("plan model=gpt2 topo=2+2 model=gpt2"),
+        "protocol error: duplicate key `model`"
+    );
+    // Keys are checked in sorted order, not line order.
+    assert_eq!(
+        protocol_error("plan model=gpt2 topo=2+2 zeta=1 alpha=2"),
+        "protocol error: unknown key `alpha` for `plan`"
+    );
+    assert_eq!(
+        protocol_error("plan topo=2+2"),
+        "protocol error: `plan` requires model="
+    );
+    assert_eq!(
+        protocol_error("estimate model=GPT5 topo=2+2"),
+        "protocol error: unknown model `gpt5`"
+    );
+    assert_eq!(
+        protocol_error("plan model=gpt2 topo=2+x"),
+        "protocol error: bad topology `2+x`"
+    );
+}
+
+#[test]
+fn oversized_and_underfilled_topologies_are_typed_errors() {
+    assert_eq!(
+        protocol_error("estimate model=gpt2 topo=300000000"),
+        "protocol error: bad topology `300000000`: a server holds at most 16 GPUs"
+    );
+    // GPT-2 small has 14 layers: sixteen GPUs cannot each hold a stage.
+    assert_eq!(
+        protocol_error("plan model=gpt2 topo=16"),
+        "plan error: scheduling failed: the model has 14 layers but the topology has \
+         16 GPUs; every GPU needs at least one stage"
+    );
+}
+
+#[test]
+fn model_names_match_case_insensitively_onto_one_entry() {
+    let obs = Obs::new();
+    let mut s = server_with(&obs, 4, true);
+    let miss = s.handle("plan model=gpt2 topo=2+2").unwrap().unwrap();
+    let hit = s.handle("plan model=GPT2 topo=2+2").unwrap().unwrap();
+    assert!(
+        hit.starts_with("ok plan cache=hit latency_us=50 | "),
+        "{hit}"
+    );
+    assert_eq!(payload_of(&hit), payload_of(&miss));
+    // A miss under a mixed-case name renders the lowercase name.
+    let est = s.handle("estimate model=Gpt2 topo=1+3").unwrap().unwrap();
+    assert!(
+        est.contains("cache=miss") || est.contains("cache=warm"),
+        "{est}"
+    );
+    assert!(
+        payload_of(&est).starts_with("model=gpt2 topo=Topo 1+3 "),
+        "{est}"
+    );
+    assert_eq!(obs.counter("serve.cache.hit"), 1.0);
+}
