@@ -2,17 +2,21 @@
 //! solving and full training-step simulations for every system. These are
 //! the "one bench per figure" end-to-end targets at reduced size — the
 //! figure binaries (`cargo run --bin fig05` …) produce the full tables.
+//!
+//! The flow network solves lazily, at the first rate read after a
+//! mutation, so a case solves as often as it reads.
 
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mobius::{FineTuner, System};
+use mobius::{ClusterConfig, FineTuner, System};
 use mobius_model::GptConfig;
 use mobius_sim::FlowNetwork;
-use mobius_topology::{GpuSpec, ServerNetwork, Topology};
+use mobius_topology::{GpuSpec, ServerNetwork, Topology, COMMODITY_NIC_GBPS};
 
 fn bench_flow_network(c: &mut Criterion) {
-    c.bench_function("flow_network_32flows_rate_solve", |b| {
+    // 32 starts, each read back: one solve per start, of 1 to 32 flows.
+    c.bench_function("flow_network_32flows_solve_per_start", |b| {
         b.iter(|| {
             let mut net = FlowNetwork::new();
             let links: Vec<_> = (0..8)
@@ -20,7 +24,8 @@ fn bench_flow_network(c: &mut Criterion) {
                 .collect();
             for i in 0..32u64 {
                 let path = vec![links[(i % 8) as usize], links[((i + 1) % 8) as usize]];
-                net.start_flow(path, 1e9, (i % 3) as u8, i);
+                let id = net.start_flow(path, 1e9, (i % 3) as u8, i);
+                std::hint::black_box(net.rate_of(id));
             }
             std::hint::black_box(net.next_completion())
         })
@@ -48,7 +53,7 @@ fn bench_flow_network(c: &mut Criterion) {
                     net.complete(id).expect("drained at its completion");
                 }
             }
-            std::hint::black_box(server.net().next_completion())
+            std::hint::black_box(server.net_mut().next_completion())
         })
     });
 
@@ -128,9 +133,22 @@ fn bench_systems(c: &mut Criterion) {
     });
 }
 
+fn bench_cluster(c: &mut Criterion) {
+    // ZeRO-3 across 12 servers: every layer slot starts and drains the
+    // full mesh of 132 pairwise NIC gathers at one instant, the regime
+    // where solves dominate a cluster run.
+    let tuner = FineTuner::new(GptConfig::gpt2_small())
+        .topology(Topology::commodity(GpuSpec::rtx3090ti(), &[2, 2]))
+        .system(System::DeepSpeedHetero)
+        .cluster(ClusterConfig::new(12, COMMODITY_NIC_GBPS));
+    c.bench_function("cluster_ds_hetero_gpt2_12servers", |b| {
+        b.iter(|| std::hint::black_box(tuner.run_step().expect("GPT-2 fits").step_time))
+    });
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10).measurement_time(Duration::from_secs(5));
-    targets = bench_flow_network, bench_multi_step, bench_systems
+    targets = bench_flow_network, bench_multi_step, bench_systems, bench_cluster
 }
 criterion_main!(benches);

@@ -32,7 +32,7 @@ use std::error::Error;
 use std::fmt;
 
 use mobius_obs::{AttrValue, DagDep, Lane, Obs, ResourceId};
-use mobius_sim::{CommKind, SimTime, TraceRecorder};
+use mobius_sim::{CommKind, InvariantViolation, SimTime, TraceRecorder};
 use mobius_topology::{Cluster, ClusterNetwork};
 use serde::Serialize;
 
@@ -120,7 +120,7 @@ pub struct ClusterSyncReport {
 }
 
 /// Why a synchronization could not run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum ClusterSyncError {
     /// Fewer than two servers: there is nothing to synchronize (callers
     /// must structurally skip the degenerate case so a 1-server cluster
@@ -139,6 +139,15 @@ pub enum ClusterSyncError {
         /// The replica that disagrees.
         server: usize,
     },
+    /// A ring chunk cannot finish inside the simulated clock: the fabric is
+    /// so slow that its completion instant saturates at [`SimTime::MAX`]
+    /// ([`InvariantViolation::ClockOverflow`]).
+    ClockOverflow {
+        /// The server that sent the chunk.
+        server: usize,
+        /// Bytes still pending when the clock saturated.
+        remaining: f64,
+    },
 }
 
 impl fmt::Display for ClusterSyncError {
@@ -154,6 +163,11 @@ impl fmt::Display for ClusterSyncError {
             ClusterSyncError::BucketMismatch { server } => write!(
                 f,
                 "replica {server} disagrees on bucket structure; collapse replicas first"
+            ),
+            ClusterSyncError::ClockOverflow { server, remaining } => write!(
+                f,
+                "server {server}'s ring chunk cannot finish inside the simulated clock: \
+                 {remaining:.0} bytes still pending when it saturated (a fabric link is too slow)"
             ),
         }
     }
@@ -177,7 +191,9 @@ impl Error for ClusterSyncError {}
 ///
 /// [`ClusterSyncError::DegenerateCluster`] for fewer than two servers,
 /// [`ClusterSyncError::ReplicaCountMismatch`] /
-/// [`ClusterSyncError::BucketMismatch`] for malformed replica lists.
+/// [`ClusterSyncError::BucketMismatch`] for malformed replica lists,
+/// [`ClusterSyncError::ClockOverflow`] when a chunk cannot finish inside
+/// the simulated clock.
 ///
 /// # Panics
 ///
@@ -370,11 +386,16 @@ pub fn simulate_ring_allreduce(
                     .expect("in-flight ring chunks must complete");
                 net.net_mut().advance_to(t);
                 now = t;
-                let rec = net
-                    .net_mut()
-                    .complete(fid)
-                    .expect("completion instant came from next_completion");
                 let (src, dst, fsid) = in_flight.remove(&fid).expect("untracked ring flow");
+                let rec = net.net_mut().complete(fid).map_err(|v| match v {
+                    InvariantViolation::ClockOverflow { remaining, .. } => {
+                        ClusterSyncError::ClockOverflow {
+                            server: src,
+                            remaining,
+                        }
+                    }
+                    v => panic!("completion instant came from next_completion: {v}"),
+                })?;
                 per_server_tx[src] += rec.bytes;
                 per_server_rx[dst] += rec.bytes;
                 if let (Some(dag), Some(fs)) = (&dag_obs, fsid) {

@@ -3,6 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
+use mobius_cluster::ClusterSyncError;
 use mobius_pipeline::ScheduleError;
 use mobius_sim::FaultAbort;
 use mobius_zero::ZeroError;
@@ -16,7 +17,7 @@ pub enum OomCause {
     /// A pipeline stage cannot fit ([`ScheduleError::StageTooLarge`], the
     /// GPipe/Mobius OOM mode).
     Schedule(ScheduleError),
-    /// A ZeRO shard or layer cannot fit ([`ZeroError`]).
+    /// A ZeRO shard or layer cannot fit ([`ZeroError::LayerTooLarge`]).
     Zero(ZeroError),
 }
 
@@ -52,6 +53,13 @@ pub enum RunError {
     /// An injected hardware fault aborted the run and no recovery policy
     /// (or no surviving configuration) could absorb it.
     Fault(FaultAbort),
+    /// A transfer cannot finish inside the simulated clock: a link (in
+    /// practice a near-zero NIC or switch bandwidth) is so slow that its
+    /// completion instant saturates at `SimTime::MAX`.
+    ClockOverflow {
+        /// Bytes still pending when the clock saturated.
+        remaining: f64,
+    },
 }
 
 impl fmt::Display for RunError {
@@ -63,6 +71,11 @@ impl fmt::Display for RunError {
             // Also shown as a `Degradation` cause after a successful
             // recovery, so the wording must not presume the outcome.
             RunError::Fault(abort) => write!(f, "injected fault: {abort}"),
+            RunError::ClockOverflow { remaining } => write!(
+                f,
+                "a transfer cannot finish inside the simulated clock: {remaining:.0} bytes \
+                 still pending when it saturated (a link on its path is too slow)"
+            ),
         }
     }
 }
@@ -72,7 +85,7 @@ impl Error for RunError {
         match self {
             RunError::OutOfMemory(cause) => Some(cause),
             RunError::Schedule(e) => Some(e),
-            RunError::Unsupported(_) => None,
+            RunError::Unsupported(_) | RunError::ClockOverflow { .. } => None,
             RunError::Fault(abort) => Some(abort),
         }
     }
@@ -89,7 +102,23 @@ impl From<ScheduleError> for RunError {
 
 impl From<ZeroError> for RunError {
     fn from(e: ZeroError) -> Self {
-        RunError::OutOfMemory(OomCause::Zero(e))
+        match e {
+            ZeroError::ClockOverflow { remaining } => RunError::ClockOverflow { remaining },
+            e @ ZeroError::LayerTooLarge { .. } => RunError::OutOfMemory(OomCause::Zero(e)),
+        }
+    }
+}
+
+/// A clock overflow keeps its class; every other synchronization error is
+/// a cluster the run cannot apply to.
+impl From<ClusterSyncError> for RunError {
+    fn from(e: ClusterSyncError) -> Self {
+        match e {
+            ClusterSyncError::ClockOverflow { remaining, .. } => {
+                RunError::ClockOverflow { remaining }
+            }
+            e => RunError::Unsupported(e.to_string()),
+        }
     }
 }
 

@@ -898,8 +898,7 @@ impl FineTuner {
         let cfg = ClusterDpConfig {
             strict_validation: self.strict_validation,
         };
-        let sync = simulate_ring_allreduce(cluster, &replicas, &cfg, self.obs.as_ref())
-            .map_err(|e| RunError::Unsupported(e.to_string()))?;
+        let sync = simulate_ring_allreduce(cluster, &replicas, &cfg, self.obs.as_ref())?;
         rep.trace.merge(&sync.trace);
         rep.cluster = Some(ClusterStepReport {
             num_servers: n,

@@ -786,7 +786,7 @@ impl Executor<'_> {
             if self.faults.is_some() && self.work_complete() {
                 break;
             }
-            let next_flow = self.server.net().next_completion();
+            let next_flow = self.server.net_mut().next_completion();
             let next_ev = self.engine.peek_time();
             match (next_flow, next_ev) {
                 (None, None) => break,
@@ -984,7 +984,7 @@ impl Executor<'_> {
     }
 
     /// Multiplies the degradation factor of every link whose label contains
-    /// `pat` and re-applies capacities (rates re-solve immediately).
+    /// `pat` and re-applies capacities (rates re-solve at the next read).
     fn scale_matching_links(&mut self, pat: &str, factor: f64) {
         let ids = self.server.net().link_ids();
         let labels = self.server.net().link_labels();

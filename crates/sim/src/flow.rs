@@ -15,6 +15,12 @@
 //!
 //! The model is *fluid*: rates stay constant between flow arrivals and
 //! departures, so the network only needs to be re-solved at those instants.
+//! The solve is lazy: a mutation (start, completion, cancel, block toggle,
+//! capacity change) only marks the rates stale, and the first read of a rate
+//! after it solves once, however many mutations came in between. Every
+//! solve rebuilds all rates from the flow table, the classes, the blocked
+//! flags and the capacities, so a rate read is the same bits whether the
+//! mutations before it were solved one by one or together.
 //! The priority classes are kept in step with the flow table (a start files
 //! the flow, a completion or cancel unfiles it), so a solve never sorts.
 
@@ -51,7 +57,7 @@ struct Flow {
     remaining: f64, // bytes
     total: f64,
     priority: Priority,
-    rate: f64, // bytes per second, recomputed on every network change
+    rate: f64, // bytes per second, as of the last solve
     started: SimTime,
     user: u64,
     /// Frozen by fault injection: excluded from allocation (rate 0) until
@@ -72,22 +78,6 @@ pub struct FlowRecord {
     pub path: Vec<LinkId>,
     /// Caller-supplied correlation token.
     pub user: u64,
-}
-
-impl FlowRecord {
-    /// Average achieved bandwidth in bytes/second.
-    ///
-    /// Instantaneous flows report the capacity-equivalent of their size over
-    /// one nanosecond, so callers never divide by zero.
-    pub fn avg_rate(&self) -> f64 {
-        let dt = (self.finished - self.started).as_secs_f64().max(1e-9);
-        self.bytes / dt
-    }
-
-    /// Average achieved bandwidth in GB/s (10^9 bytes per second).
-    pub fn avg_gbps(&self) -> f64 {
-        crate::units::bytes_per_sec_to_gbps(self.avg_rate())
-    }
 }
 
 /// A capacity-constrained network of links carrying fluid flows.
@@ -121,6 +111,9 @@ pub struct FlowNetwork {
     /// Kept in step with the table, so a solve never sorts. Blocked flows
     /// stay in and are filtered at allocation time.
     classes: Vec<usize>,
+    /// Set by every mutation that can change a rate; the next rate read
+    /// re-solves (see `settle`).
+    stale: bool,
     scratch: Scratch,
     obs: Option<mobius_obs::Obs>,
 }
@@ -189,10 +182,10 @@ impl FlowNetwork {
     }
 
     /// Changes a link's capacity *mid-simulation* — the time-varying
-    /// bandwidth of a degraded (or recovered) link. All flow rates are
-    /// re-solved immediately against the new capacity, and strict mode
-    /// revalidates conservation right away, so a fault window can never
-    /// leave the network oversubscribed.
+    /// bandwidth of a degraded (or recovered) link. The rates go stale: the
+    /// next rate read re-solves them against the new capacity, and strict
+    /// mode validates that solve, so no observed state of a fault window
+    /// can leave the network oversubscribed.
     ///
     /// # Panics
     ///
@@ -203,7 +196,7 @@ impl FlowNetwork {
             "link capacity must be positive"
         );
         self.links[id.0].capacity = capacity_bytes_per_sec;
-        self.recompute_rates();
+        self.mark_stale();
     }
 
     /// Ids of all links, in insertion order — pairs with
@@ -219,8 +212,8 @@ impl FlowNetwork {
     }
 
     /// Starts a flow of `bytes` across `path` at `priority`, tagged with a
-    /// caller-defined `user` token, and returns its id. Rates of all flows
-    /// are re-solved immediately.
+    /// caller-defined `user` token, and returns its id. The rates go stale
+    /// and are re-solved at the next rate read.
     ///
     /// # Panics
     ///
@@ -268,7 +261,7 @@ impl FlowNetwork {
             .classes
             .partition_point(|&j| flows[j].1.priority >= priority);
         self.classes.insert(at, flows.len() - 1);
-        self.recompute_rates();
+        self.mark_stale();
         id
     }
 
@@ -288,14 +281,15 @@ impl FlowNetwork {
     /// Freezes or resumes a flow (fault injection: a stalled DMA engine).
     /// A blocked flow keeps its remaining bytes but moves at rate 0 and is
     /// excluded from the water-filling allocation, so its share is
-    /// redistributed. No-op for unknown (already completed) ids.
+    /// redistributed at the next rate read. No-op for unknown (already
+    /// completed) ids and for a flow already in the requested state.
     pub fn set_flow_blocked(&mut self, id: FlowId, blocked: bool) {
         let Some(f) = self.flow_mut(id) else {
             return;
         };
         if f.blocked != blocked {
             f.blocked = blocked;
-            self.recompute_rates();
+            self.mark_stale();
         }
     }
 
@@ -328,7 +322,9 @@ impl FlowNetwork {
     }
 
     /// The current rate of a flow in bytes/second, if it is still active.
-    pub fn rate_of(&self, id: FlowId) -> Option<f64> {
+    /// Settles stale rates first.
+    pub fn rate_of(&mut self, id: FlowId) -> Option<f64> {
+        self.settle();
         self.flow(id).map(|f| f.rate)
     }
 
@@ -341,7 +337,9 @@ impl FlowNetwork {
     ///
     /// Ties resolve to the smallest id so executors are deterministic.
     /// Returns `None` when no flow is moving (no flows, or all blocked).
-    pub fn next_completion(&self) -> Option<(SimTime, FlowId)> {
+    /// Settles stale rates first.
+    pub fn next_completion(&mut self) -> Option<(SimTime, FlowId)> {
+        self.settle();
         let mut best: Option<(SimTime, FlowId)> = None;
         for (id, f) in &self.flows {
             if f.rate <= 0.0 {
@@ -377,12 +375,14 @@ impl FlowNetwork {
     ///
     /// While enabled, [`FlowNetwork::validate_rates`] runs after every rate
     /// solve and before every time advance, and any
-    /// [`InvariantViolation`](crate::InvariantViolation) panics. Meant for
-    /// tests and debugging; the checks are `O(flows × links)` per solve.
+    /// [`InvariantViolation`](crate::InvariantViolation) panics. Solves are
+    /// lazy, so this checks every state a rate read observes, not the
+    /// unread states between mutations. Meant for tests and debugging; the
+    /// checks are `O(flows × links)` per solve.
     pub fn set_strict_validation(&mut self, on: bool) {
         self.strict = on;
         if on {
-            self.assert_valid();
+            self.settle_and_check();
         }
     }
 
@@ -399,7 +399,15 @@ impl FlowNetwork {
     /// 3. a zero-rate flow must be preempted — some link on its path is
     ///    saturated by flows of equal or higher priority. Starvation with
     ///    idle links would mean the allocator dropped a flow.
-    pub fn validate_rates(&self) -> Result<(), crate::InvariantViolation> {
+    ///
+    /// Settles stale rates first, so it checks the rates a read would see.
+    pub fn validate_rates(&mut self) -> Result<(), InvariantViolation> {
+        self.settle();
+        self.check_rates()
+    }
+
+    /// [`FlowNetwork::validate_rates`] on the rates as they stand.
+    fn check_rates(&self) -> Result<(), InvariantViolation> {
         use crate::InvariantViolation as V;
         // Per-link allocated rate, total and by minimum contributing
         // priority (for the preemption-justification check).
@@ -457,7 +465,7 @@ impl FlowNetwork {
     }
 
     fn assert_valid(&self) {
-        if let Err(v) = self.validate_rates() {
+        if let Err(v) = self.check_rates() {
             if let Some(obs) = &self.obs {
                 obs.violation("flow-network", &v.to_string(), self.now.as_nanos());
             }
@@ -466,23 +474,27 @@ impl FlowNetwork {
     }
 
     /// Overwrites the solved rate of a flow *without* re-solving the
-    /// network. Test-only injection hook for exercising the strict-mode
-    /// validators; never call this from simulation code.
+    /// network (stale rates are settled first, so the injected rate stands
+    /// until the next mutation). Test-only injection hook for exercising
+    /// the strict-mode validators; never call this from simulation code.
     #[doc(hidden)]
     pub fn debug_set_rate(&mut self, id: FlowId, rate: f64) {
+        self.settle();
         self.flow_mut(id).expect("unknown flow id").rate = rate;
     }
 
     /// Advances network time to `to`, draining every flow at its current
     /// rate. Must not skip past a completion returned by
-    /// [`FlowNetwork::next_completion`].
+    /// [`FlowNetwork::next_completion`]. Settles stale rates first when
+    /// time moves, and in strict mode always.
     pub fn advance_to(&mut self, to: SimTime) {
         if self.strict {
-            self.assert_valid();
+            self.settle_and_check();
         }
         if to <= self.now {
             return;
         }
+        self.settle();
         let dt = (to - self.now).as_secs_f64();
         for (_, f) in &mut self.flows {
             f.remaining = (f.remaining - f.rate * dt).max(0.0);
@@ -490,11 +502,12 @@ impl FlowNetwork {
         self.now = to;
     }
 
-    /// Removes flow `id` and returns its record; rates are re-solved.
+    /// Removes flow `id` and returns its record; the rates go stale.
     ///
     /// The caller decides *when* a flow is complete (typically at the instant
     /// reported by [`FlowNetwork::next_completion`]); sub-byte residues from
-    /// floating-point rounding are forgiven.
+    /// floating-point rounding are forgiven. The forgiven residue scales
+    /// with the flow's rate, so stale rates are settled first.
     ///
     /// # Errors
     ///
@@ -509,19 +522,31 @@ impl FlowNetwork {
     /// the next nanosecond, a flow may carry up to ~1 ns worth of bytes at
     /// its final rate; the tolerance therefore scales with the rate (a
     /// 600 GB/s NVLink flow legally holds ~600 residual bytes) with a
-    /// 64-byte floor for slow flows. Either violation is also emitted on
-    /// the observer's violation lane when one is attached.
+    /// 64-byte floor for slow flows. A flow still pending once the clock
+    /// has saturated at [`SimTime::MAX`] is
+    /// [`InvariantViolation::ClockOverflow`] instead: its link is too slow
+    /// for the transfer to finish inside the simulated clock. Every
+    /// violation is also emitted on the observer's violation lane when one
+    /// is attached.
     pub fn complete(&mut self, id: FlowId) -> Result<FlowRecord, InvariantViolation> {
+        self.settle();
         let Some(i) = self.index_of(id) else {
             return Err(self.report_violation(InvariantViolation::UnknownFlow { id }));
         };
         let f = &self.flows[i].1;
         let tolerance = 64.0_f64.max(2e-9 * f.rate);
         if f.remaining > tolerance {
-            let v = InvariantViolation::IncompleteFlow {
-                id,
-                remaining: f.remaining,
-                tolerance,
+            let v = if self.now == SimTime::MAX {
+                InvariantViolation::ClockOverflow {
+                    id,
+                    remaining: f.remaining,
+                }
+            } else {
+                InvariantViolation::IncompleteFlow {
+                    id,
+                    remaining: f.remaining,
+                    tolerance,
+                }
             };
             return Err(self.report_violation(v));
         }
@@ -550,7 +575,7 @@ impl FlowNetwork {
     }
 
     /// Removes the flow at table index `i` from the table and its class
-    /// (every index above it moves down by one), then re-solves rates.
+    /// (every index above it moves down by one); the rates go stale.
     fn remove_flow(&mut self, i: usize) -> Flow {
         self.classes.retain_mut(|j| {
             let keep = *j != i;
@@ -560,21 +585,48 @@ impl FlowNetwork {
             keep
         });
         let (_, f) = self.flows.remove(i);
-        self.recompute_rates();
+        self.mark_stale();
         f
     }
 
-    /// Re-solves rates: strict priority between classes, max-min water
-    /// filling inside each class.
+    /// Records a mutation that can change the rates: the next rate read
+    /// re-solves. `flow.partition_rebuild` counts these mutations, not the
+    /// solves, so its value does not depend on how many of them a solve
+    /// absorbs.
+    fn mark_stale(&mut self) {
+        if let Some(obs) = &self.obs {
+            obs.counter_add("flow.partition_rebuild", 1.0);
+        }
+        self.stale = true;
+    }
+
+    /// Re-solves the rates if a mutation has made them stale. Strict mode
+    /// validates every solve.
+    fn settle(&mut self) {
+        if self.stale {
+            self.stale = false;
+            self.solve();
+        }
+    }
+
+    /// Settles the rates and checks them: a fresh solve is validated as
+    /// every strict solve is, and rates that were already settled are
+    /// re-checked, so an injected rate cannot slip past.
+    fn settle_and_check(&mut self) {
+        if self.stale {
+            self.settle();
+        } else {
+            self.assert_valid();
+        }
+    }
+
+    /// Solves every rate from scratch: strict priority between classes,
+    /// max-min water filling inside each class.
     ///
     /// Blocked flows stay in their class and are filtered here, at
     /// allocation time. The solve works in `self.scratch` and allocates
     /// nothing once it has grown.
-    fn recompute_rates(&mut self) {
-        if let Some(obs) = &self.obs {
-            obs.counter_add("flow.partition_rebuild", 1.0);
-        }
-
+    fn solve(&mut self) {
         for (_, f) in &mut self.flows {
             f.rate = 0.0;
         }
@@ -803,7 +855,7 @@ mod tests {
     }
 
     #[test]
-    fn record_reports_average_bandwidth() {
+    fn record_reports_the_transfer() {
         let mut net = FlowNetwork::new();
         let l = net.add_link("l", gbps(8.0));
         let f = net.start_flow(vec![l], gbps(16.0), 0, 42);
@@ -811,7 +863,9 @@ mod tests {
         net.advance_to(t);
         let rec = net.complete(f).unwrap();
         assert_eq!(rec.user, 42);
-        assert!((rec.avg_gbps() - 8.0).abs() < 0.01);
+        assert_eq!(rec.bytes, gbps(16.0));
+        assert_eq!(rec.path, vec![l]);
+        assert_eq!(rec.started, SimTime::ZERO);
         assert_eq!(rec.finished, SimTime::from_secs(2));
     }
 
@@ -834,7 +888,7 @@ mod tests {
     }
 
     #[test]
-    fn set_link_capacity_resolves_rates_immediately() {
+    fn rates_track_a_changed_link_capacity() {
         let mut net = FlowNetwork::new();
         net.set_strict_validation(true);
         let l = net.add_link("l", gbps(10.0));
@@ -945,7 +999,49 @@ mod tests {
     }
 
     #[test]
-    fn cached_partition_matches_fresh_solve() {
+    fn a_flow_outlasting_the_clock_is_a_clock_overflow() {
+        // 1 GB at 1 mB/s needs 1e12 s, past the u64-nanosecond clock: the
+        // completion instant saturates and the flow is still pending there.
+        let mut net = FlowNetwork::new();
+        let l = net.add_link("l", 1e-3);
+        let f = net.start_flow(vec![l], gbps(1.0), 0, 0);
+        let (t, id) = net.next_completion().unwrap();
+        assert_eq!((t, id), (SimTime::MAX, f));
+        net.advance_to(t);
+        match net.complete(f) {
+            Err(InvariantViolation::ClockOverflow { id, remaining }) => {
+                assert_eq!(id, f);
+                assert!(remaining > gbps(0.9));
+            }
+            other => panic!("expected ClockOverflow, got {other:?}"),
+        }
+        assert_eq!(net.active_flows(), 1);
+    }
+
+    #[test]
+    fn partition_rebuild_counts_mutations_not_reads() {
+        // Six rate-changing mutations (a repeated block is none) with no
+        // read between them: the counter counts each, and the reads that
+        // settle them add nothing.
+        let obs = mobius_obs::Obs::new();
+        let mut net = FlowNetwork::new();
+        net.set_obs(obs.clone());
+        let l = net.add_link("l", gbps(10.0));
+        let a = net.start_flow(vec![l], gbps(10.0), 0, 0);
+        let b = net.start_flow(vec![l], gbps(10.0), 0, 1);
+        net.set_flow_blocked(a, true);
+        net.set_flow_blocked(a, true); // no change: not a mutation
+        net.set_link_capacity(l, gbps(4.0));
+        let c = net.start_flow(vec![l], gbps(10.0), 1, 2);
+        net.cancel(c);
+        assert_eq!(obs.counter("flow.partition_rebuild"), 6.0);
+        assert_eq!(net.rate_of(a), Some(0.0));
+        assert_eq!(net.rate_of(b), Some(gbps(4.0)));
+        assert_eq!(obs.counter("flow.partition_rebuild"), 6.0);
+    }
+
+    #[test]
+    fn rates_depend_on_state_not_on_mutation_history() {
         // Same network driven twice — once with only capacity changes and
         // block toggles, once with membership churn in between — must
         // allocate identically.

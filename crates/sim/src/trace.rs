@@ -306,15 +306,6 @@ impl TraceRecorder {
         }
     }
 
-    /// Records an instantaneous (same-device) data movement for traffic
-    /// accounting only.
-    pub fn record_local(&mut self, bytes: f64, kind: CommKind) {
-        *self.traffic.entry(kind).or_insert(0.0) += bytes;
-        if let Some(obs) = &self.obs {
-            obs.counter_add(&self.kind_counters[kind as usize], bytes);
-        }
-    }
-
     /// Records a compute busy interval on a GPU.
     pub fn record_compute(&mut self, gpu: usize, start: SimTime, end: SimTime) {
         self.compute.entry(gpu).or_default().insert(start, end);
@@ -551,9 +542,8 @@ mod tests {
         };
         tr.record_flow(&rec, CommKind::ParamGather, &[0, 1]);
         tr.record_flow(&rec, CommKind::ParamGather, &[0]);
-        tr.record_local(5e8, CommKind::GradientReduce);
         assert_eq!(tr.traffic_by_kind()[&CommKind::ParamGather], 2e9);
-        assert_eq!(tr.total_traffic(), 2.5e9);
+        assert_eq!(tr.total_traffic(), 2e9);
         assert_eq!(tr.gpus(), vec![0, 1]);
     }
 

@@ -75,6 +75,15 @@ pub enum InvariantViolation {
         /// The rounding tolerance that was exceeded.
         tolerance: f64,
     },
+    /// A flow was still pending when the simulated clock saturated at
+    /// [`SimTime::MAX`]: a link on its path is too slow for the transfer to
+    /// finish inside the clock's range (about 584 years).
+    ClockOverflow {
+        /// The flow that cannot finish.
+        id: FlowId,
+        /// Bytes still pending when the clock saturated.
+        remaining: f64,
+    },
     /// The event queue yielded an event earlier than the engine clock. A
     /// backwards clock silently corrupts every downstream interval, so
     /// [`Engine::pop`](crate::Engine::pop) checks this in every build
@@ -127,6 +136,11 @@ impl fmt::Display for InvariantViolation {
             } => write!(
                 f,
                 "flow {id:?} completed with {remaining} bytes remaining (tolerance {tolerance:.1})"
+            ),
+            InvariantViolation::ClockOverflow { id, remaining } => write!(
+                f,
+                "flow {id:?} cannot finish inside the simulated clock: {remaining:.0} bytes \
+                 still pending when it saturated (a link on its path is too slow)"
             ),
             InvariantViolation::ClockWentBackwards { now, event } => write!(
                 f,

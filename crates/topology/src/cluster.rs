@@ -135,7 +135,7 @@ impl Cluster {
 /// let path = net.server_to_server(0, 1).unwrap();
 /// assert_eq!(path.len(), 3); // NIC tx + switch + NIC rx
 /// let f = net.net_mut().start_flow(path, 1.0e9, 0, 0);
-/// assert!(net.net().rate_of(f).unwrap() > 0.0);
+/// assert!(net.net_mut().rate_of(f).unwrap() > 0.0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct ClusterNetwork {
@@ -172,7 +172,8 @@ impl ClusterNetwork {
         &self.cluster
     }
 
-    /// Shared access to the flow network.
+    /// Shared access to the flow network. Rate reads settle stale rates,
+    /// so they go through [`ClusterNetwork::net_mut`].
     pub fn net(&self) -> &FlowNetwork {
         &self.net
     }
@@ -244,7 +245,7 @@ mod tests {
         let mut n = ClusterNetwork::new(&cluster(4));
         let p = n.server_to_server(0, 1).unwrap();
         let f = n.net_mut().start_flow(p, 100e9, 0, 0);
-        assert!((n.net().rate_of(f).unwrap() - 12.5e9).abs() < 1.0);
+        assert!((n.net_mut().rate_of(f).unwrap() - 12.5e9).abs() < 1.0);
     }
 
     #[test]
@@ -255,8 +256,8 @@ mod tests {
         let f1 = n.net_mut().start_flow(p1, 100e9, 0, 0);
         let f2 = n.net_mut().start_flow(p2, 100e9, 0, 1);
         let half = 12.5e9 / 2.0;
-        assert!((n.net().rate_of(f1).unwrap() - half).abs() < 1.0);
-        assert!((n.net().rate_of(f2).unwrap() - half).abs() < 1.0);
+        assert!((n.net_mut().rate_of(f1).unwrap() - half).abs() < 1.0);
+        assert!((n.net_mut().rate_of(f2).unwrap() - half).abs() < 1.0);
     }
 
     #[test]
@@ -268,8 +269,8 @@ mod tests {
         let rx = n.server_to_server(0, 1).unwrap();
         let ft = n.net_mut().start_flow(tx, 100e9, 0, 0);
         let fr = n.net_mut().start_flow(rx, 100e9, 0, 1);
-        assert!((n.net().rate_of(ft).unwrap() - 12.5e9).abs() < 1.0);
-        assert!((n.net().rate_of(fr).unwrap() - 12.5e9).abs() < 1.0);
+        assert!((n.net_mut().rate_of(ft).unwrap() - 12.5e9).abs() < 1.0);
+        assert!((n.net_mut().rate_of(fr).unwrap() - 12.5e9).abs() < 1.0);
     }
 
     #[test]
@@ -283,8 +284,8 @@ mod tests {
         let f1 = n.net_mut().start_flow(p1, 100e9, 0, 0);
         let f2 = n.net_mut().start_flow(p2, 100e9, 0, 1);
         let half = 12.5e9 / 2.0;
-        assert!((n.net().rate_of(f1).unwrap() - half).abs() < 1.0);
-        assert!((n.net().rate_of(f2).unwrap() - half).abs() < 1.0);
+        assert!((n.net_mut().rate_of(f1).unwrap() - half).abs() < 1.0);
+        assert!((n.net_mut().rate_of(f2).unwrap() - half).abs() < 1.0);
     }
 
     #[test]

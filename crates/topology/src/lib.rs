@@ -26,8 +26,8 @@
 //! let p2 = server.dram_to_gpu(2);
 //! let f1 = server.net_mut().start_flow(p1, 1e9, 0, 0);
 //! let f2 = server.net_mut().start_flow(p2, 1e9, 0, 1);
-//! let r1 = server.net().rate_of(f1).unwrap();
-//! let r2 = server.net().rate_of(f2).unwrap();
+//! let r1 = server.net_mut().rate_of(f1).unwrap();
+//! let r2 = server.net_mut().rate_of(f2).unwrap();
 //! assert!((r1 - r2).abs() < 1.0); // fair split of the shared uplink
 //! ```
 

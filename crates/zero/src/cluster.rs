@@ -27,7 +27,7 @@ use mobius_obs::{AttrValue, Lane, Obs};
 use mobius_sim::{CommKind, Engine, FlowId, SimTime, TraceRecorder};
 use mobius_topology::{Cluster, ClusterNetwork};
 
-use crate::{check_memory, ZeroError};
+use crate::{check_memory, complete_next, ZeroError};
 use mobius_profiler::ModelProfile;
 
 /// Configuration of a cluster-scale ZeRO-3 NIC simulation.
@@ -106,7 +106,9 @@ enum Phase {
 ///
 /// # Errors
 ///
-/// Returns [`ZeroError::LayerTooLarge`] if a layer cannot fit on a GPU.
+/// Returns [`ZeroError::LayerTooLarge`] if a layer cannot fit on a GPU,
+/// [`ZeroError::ClockOverflow`] if a NIC transfer cannot finish inside the
+/// simulated clock (a near-zero NIC or switch bandwidth).
 ///
 /// # Panics
 ///
@@ -199,7 +201,7 @@ pub fn simulate_cluster_zero_step(
             }
         }
 
-        let next_flow = net.net().next_completion();
+        let next_flow = net.net_mut().next_completion();
         let next_ev = engine.peek_time();
         match (next_flow, next_ev) {
             (None, None) => break,
@@ -207,10 +209,7 @@ pub fn simulate_cluster_zero_step(
                 if ev_time.is_none_or(|te| tf <= te) {
                     net.net_mut().advance_to(tf);
                     engine.advance_to(tf);
-                    let rec = net
-                        .net_mut()
-                        .complete(fid)
-                        .expect("completion instant came from next_completion");
+                    let rec = complete_next(net.net_mut(), fid)?;
                     let (from, blocks) = flows.remove(&fid).expect("untracked NIC flow");
                     per_server_tx[from] += rec.bytes;
                     let kind = if blocks {

@@ -46,7 +46,9 @@ use std::fmt;
 
 use mobius_model::LayerKind;
 use mobius_profiler::{LayerProfile, ModelProfile};
-use mobius_sim::{CommKind, Engine, FlowId, SimTime, TraceRecorder};
+use mobius_sim::{
+    CommKind, Engine, FlowId, FlowNetwork, FlowRecord, InvariantViolation, SimTime, TraceRecorder,
+};
 use mobius_topology::{Interconnect, ServerNetwork, Topology};
 use serde::{Deserialize, Serialize};
 
@@ -89,6 +91,13 @@ pub enum ZeroError {
         /// GPU capacity.
         capacity: u64,
     },
+    /// A transfer cannot finish inside the simulated clock: a link on its
+    /// path is so slow that its completion instant saturates at
+    /// [`SimTime::MAX`] ([`InvariantViolation::ClockOverflow`]).
+    ClockOverflow {
+        /// Bytes still pending when the clock saturated.
+        remaining: f64,
+    },
 }
 
 impl fmt::Display for ZeroError {
@@ -104,11 +113,33 @@ impl fmt::Display for ZeroError {
                 *required as f64 / (1u64 << 30) as f64,
                 *capacity as f64 / (1u64 << 30) as f64
             ),
+            ZeroError::ClockOverflow { remaining } => write!(
+                f,
+                "a transfer cannot finish inside the simulated clock: {remaining:.0} bytes \
+                 still pending when it saturated (a link on its path is too slow)"
+            ),
         }
     }
 }
 
 impl Error for ZeroError {}
+
+/// Completes flow `fid` at the instant [`FlowNetwork::next_completion`]
+/// reported for it. The one failure such an instant allows is a flow that
+/// cannot drain inside the simulated clock.
+///
+/// # Panics
+///
+/// Panics on any other completion failure: the instant did not come from
+/// `next_completion` (a simulator bug).
+fn complete_next(net: &mut FlowNetwork, fid: FlowId) -> Result<FlowRecord, ZeroError> {
+    net.complete(fid).map_err(|v| match v {
+        InvariantViolation::ClockOverflow { remaining, .. } => {
+            ZeroError::ClockOverflow { remaining }
+        }
+        v => panic!("completion instant came from next_completion: {v}"),
+    })
+}
 
 /// Result of simulating one ZeRO-3 offload training step.
 #[derive(Debug, Clone)]
@@ -210,7 +241,9 @@ fn check_memory(profile: &ModelProfile, capacity: u64) -> Result<(), ZeroError> 
 ///
 /// # Errors
 ///
-/// Returns [`ZeroError::LayerTooLarge`] if a layer cannot fit on the GPU.
+/// Returns [`ZeroError::LayerTooLarge`] if a layer cannot fit on the GPU,
+/// [`ZeroError::ClockOverflow`] if a transfer cannot finish inside the
+/// simulated clock.
 pub fn simulate_zero_step_traced(
     profile: &ModelProfile,
     topo: &Topology,
@@ -259,7 +292,7 @@ pub fn simulate_zero_step_traced(
         nvlink: topo.interconnect() == Interconnect::NvLink,
         last_compute_done: SimTime::ZERO,
     };
-    exec.run();
+    exec.run()?;
     if cfg.strict_validation {
         if let Err(v) = verify_traffic_identity(&exec.trace, profile, topo) {
             if let Some(obs) = obs {
@@ -287,13 +320,13 @@ impl ZeroExec<'_> {
         }
     }
 
-    fn run(&mut self) {
+    fn run(&mut self) -> Result<(), ZeroError> {
         for g in 0..self.n {
             self.launch_loads(g, 0);
         }
         self.pump();
         loop {
-            let next_flow = self.server.net().next_completion();
+            let next_flow = self.server.net_mut().next_completion();
             let next_ev = self.engine.peek_time();
             match (next_flow, next_ev) {
                 (None, None) => break,
@@ -301,7 +334,7 @@ impl ZeroExec<'_> {
                     if ev_time.is_none_or(|te| tf <= te) {
                         self.server.net_mut().advance_to(tf);
                         self.engine.advance_to(tf);
-                        self.complete_flow(fid);
+                        self.complete_flow(fid)?;
                     } else {
                         self.pop_event();
                     }
@@ -314,6 +347,7 @@ impl ZeroExec<'_> {
             self.gpus.iter().all(|g| g.slot == 2 * self.num_layers),
             "a GPU did not finish its step"
         );
+        Ok(())
     }
 
     fn pop_event(&mut self) {
@@ -324,12 +358,8 @@ impl ZeroExec<'_> {
         }
     }
 
-    fn complete_flow(&mut self, fid: FlowId) {
-        let rec = self
-            .server
-            .net_mut()
-            .complete(fid)
-            .expect("completion instant came from next_completion");
+    fn complete_flow(&mut self, fid: FlowId) -> Result<(), ZeroError> {
+        let rec = complete_next(self.server.net_mut(), fid)?;
         let (gpu, kind, traced, blocks) = self
             .flows
             .remove(&fid)
@@ -355,6 +385,7 @@ impl ZeroExec<'_> {
             }
             self.gpus[gpu].outstanding_loads -= 1;
         }
+        Ok(())
     }
 
     fn pump(&mut self) {

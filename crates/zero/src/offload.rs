@@ -14,7 +14,7 @@ use mobius_sim::{CommKind, Engine, FlowId, SimTime, TraceRecorder};
 use mobius_topology::{ServerNetwork, Topology};
 use std::collections::HashMap;
 
-use crate::{ZeroError, ZeroReport};
+use crate::{complete_next, ZeroError, ZeroReport};
 
 /// Checks ZeRO-Offload's memory bound: the full FP16 parameters plus the
 /// largest layer's workspace and a gradient streaming buffer must fit.
@@ -60,7 +60,9 @@ struct GpuO {
 /// # Errors
 ///
 /// Returns [`ZeroError::LayerTooLarge`] when the full parameter copy does
-/// not fit on a GPU — ZeRO-Offload's defining limitation.
+/// not fit on a GPU — ZeRO-Offload's defining limitation — and
+/// [`ZeroError::ClockOverflow`] if a transfer cannot finish inside the
+/// simulated clock.
 pub fn simulate_zero_offload_step_traced(
     profile: &ModelProfile,
     topo: &Topology,
@@ -97,17 +99,14 @@ pub fn simulate_zero_offload_step_traced(
     }
 
     loop {
-        let next_flow = server.net().next_completion();
+        let next_flow = server.net_mut().next_completion();
         let next_ev = engine.peek_time();
         match (next_flow, next_ev) {
             (None, None) => break,
             (Some((tf, fid)), ev_time) if ev_time.is_none_or(|te| tf <= te) => {
                 server.net_mut().advance_to(tf);
                 engine.advance_to(tf);
-                let rec = server
-                    .net_mut()
-                    .complete(fid)
-                    .expect("completion instant came from next_completion");
+                let rec = complete_next(server.net_mut(), fid)?;
                 let (kind, g) = flows.remove(&fid).expect("flow metadata");
                 trace.record_flow(&rec, kind, &[g]);
                 if kind == CommKind::StageUpload {

@@ -31,8 +31,9 @@ use mobius_topology::Topology;
 
 /// What went wrong, classed for the exit code: bad usage exits 2, OOM 3,
 /// scheduling errors 4, unrecovered faults 5, an injected crash 6, a
-/// checkpoint store problem 7, a serve protocol/planner failure 8,
-/// anything else 1.
+/// checkpoint store problem 7, a serve protocol/planner failure 8, a
+/// transfer that cannot finish inside the simulated clock 9, anything
+/// else 1.
 #[derive(Debug)]
 enum CliError {
     /// The invocation itself is wrong (unknown flag, bad value).
@@ -61,6 +62,7 @@ impl CliError {
             CliError::Crash(_) => 6,
             CliError::Ckpt(_) => 7,
             CliError::Serve(_) => 8,
+            CliError::Run(RunError::ClockOverflow { .. }) => 9,
             CliError::Run(_) | CliError::Other(_) => 1,
         }
     }
@@ -167,7 +169,8 @@ serve runs the planning service one-shot over a request script (one
   --capacity entries (default 64); responses go to stdout; --no-warm-seed
   disables near-miss warm-start seeding
 exit codes: 0 ok, 1 other, 2 usage, 3 OOM, 4 scheduling, 5 unrecovered fault,
-  6 injected crash, 7 checkpoint store failure, 8 serve protocol error";
+  6 injected crash, 7 checkpoint store failure, 8 serve protocol error,
+  9 a transfer cannot finish inside the simulated clock (e.g. --nic-gbps 1e-12)";
 
 /// Flags that consume the following token as their value.
 const VALUE_FLAGS: &[&str] = &[
@@ -970,6 +973,32 @@ mod tests {
             CliError::Run(RunError::Unsupported("x".into())).exit_code(),
             1
         );
+        let overflow = RunError::ClockOverflow { remaining: 1.0 };
+        assert_eq!(CliError::Run(overflow).exit_code(), 9);
+    }
+
+    #[test]
+    fn a_fabric_too_slow_for_the_clock_exits_9() {
+        for (flag, system) in [
+            ("--nic-gbps", "mobius"),
+            ("--nic-gbps", "ds-hetero"),
+            ("--switch-gbps", "mobius"),
+        ] {
+            let err = run(&argv(&[
+                "cluster",
+                "--model",
+                "gpt2",
+                "--servers",
+                "2",
+                flag,
+                "1e-12",
+                "--system",
+                system,
+            ]))
+            .unwrap_err();
+            assert_eq!(err.exit_code(), 9, "{flag} {system}: {err}");
+            assert!(err.to_string().contains("simulated clock"), "{err}");
+        }
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! Workspace integration tests for the multi-server scale-out path:
 //! single-server degeneracy (bit-identical to a plain run, traces
 //! included), the ring all-reduce traffic identity end to end, the
-//! validator's rejection of doctored traffic, and the SSD-offload
-//! bandwidth tier as a monotonic bottleneck.
+//! validator's rejection of doctored traffic, the SSD-offload bandwidth
+//! tier as a monotonic bottleneck, and a fabric too slow for the simulated
+//! clock as a typed error.
 
-use mobius::{ClusterConfig, FineTuner, System};
+use mobius::{ClusterConfig, FineTuner, RunError, System};
 use mobius_cluster::{
     expected_ring_traffic, simulate_ring_allreduce, verify_ring_identity, ClusterDpConfig,
-    ReplicaTiming,
+    ClusterSyncError, ReplicaTiming,
 };
 use mobius_model::GptConfig;
 use mobius_obs::Obs;
@@ -119,4 +120,42 @@ fn ssd_offload_step_time_degrades_monotonically() {
     assert!(fast >= dram, "an SSD tier can never beat DRAM offload");
     assert!(mid > fast, "3 GB/s must be slower than 6 GB/s");
     assert!(slow > mid, "1.5 GB/s must be slower than 3 GB/s");
+}
+
+#[test]
+fn a_fabric_too_slow_for_the_clock_is_a_typed_error() {
+    // At 1e-12 GB/s a gradient chunk would take longer than the u64
+    // nanosecond clock can count: its completion instant saturates at
+    // SimTime::MAX with the chunk still pending. That is a typed error from
+    // both the ring and the ZeRO-3 cluster simulation, never a panic.
+    let replica = ReplicaTiming {
+        bucket_bytes: vec![1e9],
+        ready: vec![SimTime::ZERO],
+        ready_sids: vec![],
+    };
+    let slow = Cluster::new(commodity(&[2, 2]), 2, 1e-12);
+    let strict = ClusterDpConfig {
+        strict_validation: true,
+    };
+    match simulate_ring_allreduce(&slow, &[replica.clone(), replica], &strict, None) {
+        Err(ClusterSyncError::ClockOverflow { remaining, .. }) => assert!(remaining > 0.0),
+        other => panic!("expected ClockOverflow, got {other:?}"),
+    }
+    for system in [System::Mobius, System::DeepSpeedHetero] {
+        let res = tuner(GptConfig::gpt_3b(), system)
+            .cluster(ClusterConfig::new(2, 1e-12))
+            .run_step();
+        assert!(
+            matches!(res, Err(RunError::ClockOverflow { .. })),
+            "{system:?}: {res:?}"
+        );
+    }
+    let slow_switch = ClusterConfig::new(2, 12.5).switch_gbps(1e-12);
+    let res = tuner(GptConfig::gpt_3b(), System::DeepSpeedHetero)
+        .cluster(slow_switch)
+        .run_step();
+    assert!(
+        matches!(res, Err(RunError::ClockOverflow { .. })),
+        "{res:?}"
+    );
 }

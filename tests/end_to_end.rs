@@ -395,10 +395,11 @@ fn pinned_mobius_3b_2p2_m4() {
     );
 }
 
-/// Work counters of two observed simulated steps: flow-rate solves
-/// (`flow.partition_rebuild`), engine events scheduled and popped, and
-/// stage swaps. A change in how many solves or events a run takes fails
-/// here, not only in the benchmark's digests.
+/// Work counters of two observed simulated steps: rate-changing flow
+/// mutations (`flow.partition_rebuild`; the lazy solves they trigger are
+/// fewer), engine events scheduled and popped, and stage swaps. A change
+/// in how many mutations or events a run takes fails here, not only in
+/// the benchmark's digests.
 fn pinned_work_counts(cfg: &GptConfig, groups: &[usize], m: usize) -> [f64; 4] {
     let (stages, mapping, topo, pcfg) = pinned_pipeline(cfg, groups, m);
     let obs = Obs::new();

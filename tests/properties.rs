@@ -4,6 +4,7 @@
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 use mobius_mapping::Mapping;
 use mobius_mip::{chain_partition_dp, SegmentObjective, SegmentSearch};
@@ -372,19 +373,20 @@ fn oracle_water_fill(
     rates
 }
 
-/// The oracle's next completion: earliest drain instant over the oracle
-/// rates, rounded up to the nanosecond, smallest id on ties.
+/// The oracle's next completion at `now`: earliest drain instant over the
+/// oracle rates and each flow's `remaining` bytes, rounded up to the
+/// nanosecond, smallest id on ties.
 fn oracle_next_completion(
-    net: &FlowNetwork,
+    now: SimTime,
     rates: &BTreeMap<FlowId, f64>,
+    remaining: impl Fn(FlowId) -> f64,
 ) -> Option<(SimTime, FlowId)> {
-    let now = net.now();
     let mut best: Option<(SimTime, FlowId)> = None;
     for (&id, &rate) in rates {
         if rate <= 0.0 {
             continue;
         }
-        let remaining = net.remaining_of(id).unwrap();
+        let remaining = remaining(id);
         let dt = remaining / rate;
         let ns = mobius_sim::units::secs_to_ns(dt).ceil();
         let at = now
@@ -497,9 +499,202 @@ proptest! {
             }
             prop_assert_eq!(
                 net.next_completion(),
-                oracle_next_completion(&net, &want),
+                oracle_next_completion(net.now(), &want, |id| net.remaining_of(id).unwrap()),
                 "next completion after op {}", step
             );
+        }
+    }
+}
+
+/// What an eagerly solved network would hold for each in-flight flow:
+/// its size and its remaining bytes, drained at the oracle's rates.
+type Shadow = BTreeMap<FlowId, (f64, f64)>;
+
+/// Advances `net` to `to` and drains `shadow` over the same interval at
+/// the oracle's rates, with the network's own arithmetic.
+fn advance_both(net: &mut FlowNetwork, shadow: &mut Shadow, to: SimTime) {
+    if to > net.now() {
+        let rates = oracle_rates(net);
+        let dt = (to - net.now()).as_secs_f64();
+        for (id, (_, remaining)) in shadow.iter_mut() {
+            *remaining = (*remaining - rates[id] * dt).max(0.0);
+        }
+    }
+    net.advance_to(to);
+}
+
+/// Completes `id` and checks the outcome against the oracle: the residue
+/// tolerance is `max(64, 2e-9 · rate)` at the rate an eager solve of the
+/// current state gives.
+fn complete_both(
+    net: &mut FlowNetwork,
+    shadow: &mut Shadow,
+    id: FlowId,
+) -> Result<(), TestCaseError> {
+    let rate = oracle_rates(net)[&id];
+    let (total, remaining) = shadow[&id];
+    let want_ok = remaining <= 64.0_f64.max(2e-9 * rate);
+    match net.complete(id) {
+        Ok(rec) => {
+            prop_assert!(
+                want_ok,
+                "{id:?} completed with {remaining} B left at {rate} B/s"
+            );
+            prop_assert_eq!(rec.bytes.to_bits(), total.to_bits());
+            shadow.remove(&id);
+        }
+        Err(v) => prop_assert!(!want_ok, "{id:?} refused at {rate} B/s: {v}"),
+    }
+    Ok(())
+}
+
+/// Every rate, every remaining byte count and the next completion of
+/// `net`, bit for bit against the oracle and the shadow.
+fn check_against_oracle(
+    net: &mut FlowNetwork,
+    shadow: &Shadow,
+    burst: usize,
+) -> Result<(), TestCaseError> {
+    let want = oracle_rates(net);
+    prop_assert_eq!(
+        net.active_flow_ids(),
+        shadow.keys().copied().collect::<Vec<_>>()
+    );
+    for (&id, &rate) in &want {
+        prop_assert_eq!(
+            net.rate_of(id).unwrap().to_bits(),
+            rate.to_bits(),
+            "rate of {:?} after burst {}",
+            id,
+            burst
+        );
+        prop_assert_eq!(
+            net.remaining_of(id).unwrap().to_bits(),
+            shadow[&id].1.to_bits(),
+            "remaining bytes of {:?} after burst {}",
+            id,
+            burst
+        );
+    }
+    prop_assert_eq!(
+        net.next_completion(),
+        oracle_next_completion(net.now(), &want, |id| shadow[&id].1),
+        "next completion after burst {}",
+        burst
+    );
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Lazy settling reads the bits an eager solve after every mutation
+    /// would. Bursts of mutations — several per simulated instant, with
+    /// no read between them — are read at a random point: first a
+    /// `rate_of`, a `next_completion`, an `advance_to`, or a completion
+    /// followed by a second one at the same instant, whose residue
+    /// tolerance scales with a rate the first completion made stale. Then
+    /// every rate, remaining byte count and the next completion must
+    /// match the oracle, with remaining bytes drained in a shadow at the
+    /// oracle's rates. Twin starts (one path and priority, sizes a few
+    /// hundred bytes apart) on links of up to 600 GB/s put the second
+    /// completion's residue between the stale and the settled tolerance.
+    /// A quarter of the cases run in strict mode.
+    #[test]
+    fn lazy_settling_matches_oracle(
+        strict in 0u8..4,
+        caps in prop::collection::vec(1u16..601, 1..7),
+        bursts in prop::collection::vec(
+            (
+                prop::collection::vec(
+                    (0u8..7, 0usize..1024, 0u64..u64::MAX, 0.1f64..10.0, 0u8..255),
+                    1..6,
+                ),
+                0u8..4,
+                0usize..1024,
+            ),
+            1..60,
+        ),
+    ) {
+        let mut net = FlowNetwork::new();
+        net.set_strict_validation(strict == 0);
+        let links: Vec<LinkId> = caps
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| net.add_link(format!("l{i}"), c as f64 * 1e9))
+            .collect();
+        let mut shadow = Shadow::new();
+        for (burst, (mutations, read, pick)) in bursts.into_iter().enumerate() {
+            for (kind, pick, bits, gb, raw) in mutations {
+                let ids = net.active_flow_ids();
+                let path = distinct_links(&links, 1 + pick % links.len().min(3), bits);
+                let prio = oracle_priority(raw % 2, raw);
+                match kind {
+                    0 | 1 if ids.len() < 40 => {
+                        let id = net.start_flow(path, gb * 1e9, prio, 0);
+                        shadow.insert(id, (gb * 1e9, gb * 1e9));
+                    }
+                    2 if ids.len() < 40 => {
+                        let delta = 200.0 + (bits >> 40) as f64 % 1000.0;
+                        for bytes in [gb * 1e9, gb * 1e9 + delta] {
+                            let id = net.start_flow(path.clone(), bytes, prio, 0);
+                            shadow.insert(id, (bytes, bytes));
+                        }
+                    }
+                    3 if !ids.is_empty() => {
+                        let id = ids[pick % ids.len()];
+                        let moved = net.cancel(id).unwrap();
+                        let (total, remaining) = shadow.remove(&id).unwrap();
+                        prop_assert_eq!(moved.to_bits(), (total - remaining).to_bits());
+                    }
+                    4 if !ids.is_empty() => {
+                        let id = ids[pick % ids.len()];
+                        net.set_flow_blocked(id, !net.is_flow_blocked(id).unwrap());
+                    }
+                    5 => {
+                        let cap = (1 + bits % 600) as f64 * 1e9;
+                        net.set_link_capacity(links[pick % links.len()], cap);
+                    }
+                    _ => {}
+                }
+            }
+            let rates = oracle_rates(&net);
+            let next = oracle_next_completion(net.now(), &rates, |id| shadow[&id].1);
+            match read {
+                0 if !rates.is_empty() => {
+                    let ids: Vec<FlowId> = rates.keys().copied().collect();
+                    let id = ids[pick % ids.len()];
+                    prop_assert_eq!(net.rate_of(id).unwrap().to_bits(), rates[&id].to_bits());
+                }
+                1 => prop_assert_eq!(net.next_completion(), next),
+                2 => {
+                    // A quarter, half, three quarters or all of the way to
+                    // the next completion; 1 µs when nothing moves.
+                    let now = net.now().as_nanos();
+                    let to = match next {
+                        Some((t, _)) => now + (t.as_nanos() - now) * (1 + pick as u64 % 4) / 4,
+                        None => now + 1_000,
+                    };
+                    advance_both(&mut net, &mut shadow, SimTime::from_nanos(to));
+                }
+                3 => {
+                    if let Some((t, first)) = next {
+                        advance_both(&mut net, &mut shadow, t);
+                        complete_both(&mut net, &mut shadow, first)?;
+                        // The flow closest to drained goes next, at the
+                        // same instant.
+                        let second = shadow
+                            .iter()
+                            .min_by(|a, b| a.1 .1.total_cmp(&b.1 .1))
+                            .map(|(&id, _)| id);
+                        if let Some(id) = second {
+                            complete_both(&mut net, &mut shadow, id)?;
+                        }
+                    }
+                }
+                _ => {}
+            }
+            check_against_oracle(&mut net, &shadow, burst)?;
         }
     }
 }
