@@ -32,7 +32,7 @@ use std::error::Error;
 use std::fmt;
 
 use mobius_obs::{AttrValue, DagDep, Lane, Obs, ResourceId};
-use mobius_sim::{CommKind, InvariantViolation, SimTime, TraceRecorder};
+use mobius_sim::{ClockOverflow, CommKind, SimTime, TraceRecorder};
 use mobius_topology::{Cluster, ClusterNetwork};
 use serde::Serialize;
 
@@ -141,7 +141,7 @@ pub enum ClusterSyncError {
     },
     /// A ring chunk cannot finish inside the simulated clock: the fabric is
     /// so slow that its completion instant saturates at [`SimTime::MAX`]
-    /// ([`InvariantViolation::ClockOverflow`]).
+    /// ([`ClockOverflow`]).
     ClockOverflow {
         /// The server that sent the chunk.
         server: usize,
@@ -174,6 +174,16 @@ impl fmt::Display for ClusterSyncError {
 }
 
 impl Error for ClusterSyncError {}
+
+/// Every ring chunk is started with its sending server as the flow's tag.
+impl From<ClockOverflow> for ClusterSyncError {
+    fn from(o: ClockOverflow) -> Self {
+        ClusterSyncError::ClockOverflow {
+            server: o.user as usize,
+            remaining: o.remaining,
+        }
+    }
+}
 
 /// Simulates the bucketed ring all-reduce of one training step's gradients
 /// across `cluster`'s servers, on the cluster's NIC/switch fabric.
@@ -380,26 +390,14 @@ pub fn simulate_ring_allreduce(
                 in_flight.insert(fid, (s, to, fsid));
             }
             while !in_flight.is_empty() {
-                let (t, fid) = net
-                    .net_mut()
-                    .next_completion()
+                let (fid, rec) = mobius_sim::step_flows(net.net_mut())?
                     .expect("in-flight ring chunks must complete");
-                net.net_mut().advance_to(t);
-                now = t;
+                now = rec.finished;
                 let (src, dst, fsid) = in_flight.remove(&fid).expect("untracked ring flow");
-                let rec = net.net_mut().complete(fid).map_err(|v| match v {
-                    InvariantViolation::ClockOverflow { remaining, .. } => {
-                        ClusterSyncError::ClockOverflow {
-                            server: src,
-                            remaining,
-                        }
-                    }
-                    v => panic!("completion instant came from next_completion: {v}"),
-                })?;
                 per_server_tx[src] += rec.bytes;
                 per_server_rx[dst] += rec.bytes;
                 if let (Some(dag), Some(fs)) = (&dag_obs, fsid) {
-                    dag.dag_close(fs, t.as_nanos());
+                    dag.dag_close(fs, now.as_nanos());
                 }
                 trace.record_flow(&rec, CommKind::GradientReduce, &[]);
             }

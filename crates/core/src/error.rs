@@ -54,8 +54,9 @@ pub enum RunError {
     /// (or no surviving configuration) could absorb it.
     Fault(FaultAbort),
     /// A transfer cannot finish inside the simulated clock: a link (in
-    /// practice a near-zero NIC or switch bandwidth) is so slow that its
-    /// completion instant saturates at `SimTime::MAX`.
+    /// practice a near-zero NIC or switch bandwidth, or a link or GPU a
+    /// fault slowed to a crawl) is so slow that its completion instant
+    /// saturates at `SimTime::MAX`.
     ClockOverflow {
         /// Bytes still pending when the clock saturated.
         remaining: f64,

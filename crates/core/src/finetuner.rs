@@ -1156,6 +1156,9 @@ impl From<ExecError> for AttemptError {
         match e {
             ExecError::Schedule(e) => AttemptError::Run(e.into()),
             ExecError::Fault { abort, stats } => AttemptError::Fault { abort, stats },
+            ExecError::ClockOverflow { remaining } => {
+                AttemptError::Run(RunError::ClockOverflow { remaining })
+            }
         }
     }
 }

@@ -53,12 +53,6 @@ impl ResiliencePolicy {
         }
     }
 
-    /// Enables or disables elastic replanning (builder style).
-    pub fn with_elastic_replan(mut self, on: bool) -> Self {
-        self.elastic_replan = on;
-        self
-    }
-
     /// Enables or disables the degradation ladder (builder style).
     pub fn with_degrade_ladder(mut self, on: bool) -> Self {
         self.degrade_ladder = on;

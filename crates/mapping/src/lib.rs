@@ -32,8 +32,6 @@
 #![warn(missing_docs)]
 
 use mobius_topology::Topology;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 /// Which mapping policy to use (selected by the `mobius` facade crate).
@@ -112,9 +110,11 @@ impl Mapping {
     }
 
     /// The paper's cross mapping: exhaustively search round permutations for
-    /// the one minimizing the contention degree (Eq. 13); ties resolve to
-    /// the lexicographically smallest permutation, so the result is
-    /// deterministic.
+    /// the one minimizing the contention degree (Eq. 13). Ties resolve to
+    /// the first minimum in `permute`'s swap order, which starts from the
+    /// sequential mapping, so the result is deterministic. That is not
+    /// always the lexicographically smallest optimum: on 2+1 with 4 stages
+    /// it is `[2, 1, 0]`, not `[2, 0, 1]`.
     ///
     /// # Panics
     ///
@@ -149,51 +149,6 @@ impl Mapping {
         });
         let (_, perm) = best.expect("at least one permutation");
         Self::from_round_permutation(&perm, num_stages)
-    }
-
-    /// A generalized cross mapping: simulated annealing over *arbitrary*
-    /// per-stage assignments (each GPU keeps a balanced share), minimizing
-    /// the contention degree of Eq. 13. Strictly more expressive than the
-    /// per-round permutation of [`Mapping::cross`]; seeded for determinism.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_stages < topo.num_gpus()`.
-    pub fn cross_annealed(topo: &Topology, num_stages: usize, seed: u64) -> Self {
-        let n = topo.num_gpus();
-        assert!(num_stages >= n, "need at least one stage per GPU");
-        let mut rng = StdRng::seed_from_u64(seed);
-        // Start from the permutation-based optimum.
-        let mut current = Self::cross(topo, num_stages);
-        let mut cur_cost = current.contention_degree(topo);
-        let mut best = current.clone();
-        let mut best_cost = cur_cost;
-
-        let iters = 2_000usize;
-        for step in 0..iters {
-            // Propose: swap the GPUs of two random stages (keeps per-GPU
-            // stage counts balanced).
-            let a = rng.gen_range(0..num_stages);
-            let b = rng.gen_range(0..num_stages);
-            if a == b || current.gpu_of[a] == current.gpu_of[b] {
-                continue;
-            }
-            let mut proposal = current.clone();
-            proposal.gpu_of.swap(a, b);
-            let cost = proposal.contention_degree(topo);
-            let temperature = 1.0 - step as f64 / iters as f64;
-            let accept = cost < cur_cost
-                || rng.gen::<f64>() < (-(cost - cur_cost) / (temperature + 1e-9)).exp() * 0.1;
-            if accept {
-                current = proposal;
-                cur_cost = cost;
-                if cost < best_cost {
-                    best = current.clone();
-                    best_cost = cost;
-                }
-            }
-        }
-        best
     }
 
     /// Builds a mapping with the given policy.
@@ -240,18 +195,11 @@ impl Mapping {
         }
         degree
     }
-
-    /// Prefetch priority for a stage (paper §3.3: the stage that starts
-    /// earlier gets the higher priority). Returns a value in `1..=200` for
-    /// use as a `mobius_sim::Priority`; higher means more urgent.
-    pub fn prefetch_priority(&self, stage: usize) -> u8 {
-        let s = self.gpu_of.len();
-        let rank = stage.min(s - 1);
-        (200usize.saturating_sub(rank)).max(1) as u8
-    }
 }
 
-/// Heap's algorithm, calling `f` on every permutation of `items`.
+/// Calls `f` on every permutation of `items[k..]` by swap recursion: each
+/// position in turn takes every later item, the tail is permuted, and the
+/// swap is undone. The first permutation visited is `items` itself.
 fn permute<F: FnMut(&[usize])>(items: &mut Vec<usize>, k: usize, f: &mut F) {
     if k == items.len() {
         f(items);
@@ -336,13 +284,6 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_priority_decreases_with_stage() {
-        let m = Mapping::sequential(8, 4);
-        assert!(m.prefetch_priority(0) > m.prefetch_priority(7));
-        assert!(m.prefetch_priority(7) >= 1);
-    }
-
-    #[test]
     fn with_algo_dispatches() {
         let topo = topo22();
         assert_eq!(
@@ -368,37 +309,12 @@ mod tests {
     }
 
     #[test]
-    fn annealed_never_worse_than_permutation_cross() {
-        for groups in [vec![2usize, 2], vec![1, 3], vec![4, 4]] {
-            let topo = Topology::commodity(GpuSpec::rtx3090ti(), &groups);
-            let stages = topo.num_gpus() * 3;
-            let cross = Mapping::cross(&topo, stages);
-            let annealed = Mapping::cross_annealed(&topo, stages, 7);
-            assert!(
-                annealed.contention_degree(&topo) <= cross.contention_degree(&topo) + 1e-9,
-                "{groups:?}: annealed {} vs cross {}",
-                annealed.contention_degree(&topo),
-                cross.contention_degree(&topo)
-            );
-        }
-    }
-
-    #[test]
-    fn annealed_keeps_every_gpu_busy() {
-        let topo = Topology::commodity(GpuSpec::rtx3090ti(), &[4, 4]);
-        let m = Mapping::cross_annealed(&topo, 24, 3);
-        for g in 0..8 {
-            assert!(!m.stages_of(g).is_empty(), "gpu {g} idle");
-        }
-        assert_eq!(m.num_stages(), 24);
-    }
-
-    #[test]
-    fn annealed_is_deterministic_per_seed() {
-        let topo = Topology::commodity(GpuSpec::rtx3090ti(), &[2, 2]);
-        let a = Mapping::cross_annealed(&topo, 12, 42);
-        let b = Mapping::cross_annealed(&topo, 12, 42);
-        assert_eq!(a, b);
+    fn cross_ties_go_to_the_first_minimum_in_swap_order() {
+        let topo = Topology::commodity(GpuSpec::rtx3090ti(), &[2, 1]);
+        let m = Mapping::cross(&topo, 4);
+        let degree = |p: &[usize]| Mapping::from_round_permutation(p, 4).contention_degree(&topo);
+        assert_eq!(degree(&[2, 1, 0]), degree(&[2, 0, 1]));
+        assert_eq!(m, Mapping::from_round_permutation(&[2, 1, 0], 4));
     }
 
     #[test]

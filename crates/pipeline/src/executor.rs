@@ -34,8 +34,8 @@ use mobius_mapping::Mapping;
 use mobius_obs::{AttrValue, DagDep, Lane, Obs, ResourceId};
 use mobius_sim::units::secs_to_ms;
 use mobius_sim::{
-    CommKind, Engine, FaultAbort, FaultKind, FaultSchedule, FaultStats, FlowId, InvariantViolation,
-    LinkId, SimTime, TraceRecorder,
+    ClockOverflow, CommKind, Engine, FaultAbort, FaultKind, FaultSchedule, FaultStats, FlowId,
+    FlowRecord, LinkId, SimTime, Step, TraceRecorder,
 };
 use mobius_topology::{ServerNetwork, Topology};
 
@@ -103,6 +103,13 @@ pub enum ExecError {
         /// stitch the failed attempt into their final report).
         stats: FaultStats,
     },
+    /// A transfer cannot finish inside the simulated clock: a link on its
+    /// path (in practice one a fault degraded to near zero) is so slow
+    /// that its completion instant saturates at [`SimTime::MAX`].
+    ClockOverflow {
+        /// Bytes still pending when the clock saturated.
+        remaining: f64,
+    },
 }
 
 impl std::fmt::Display for ExecError {
@@ -110,6 +117,11 @@ impl std::fmt::Display for ExecError {
         match self {
             ExecError::Schedule(e) => write!(f, "schedule error: {e}"),
             ExecError::Fault { abort, .. } => write!(f, "fault aborted the run: {abort}"),
+            ExecError::ClockOverflow { remaining } => write!(
+                f,
+                "a transfer cannot finish inside the simulated clock: {remaining:.0} bytes \
+                 still pending when it saturated (a link on its path is too slow)"
+            ),
         }
     }
 }
@@ -119,6 +131,7 @@ impl std::error::Error for ExecError {
         match self {
             ExecError::Schedule(e) => Some(e),
             ExecError::Fault { abort, .. } => Some(abort),
+            ExecError::ClockOverflow { .. } => None,
         }
     }
 }
@@ -126,6 +139,14 @@ impl std::error::Error for ExecError {
 impl From<ScheduleError> for ExecError {
     fn from(e: ScheduleError) -> Self {
         ExecError::Schedule(e)
+    }
+}
+
+impl From<ClockOverflow> for ExecError {
+    fn from(o: ClockOverflow) -> Self {
+        ExecError::ClockOverflow {
+            remaining: o.remaining,
+        }
     }
 }
 
@@ -444,6 +465,8 @@ pub fn simulate_steps_traced(
         Err(ExecError::Fault { .. }) => {
             unreachable!("faults cannot fire without a schedule attached")
         }
+        // Only a fault degrades a link enough to outlast the clock.
+        Err(e @ ExecError::ClockOverflow { .. }) => panic!("{e}"),
     }
 }
 
@@ -457,7 +480,8 @@ pub fn simulate_steps_traced(
 ///
 /// [`ExecError::Schedule`] when the schedule itself is invalid;
 /// [`ExecError::Fault`] when a GPU failure or an exhausted retry budget
-/// aborted the run.
+/// aborted the run; [`ExecError::ClockOverflow`] when a degraded link
+/// leaves a transfer unable to finish inside the simulated clock.
 pub fn simulate_steps_faulted(
     stages: &[StageCosts],
     mapping: &Mapping,
@@ -668,7 +692,7 @@ fn simulate_steps_inner(
             exec.engine.schedule(ev.at, Ev::Fault { idx });
         }
     }
-    exec.run();
+    exec.run()?;
     if let Some(abort) = exec.abort {
         return Err(ExecError::Fault {
             abort,
@@ -772,7 +796,7 @@ fn load_rt(total: u64) -> LoadRt {
 }
 
 impl Executor<'_> {
-    fn run(&mut self) {
+    fn run(&mut self) -> Result<(), ClockOverflow> {
         // Kick off the first slot's load on every GPU.
         for g in 0..self.gpus.len() {
             self.start_residual_for_slot(g, 0, None);
@@ -786,20 +810,10 @@ impl Executor<'_> {
             if self.faults.is_some() && self.work_complete() {
                 break;
             }
-            let next_flow = self.server.net_mut().next_completion();
-            let next_ev = self.engine.peek_time();
-            match (next_flow, next_ev) {
-                (None, None) => break,
-                (Some((tf, fid)), ev_time) => {
-                    if ev_time.is_none_or(|te| tf <= te) {
-                        self.server.net_mut().advance_to(tf);
-                        self.engine.advance_to(tf);
-                        self.complete_flow(fid);
-                    } else {
-                        self.pop_event();
-                    }
-                }
-                (None, Some(_)) => self.pop_event(),
+            match mobius_sim::step(self.server.net_mut(), &mut self.engine)? {
+                None => break,
+                Some(Step::Flow(_, rec)) => self.complete_flow(rec),
+                Some(Step::Event(_, ev)) => self.handle_event(ev),
             }
             if self.abort.is_some() {
                 break;
@@ -810,6 +824,7 @@ impl Executor<'_> {
             self.abort.is_some() || self.bwd_done.iter().all(|&d| d == self.num_stages * self.m),
             "simulation ended before all backward work completed"
         );
+        Ok(())
     }
 
     /// All compute retired, no flow in flight, no retry pending: anything
@@ -820,9 +835,7 @@ impl Executor<'_> {
             && self.bwd_done.iter().all(|&d| d == self.num_stages * self.m)
     }
 
-    fn pop_event(&mut self) {
-        let (t, ev) = self.engine.pop().expect("event queue empty");
-        self.server.net_mut().advance_to(t);
+    fn handle_event(&mut self, ev: Ev) {
         match ev {
             Ev::ComputeDone { gpu } => self.compute_done(gpu),
             Ev::ActArrived {
@@ -1122,22 +1135,7 @@ impl Executor<'_> {
         }
     }
 
-    fn complete_flow(&mut self, fid: FlowId) {
-        let rec = match self.server.net_mut().complete(fid) {
-            Ok(rec) => rec,
-            Err(InvariantViolation::UnknownFlow { .. }) if self.faults.is_some() => {
-                // A fault window tore this flow down (the watchdog cancelled
-                // a stalled transfer and relaunched it under a fresh id)
-                // before this completion was delivered. The retry carries
-                // the bytes (and took the metadata), so the stale completion
-                // is dropped rather than unwinding the simulation.
-                if let Some(obs) = &self.obs {
-                    obs.counter_add("fault.stale_completions", 1.0);
-                }
-                return;
-            }
-            Err(v) => panic!("flow completion failed: {v}"),
-        };
+    fn complete_flow(&mut self, rec: FlowRecord) {
         let transfer = self.take_transfer(rec.user as usize);
         let sid = transfer.sid;
         self.trace.record_flow(&rec, transfer.kind, &transfer.gpus);
@@ -2047,10 +2045,8 @@ mod tests {
         assert!(rep.faults.stalls >= 3, "got {} stalls", rep.faults.stalls);
         assert!(rep.faults.retries > 0, "watchdog should have retried");
         assert_eq!(rep.faults.aborted_transfers, 0);
-        // Typed handling means no invariant violation was ever emitted and
-        // any stale completion was counted, not panicked on.
+        // No invariant violation was ever emitted.
         assert_eq!(obs.counter("violations"), 0.0);
-        assert!(obs.counter("fault.stale_completions") >= 0.0);
     }
 
     #[test]

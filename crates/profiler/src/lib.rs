@@ -20,7 +20,7 @@
 //! let model = Model::from_config(&GptConfig::gpt_8b());
 //! let profile = Profiler::new(GpuSpec::rtx3090ti()).profile(&model, 2);
 //! assert_eq!(profile.len(), model.num_layers());
-//! assert!(profile.total_fwd().as_secs_f64() > 0.0);
+//! assert!(profile.layers()[0].fwd.as_secs_f64() > 0.0);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -82,11 +82,6 @@ impl ModelProfile {
     /// The microbatch size the profile was taken at.
     pub fn microbatch(&self) -> usize {
         self.microbatch
-    }
-
-    /// Total forward time of one microbatch across the whole model.
-    pub fn total_fwd(&self) -> SimTime {
-        self.layers.iter().map(|l| l.fwd).sum()
     }
 
     /// Total FP16 parameter bytes.
@@ -306,7 +301,8 @@ mod tests {
         let m = Model::from_config(&GptConfig::gpt_8b());
         let commodity = Profiler::new(GpuSpec::rtx3090ti()).profile(&m, 1);
         let dc = Profiler::new(GpuSpec::a100()).profile(&m, 1);
-        assert!(dc.total_fwd() < commodity.total_fwd());
+        let fwd = |p: &ModelProfile| p.layers().iter().map(|l| l.fwd).sum::<SimTime>();
+        assert!(fwd(&dc) < fwd(&commodity));
     }
 
     #[test]

@@ -511,11 +511,10 @@ impl FlowNetwork {
     ///
     /// # Errors
     ///
-    /// Returns a typed [`InvariantViolation`] instead of unwinding, because
-    /// the interesting failure is a *race*, not a programming error: the
-    /// executor's watchdog-retry path can tear a stalled flow down inside a
-    /// fault window and later see the original completion for an id that no
-    /// longer exists ([`InvariantViolation::UnknownFlow`]). Completing a
+    /// Returns a typed [`InvariantViolation`] instead of unwinding, so
+    /// [`crate::step`] can tell a clock overflow from a simulator bug. An
+    /// id that is not (or no longer) in the network is
+    /// [`InvariantViolation::UnknownFlow`]. Completing a
     /// flow with visibly more than a rounding residue pending is
     /// [`InvariantViolation::IncompleteFlow`]. Because
     /// [`FlowNetwork::next_completion`] quantizes completion instants up to
@@ -967,10 +966,8 @@ mod tests {
 
     #[test]
     fn completing_torn_down_flow_is_typed_not_a_panic() {
-        // The watchdog-retry race: a fault window cancels a stalled flow,
-        // then the original completion for the dead id arrives. That must
-        // surface as a typed violation the executor can handle, not an
-        // unwind.
+        // Completing an id a watchdog already cancelled is a typed
+        // violation, not an unwind.
         let mut net = FlowNetwork::new();
         let l = net.add_link("l", gbps(10.0));
         let f = net.start_flow(vec![l], gbps(10.0), 0, 0);

@@ -3,10 +3,12 @@
 //! A small discrete-event simulator for communication-bound GPU servers,
 //! built for the Mobius (ASPLOS '23) reproduction.
 //!
-//! The crate provides four orthogonal pieces:
+//! The crate provides these pieces:
 //!
 //! * [`SimTime`] — nanosecond simulated clock.
 //! * [`Engine`] — a time-ordered event queue; executors own the loop.
+//! * [`step`] / [`step_flows`] — the one co-simulation step every loop
+//!   takes: the next flow completion or engine event, whichever is first.
 //! * [`FlowNetwork`] — a fluid-flow bandwidth model with max-min fair
 //!   sharing and strict priorities, capturing PCIe root-complex contention.
 //! * [`TraceRecorder`] / [`Cdf`] / [`IntervalSet`] — the measurement side:
@@ -42,6 +44,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod cosim;
 mod engine;
 mod fault;
 mod flow;
@@ -51,6 +54,7 @@ mod trace;
 pub mod units;
 mod validate;
 
+pub use cosim::{step, step_flows, ClockOverflow, Step};
 pub use engine::Engine;
 pub use fault::{
     CrashPoint, FaultAbort, FaultEvent, FaultKind, FaultSchedule, FaultStats, DEFAULT_MAX_RETRIES,

@@ -57,9 +57,7 @@ pub enum InvariantViolation {
         reason: &'static str,
     },
     /// A completion was delivered for a flow id that is not (or no longer)
-    /// in the network — typically the watchdog-retry race, where a fault
-    /// window tears a stalled flow down before its original completion
-    /// event fires.
+    /// in the network, e.g. one a watchdog already cancelled.
     UnknownFlow {
         /// The id the completion referenced.
         id: FlowId,

@@ -97,11 +97,6 @@ impl TinyGpt {
         &self.cfg
     }
 
-    /// Number of parameter tensors.
-    pub fn num_tensors(&self) -> usize {
-        self.params.len()
-    }
-
     /// Immutable access to parameter tensors (for checkpoint comparisons).
     pub fn params(&self) -> &[Tensor] {
         &self.params
@@ -223,7 +218,7 @@ mod tests {
     #[test]
     fn tensor_layout_matches_constant() {
         let m = model();
-        assert_eq!(m.num_tensors(), 2 + m.config().layers * BLOCK_TENSORS + 3);
+        assert_eq!(m.params().len(), 2 + m.config().layers * BLOCK_TENSORS + 3);
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::Rng;
 /// use mobius_tensor::Tensor;
 ///
 /// let a = Tensor::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-/// let b = Tensor::eye(2);
+/// let b = Tensor::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]);
 /// assert_eq!(a.matmul(&b), a);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -30,15 +30,6 @@ impl Tensor {
             cols,
             data: vec![0.0; rows * cols],
         }
-    }
-
-    /// The identity matrix.
-    pub fn eye(n: usize) -> Self {
-        let mut t = Tensor::zeros(n, n);
-        for i in 0..n {
-            t.data[i * n + i] = 1.0;
-        }
-        t
     }
 
     /// Builds from explicit rows.
@@ -218,26 +209,6 @@ impl Tensor {
         }
     }
 
-    /// Elementwise product.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn hadamard(&self, other: &Tensor) -> Tensor {
-        assert_eq!((self.rows, self.cols), (other.rows, other.cols));
-        let data = self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| a * b)
-            .collect();
-        Tensor {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        }
-    }
-
     /// Multiplies by a scalar.
     pub fn scale(&self, s: f32) -> Tensor {
         Tensor {
@@ -307,7 +278,11 @@ mod tests {
     fn identity_is_neutral() {
         let mut rng = Rng::new(3);
         let a = Tensor::randn(4, 4, 1.0, &mut rng);
-        assert_eq!(a.matmul(&Tensor::eye(4)), a);
+        let mut eye = Tensor::zeros(4, 4);
+        for i in 0..4 {
+            eye.data[i * 4 + i] = 1.0;
+        }
+        assert_eq!(a.matmul(&eye), a);
     }
 
     #[test]
@@ -321,7 +296,6 @@ mod tests {
     fn add_and_scale() {
         let a = Tensor::from_rows(&[&[1.0, -1.0]]);
         assert_eq!(a.add(&a), a.scale(2.0));
-        assert_eq!(a.hadamard(&a), Tensor::from_rows(&[&[1.0, 1.0]]));
     }
 
     #[test]

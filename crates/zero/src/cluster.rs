@@ -24,10 +24,10 @@
 use std::collections::HashMap;
 
 use mobius_obs::{AttrValue, Lane, Obs};
-use mobius_sim::{CommKind, Engine, FlowId, SimTime, TraceRecorder};
+use mobius_sim::{CommKind, Engine, FlowId, SimTime, Step, TraceRecorder};
 use mobius_topology::{Cluster, ClusterNetwork};
 
-use crate::{check_memory, complete_next, ZeroError};
+use crate::{check_memory, ZeroError};
 use mobius_profiler::ModelProfile;
 
 /// Configuration of a cluster-scale ZeRO-3 NIC simulation.
@@ -201,33 +201,24 @@ pub fn simulate_cluster_zero_step(
             }
         }
 
-        let next_flow = net.net_mut().next_completion();
-        let next_ev = engine.peek_time();
-        match (next_flow, next_ev) {
-            (None, None) => break,
-            (Some((tf, fid)), ev_time) => {
-                if ev_time.is_none_or(|te| tf <= te) {
-                    net.net_mut().advance_to(tf);
-                    engine.advance_to(tf);
-                    let rec = complete_next(net.net_mut(), fid)?;
-                    let (from, blocks) = flows.remove(&fid).expect("untracked NIC flow");
-                    per_server_tx[from] += rec.bytes;
-                    let kind = if blocks {
-                        CommKind::ParamGather
-                    } else {
-                        CommKind::GradientReduce
-                    };
-                    trace.record_flow(&rec, kind, &[]);
-                    if blocks {
-                        outstanding -= 1;
-                    }
-                    continue;
+        let t = match mobius_sim::step(net.net_mut(), &mut engine)? {
+            None => break,
+            Some(Step::Flow(fid, rec)) => {
+                let (from, blocks) = flows.remove(&fid).expect("untracked NIC flow");
+                per_server_tx[from] += rec.bytes;
+                let kind = if blocks {
+                    CommKind::ParamGather
+                } else {
+                    CommKind::GradientReduce
+                };
+                trace.record_flow(&rec, kind, &[]);
+                if blocks {
+                    outstanding -= 1;
                 }
+                continue;
             }
-            (None, Some(_)) => {}
-        }
-        let (t, Ev::ComputeDone) = engine.pop().expect("event queue empty");
-        net.net_mut().advance_to(t);
+            Some(Step::Event(t, Ev::ComputeDone)) => t,
+        };
         let started = computing.take().expect("no compute running");
         let (layer, phase) = slot_layer(slot);
         if let Some(obs) = obs {

@@ -47,7 +47,7 @@ use std::fmt;
 use mobius_model::LayerKind;
 use mobius_profiler::{LayerProfile, ModelProfile};
 use mobius_sim::{
-    CommKind, Engine, FlowId, FlowNetwork, FlowRecord, InvariantViolation, SimTime, TraceRecorder,
+    ClockOverflow, CommKind, Engine, FlowId, FlowRecord, SimTime, Step, TraceRecorder,
 };
 use mobius_topology::{Interconnect, ServerNetwork, Topology};
 use serde::{Deserialize, Serialize};
@@ -93,7 +93,7 @@ pub enum ZeroError {
     },
     /// A transfer cannot finish inside the simulated clock: a link on its
     /// path is so slow that its completion instant saturates at
-    /// [`SimTime::MAX`] ([`InvariantViolation::ClockOverflow`]).
+    /// [`SimTime::MAX`] ([`ClockOverflow`]).
     ClockOverflow {
         /// Bytes still pending when the clock saturated.
         remaining: f64,
@@ -124,21 +124,12 @@ impl fmt::Display for ZeroError {
 
 impl Error for ZeroError {}
 
-/// Completes flow `fid` at the instant [`FlowNetwork::next_completion`]
-/// reported for it. The one failure such an instant allows is a flow that
-/// cannot drain inside the simulated clock.
-///
-/// # Panics
-///
-/// Panics on any other completion failure: the instant did not come from
-/// `next_completion` (a simulator bug).
-fn complete_next(net: &mut FlowNetwork, fid: FlowId) -> Result<FlowRecord, ZeroError> {
-    net.complete(fid).map_err(|v| match v {
-        InvariantViolation::ClockOverflow { remaining, .. } => {
-            ZeroError::ClockOverflow { remaining }
+impl From<ClockOverflow> for ZeroError {
+    fn from(o: ClockOverflow) -> Self {
+        ZeroError::ClockOverflow {
+            remaining: o.remaining,
         }
-        v => panic!("completion instant came from next_completion: {v}"),
-    })
+    }
 }
 
 /// Result of simulating one ZeRO-3 offload training step.
@@ -325,21 +316,10 @@ impl ZeroExec<'_> {
             self.launch_loads(g, 0);
         }
         self.pump();
-        loop {
-            let next_flow = self.server.net_mut().next_completion();
-            let next_ev = self.engine.peek_time();
-            match (next_flow, next_ev) {
-                (None, None) => break,
-                (Some((tf, fid)), ev_time) => {
-                    if ev_time.is_none_or(|te| tf <= te) {
-                        self.server.net_mut().advance_to(tf);
-                        self.engine.advance_to(tf);
-                        self.complete_flow(fid)?;
-                    } else {
-                        self.pop_event();
-                    }
-                }
-                (None, Some(_)) => self.pop_event(),
+        while let Some(step) = mobius_sim::step(self.server.net_mut(), &mut self.engine)? {
+            match step {
+                Step::Flow(fid, rec) => self.complete_flow(fid, &rec),
+                Step::Event(_, Ev::ComputeDone { gpu }) => self.compute_done(gpu),
             }
             self.pump();
         }
@@ -350,21 +330,12 @@ impl ZeroExec<'_> {
         Ok(())
     }
 
-    fn pop_event(&mut self) {
-        let (t, ev) = self.engine.pop().expect("event queue empty");
-        self.server.net_mut().advance_to(t);
-        match ev {
-            Ev::ComputeDone { gpu } => self.compute_done(gpu),
-        }
-    }
-
-    fn complete_flow(&mut self, fid: FlowId) -> Result<(), ZeroError> {
-        let rec = complete_next(self.server.net_mut(), fid)?;
+    fn complete_flow(&mut self, fid: FlowId, rec: &FlowRecord) {
         let (gpu, kind, traced, blocks) = self
             .flows
             .remove(&fid)
             .expect("completed flow without metadata");
-        self.trace.record_flow(&rec, kind, &traced);
+        self.trace.record_flow(rec, kind, &traced);
         if blocks {
             // Continue the sequential all-gather chain, if any.
             if let Some((dir, bytes)) = self.gpus[gpu].chain.first().copied() {
@@ -385,7 +356,6 @@ impl ZeroExec<'_> {
             }
             self.gpus[gpu].outstanding_loads -= 1;
         }
-        Ok(())
     }
 
     fn pump(&mut self) {

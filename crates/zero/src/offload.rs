@@ -10,11 +10,11 @@
 //! `≈ 1.5·N·model`, more than Mobius.
 
 use mobius_profiler::ModelProfile;
-use mobius_sim::{CommKind, Engine, FlowId, SimTime, TraceRecorder};
+use mobius_sim::{CommKind, Engine, FlowId, SimTime, Step, TraceRecorder};
 use mobius_topology::{ServerNetwork, Topology};
 use std::collections::HashMap;
 
-use crate::{complete_next, ZeroError, ZeroReport};
+use crate::{ZeroError, ZeroReport};
 
 /// Checks ZeRO-Offload's memory bound: the full FP16 parameters plus the
 /// largest layer's workspace and a gradient streaming buffer must fit.
@@ -98,24 +98,16 @@ pub fn simulate_zero_offload_step_traced(
         engine.schedule(layers[0].fwd, Ev::ComputeDone { gpu: g });
     }
 
-    loop {
-        let next_flow = server.net_mut().next_completion();
-        let next_ev = engine.peek_time();
-        match (next_flow, next_ev) {
-            (None, None) => break,
-            (Some((tf, fid)), ev_time) if ev_time.is_none_or(|te| tf <= te) => {
-                server.net_mut().advance_to(tf);
-                engine.advance_to(tf);
-                let rec = complete_next(server.net_mut(), fid)?;
+    while let Some(step) = mobius_sim::step(server.net_mut(), &mut engine)? {
+        match step {
+            Step::Flow(fid, rec) => {
                 let (kind, g) = flows.remove(&fid).expect("flow metadata");
                 trace.record_flow(&rec, kind, &[g]);
                 if kind == CommKind::StageUpload {
                     gpus[g].refresh_outstanding = false;
                 }
             }
-            _ => {
-                let (t, Ev::ComputeDone { gpu: g }) = engine.pop().expect("event");
-                server.net_mut().advance_to(t);
+            Step::Event(t, Ev::ComputeDone { gpu: g }) => {
                 let started = gpus[g].computing.take().expect("was computing");
                 trace.record_compute(g, started, t);
                 let slot = gpus[g].slot;

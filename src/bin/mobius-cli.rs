@@ -999,6 +999,15 @@ mod tests {
             assert_eq!(err.exit_code(), 9, "{flag} {system}: {err}");
             assert!(err.to_string().contains("simulated clock"), "{err}");
         }
+        // A fault can make a pipeline step's link or GPU just as slow.
+        for spec in ["degrade:rc:1e-30:0:99999999999999999", "slow:0:1e30:0:1000"] {
+            let err = run(&argv(&[
+                "step", "--model", "gpt2", "--topo", "2+2", "--faults", spec,
+            ]))
+            .unwrap_err();
+            assert_eq!(err.exit_code(), 9, "{spec}: {err}");
+            assert!(err.to_string().contains("simulated clock"), "{err}");
+        }
     }
 
     #[test]

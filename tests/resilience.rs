@@ -14,7 +14,8 @@ use mobius_mapping::Mapping;
 use mobius_model::GptConfig;
 use mobius_obs::Obs;
 use mobius_pipeline::{
-    simulate_steps_faulted, simulate_steps_traced, PartitionAlgo, PipelineConfig, StageCosts,
+    simulate_steps_faulted, simulate_steps_traced, ExecError, PartitionAlgo, PipelineConfig,
+    StageCosts,
 };
 use mobius_sim::{FaultAbort, FaultSchedule, SimTime};
 use mobius_topology::{GpuSpec, Topology};
@@ -365,6 +366,40 @@ fn multi_step_runs_replay_faults_but_never_replan() {
         .run_steps(2)
         .unwrap_err();
     assert!(matches!(err, RunError::Fault(_)), "{err}");
+}
+
+/// A root-complex link degraded by 1e-30 until past the end of the clock
+/// leaves every transfer on it pending when the clock saturates. That is a
+/// typed overflow from the executor and the tuner, never a panic, and
+/// recovery does not replan around it.
+#[test]
+fn a_link_degraded_past_the_clock_is_a_typed_overflow() {
+    let crawl = FaultSchedule::new().degrade_link("rc", 1e-30, SimTime::ZERO, SimTime::MAX);
+    let stages = vec![stage(10, 256), stage(12, 192)];
+    let topo = commodity(&[2, 2]);
+    let mapping = Mapping::sequential(stages.len(), topo.num_gpus());
+    let cfg = PipelineConfig {
+        strict_validation: true,
+        ..PipelineConfig::mobius(2, topo.gpu_mem_bytes(), topo.avg_gpu_bandwidth())
+    };
+    match simulate_steps_faulted(&stages, &mapping, &topo, &cfg, 1, &crawl, None) {
+        Err(ExecError::ClockOverflow { remaining }) => assert!(remaining > 0.0),
+        other => panic!("expected ClockOverflow, got {other:?}"),
+    }
+    for policy in [ResiliencePolicy::none(), ResiliencePolicy::recover()] {
+        let obs = Obs::new();
+        let res = tuner(GptConfig::gpt2_small())
+            .faults(crawl.clone())
+            .resilience(policy)
+            .observe(obs.clone())
+            .run_step();
+        assert!(
+            matches!(res, Err(RunError::ClockOverflow { .. })),
+            "{policy:?}: {res:?}"
+        );
+        assert_eq!(obs.counter("fault.replans"), 0.0);
+        assert_eq!(obs.counter("fault.degraded_to_zero"), 0.0);
+    }
 }
 
 #[test]
