@@ -256,8 +256,9 @@ fn flow_churn(metrics: &mut Vec<Metric>) {
     // Drain: advance to each completion and retire the flow.
     let mut checksum = 0xCBF2_9CE4_8422_2325u64;
     let mut completed = 0u64;
-    while let Some((_, rec)) = mobius_sim::step_flows(&mut net).expect("churn links are fast") {
-        checksum = fnv1a(fnv1a(checksum, rec.user), rec.finished.as_nanos());
+    while let Some((_, rec, tag)) = mobius_sim::step_flows(&mut net).expect("churn links are fast")
+    {
+        checksum = fnv1a(fnv1a(checksum, tag), rec.finished.as_nanos());
         completed += 1;
     }
 

@@ -27,7 +27,6 @@ mod validate;
 
 pub use validate::{expected_ring_traffic, verify_ring_identity, RingTrafficViolation};
 
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
@@ -175,11 +174,11 @@ impl fmt::Display for ClusterSyncError {
 
 impl Error for ClusterSyncError {}
 
-/// Every ring chunk is started with its sending server as the flow's tag.
-impl From<ClockOverflow> for ClusterSyncError {
-    fn from(o: ClockOverflow) -> Self {
+/// A ring chunk's tag is `(source server, destination server, DAG node)`.
+impl From<ClockOverflow<(usize, usize, Option<u64>)>> for ClusterSyncError {
+    fn from(o: ClockOverflow<(usize, usize, Option<u64>)>) -> Self {
         ClusterSyncError::ClockOverflow {
-            server: o.user as usize,
+            server: o.tag.0,
             remaining: o.remaining,
         }
     }
@@ -294,9 +293,6 @@ pub fn simulate_ring_allreduce(
     let mut per_server_rx = vec![0.0; n];
     let mut bucket_done = Vec::with_capacity(buckets);
     let mut now = SimTime::ZERO;
-    // Flow id → (source server, destination server, DAG node).
-    // mobius-lint: allow(D002, reason = "lookup-only; inserted on launch, removed on completion, never iterated")
-    let mut in_flight: HashMap<mobius_sim::FlowId, (usize, usize, Option<u64>)> = HashMap::new();
     // The DAG node every subsequent ring event chains after: the previous
     // bucket's (or round's) zero-width barrier.
     let mut prev_barrier: Option<u64> = None;
@@ -386,14 +382,11 @@ pub fn simulate_ring_allreduce(
                     round_sids.push(sid);
                     sid
                 });
-                let fid = net.net_mut().start_flow(path, chunk, SYNC_PRIO, s as u64);
-                in_flight.insert(fid, (s, to, fsid));
+                net.net_mut()
+                    .start_flow(path, chunk, SYNC_PRIO, (s, to, fsid));
             }
-            while !in_flight.is_empty() {
-                let (fid, rec) = mobius_sim::step_flows(net.net_mut())?
-                    .expect("in-flight ring chunks must complete");
+            while let Some((_, rec, (src, dst, fsid))) = mobius_sim::step_flows(net.net_mut())? {
                 now = rec.finished;
-                let (src, dst, fsid) = in_flight.remove(&fid).expect("untracked ring flow");
                 per_server_tx[src] += rec.bytes;
                 per_server_rx[dst] += rec.bytes;
                 if let (Some(dag), Some(fs)) = (&dag_obs, fsid) {

@@ -58,7 +58,7 @@ pub use finetuner::{
     System,
 };
 pub use resilience::{Degradation, DegradeAction, ResiliencePolicy};
-pub use topo_spec::{parse_topology, TopoSpecError, MAX_SERVER_GPUS};
+pub use topo_spec::{parse_model, parse_system, parse_topology, TopoSpecError, MAX_SERVER_GPUS};
 
 // Re-export the sub-crates so downstream users need a single dependency.
 pub use mobius_ckpt as ckpt;

@@ -24,7 +24,7 @@ use crate::RunError;
 ///
 /// The default policy recovers nothing: faults and OOM surface as typed
 /// errors exactly as without a policy. Use [`ResiliencePolicy::recover`]
-/// (or the field builders) to opt in.
+/// (or set the fields) to opt in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[non_exhaustive]
 pub struct ResiliencePolicy {
@@ -51,12 +51,6 @@ impl ResiliencePolicy {
             elastic_replan: true,
             degrade_ladder: true,
         }
-    }
-
-    /// Enables or disables the degradation ladder (builder style).
-    pub fn with_degrade_ladder(mut self, on: bool) -> Self {
-        self.degrade_ladder = on;
-        self
     }
 }
 
@@ -133,8 +127,6 @@ mod tests {
     fn recover_enables_both_paths() {
         let p = ResiliencePolicy::recover();
         assert!(p.elastic_replan && p.degrade_ladder);
-        let p = p.with_degrade_ladder(false);
-        assert!(p.elastic_replan && !p.degrade_ladder);
     }
 
     #[test]

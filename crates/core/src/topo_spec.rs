@@ -1,9 +1,13 @@
-//! The topology spec shared by `mobius-cli --topo` and the planning
-//! service's `topo=` key.
+//! The preset names and topology spec shared by `mobius-cli`'s
+//! `--model`/`--system`/`--topo` and the planning service's
+//! `model=`/`system=`/`topo=` keys.
 
 use std::fmt;
 
+use mobius_model::{GptConfig, Model};
 use mobius_topology::{GpuSpec, Topology};
+
+use crate::System;
 
 /// The most GPUs one server spec may name: commodity servers hold 8–10
 /// GPUs and the largest single NVLink boxes 16. The bound is fixed, and it
@@ -57,6 +61,57 @@ pub fn parse_topology(s: &str) -> Result<Topology, TopoSpecError> {
         return Err(TopoSpecError::TooManyGpus);
     }
     Ok(Topology::commodity(GpuSpec::rtx3090ti(), &groups))
+}
+
+/// Parses a model preset name in any case, without allocating: the
+/// paper's GPTs `3b`, `8b`, `15b` and `51b`, `gpt2`, `gpt2-long`,
+/// `llama7b` and `llama13b`; `None` for any other name. `gpt2-long` is a
+/// long-sequence GPT-2 variant whose compute-dominated profile gives the
+/// branch-and-bound's admissible load bound real pruning power: the regime
+/// where warm-start seeding visibly saves leaf evaluations.
+pub fn parse_model(s: &str) -> Option<Model> {
+    let is = |name: &str| s.eq_ignore_ascii_case(name);
+    let config = match s {
+        _ if is("3b") => GptConfig::gpt_3b(),
+        _ if is("8b") => GptConfig::gpt_8b(),
+        _ if is("15b") => GptConfig::gpt_15b(),
+        _ if is("51b") => GptConfig::gpt_51b(),
+        _ if is("gpt2") => GptConfig::gpt2_small(),
+        _ if is("gpt2-long") => {
+            let base = GptConfig::gpt2_small();
+            GptConfig::new(
+                "GPT-2-long",
+                base.vocab,
+                base.hidden,
+                base.heads,
+                base.num_layers,
+                8192,
+                1,
+            )
+        }
+        _ if is("llama7b") => return Some(Model::llama2_7b()),
+        _ if is("llama13b") => return Some(Model::llama2_13b()),
+        _ => return None,
+    };
+    Some(Model::from_config(&config))
+}
+
+/// Parses a system name in any case, without allocating: `mobius`,
+/// `gpipe`, `ds-pipe` (or `deepspeed-pipeline`), `ds-hetero` (or
+/// `deepspeed`, `deepspeed-hetero`) and `zero-offload` (or `offload`);
+/// `None` for any other name.
+pub fn parse_system(s: &str) -> Option<System> {
+    let is = |name: &str| s.eq_ignore_ascii_case(name);
+    match s {
+        _ if is("mobius") => Some(System::Mobius),
+        _ if is("gpipe") => Some(System::Gpipe),
+        _ if is("ds-pipe") || is("deepspeed-pipeline") => Some(System::DeepSpeedPipeline),
+        _ if is("ds-hetero") || is("deepspeed") || is("deepspeed-hetero") => {
+            Some(System::DeepSpeedHetero)
+        }
+        _ if is("zero-offload") || is("offload") => Some(System::ZeroOffload),
+        _ => None,
+    }
 }
 
 #[cfg(test)]

@@ -28,8 +28,6 @@
 //! traffic map (the abandoned partial attempt is dropped, like a failed
 //! DMA whose buffer is re-queued).
 
-use std::collections::HashMap;
-
 use mobius_mapping::Mapping;
 use mobius_obs::{AttrValue, DagDep, Lane, Obs, ResourceId};
 use mobius_sim::units::secs_to_ms;
@@ -142,8 +140,8 @@ impl From<ScheduleError> for ExecError {
     }
 }
 
-impl From<ClockOverflow> for ExecError {
-    fn from(o: ClockOverflow) -> Self {
+impl<T> From<ClockOverflow<T>> for ExecError {
+    fn from(o: ClockOverflow<T>) -> Self {
         ExecError::ClockOverflow {
             remaining: o.remaining,
         }
@@ -324,7 +322,8 @@ struct RetrySpec {
     backoff: SimTime,
 }
 
-/// What an in-flight flow carries for the executor.
+/// What an in-flight flow carries for the executor: its tag in the flow
+/// network.
 #[derive(Debug, Clone)]
 struct Transfer {
     purpose: Purpose,
@@ -339,15 +338,10 @@ struct Executor<'a> {
     stages: &'a [StageCosts],
     mapping: &'a Mapping,
     cfg: &'a PipelineConfig,
-    server: ServerNetwork,
+    server: ServerNetwork<Transfer>,
     engine: Engine<Ev>,
     trace: TraceRecorder,
     gpus: Vec<GpuRt>,
-    /// In-flight transfers, indexed by their flow's `user` token. A
-    /// finished transfer's slot is reused by the next launch.
-    transfers: Vec<Option<Transfer>>,
-    /// Free slots of `transfers`.
-    free_transfers: Vec<usize>,
     /// `act_in[step][stage][mb]` / `grad_in[step][stage][mb]`.
     act_in: Vec<Vec<Vec<bool>>>,
     grad_in: Vec<Vec<Vec<bool>>>,
@@ -357,9 +351,9 @@ struct Executor<'a> {
     /// `grad_flush[step][stage]`: completion time of the gradient flush
     /// (backfilled with the step boundary where no offload flow ran).
     grad_flush: Vec<Vec<SimTime>>,
-    /// Forward-load slot of `(step, stage)` for gate unblocking.
-    // mobius-lint: allow(D002, reason = "lookup-only; keyed gets on (step, stage), never iterated")
-    fwd_slot_of: HashMap<(usize, usize), (usize, usize)>,
+    /// `fwd_slot_of[step][stage]`: the `(gpu, slot)` of the stage's
+    /// forward load, for gate unblocking.
+    fwd_slot_of: Vec<Vec<Option<(usize, usize)>>>,
     bwd_done: Vec<usize>,
     step_boundaries: Vec<SimTime>,
     hetero: bool,
@@ -552,8 +546,7 @@ fn simulate_steps_inner(
     let hetero = cfg.memory_mode == MemoryMode::Heterogeneous;
     let n = topo.num_gpus();
 
-    // mobius-lint: allow(D002, reason = "lookup-only; keyed gets on (step, stage), never iterated")
-    let mut fwd_slot_of = HashMap::new();
+    let mut fwd_slot_of = vec![vec![None; s]; steps];
     let gpus: Vec<GpuRt> = (0..n)
         .map(|g| {
             let fwd = mapping.stages_of(g);
@@ -566,7 +559,7 @@ fn simulate_steps_inner(
                     } else {
                         0
                     };
-                    fwd_slot_of.insert((step, j), (g, slots.len()));
+                    fwd_slot_of[step][j] = Some((g, slots.len()));
                     slots.push(Slot {
                         step,
                         stage: j,
@@ -656,8 +649,6 @@ fn simulate_steps_inner(
         engine,
         trace,
         gpus,
-        transfers: Vec::new(),
-        free_transfers: Vec::new(),
         act_in: vec![vec![vec![false; m]; s]; steps],
         grad_in: vec![vec![vec![false; m]; s]; steps],
         grad_flushed: vec![vec![!hetero; s]; steps],
@@ -796,7 +787,7 @@ fn load_rt(total: u64) -> LoadRt {
 }
 
 impl Executor<'_> {
-    fn run(&mut self) -> Result<(), ClockOverflow> {
+    fn run(&mut self) -> Result<(), ClockOverflow<Transfer>> {
         // Kick off the first slot's load on every GPU.
         for g in 0..self.gpus.len() {
             self.start_residual_for_slot(g, 0, None);
@@ -812,7 +803,7 @@ impl Executor<'_> {
             }
             match mobius_sim::step(self.server.net_mut(), &mut self.engine)? {
                 None => break,
-                Some(Step::Flow(_, rec)) => self.complete_flow(rec),
+                Some(Step::Flow(_, rec, transfer)) => self.complete_flow(rec, transfer),
                 Some(Step::Event(_, ev)) => self.handle_event(ev),
             }
             if self.abort.is_some() {
@@ -1053,15 +1044,13 @@ impl Executor<'_> {
             });
             return;
         }
-        let slot = self.server.net().user_of(fid).expect("retried flow user");
-        let transfer = self.take_transfer(slot as usize);
         let path = self.server.net().path_of(fid).expect("retried flow path");
         let prio = self
             .server
             .net()
             .priority_of(fid)
             .expect("retried flow priority");
-        self.server.net_mut().cancel(fid);
+        let (_, transfer) = self.server.net_mut().cancel(fid).expect("retried flow");
         // The cancelled attempt's occupancy ends here; the relaunch node
         // chains after it with the backoff as the edge latency.
         if let (Some(dag), Some(sid)) = (&self.dag_obs, transfer.sid) {
@@ -1117,7 +1106,10 @@ impl Executor<'_> {
             None => Vec::new(),
         };
         spec.transfer.sid = self.open_flow_node(&spec.path, spec.transfer.kind, deps);
-        let fid = self.start_transfer(spec.path, spec.bytes, spec.prio, spec.transfer);
+        let fid = self
+            .server
+            .net_mut()
+            .start_flow(spec.path, spec.bytes, spec.prio, spec.transfer);
         let now = self.engine.now();
         if now < spec.stalled_until {
             self.server.net_mut().set_flow_blocked(fid, true);
@@ -1135,8 +1127,7 @@ impl Executor<'_> {
         }
     }
 
-    fn complete_flow(&mut self, rec: FlowRecord) {
-        let transfer = self.take_transfer(rec.user as usize);
+    fn complete_flow(&mut self, rec: FlowRecord, transfer: Transfer) {
         let sid = transfer.sid;
         self.trace.record_flow(&rec, transfer.kind, &transfer.gpus);
         if let (Some(dag), Some(fsid)) = (&self.dag_obs, sid) {
@@ -1211,7 +1202,7 @@ impl Executor<'_> {
         if next_step >= self.steps {
             return;
         }
-        let Some(&(g, idx)) = self.fwd_slot_of.get(&(next_step, stage)) else {
+        let Some((g, idx)) = self.fwd_slot_of[next_step][stage] else {
             return;
         };
         let l = self.gpus[g].slots[idx].load;
@@ -1666,34 +1657,9 @@ impl Executor<'_> {
             gpus,
             sid,
         };
-        self.start_transfer(path, bytes as f64, prio, transfer);
-    }
-
-    /// Starts the flow of `transfer`, filing it in a free slot that the
-    /// flow's `user` token names.
-    fn start_transfer(
-        &mut self,
-        path: Vec<LinkId>,
-        bytes: f64,
-        prio: u8,
-        transfer: Transfer,
-    ) -> FlowId {
-        let slot = self.free_transfers.pop().unwrap_or_else(|| {
-            self.transfers.push(None);
-            self.transfers.len() - 1
-        });
-        self.transfers[slot] = Some(transfer);
         self.server
             .net_mut()
-            .start_flow(path, bytes, prio, slot as u64)
-    }
-
-    /// Takes the transfer filed in `slot` and frees the slot.
-    fn take_transfer(&mut self, slot: usize) -> Transfer {
-        self.free_transfers.push(slot);
-        self.transfers[slot]
-            .take()
-            .expect("in-flight flow without metadata")
+            .start_flow(path, bytes as f64, prio, transfer);
     }
 }
 

@@ -34,6 +34,6 @@ mod server;
 pub use cache::{Entry, PlanCache};
 pub use loadgen::{run_load, LoadGenConfig, LoadReport};
 pub use server::{
-    cache_key, parse_model, parse_system, parse_topo, ServeConfig, ServeError, ServeStats, Server,
-    HIT_SERVICE_US, LATENCY_US_BUCKETS, LEAF_COST_US, MISS_BASE_US,
+    cache_key, ServeConfig, ServeError, ServeStats, Server, HIT_SERVICE_US, LATENCY_US_BUCKETS,
+    LEAF_COST_US, MISS_BASE_US,
 };

@@ -32,7 +32,7 @@ use std::io::{BufRead, Write};
 
 use mobius::fingerprint::{model_fingerprint, topology_fingerprint, Fingerprint};
 use mobius::{pricing, FineTuner, System, TopoSpecError};
-use mobius_model::{GptConfig, Model};
+use mobius_model::Model;
 use mobius_obs::{AttrValue, Lane, Obs};
 use mobius_sim::units::{secs_to_us, NS_PER_US_U64};
 use mobius_topology::Topology;
@@ -482,43 +482,16 @@ fn parse_target<'a>(kv: &Kv<'a>, verb: &str) -> Result<Target<'a>, ServeError> {
     })
 }
 
-/// Parses a model preset name: the CLI's names plus `gpt2-long`, a
-/// long-sequence GPT-2 variant whose compute-dominated profile gives the
-/// branch-and-bound's admissible load bound real pruning power — the
-/// regime where warm-start seeding visibly saves leaf evaluations.
-pub fn parse_model(s: &str) -> Result<Model, ServeError> {
-    let is = |name: &str| s.eq_ignore_ascii_case(name);
-    match s {
-        _ if is("3b") => Ok(Model::from_config(&GptConfig::gpt_3b())),
-        _ if is("8b") => Ok(Model::from_config(&GptConfig::gpt_8b())),
-        _ if is("15b") => Ok(Model::from_config(&GptConfig::gpt_15b())),
-        _ if is("51b") => Ok(Model::from_config(&GptConfig::gpt_51b())),
-        _ if is("gpt2") => Ok(Model::from_config(&GptConfig::gpt2_small())),
-        _ if is("gpt2-long") => {
-            let base = GptConfig::gpt2_small();
-            Ok(Model::from_config(&GptConfig::new(
-                "GPT-2-long",
-                base.vocab,
-                base.hidden,
-                base.heads,
-                base.num_layers,
-                8192,
-                1,
-            )))
-        }
-        _ if is("llama7b") => Ok(Model::llama2_7b()),
-        _ if is("llama13b") => Ok(Model::llama2_13b()),
-        other => Err(ServeError::Protocol(format!(
-            "unknown model `{}`",
-            other.to_ascii_lowercase()
-        ))),
-    }
+/// Parses a model preset name with [`mobius::parse_model`].
+fn parse_model(s: &str) -> Result<Model, ServeError> {
+    mobius::parse_model(s)
+        .ok_or_else(|| ServeError::Protocol(format!("unknown model `{}`", s.to_ascii_lowercase())))
 }
 
 /// Parses a topology spec with [`mobius::parse_topology`]: `dc` or
 /// `+`-separated root-complex group sizes, at most
 /// [`mobius::MAX_SERVER_GPUS`] GPUs.
-pub fn parse_topo(s: &str) -> Result<Topology, ServeError> {
+fn parse_topo(s: &str) -> Result<Topology, ServeError> {
     mobius::parse_topology(s).map_err(|e| {
         ServeError::Protocol(match e {
             TopoSpecError::Malformed => format!("bad topology `{s}`"),
@@ -527,16 +500,10 @@ pub fn parse_topo(s: &str) -> Result<Topology, ServeError> {
     })
 }
 
-/// Parses a system name (the same names the CLI accepts).
-pub fn parse_system(s: &str) -> Result<System, ServeError> {
-    match s.to_ascii_lowercase().as_str() {
-        "mobius" => Ok(System::Mobius),
-        "gpipe" => Ok(System::Gpipe),
-        "ds-pipe" | "deepspeed-pipeline" => Ok(System::DeepSpeedPipeline),
-        "ds-hetero" | "deepspeed" | "deepspeed-hetero" => Ok(System::DeepSpeedHetero),
-        "zero-offload" | "offload" => Ok(System::ZeroOffload),
-        other => Err(ServeError::Protocol(format!("unknown system `{other}`"))),
-    }
+/// Parses a system name with [`mobius::parse_system`].
+fn parse_system(s: &str) -> Result<System, ServeError> {
+    mobius::parse_system(s)
+        .ok_or_else(|| ServeError::Protocol(format!("unknown system `{}`", s.to_ascii_lowercase())))
 }
 
 #[cfg(test)]

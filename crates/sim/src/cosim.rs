@@ -12,27 +12,32 @@
 //! * a flow that cannot drain inside the simulated clock is a typed
 //!   [`ClockOverflow`]; any other completion failure is a simulator bug
 //!   and panics.
+//!
+//! A delivered completion carries the flow's tag, and so does an overflow,
+//! so each simulator finds a flow's metadata in the flow itself.
 
 use crate::validate::InvariantViolation;
 use crate::{Engine, FlowId, FlowNetwork, FlowRecord, SimTime};
 
 /// What one co-simulation step delivered.
 #[derive(Debug)]
-pub enum Step<E> {
-    /// A flow drained; the network and engine clocks stand at its finish.
-    Flow(FlowId, FlowRecord),
+pub enum Step<E, T = u64> {
+    /// A flow drained, with its tag; the network and engine clocks stand at
+    /// its finish.
+    Flow(FlowId, FlowRecord, T),
     /// An engine event fired at this instant.
     Event(SimTime, E),
 }
 
 /// A flow that cannot drain inside the simulated clock: a link on its path
 /// is so slow that its completion instant saturates at [`SimTime::MAX`].
+/// The flow leaves the network, and its tag comes back here.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ClockOverflow {
+pub struct ClockOverflow<T = u64> {
     /// The flow that cannot finish.
     pub id: FlowId,
-    /// The correlation token the flow was started with.
-    pub user: u64,
+    /// The tag the flow was started with.
+    pub tag: T,
     /// Bytes still pending when the clock saturated.
     pub remaining: f64,
 }
@@ -48,16 +53,16 @@ pub struct ClockOverflow {
 /// # Panics
 ///
 /// Panics on any other completion failure (a simulator bug).
-pub fn step<E>(
-    net: &mut FlowNetwork,
+pub fn step<E, T>(
+    net: &mut FlowNetwork<T>,
     engine: &mut Engine<E>,
-) -> Result<Option<Step<E>>, ClockOverflow> {
+) -> Result<Option<Step<E, T>>, ClockOverflow<T>> {
     match (net.next_completion(), engine.peek_time()) {
         (None, None) => Ok(None),
         (Some((tf, id)), te) if te.is_none_or(|te| tf <= te) => {
             net.advance_to(tf);
             engine.advance_to(tf);
-            complete(net, id).map(|rec| Some(Step::Flow(id, rec)))
+            complete(net, id).map(|(rec, tag)| Some(Step::Flow(id, rec, tag)))
         }
         _ => {
             let (t, ev) = engine.pop().expect("an event is pending");
@@ -68,7 +73,8 @@ pub fn step<E>(
 }
 
 /// [`step`] for a network without an engine: advances to the next flow
-/// completion and delivers it, or `Ok(None)` when no flow is moving.
+/// completion and delivers it with its tag, or `Ok(None)` when no flow is
+/// moving.
 ///
 /// # Errors
 ///
@@ -77,21 +83,23 @@ pub fn step<E>(
 /// # Panics
 ///
 /// Panics on any other completion failure (a simulator bug).
-pub fn step_flows(net: &mut FlowNetwork) -> Result<Option<(FlowId, FlowRecord)>, ClockOverflow> {
+pub fn step_flows<T>(
+    net: &mut FlowNetwork<T>,
+) -> Result<Option<(FlowId, FlowRecord, T)>, ClockOverflow<T>> {
     let Some((t, id)) = net.next_completion() else {
         return Ok(None);
     };
     net.advance_to(t);
-    complete(net, id).map(|rec| Some((id, rec)))
+    complete(net, id).map(|(rec, tag)| Some((id, rec, tag)))
 }
 
 #[inline]
-fn complete(net: &mut FlowNetwork, id: FlowId) -> Result<FlowRecord, ClockOverflow> {
+fn complete<T>(net: &mut FlowNetwork<T>, id: FlowId) -> Result<(FlowRecord, T), ClockOverflow<T>> {
     match net.complete(id) {
-        Ok(rec) => Ok(rec),
+        Ok(done) => Ok(done),
         Err(InvariantViolation::ClockOverflow { remaining, .. }) => Err(ClockOverflow {
             id,
-            user: net.user_of(id).expect("an overflowing flow stays live"),
+            tag: net.cancel(id).expect("an overflowing flow stays live").1,
             remaining,
         }),
         Err(v) => panic!("completion instant came from next_completion: {v}"),
@@ -110,7 +118,7 @@ mod tests {
         let mut engine = Engine::new();
         engine.schedule(SimTime::from_secs(1), "tick");
         match step(&mut net, &mut engine) {
-            Ok(Some(Step::Flow(id, rec))) => {
+            Ok(Some(Step::Flow(id, rec, 7))) => {
                 assert_eq!(id, f);
                 assert_eq!(rec.finished, SimTime::from_secs(1));
                 assert_eq!(engine.now(), SimTime::from_secs(1));
@@ -125,16 +133,40 @@ mod tests {
     }
 
     #[test]
+    fn every_way_out_of_the_network_gives_the_tag_back() {
+        // Two flows drain at the same instant: each completion carries its
+        // own tag, in id order. A cancelled flow hands its tag back too.
+        let mut net = FlowNetwork::new();
+        let link = net.add_link("l", 2e9);
+        let a = net.start_flow(vec![link], 1e9, 0, String::from("a"));
+        let b = net.start_flow(vec![link], 1e9, 0, String::from("b"));
+        let c = net.start_flow(vec![link], 1e9, 0, String::from("c"));
+        assert_eq!(net.cancel(c), Some((0.0, String::from("c"))));
+        let mut engine: Engine<()> = Engine::new();
+        for (want, tag) in [(a, "a"), (b, "b")] {
+            match step(&mut net, &mut engine) {
+                Ok(Some(Step::Flow(id, rec, t))) => {
+                    assert_eq!((id, t.as_str()), (want, tag));
+                    assert_eq!(rec.finished, SimTime::from_secs(1));
+                }
+                other => panic!("expected flow {tag}, got {other:?}"),
+            }
+        }
+        assert!(matches!(step_flows(&mut net), Ok(None)));
+    }
+
+    #[test]
     fn a_flow_outlasting_the_clock_overflows_with_its_id_and_tag() {
         let mut net = FlowNetwork::new();
         let link = net.add_link("slow", 1e-30);
-        let f = net.start_flow(vec![link], 1e9, 0, 3);
+        let f = net.start_flow(vec![link], 1e9, 0, String::from("slow"));
         match step_flows(&mut net) {
             Err(o) => {
-                assert_eq!((o.id, o.user), (f, 3));
+                assert_eq!((o.id, o.tag.as_str()), (f, "slow"));
                 assert!(o.remaining > 0.0);
             }
             other => panic!("expected ClockOverflow, got {other:?}"),
         }
+        assert_eq!(net.active_flows(), 0, "the tag left with the flow");
     }
 }

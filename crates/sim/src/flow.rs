@@ -23,6 +23,12 @@
 //! mutations before it were solved one by one or together.
 //! The priority classes are kept in step with the flow table (a start files
 //! the flow, a completion or cancel unfiles it), so a solve never sorts.
+//!
+//! Each flow carries its owner's tag, a value of the network's type
+//! parameter `T`: [`FlowNetwork::start_flow`] takes it, and
+//! [`FlowNetwork::complete`], [`FlowNetwork::cancel`] and
+//! [`crate::ClockOverflow`] give it back by value. A simulator keeps a
+//! flow's metadata in its tag, so no completion can arrive without it.
 
 use crate::validate::InvariantViolation;
 use crate::SimTime;
@@ -59,7 +65,6 @@ struct Flow {
     priority: Priority,
     rate: f64, // bytes per second, as of the last solve
     started: SimTime,
-    user: u64,
     /// Frozen by fault injection: excluded from allocation (rate 0) until
     /// unblocked or cancelled.
     blocked: bool,
@@ -76,11 +81,10 @@ pub struct FlowRecord {
     pub finished: SimTime,
     /// The links it crossed.
     pub path: Vec<LinkId>,
-    /// Caller-supplied correlation token.
-    pub user: u64,
 }
 
-/// A capacity-constrained network of links carrying fluid flows.
+/// A capacity-constrained network of links carrying fluid flows, each
+/// tagged with a `T` its owner gets back when the flow ends.
 ///
 /// # Examples
 ///
@@ -97,12 +101,15 @@ pub struct FlowRecord {
 /// let (t, _first) = net.next_completion().unwrap();
 /// assert_eq!(t, SimTime::from_secs(1)); // both drain 5 GB at 5 GB/s
 /// ```
-#[derive(Debug, Clone, Default)]
-pub struct FlowNetwork {
+#[derive(Debug, Clone)]
+pub struct FlowNetwork<T = u64> {
     links: Vec<Link>,
     /// In-flight flows sorted by id. Ids are issued in ascending order, so
     /// [`FlowNetwork::start_flow`] appends and lookups binary-search.
     flows: Vec<(FlowId, Flow)>,
+    /// `tags[i]` is the tag of `flows[i]`. Kept apart from the flow table,
+    /// so the rate solve never walks over the tags.
+    tags: Vec<T>,
     next_id: u64,
     now: SimTime,
     strict: bool,
@@ -134,7 +141,24 @@ struct Scratch {
     active: Vec<usize>,
 }
 
-impl FlowNetwork {
+impl<T> Default for FlowNetwork<T> {
+    fn default() -> Self {
+        Self {
+            links: Vec::new(),
+            flows: Vec::new(),
+            tags: Vec::new(),
+            next_id: 0,
+            now: SimTime::ZERO,
+            strict: false,
+            classes: Vec::new(),
+            stale: false,
+            scratch: Scratch::default(),
+            obs: None,
+        }
+    }
+}
+
+impl<T> FlowNetwork<T> {
     /// Creates an empty network at time zero.
     pub fn new() -> Self {
         Self::default()
@@ -169,11 +193,6 @@ impl FlowNetwork {
             capacity: capacity_bytes_per_sec,
         });
         LinkId(self.links.len() - 1)
-    }
-
-    /// Label of a link (for diagnostics).
-    pub fn link_label(&self, id: LinkId) -> &str {
-        &self.links[id.0].label
     }
 
     /// Capacity of a link in bytes per second.
@@ -211,9 +230,9 @@ impl FlowNetwork {
         self.flows.len()
     }
 
-    /// Starts a flow of `bytes` across `path` at `priority`, tagged with a
-    /// caller-defined `user` token, and returns its id. The rates go stale
-    /// and are re-solved at the next rate read.
+    /// Starts a flow of `bytes` across `path` at `priority`, carrying the
+    /// caller's `tag`, and returns its id. The rates go stale and are
+    /// re-solved at the next rate read.
     ///
     /// # Panics
     ///
@@ -225,7 +244,7 @@ impl FlowNetwork {
         path: Vec<LinkId>,
         bytes: f64,
         priority: Priority,
-        user: u64,
+        tag: T,
     ) -> FlowId {
         assert!(!path.is_empty(), "flows must cross at least one link");
         assert!(
@@ -250,10 +269,10 @@ impl FlowNetwork {
                 priority,
                 rate: 0.0,
                 started: self.now,
-                user,
                 blocked: false,
             },
         ));
+        self.tags.push(tag);
         // The new flow's table index is the largest: it goes last in its
         // class.
         let flows = &self.flows;
@@ -314,11 +333,6 @@ impl FlowNetwork {
     /// The priority of an active flow.
     pub fn priority_of(&self, id: FlowId) -> Option<Priority> {
         self.flow(id).map(|f| f.priority)
-    }
-
-    /// The `user` token an active flow was started with.
-    pub fn user_of(&self, id: FlowId) -> Option<u64> {
-        self.flow(id).map(|f| f.user)
     }
 
     /// The current rate of a flow in bytes/second, if it is still active.
@@ -412,10 +426,10 @@ impl FlowNetwork {
         // Per-link allocated rate, total and by minimum contributing
         // priority (for the preemption-justification check).
         let mut allocated = vec![0.0f64; self.links.len()];
-        for (_, f) in &self.flows {
+        for (id, f) in &self.flows {
             if f.rate < 0.0 {
                 return Err(V::NegativeRate {
-                    user: f.user,
+                    id: *id,
                     rate: f.rate,
                 });
             }
@@ -433,7 +447,7 @@ impl FlowNetwork {
                 });
             }
         }
-        for (_, f) in &self.flows {
+        for (id, f) in &self.flows {
             if f.rate > 0.0 || f.blocked {
                 // A blocked flow is frozen by fault injection; zero rate is
                 // its defined behaviour, not starvation.
@@ -456,7 +470,7 @@ impl FlowNetwork {
             });
             if !justified {
                 return Err(V::StarvedFlow {
-                    user: f.user,
+                    id: *id,
                     priority: f.priority,
                 });
             }
@@ -502,7 +516,7 @@ impl FlowNetwork {
         self.now = to;
     }
 
-    /// Removes flow `id` and returns its record; the rates go stale.
+    /// Removes flow `id` and returns its record and tag; the rates go stale.
     ///
     /// The caller decides *when* a flow is complete (typically at the instant
     /// reported by [`FlowNetwork::next_completion`]); sub-byte residues from
@@ -527,7 +541,7 @@ impl FlowNetwork {
     /// for the transfer to finish inside the simulated clock. Every
     /// violation is also emitted on the observer's violation lane when one
     /// is attached.
-    pub fn complete(&mut self, id: FlowId) -> Result<FlowRecord, InvariantViolation> {
+    pub fn complete(&mut self, id: FlowId) -> Result<(FlowRecord, T), InvariantViolation> {
         self.settle();
         let Some(i) = self.index_of(id) else {
             return Err(self.report_violation(InvariantViolation::UnknownFlow { id }));
@@ -549,14 +563,14 @@ impl FlowNetwork {
             };
             return Err(self.report_violation(v));
         }
-        let f = self.remove_flow(i);
-        Ok(FlowRecord {
+        let (f, tag) = self.remove_flow(i);
+        let rec = FlowRecord {
             bytes: f.total,
             started: f.started,
             finished: self.now,
             path: f.path,
-            user: f.user,
-        })
+        };
+        Ok((rec, tag))
     }
 
     fn report_violation(&self, v: InvariantViolation) -> InvariantViolation {
@@ -567,15 +581,16 @@ impl FlowNetwork {
     }
 
     /// Cancels a flow without asserting completion (e.g. aborted prefetch),
-    /// returning the bytes actually moved.
-    pub fn cancel(&mut self, id: FlowId) -> Option<f64> {
-        let f = self.remove_flow(self.index_of(id)?);
-        Some(f.total - f.remaining)
+    /// returning the bytes actually moved and the flow's tag.
+    pub fn cancel(&mut self, id: FlowId) -> Option<(f64, T)> {
+        let (f, tag) = self.remove_flow(self.index_of(id)?);
+        Some((f.total - f.remaining, tag))
     }
 
     /// Removes the flow at table index `i` from the table and its class
-    /// (every index above it moves down by one); the rates go stale.
-    fn remove_flow(&mut self, i: usize) -> Flow {
+    /// (every index above it moves down by one) and returns it with its
+    /// tag; the rates go stale.
+    fn remove_flow(&mut self, i: usize) -> (Flow, T) {
         self.classes.retain_mut(|j| {
             let keep = *j != i;
             if *j > i {
@@ -584,8 +599,9 @@ impl FlowNetwork {
             keep
         });
         let (_, f) = self.flows.remove(i);
+        let tag = self.tags.remove(i);
         self.mark_stale();
-        f
+        (f, tag)
     }
 
     /// Records a mutation that can change the rates: the next rate read
@@ -860,8 +876,8 @@ mod tests {
         let f = net.start_flow(vec![l], gbps(16.0), 0, 42);
         let (t, _) = net.next_completion().unwrap();
         net.advance_to(t);
-        let rec = net.complete(f).unwrap();
-        assert_eq!(rec.user, 42);
+        let (rec, tag) = net.complete(f).unwrap();
+        assert_eq!(tag, 42);
         assert_eq!(rec.bytes, gbps(16.0));
         assert_eq!(rec.path, vec![l]);
         assert_eq!(rec.started, SimTime::ZERO);
@@ -874,8 +890,9 @@ mod tests {
         let l = net.add_link("l", gbps(10.0));
         let f = net.start_flow(vec![l], gbps(10.0), 0, 0);
         net.advance_to(SimTime::from_millis(500));
-        let moved = net.cancel(f).unwrap();
+        let (moved, tag) = net.cancel(f).unwrap();
         assert!((moved - gbps(5.0)).abs() < 1e6);
+        assert_eq!(tag, 0);
         assert_eq!(net.active_flows(), 0);
     }
 

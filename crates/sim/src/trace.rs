@@ -222,11 +222,6 @@ impl TraceRecorder {
         self.link_labels = labels;
     }
 
-    /// The link label for `link`, when labels were supplied.
-    pub fn link_label(&self, link: LinkId) -> Option<&str> {
-        self.link_labels.get(link.index()).map(String::as_str)
-    }
-
     /// Supplies base link capacities (bytes/s) indexed by [`crate::LinkId`]
     /// so completed flows can be attributed to their bottleneck link (see
     /// [`TraceRecorder::bottleneck_label`]).
@@ -521,7 +516,6 @@ mod tests {
             started: SimTime::ZERO,
             finished: SimTime::from_secs(4),
             path: vec![],
-            user: 0,
         };
         tr.record_flow(&rec, CommKind::StageUpload, &[0]);
         tr.record_compute(0, SimTime::from_secs(2), SimTime::from_secs(6));
@@ -538,7 +532,6 @@ mod tests {
             started: SimTime::ZERO,
             finished: SimTime::from_secs(1),
             path: vec![],
-            user: 0,
         };
         tr.record_flow(&rec, CommKind::ParamGather, &[0, 1]);
         tr.record_flow(&rec, CommKind::ParamGather, &[0]);
@@ -555,7 +548,6 @@ mod tests {
             started: SimTime::ZERO,
             finished: SimTime::from_secs(1),
             path: vec![],
-            user: 0,
         };
         tr.record_flow(&rec, CommKind::StageUpload, &[0]);
         tr.record_compute(0, SimTime::from_secs(1), SimTime::from_secs(2));
@@ -576,7 +568,6 @@ mod tests {
         tr.set_link_capacities(vec![16e9, 8e9]);
         let path = [LinkId(0), LinkId(1)];
         assert_eq!(tr.bottleneck_label(&path), Some("gpu0-lane-h2d"));
-        assert_eq!(tr.link_label(LinkId(0)), Some("rc0-h2d"));
 
         // Ties go to the first link on the path.
         tr.set_link_capacities(vec![8e9, 8e9]);
@@ -595,7 +586,6 @@ mod tests {
             started: SimTime::ZERO,
             finished: SimTime::from_secs(1),
             path: vec![],
-            user: 0,
         };
         a.record_flow(&rec, CommKind::Other, &[0]);
         b.record_flow(&rec, CommKind::Other, &[1]);

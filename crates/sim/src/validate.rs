@@ -32,8 +32,8 @@ pub enum InvariantViolation {
     },
     /// A flow was assigned a negative rate.
     NegativeRate {
-        /// Caller-supplied user token of the flow.
-        user: u64,
+        /// The offending flow.
+        id: FlowId,
         /// The offending rate in bytes/second.
         rate: f64,
     },
@@ -41,8 +41,8 @@ pub enum InvariantViolation {
     /// by flows of equal or higher priority — i.e. it was starved without a
     /// preemption to justify it.
     StarvedFlow {
-        /// Caller-supplied user token of the flow.
-        user: u64,
+        /// The starved flow.
+        id: FlowId,
         /// Priority class of the starved flow.
         priority: u8,
     },
@@ -107,12 +107,12 @@ impl fmt::Display for InvariantViolation {
                 crate::units::bytes_per_sec_to_gbps(*allocated),
                 crate::units::bytes_per_sec_to_gbps(*capacity)
             ),
-            InvariantViolation::NegativeRate { user, rate } => {
-                write!(f, "flow (user {user}) has negative rate {rate} B/s")
+            InvariantViolation::NegativeRate { id, rate } => {
+                write!(f, "flow {id:?} has negative rate {rate} B/s")
             }
-            InvariantViolation::StarvedFlow { user, priority } => write!(
+            InvariantViolation::StarvedFlow { id, priority } => write!(
                 f,
-                "flow (user {user}, priority {priority}) starved with no saturated link of \
+                "flow {id:?} (priority {priority}) starved with no saturated link of \
                  equal-or-higher priority on its path"
             ),
             InvariantViolation::MalformedIntervals {
@@ -199,7 +199,7 @@ mod tests {
         net.debug_set_rate(f, -1.0);
         assert!(matches!(
             net.validate_rates(),
-            Err(InvariantViolation::NegativeRate { user: 7, .. })
+            Err(InvariantViolation::NegativeRate { id, .. }) if id == f
         ));
     }
 
@@ -212,10 +212,7 @@ mod tests {
         net.debug_set_rate(f, 0.0);
         assert!(matches!(
             net.validate_rates(),
-            Err(InvariantViolation::StarvedFlow {
-                user: 11,
-                priority: 3
-            })
+            Err(InvariantViolation::StarvedFlow { id, priority: 3 }) if id == f
         ));
     }
 

@@ -118,7 +118,7 @@ impl Cluster {
 }
 
 /// A [`Cluster`]'s cross-server fabric realized as links in a
-/// [`FlowNetwork`], with path lookup.
+/// [`FlowNetwork`] whose flows carry `T` tags, with path lookup.
 ///
 /// Only the fabric is instantiated here: intra-server links are disjoint
 /// across servers (each replica runs on its own [`crate::ServerNetwork`]),
@@ -138,15 +138,15 @@ impl Cluster {
 /// assert!(net.net_mut().rate_of(f).unwrap() > 0.0);
 /// ```
 #[derive(Debug, Clone)]
-pub struct ClusterNetwork {
-    net: FlowNetwork,
+pub struct ClusterNetwork<T = u64> {
+    net: FlowNetwork<T>,
     cluster: Cluster,
     nic_tx: Vec<LinkId>,
     nic_rx: Vec<LinkId>,
     switch: LinkId,
 }
 
-impl ClusterNetwork {
+impl<T> ClusterNetwork<T> {
     /// Builds the cross-server link network for `cluster`.
     pub fn new(cluster: &Cluster) -> Self {
         let mut net = FlowNetwork::new();
@@ -174,13 +174,13 @@ impl ClusterNetwork {
 
     /// Shared access to the flow network. Rate reads settle stale rates,
     /// so they go through [`ClusterNetwork::net_mut`].
-    pub fn net(&self) -> &FlowNetwork {
+    pub fn net(&self) -> &FlowNetwork<T> {
         &self.net
     }
 
     /// Mutable access to the flow network (collectives start/complete
     /// flows).
-    pub fn net_mut(&mut self) -> &mut FlowNetwork {
+    pub fn net_mut(&mut self) -> &mut FlowNetwork<T> {
         &mut self.net
     }
 
@@ -290,13 +290,13 @@ mod tests {
 
     #[test]
     fn local_moves_are_free() {
-        let n = ClusterNetwork::new(&cluster(2));
+        let n: ClusterNetwork = ClusterNetwork::new(&cluster(2));
         assert!(n.server_to_server(1, 1).is_none());
     }
 
     #[test]
     #[should_panic(expected = "server index out of range")]
     fn out_of_range_server_panics() {
-        ClusterNetwork::new(&cluster(2)).server_to_server(0, 2);
+        ClusterNetwork::<u64>::new(&cluster(2)).server_to_server(0, 2);
     }
 }

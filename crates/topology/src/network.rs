@@ -10,7 +10,8 @@ use mobius_sim::{FlowNetwork, LinkId};
 
 use crate::{Interconnect, Topology, ROOT_COMPLEX_GBPS};
 
-/// A topology realized as links in a [`FlowNetwork`], with path lookup.
+/// A topology realized as links in a [`FlowNetwork`] whose flows carry
+/// `T` tags, with path lookup.
 ///
 /// # Examples
 ///
@@ -25,8 +26,8 @@ use crate::{Interconnect, Topology, ROOT_COMPLEX_GBPS};
 /// assert!(server.net_mut().rate_of(f).unwrap() > 0.0);
 /// ```
 #[derive(Debug, Clone)]
-pub struct ServerNetwork {
-    net: FlowNetwork,
+pub struct ServerNetwork<T = u64> {
+    net: FlowNetwork<T>,
     topo: Topology,
     // Per GPU: PCIe lane, one link per direction.
     lane_h2d: Vec<LinkId>, // host (DRAM) -> device
@@ -42,7 +43,7 @@ pub struct ServerNetwork {
     storage_write: Option<LinkId>,
 }
 
-impl ServerNetwork {
+impl<T> ServerNetwork<T> {
     /// Builds the link network for `topo`.
     pub fn new(topo: &Topology) -> Self {
         let mut net = FlowNetwork::new();
@@ -102,12 +103,12 @@ impl ServerNetwork {
 
     /// Shared access to the flow network. Rate reads settle stale rates,
     /// so they go through [`ServerNetwork::net_mut`].
-    pub fn net(&self) -> &FlowNetwork {
+    pub fn net(&self) -> &FlowNetwork<T> {
         &self.net
     }
 
     /// Mutable access to the flow network (executors start/complete flows).
-    pub fn net_mut(&mut self) -> &mut FlowNetwork {
+    pub fn net_mut(&mut self) -> &mut FlowNetwork<T> {
         &mut self.net
     }
 
@@ -251,7 +252,7 @@ mod tests {
     #[test]
     fn ssd_tier_appears_in_offload_paths() {
         let topo = Topology::commodity(GpuSpec::rtx3090ti(), &[2, 2]).with_ssd_offload(3.0);
-        let s = ServerNetwork::new(&topo);
+        let s: ServerNetwork = ServerNetwork::new(&topo);
         assert_eq!(s.dram_to_gpu(0).len(), 3);
         assert_eq!(s.gpu_to_dram(0).len(), 3);
         // GPU-to-GPU staging does not touch the SSD.

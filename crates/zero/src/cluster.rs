@@ -21,10 +21,8 @@
 //!
 //! [`mobius-cluster`]: https://docs.rs/mobius-cluster
 
-use std::collections::HashMap;
-
 use mobius_obs::{AttrValue, Lane, Obs};
-use mobius_sim::{CommKind, Engine, FlowId, SimTime, Step, TraceRecorder};
+use mobius_sim::{CommKind, Engine, SimTime, Step, TraceRecorder};
 use mobius_topology::{Cluster, ClusterNetwork};
 
 use crate::{check_memory, ZeroError};
@@ -127,6 +125,7 @@ pub fn simulate_cluster_zero_step(
     let g = cluster.server().num_gpus() as f64;
     let shard_denom = g * s as f64;
 
+    // Flow tags: (source server, blocks next compute).
     let mut net = ClusterNetwork::new(cluster);
     if cfg.strict_validation {
         net.net_mut().set_strict_validation(true);
@@ -140,9 +139,6 @@ pub fn simulate_cluster_zero_step(
     }
 
     let mut per_server_tx = vec![0.0; s];
-    // Flow id → (source server, blocks next compute).
-    // mobius-lint: allow(D002, reason = "lookup-only; inserted on launch, removed on completion, never iterated")
-    let mut flows: HashMap<FlowId, (usize, bool)> = HashMap::new();
     let mut outstanding = 0usize;
     let mut launched = vec![false; 2 * l];
     let mut computing: Option<SimTime> = None;
@@ -168,9 +164,8 @@ pub fn simulate_cluster_zero_step(
                     for from in 0..s {
                         for to in 0..s {
                             if let Some(path) = net.server_to_server(from, to) {
-                                let fid =
-                                    net.net_mut().start_flow(path, pair_bytes, 100, from as u64);
-                                flows.insert(fid, (from, true));
+                                net.net_mut()
+                                    .start_flow(path, pair_bytes, 100, (from, true));
                                 outstanding += 1;
                             }
                         }
@@ -203,8 +198,7 @@ pub fn simulate_cluster_zero_step(
 
         let t = match mobius_sim::step(net.net_mut(), &mut engine)? {
             None => break,
-            Some(Step::Flow(fid, rec)) => {
-                let (from, blocks) = flows.remove(&fid).expect("untracked NIC flow");
+            Some(Step::Flow(_, rec, (from, blocks))) => {
                 per_server_tx[from] += rec.bytes;
                 let kind = if blocks {
                     CommKind::ParamGather
@@ -245,8 +239,8 @@ pub fn simulate_cluster_zero_step(
                 for from in 0..s {
                     for to in 0..s {
                         if let Some(path) = net.server_to_server(from, to) {
-                            let fid = net.net_mut().start_flow(path, pair_bytes, 60, from as u64);
-                            flows.insert(fid, (from, false));
+                            net.net_mut()
+                                .start_flow(path, pair_bytes, 60, (from, false));
                         }
                     }
                 }

@@ -40,15 +40,12 @@ pub use validate::{
     expected_step_traffic, verify_traffic_identity, ExpectedZeroTraffic, ZeroTrafficViolation,
 };
 
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
 use mobius_model::LayerKind;
 use mobius_profiler::{LayerProfile, ModelProfile};
-use mobius_sim::{
-    ClockOverflow, CommKind, Engine, FlowId, FlowRecord, SimTime, Step, TraceRecorder,
-};
+use mobius_sim::{ClockOverflow, CommKind, Engine, SimTime, Step, TraceRecorder};
 use mobius_topology::{Interconnect, ServerNetwork, Topology};
 use serde::{Deserialize, Serialize};
 
@@ -124,8 +121,8 @@ impl fmt::Display for ZeroError {
 
 impl Error for ZeroError {}
 
-impl From<ClockOverflow> for ZeroError {
-    fn from(o: ClockOverflow) -> Self {
+impl<T> From<ClockOverflow<T>> for ZeroError {
+    fn from(o: ClockOverflow<T>) -> Self {
         ZeroError::ClockOverflow {
             remaining: o.remaining,
         }
@@ -173,12 +170,11 @@ enum Ev {
 
 struct ZeroExec<'a> {
     layers: &'a [LayerProfile],
-    server: ServerNetwork,
+    /// Flow tags: GPU, kind, traced GPUs, whether the flow blocks compute.
+    server: ServerNetwork<(usize, CommKind, Vec<usize>, bool)>,
     engine: Engine<Ev>,
     trace: TraceRecorder,
     gpus: Vec<GpuZ>,
-    // mobius-lint: allow(D002, reason = "lookup-only; inserted on launch, removed on completion, never iterated")
-    flows: HashMap<FlowId, (usize, CommKind, Vec<usize>, bool)>, // gpu, kind, traced gpus, blocks_compute
     cfg: ZeroConfig,
     num_layers: usize,
     n: usize,
@@ -275,8 +271,6 @@ pub fn simulate_zero_step_traced(
         engine,
         trace,
         gpus,
-        // mobius-lint: allow(D002, reason = "lookup-only; inserted on launch, removed on completion, never iterated")
-        flows: HashMap::new(),
         cfg: *cfg,
         num_layers: l,
         n,
@@ -318,7 +312,12 @@ impl ZeroExec<'_> {
         self.pump();
         while let Some(step) = mobius_sim::step(self.server.net_mut(), &mut self.engine)? {
             match step {
-                Step::Flow(fid, rec) => self.complete_flow(fid, &rec),
+                Step::Flow(_, rec, (gpu, kind, traced, blocks)) => {
+                    self.trace.record_flow(&rec, kind, &traced);
+                    if blocks {
+                        self.load_done(gpu);
+                    }
+                }
                 Step::Event(_, Ev::ComputeDone { gpu }) => self.compute_done(gpu),
             }
             self.pump();
@@ -330,32 +329,26 @@ impl ZeroExec<'_> {
         Ok(())
     }
 
-    fn complete_flow(&mut self, fid: FlowId, rec: &FlowRecord) {
-        let (gpu, kind, traced, blocks) = self
-            .flows
-            .remove(&fid)
-            .expect("completed flow without metadata");
-        self.trace.record_flow(rec, kind, &traced);
-        if blocks {
-            // Continue the sequential all-gather chain, if any.
-            if let Some((dir, bytes)) = self.gpus[gpu].chain.first().copied() {
-                self.gpus[gpu].chain.remove(0);
-                let path = match dir {
-                    Dir::H2d => self.server.dram_to_gpu(gpu),
-                    Dir::D2h => self.server.gpu_to_dram(gpu),
-                };
-                self.launch(
-                    gpu,
-                    path,
-                    bytes,
-                    100,
-                    CommKind::ParamGather,
-                    vec![gpu],
-                    true,
-                );
-            }
-            self.gpus[gpu].outstanding_loads -= 1;
+    /// A load flow of `gpu` landed: continue its sequential all-gather
+    /// chain, if any.
+    fn load_done(&mut self, gpu: usize) {
+        if let Some((dir, bytes)) = self.gpus[gpu].chain.first().copied() {
+            self.gpus[gpu].chain.remove(0);
+            let path = match dir {
+                Dir::H2d => self.server.dram_to_gpu(gpu),
+                Dir::D2h => self.server.gpu_to_dram(gpu),
+            };
+            self.launch(
+                gpu,
+                path,
+                bytes,
+                100,
+                CommKind::ParamGather,
+                vec![gpu],
+                true,
+            );
         }
+        self.gpus[gpu].outstanding_loads -= 1;
     }
 
     fn pump(&mut self) {
@@ -538,14 +531,12 @@ impl ZeroExec<'_> {
         traced: Vec<usize>,
         blocks: bool,
     ) {
-        let fid = self
-            .server
-            .net_mut()
-            .start_flow(path, bytes as f64, prio, 0);
         if blocks {
             self.gpus[gpu].outstanding_loads += 1;
         }
-        self.flows.insert(fid, (gpu, kind, traced, blocks));
+        self.server
+            .net_mut()
+            .start_flow(path, bytes as f64, prio, (gpu, kind, traced, blocks));
     }
 }
 
@@ -754,7 +745,6 @@ mod tests {
             started: SimTime::ZERO,
             finished: SimTime::from_millis(1),
             path: vec![],
-            user: 0,
         };
         rep.trace.record_flow(&bogus, CommKind::ParamGather, &[0]);
         let err = verify_traffic_identity(&rep.trace, &p, &topo).unwrap_err();

@@ -10,9 +10,8 @@
 //! `≈ 1.5·N·model`, more than Mobius.
 
 use mobius_profiler::ModelProfile;
-use mobius_sim::{CommKind, Engine, FlowId, SimTime, Step, TraceRecorder};
+use mobius_sim::{CommKind, Engine, SimTime, Step, TraceRecorder};
 use mobius_topology::{ServerNetwork, Topology};
-use std::collections::HashMap;
 
 use crate::{ZeroError, ZeroReport};
 
@@ -82,8 +81,6 @@ pub fn simulate_zero_offload_step_traced(
         server.net_mut().set_obs(obs.clone());
         engine.set_obs(obs.clone());
     }
-    // mobius-lint: allow(D002, reason = "lookup-only; inserted on launch, removed on completion, never iterated")
-    let mut flows: HashMap<FlowId, (CommKind, usize)> = HashMap::new();
     let mut gpus: Vec<GpuO> = (0..n)
         .map(|_| GpuO {
             slot: 0,
@@ -100,8 +97,7 @@ pub fn simulate_zero_offload_step_traced(
 
     while let Some(step) = mobius_sim::step(server.net_mut(), &mut engine)? {
         match step {
-            Step::Flow(fid, rec) => {
-                let (kind, g) = flows.remove(&fid).expect("flow metadata");
+            Step::Flow(_, rec, (kind, g)) => {
                 trace.record_flow(&rec, kind, &[g]);
                 if kind == CommKind::StageUpload {
                     gpus[g].refresh_outstanding = false;
@@ -117,8 +113,8 @@ pub fn simulate_zero_offload_step_traced(
                     let grad = layers[layer].grad_bytes;
                     if grad > 0 {
                         let path = server.gpu_to_dram(g);
-                        let fid = server.net_mut().start_flow(path, grad as f64, 50, 0);
-                        flows.insert(fid, (CommKind::GradientOffload, g));
+                        let tag = (CommKind::GradientOffload, g);
+                        server.net_mut().start_flow(path, grad as f64, 50, tag);
                     }
                 }
                 gpus[g].slot += 1;
@@ -135,8 +131,8 @@ pub fn simulate_zero_offload_step_traced(
                     // Parameter refresh from the CPU optimizer.
                     let params: u64 = layers.iter().map(|x| x.param_bytes).sum();
                     let path = server.dram_to_gpu(g);
-                    let fid = server.net_mut().start_flow(path, params as f64, 80, 0);
-                    flows.insert(fid, (CommKind::StageUpload, g));
+                    let tag = (CommKind::StageUpload, g);
+                    server.net_mut().start_flow(path, params as f64, 80, tag);
                     gpus[g].refresh_outstanding = true;
                 }
             }

@@ -5,7 +5,8 @@
 //! decision procedure.
 //!
 //! Run with `cargo run --release --example capacity_planner [model]`
-//! (model: 8b / 15b / llama7b / llama13b; default 15b).
+//! (model: any `mobius::parse_model` preset, e.g. 8b / llama13b; default
+//! 15b).
 
 use mobius::{FineTuner, RunError, System};
 use mobius_model::{GptConfig, Model};
@@ -13,12 +14,8 @@ use mobius_topology::{GpuSpec, Topology};
 
 fn main() {
     let which = std::env::args().nth(1).unwrap_or_else(|| "15b".into());
-    let model = match which.as_str() {
-        "8b" => Model::from_config(&GptConfig::gpt_8b()),
-        "llama7b" => Model::llama2_7b(),
-        "llama13b" => Model::llama2_13b(),
-        _ => Model::from_config(&GptConfig::gpt_15b()),
-    };
+    let model =
+        mobius::parse_model(&which).unwrap_or_else(|| Model::from_config(&GptConfig::gpt_15b()));
     let target_step_secs = 5.0;
     println!(
         "planning for {} ({:.1}B params), target <= {target_step_secs:.0}s per step\n",

@@ -3,8 +3,8 @@
 //! planner predicts the contention-aware simulation.
 //!
 //! Run with `cargo run --release --example partition_playground [model]`
-//! where model is one of 3b / 8b / 15b / 51b (default 51b — the one that
-//! truly needs stage swapping).
+//! where model is any `mobius::parse_model` preset, e.g. 3b / 8b / 15b
+//! (default 51b — the one that truly needs stage swapping).
 
 use mobius_mapping::Mapping;
 use mobius_model::{GptConfig, Model};
@@ -17,14 +17,10 @@ use mobius_topology::{GpuSpec, Topology};
 
 fn main() {
     let which = std::env::args().nth(1).unwrap_or_else(|| "51b".into());
-    let cfg = match which.as_str() {
-        "3b" => GptConfig::gpt_3b(),
-        "8b" => GptConfig::gpt_8b(),
-        "15b" => GptConfig::gpt_15b(),
-        _ => GptConfig::gpt_51b(),
-    };
+    let model =
+        mobius::parse_model(&which).unwrap_or_else(|| Model::from_config(&GptConfig::gpt_51b()));
+    let cfg = model.config();
     let topo = Topology::commodity(GpuSpec::rtx3090ti(), &[2, 2]);
-    let model = Model::from_config(&cfg);
     let profile = Profiler::new(topo.gpu().clone()).profile(&model, cfg.default_microbatch);
     let pcfg = PipelineConfig::mobius(
         topo.num_gpus(),

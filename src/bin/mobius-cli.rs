@@ -25,7 +25,7 @@ use mobius::{
     RunError, RunOutcome, RunSinks, System, TopoSpecError,
 };
 use mobius_mip::SearchStats;
-use mobius_model::{GptConfig, Model};
+use mobius_model::Model;
 use mobius_pipeline::{evaluate_analytic, render_gantt, MemoryMode, PipelineConfig};
 use mobius_topology::Topology;
 
@@ -126,7 +126,7 @@ fn main() -> ExitCode {
 
 const USAGE: &str = "\
 usage:
-  mobius-cli plan    --model <3b|8b|15b|51b|llama7b|llama13b> --topo <GROUPS|dc> [--mbs N] [--microbatches M]
+  mobius-cli plan    --model <3b|8b|15b|51b|gpt2|gpt2-long|llama7b|llama13b> --topo <GROUPS|dc> [--mbs N] [--microbatches M]
   mobius-cli step    --model <..> --topo <..> --system <mobius|gpipe|ds-pipe|ds-hetero|zero-offload>
                      [--trace-out FILE] [--metrics-out FILE] [--analyze-out FILE] [--timeline]
                      [--faults SPEC] [--seed N] [--recover]
@@ -479,18 +479,12 @@ fn checkpointed_run(tuner: FineTuner, args: &[String], sinks: RunSinks) -> Resul
 }
 
 fn parse_model(s: &str) -> Result<Model, CliError> {
-    match s.to_ascii_lowercase().as_str() {
-        "3b" => Ok(Model::from_config(&GptConfig::gpt_3b())),
-        "8b" => Ok(Model::from_config(&GptConfig::gpt_8b())),
-        "15b" => Ok(Model::from_config(&GptConfig::gpt_15b())),
-        "51b" => Ok(Model::from_config(&GptConfig::gpt_51b())),
-        "gpt2" => Ok(Model::from_config(&GptConfig::gpt2_small())),
-        "llama7b" => Ok(Model::llama2_7b()),
-        "llama13b" => Ok(Model::llama2_13b()),
-        other => Err(usage(format!(
-            "unknown model `{other}` (try 3b/8b/15b/51b/llama7b/llama13b)"
-        ))),
-    }
+    mobius::parse_model(s).ok_or_else(|| {
+        usage(format!(
+            "unknown model `{}` (try 3b/8b/15b/51b/gpt2/gpt2-long/llama7b/llama13b)",
+            s.to_ascii_lowercase()
+        ))
+    })
 }
 
 fn parse_topo(s: &str) -> Result<Topology, CliError> {
@@ -503,14 +497,8 @@ fn parse_topo(s: &str) -> Result<Topology, CliError> {
 }
 
 fn parse_system(s: &str) -> Result<System, CliError> {
-    match s.to_ascii_lowercase().as_str() {
-        "mobius" => Ok(System::Mobius),
-        "gpipe" => Ok(System::Gpipe),
-        "ds-pipe" | "deepspeed-pipeline" => Ok(System::DeepSpeedPipeline),
-        "ds-hetero" | "deepspeed" | "deepspeed-hetero" => Ok(System::DeepSpeedHetero),
-        "zero-offload" | "offload" => Ok(System::ZeroOffload),
-        other => Err(usage(format!("unknown system `{other}`"))),
-    }
+    mobius::parse_system(s)
+        .ok_or_else(|| usage(format!("unknown system `{}`", s.to_ascii_lowercase())))
 }
 
 fn plan(tuner: FineTuner, topo: &Topology) -> Result<(), CliError> {
@@ -783,6 +771,11 @@ mod tests {
     fn parses_models() {
         assert_eq!(parse_model("8B").unwrap().config().name, "8B");
         assert!(parse_model("llama7b").unwrap().config().name.contains("7B"));
+        // The planning service's long-sequence variant, from the same table.
+        assert_eq!(
+            parse_model("GPT2-long").unwrap().config().name,
+            "GPT-2-long"
+        );
         assert!(parse_model("70b").is_err());
     }
 

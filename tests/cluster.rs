@@ -133,13 +133,22 @@ fn a_fabric_too_slow_for_the_clock_is_a_typed_error() {
         ready: vec![SimTime::ZERO],
         ready_sids: vec![],
     };
-    let slow = Cluster::new(commodity(&[2, 2]), 2, 1e-12);
+    let replicas = [replica.clone(), replica];
     let strict = ClusterDpConfig {
         strict_validation: true,
     };
-    match simulate_ring_allreduce(&slow, &[replica.clone(), replica], &strict, None) {
-        Err(ClusterSyncError::ClockOverflow { remaining, .. }) => assert!(remaining > 0.0),
-        other => panic!("expected ClockOverflow, got {other:?}"),
+    let slow_nic = Cluster::new(commodity(&[2, 2]), 2, 1e-12);
+    let slow_switch = Cluster::new(commodity(&[2, 2]), 2, 12.5).with_switch_gbps(1e-12);
+    for slow in [slow_nic, slow_switch] {
+        match simulate_ring_allreduce(&slow, &replicas, &strict, None) {
+            // Both first-round chunks stall alike; the tie goes to the
+            // lower flow id, the chunk server 0 sends.
+            Err(ClusterSyncError::ClockOverflow { server, remaining }) => {
+                assert_eq!(server, 0, "{}", slow.name());
+                assert!(remaining > 0.0);
+            }
+            other => panic!("{}: expected ClockOverflow, got {other:?}", slow.name()),
+        }
     }
     for system in [System::Mobius, System::DeepSpeedHetero] {
         let res = tuner(GptConfig::gpt_3b(), system)

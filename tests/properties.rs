@@ -77,7 +77,7 @@ proptest! {
         let mut drained = 0.0;
         while let Some((t, id)) = net.next_completion() {
             net.advance_to(t);
-            drained += net.complete(id).unwrap().bytes;
+            drained += net.complete(id).unwrap().0.bytes;
         }
         prop_assert!((drained - total).abs() < 1.0);
         prop_assert_eq!(net.active_flows(), 0);
@@ -535,7 +535,7 @@ fn complete_both(
     let (total, remaining) = shadow[&id];
     let want_ok = remaining <= 64.0_f64.max(2e-9 * rate);
     match net.complete(id) {
-        Ok(rec) => {
+        Ok((rec, _)) => {
             prop_assert!(
                 want_ok,
                 "{id:?} completed with {remaining} B left at {rate} B/s"
@@ -643,7 +643,7 @@ proptest! {
                     }
                     3 if !ids.is_empty() => {
                         let id = ids[pick % ids.len()];
-                        let moved = net.cancel(id).unwrap();
+                        let (moved, _) = net.cancel(id).unwrap();
                         let (total, remaining) = shadow.remove(&id).unwrap();
                         prop_assert_eq!(moved.to_bits(), (total - remaining).to_bits());
                     }
