@@ -14,8 +14,8 @@ use mobius_mapping::Mapping;
 use mobius_model::GptConfig;
 use mobius_obs::Obs;
 use mobius_pipeline::{
-    simulate_steps_faulted, simulate_steps_traced, ExecError, PartitionAlgo, PipelineConfig,
-    StageCosts,
+    simulate_steps_faulted, simulate_steps_traced, ExecError, MultiStepReport, PartitionAlgo,
+    PipelineConfig, StageCosts,
 };
 use mobius_sim::{FaultAbort, FaultSchedule, SimTime};
 use mobius_topology::{GpuSpec, Topology};
@@ -411,4 +411,114 @@ fn zero_systems_reject_fault_schedules() {
         .run_step()
         .unwrap_err();
     assert!(matches!(err, RunError::Unsupported(_)), "{err}");
+}
+
+/// FNV-64 digests of everything an executor run leaves behind: the Chrome
+/// trace and metrics JSON of its observer (0 when untraced), and the
+/// report's step boundaries, drain time, gradient flushes, DAG node ids,
+/// fault accounting and traffic map.
+fn run_digests(rep: &MultiStepReport, obs: Option<&Obs>) -> [u64; 3] {
+    let t = &rep.trace;
+    let per_gpu: Vec<_> = t
+        .gpus()
+        .into_iter()
+        .map(|g| (g, t.compute_time(g), t.non_overlapped_comm(g)))
+        .collect();
+    let report = format!(
+        "{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}",
+        rep.step_boundaries,
+        rep.drain_time,
+        rep.grad_flush,
+        rep.step_heads,
+        rep.grad_flush_sids,
+        rep.faults,
+        t.traffic_by_kind(),
+        t.samples(),
+        per_gpu,
+    );
+    let digest = |s: String| mobius::ckpt::fnv64(s.as_bytes());
+    [
+        obs.map_or(0, |o| digest(o.chrome_trace_json())),
+        obs.map_or(0, |o| digest(o.metrics_json())),
+        digest(report),
+    ]
+}
+
+/// Pins the executor paths the 2-GPU golden trace does not reach, byte for
+/// byte: the cross-step reload gate, same-GPU activation and gradient
+/// handoffs, stall/watchdog/relaunch with a link degrade and a straggler,
+/// and a strict untraced run that verifies a private DAG.
+#[test]
+fn executor_paths_beyond_the_golden_trace_are_pinned() {
+    let stages = vec![
+        stage(10, 256),
+        stage(12, 192),
+        stage(8, 320),
+        stage(11, 128),
+        stage(9, 224),
+        stage(10, 160),
+    ];
+    let strict = |topo: &Topology, m: usize| PipelineConfig {
+        strict_validation: true,
+        ..PipelineConfig::mobius(m, topo.gpu_mem_bytes(), topo.avg_gpu_bandwidth())
+    };
+    let none = FaultSchedule::new();
+    let run = |mapping: &Mapping, topo: &Topology, steps, faults: &FaultSchedule, traced| {
+        let obs = Obs::new();
+        let cfg = strict(topo, 3);
+        let observer = if traced { Some(&obs) } else { None };
+        let rep = simulate_steps_faulted(&stages, mapping, topo, &cfg, steps, faults, observer)
+            .expect("pinned run completes");
+        (rep, obs)
+    };
+
+    // Two hetero steps: step 1's reloads wait on step 0's gradient flush.
+    let topo = commodity(&[2, 2]);
+    let seq = Mapping::sequential(stages.len(), topo.num_gpus());
+    let (gated, gated_obs) = run(&seq, &topo, 2, &none, true);
+    assert!(gated_obs.chrome_trace_json().contains("reload-gate"));
+
+    // Consecutive stages share a GPU: activations and gradients hand off
+    // locally in both directions.
+    let local = Mapping::from_table(vec![0, 0, 1, 1, 2, 3], 4);
+    let (handoff, handoff_obs) = run(&local, &topo, 2, &none, true);
+    assert!(handoff_obs.chrome_trace_json().contains("act-local"));
+
+    // A stall the watchdog retries, a degraded root complex and a
+    // straggler, all inside one run.
+    let faults = FaultSchedule::new()
+        .stall(SimTime::from_millis(1), SimTime::from_millis(400))
+        .with_watchdog(SimTime::from_millis(20))
+        .with_retry(SimTime::from_millis(2), 20)
+        .degrade_link(
+            "rc",
+            0.5,
+            SimTime::from_millis(5),
+            SimTime::from_millis(300),
+        )
+        .slow_gpu(1, 2.0, SimTime::ZERO, SimTime::from_millis(200));
+    let (faulted, faulted_obs) = run(&seq, &topo, 2, &faults, true);
+    assert!(faulted.faults.retries > 0, "{:?}", faulted.faults);
+    assert_eq!(faulted.faults.link_degrades, 1);
+    assert_eq!(faulted.faults.slowdowns, 1);
+
+    // Strict but untraced: the DAG is private, its ids stay out.
+    let (private, _) = run(&seq, &topo, 2, &none, false);
+    assert!(private.step_heads.iter().all(Option::is_none));
+
+    let got = [
+        run_digests(&gated, Some(&gated_obs)),
+        run_digests(&handoff, Some(&handoff_obs)),
+        run_digests(&faulted, Some(&faulted_obs)),
+        run_digests(&private, None),
+    ];
+    assert_eq!(
+        got,
+        [
+            [0xe15f874f5120cc6d, 0xe8f0733c898e24f0, 0x48829489400844b0],
+            [0x1793d26dd4ba5402, 0xef7b33387b4e3c91, 0x0a95165d52fa708c],
+            [0x30367d4c54778272, 0xf1c0fc2d504b5d79, 0xed7095d80d05dc55],
+            [0, 0, 0x6b96b56b1c0dc8d1],
+        ]
+    );
 }
