@@ -9,16 +9,7 @@
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let seed: u64 = match args.iter().position(|a| a == "--seed") {
-        Some(i) => match args.get(i + 1).and_then(|s| s.parse().ok()) {
-            Some(s) => s,
-            None => {
-                eprintln!("error: flag `--seed` expects an integer");
-                std::process::exit(2);
-            }
-        },
-        None => 42,
-    };
+    let seed = mobius_bench::seed_flag();
     let experiments = mobius_bench::experiments::resilience::run(quick, seed);
     if let Err(msg) = mobius_bench::emit(&experiments) {
         eprintln!("error: {msg}");

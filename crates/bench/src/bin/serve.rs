@@ -12,45 +12,10 @@
 //!   direction-aware rules; prints the delta table and exits non-zero on
 //!   any regression.
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let seed: u64 = match args.iter().position(|a| a == "--seed") {
-        Some(i) => match args.get(i + 1).and_then(|s| s.parse().ok()) {
-            Some(s) => s,
-            None => {
-                eprintln!("error: flag `--seed` expects an integer");
-                std::process::exit(2);
-            }
-        },
-        None => 42,
-    };
-
-    if let Some(i) = args.iter().position(|a| a == "--check") {
-        let Some(path) = args.get(i + 1) else {
-            eprintln!("error: flag `--check` expects a baseline path");
-            std::process::exit(2);
-        };
-        let baseline = match std::fs::read_to_string(path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("error: reading {path}: {e}");
-                std::process::exit(2);
-            }
-        };
-        match mobius_bench::experiments::serve::check_against(&baseline, seed) {
-            Ok(table) => {
-                println!("{table}");
-                println!("baseline OK: no counter regressed");
-            }
-            Err(table) => {
-                println!("{table}");
-                eprintln!(
-                    "FAIL: serve counters regressed against {path} — if the \
-                     change is intentional, regenerate with \
-                     `UPDATE_BASELINE=1 scripts/verify.sh`"
-                );
-                std::process::exit(1);
-            }
-        }
+    let seed = mobius_bench::seed_flag();
+    if mobius_bench::check_flag("serve", |baseline| {
+        mobius_bench::experiments::serve::check_against(baseline, seed)
+    }) {
         return;
     }
 

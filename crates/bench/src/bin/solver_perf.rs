@@ -17,44 +17,11 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
     let deterministic = args.iter().any(|a| a == "--deterministic");
-    let seed: u64 = match args.iter().position(|a| a == "--seed") {
-        Some(i) => match args.get(i + 1).and_then(|s| s.parse().ok()) {
-            Some(s) => s,
-            None => {
-                eprintln!("error: flag `--seed` expects an integer");
-                std::process::exit(2);
-            }
-        },
-        None => 42,
-    };
+    let seed = mobius_bench::seed_flag();
 
-    if let Some(i) = args.iter().position(|a| a == "--check") {
-        let Some(path) = args.get(i + 1) else {
-            eprintln!("error: flag `--check` expects a baseline path");
-            std::process::exit(2);
-        };
-        let baseline = match std::fs::read_to_string(path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("error: reading {path}: {e}");
-                std::process::exit(2);
-            }
-        };
-        match mobius_bench::experiments::solver_perf::check_against(&baseline, seed) {
-            Ok(table) => {
-                println!("{table}");
-                println!("baseline OK: no counter regressed");
-            }
-            Err(table) => {
-                println!("{table}");
-                eprintln!(
-                    "FAIL: solver counters regressed against {path} — if the \
-                     change is intentional, regenerate with \
-                     `UPDATE_BASELINE=1 scripts/verify.sh`"
-                );
-                std::process::exit(1);
-            }
-        }
+    if mobius_bench::check_flag("solver", |baseline| {
+        mobius_bench::experiments::solver_perf::check_against(baseline, seed)
+    }) {
         return;
     }
 

@@ -17,7 +17,8 @@ pub mod experiments;
 mod report;
 
 pub use report::{
-    emit, fmt_gb, fmt_secs, fmt_x, render_json_report, Experiment, REPORT_SCHEMA_VERSION,
+    check_flag, emit, fmt_gb, fmt_secs, fmt_x, render_json_report, seed_flag, Experiment,
+    REPORT_SCHEMA_VERSION,
 };
 
 use mobius_sim::Cdf;

@@ -179,6 +179,61 @@ pub fn emit(experiments: &[Experiment]) -> Result<(), String> {
     Ok(())
 }
 
+/// The shared `--seed N` flag (42 when absent). A missing or non-integer
+/// value is a usage error: it exits with status 2.
+pub fn seed_flag() -> u64 {
+    let args: Vec<String> = std::env::args().collect();
+    match args.iter().position(|a| a == "--seed") {
+        Some(i) => match args.get(i + 1).and_then(|s| s.parse().ok()) {
+            Some(s) => s,
+            None => {
+                eprintln!("error: flag `--seed` expects an integer");
+                std::process::exit(2);
+            }
+        },
+        None => 42,
+    }
+}
+
+/// Runs the shared `--check <baseline.json>` mode when the flag is given:
+/// `check` diffs a fresh run against the baseline's text and returns the
+/// delta table, as `Err` on a regression. The table is printed; a
+/// regression exits with status 1 naming the `what` counters, a missing
+/// path or unreadable file with status 2. Returns whether the check ran.
+pub fn check_flag(what: &str, check: impl FnOnce(&str) -> Result<String, String>) -> bool {
+    let args: Vec<String> = std::env::args().collect();
+    let Some(i) = args.iter().position(|a| a == "--check") else {
+        return false;
+    };
+    let Some(path) = args.get(i + 1) else {
+        eprintln!("error: flag `--check` expects a baseline path");
+        std::process::exit(2);
+    };
+    let baseline = match std::fs::read_to_string(path) {
+        Ok(s) => s,
+        Err(e) => {
+            eprintln!("error: reading {path}: {e}");
+            std::process::exit(2);
+        }
+    };
+    match check(&baseline) {
+        Ok(table) => {
+            println!("{table}");
+            println!("baseline OK: no counter regressed");
+            true
+        }
+        Err(table) => {
+            println!("{table}");
+            eprintln!(
+                "FAIL: {what} counters regressed against {path} — if the \
+                 change is intentional, regenerate with \
+                 `UPDATE_BASELINE=1 scripts/verify.sh`"
+            );
+            std::process::exit(1);
+        }
+    }
+}
+
 /// Formats seconds with adaptive precision.
 pub fn fmt_secs(s: f64) -> String {
     if s >= 10.0 {

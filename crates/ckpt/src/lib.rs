@@ -429,7 +429,7 @@ impl RunState {
 
 /// The filename of checkpoint `seq` inside a checkpoint directory
 /// (`ckpt-000007.mckpt`); zero-padded so lexicographic order is seq order.
-pub fn checkpoint_path(dir: &Path, seq: u64) -> PathBuf {
+fn checkpoint_path(dir: &Path, seq: u64) -> PathBuf {
     dir.join(format!("ckpt-{seq:06}.{CKPT_EXT}"))
 }
 

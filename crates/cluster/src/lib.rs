@@ -30,7 +30,7 @@ pub use validate::{expected_ring_traffic, verify_ring_identity, RingTrafficViola
 use std::error::Error;
 use std::fmt;
 
-use mobius_obs::{AttrValue, DagDep, Lane, Obs, ResourceId};
+use mobius_obs::{AttrValue, DagDep, DagRecorder, Lane, Obs, ResourceId};
 use mobius_sim::{ClockOverflow, CommKind, SimTime, TraceRecorder};
 use mobius_topology::{Cluster, ClusterNetwork};
 use serde::Serialize;
@@ -281,12 +281,7 @@ pub fn simulate_ring_allreduce(
     // (so ready_sids resolve and the finetuner can verify the whole step);
     // strict runs without an observer get a private ring-only DAG whose
     // critical-path identity is verified before returning.
-    let dag_public = obs.is_some();
-    let dag_obs = match obs {
-        Some(o) => Some(o.clone()),
-        None if cfg.strict_validation => Some(Obs::new()),
-        None => None,
-    };
+    let recorder = DagRecorder::new(obs, cfg.strict_validation);
 
     let buckets = replicas[0].bucket_bytes.len();
     let mut per_server_tx = vec![0.0; n];
@@ -310,13 +305,13 @@ pub fn simulate_ring_allreduce(
         // even for empty buckets so the single-channel ordering stays in the
         // DAG. Exactness: start == max(prev ring time, max replica ready),
         // which is exactly the max over the AfterEnd constraints.
-        if let Some(dag) = &dag_obs {
+        if let Some(dag) = recorder.obs() {
             let mut deps = Vec::new();
             if let Some(p) = prev_barrier {
                 deps.push(DagDep::after_end(p, 0, "ring-order"));
             }
             for (s, r) in replicas.iter().enumerate() {
-                let flush = if dag_public {
+                let flush = if recorder.is_public() {
                     r.ready_sids.get(b).copied().flatten()
                 } else {
                     // A private ring-only DAG cannot reference the caller's
@@ -367,7 +362,7 @@ pub fn simulate_ring_allreduce(
                     .expect("ring neighbours are distinct");
                 // Each round's chunks launch the instant the previous
                 // barrier resolves, so the AfterEnd constraint is tight.
-                let fsid = dag_obs.as_ref().map(|dag| {
+                let fsid = recorder.obs().map(|dag| {
                     let deps = prev_barrier
                         .map(|p| vec![DagDep::after_end(p, 0, "ring-round")])
                         .unwrap_or_default();
@@ -389,14 +384,14 @@ pub fn simulate_ring_allreduce(
                 now = rec.finished;
                 per_server_tx[src] += rec.bytes;
                 per_server_rx[dst] += rec.bytes;
-                if let (Some(dag), Some(fs)) = (&dag_obs, fsid) {
+                if let (Some(dag), Some(fs)) = (recorder.obs(), fsid) {
                     dag.dag_close(fs, now.as_nanos());
                 }
                 trace.record_flow(&rec, CommKind::GradientReduce, &[]);
             }
             // Zero-width round barrier at the drain instant: the ring's next
             // round cannot launch until every chunk of this one landed.
-            if let Some(dag) = &dag_obs {
+            if let Some(dag) = recorder.obs() {
                 let deps = round_sids
                     .iter()
                     .map(|&f| DagDep::after_end(f, 0, "ring-drain"))
@@ -437,12 +432,10 @@ pub fn simulate_ring_allreduce(
     // flows, barriers, and mirror nodes with no gap. (With an observer the
     // finetuner verifies the combined pipeline+ring DAG at the step
     // boundary instead.)
-    if cfg.strict_validation && !dag_public {
-        if let (Some(dag), Some(head)) = (&dag_obs, prev_barrier) {
+    if cfg.strict_validation && !recorder.is_public() {
+        if let (Some(dag), Some(head)) = (recorder.obs(), prev_barrier) {
             dag.dag_cluster_boundary(now.as_nanos(), head);
-            if let Err(e) = dag.verify_dag_identity() {
-                panic!("ring critical-path identity violated: {e}");
-            }
+            dag.assert_dag_identity("ring critical-path identity", now.as_nanos());
         }
     }
 
@@ -452,7 +445,7 @@ pub fn simulate_ring_allreduce(
         per_server_tx,
         per_server_rx,
         trace,
-        head_sid: if dag_public { prev_barrier } else { None },
+        head_sid: recorder.public(prev_barrier),
     };
     if cfg.strict_validation {
         let total: f64 = replicas[0].total_bytes();

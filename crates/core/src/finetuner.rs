@@ -937,10 +937,7 @@ impl FineTuner {
             if let Some(h) = head {
                 obs.dag_cluster_boundary(step.as_nanos(), h);
                 if self.strict_validation {
-                    if let Err(e) = obs.verify_dag_identity() {
-                        obs.violation("critical-path-identity", &e.to_string(), step.as_nanos());
-                        panic!("cluster critical-path identity violated: {e}");
-                    }
+                    obs.assert_dag_identity("cluster critical-path identity", step.as_nanos());
                 }
             }
         }

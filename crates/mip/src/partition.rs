@@ -10,7 +10,7 @@
 //!   caller-supplied objective (the pipeline crate plugs in the full
 //!   schedule evaluator implementing constraints 4–11), an admissible lower
 //!   bound, and per-stage memory caps. This is the production path of the
-//!   `MipPartitioner`.
+//!   pipeline crate's MIP partitioner.
 //! * [`chain_partition_dp`] — the classic min-max chain partition solved
 //!   exactly by dynamic programming (GPipe's balanced partitioner).
 

@@ -282,6 +282,21 @@ impl Obs {
         analyze::verify_identity(&self.inner.borrow().dag)
     }
 
+    /// [`Obs::verify_dag_identity`] as a strict-mode gate: on failure it
+    /// records a `critical-path-identity` violation at `at_ns` and panics
+    /// with `"{what} violated: {error}"`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the identity does not hold.
+    pub fn assert_dag_identity(&self, what: &str, at_ns: u64) {
+        if let Err(e) = self.verify_dag_identity() {
+            let msg = e.to_string();
+            self.violation("critical-path-identity", &msg, at_ns);
+            panic!("{what} violated: {msg}");
+        }
+    }
+
     /// Runs the full critical-path / blame / what-if analysis over the
     /// recorded DAG. See [`analyze::analyze`].
     ///
@@ -356,6 +371,47 @@ pub struct Recording {
     events: Vec<Event>,
     counters: std::collections::BTreeMap<String, f64>,
     gauges: std::collections::BTreeMap<String, f64>,
+}
+
+/// Where a simulator records its dependency DAG: into the caller's
+/// observer when one is attached, else into a private one on strict runs
+/// (so the critical-path identity is verified there too), else nowhere.
+/// Node ids of a private recorder mean nothing outside the run, so they
+/// never reach a report.
+#[derive(Debug, Clone)]
+pub struct DagRecorder {
+    obs: Option<Obs>,
+    public: bool,
+}
+
+impl DagRecorder {
+    /// The recorder for a run observed by `caller` (if any), strict or not.
+    pub fn new(caller: Option<&Obs>, strict: bool) -> Self {
+        let obs = match caller {
+            Some(o) => Some(o.clone()),
+            None if strict => Some(Obs::new()),
+            None => None,
+        };
+        DagRecorder {
+            obs,
+            public: caller.is_some(),
+        }
+    }
+
+    /// The observer the DAG records into; `None` when nothing is recorded.
+    pub fn obs(&self) -> Option<&Obs> {
+        self.obs.as_ref()
+    }
+
+    /// Whether node ids index the caller's observer.
+    pub fn is_public(&self) -> bool {
+        self.public
+    }
+
+    /// `sid` as a report may carry it: itself when public, else `None`.
+    pub fn public(&self, sid: Option<u64>) -> Option<u64> {
+        sid.filter(|_| self.public)
+    }
 }
 
 #[cfg(test)]

@@ -29,7 +29,7 @@
 //! DMA whose buffer is re-queued).
 
 use mobius_mapping::Mapping;
-use mobius_obs::{AttrValue, DagDep, Lane, Obs, ResourceId};
+use mobius_obs::{AttrValue, DagDep, DagRecorder, Lane, Obs, ResourceId};
 use mobius_sim::units::secs_to_ms;
 use mobius_sim::{
     ClockOverflow, CommKind, Engine, FaultAbort, FaultKind, FaultSchedule, FaultStats, FlowId,
@@ -184,18 +184,23 @@ impl From<MultiStepReport> for SimStepReport {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// The direction a pipeline pass runs: forward hands each stage's output
+/// activation to its successor, backward hands the input gradient to its
+/// predecessor. Indexes the per-direction input table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
     Fwd,
     Bwd,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Task {
-    step: usize,
-    stage: usize,
-    mb: usize,
-    phase: Phase,
+impl Phase {
+    /// The stage that consumes what `stage` computes in this phase, if any.
+    fn next_stage(self, stage: usize, num_stages: usize) -> Option<usize> {
+        match self {
+            Phase::Fwd => Some(stage + 1).filter(|&to| to < num_stages),
+            Phase::Bwd => stage.checked_sub(1),
+        }
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -205,12 +210,7 @@ enum Purpose {
         idx: usize,
         residual: bool,
     },
-    ActTransfer {
-        step: usize,
-        to_stage: usize,
-        mb: usize,
-        grad: bool,
-    },
+    ActTransfer(InputKey),
     GradOffload {
         step: usize,
         stage: usize,
@@ -218,46 +218,118 @@ enum Purpose {
     Bookkeeping,
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct LoadRt {
-    prefetch_launched: bool,
-    prefetch_done: bool,
-    residual_started: bool,
-    residual_done: bool,
-    prefetch_bytes: u64,
-    total_bytes: u64,
-    /// All bytes arrived *and* the swap overhead elapsed.
-    usable: bool,
-    overhead_scheduled: bool,
-    /// A prefetch was requested while gated on the previous step's
-    /// gradient flush; holds the reserved-byte budget to use on unblock.
-    prefetch_wanted: Option<u64>,
-    /// A residual upload was requested while gated.
-    residual_wanted: bool,
+/// One microbatch input of a stage in one phase: the activation forward,
+/// the gradient backward.
+#[derive(Debug, Clone, Copy)]
+struct Input {
+    arrived: bool,
+    /// The DAG node whose end explains the arrival.
+    via: Option<Via>,
 }
 
-impl LoadRt {
-    fn transferred(&self) -> bool {
-        self.prefetch_done && self.residual_done
+/// How an input reached its stage.
+#[derive(Debug, Clone, Copy)]
+enum Via {
+    /// Handed over on one GPU when the producing compute ended.
+    Local(u64),
+    /// A transfer flow, plus the activation latency after it.
+    Transfer(u64),
+}
+
+/// Names an entry of the input table.
+#[derive(Debug, Clone, Copy)]
+struct InputKey {
+    step: usize,
+    stage: usize,
+    mb: usize,
+    phase: Phase,
+}
+
+/// A stage's gradients reached DRAM in one step.
+#[derive(Debug, Clone, Copy)]
+struct Flush {
+    at: SimTime,
+    /// The gradient-offload flow's DAG node.
+    sid: Option<u64>,
+}
+
+/// Progress of one of a slot's two uploads (the prefetch and the blocking
+/// residual).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Upload {
+    /// Not requested yet.
+    Idle,
+    /// Requested while shut behind the previous step's gradient flush. A
+    /// prefetch keeps the reserved-byte budget it was granted.
+    Gated(u64),
+    InFlight,
+    Done,
+}
+
+impl Upload {
+    fn started(self) -> bool {
+        matches!(self, Upload::InFlight | Upload::Done)
     }
 }
 
+/// A slot's stage upload: a prefetch into reserved memory, then the
+/// residual. Starting the residual rules out a later prefetch.
 #[derive(Debug, Clone, Copy)]
+struct LoadRt {
+    total_bytes: u64,
+    prefetch_bytes: u64,
+    prefetch: Upload,
+    residual: Upload,
+    /// All bytes arrived *and* the swap overhead elapsed.
+    usable: bool,
+}
+
+impl LoadRt {
+    fn new(total_bytes: u64) -> Self {
+        let state = if total_bytes == 0 {
+            Upload::Done
+        } else {
+            Upload::Idle
+        };
+        LoadRt {
+            total_bytes,
+            prefetch_bytes: 0,
+            prefetch: state,
+            residual: state,
+            usable: total_bytes == 0,
+        }
+    }
+
+    fn transferred(&self) -> bool {
+        self.prefetch == Upload::Done && self.residual == Upload::Done
+    }
+}
+
+#[derive(Debug, Clone)]
 struct Slot {
     step: usize,
     stage: usize,
     phase: Phase,
     load: LoadRt,
+    /// Constraints the slot's compute inherits from its uploads: each
+    /// upload's end plus the swap overhead.
+    deps: Vec<DagDep>,
     /// GPU bytes resident while this slot computes (for prefetch budgets).
     resident: u64,
 }
 
+/// One GPU's walk through its slots: it computes microbatch `mb` of
+/// `slots[cur]`.
 #[derive(Debug)]
 struct GpuRt {
     slots: Vec<Slot>,
     cur: usize,
     mb: usize,
-    running: Option<(Task, SimTime)>,
+    /// Start of the running compute, if one runs.
+    running: Option<SimTime>,
+    /// DAG node of the running (or else the last) compute: it serializes
+    /// the GPU's compute chain.
+    last_sid: Option<u64>,
 }
 
 #[derive(Debug, Clone)]
@@ -265,12 +337,7 @@ enum Ev {
     ComputeDone {
         gpu: usize,
     },
-    ActArrived {
-        step: usize,
-        to_stage: usize,
-        mb: usize,
-        grad: bool,
-    },
+    ActArrived(InputKey),
     LoadUsable {
         gpu: usize,
         idx: usize,
@@ -342,15 +409,12 @@ struct Executor<'a> {
     engine: Engine<Ev>,
     trace: TraceRecorder,
     gpus: Vec<GpuRt>,
-    /// `act_in[step][stage][mb]` / `grad_in[step][stage][mb]`.
-    act_in: Vec<Vec<Vec<bool>>>,
-    grad_in: Vec<Vec<Vec<bool>>>,
-    /// `grad_flushed[step][stage]`: gradients reached DRAM, the stage may
-    /// reload in step `step + 1`.
-    grad_flushed: Vec<Vec<bool>>,
-    /// `grad_flush[step][stage]`: completion time of the gradient flush
-    /// (backfilled with the step boundary where no offload flow ran).
-    grad_flush: Vec<Vec<SimTime>>,
+    /// `inputs[step][stage][mb][phase]`. A stage with no producer in a
+    /// phase (the first forward, the last backward) starts arrived.
+    inputs: Vec<Vec<Vec<[Input; 2]>>>,
+    /// `flushes[step][stage]`: the gradient flush, once it landed; the
+    /// stage may then reload in step `step + 1`.
+    flushes: Vec<Vec<Option<Flush>>>,
     /// `fwd_slot_of[step][stage]`: the `(gpu, slot)` of the stage's
     /// forward load, for gate unblocking.
     fwd_slot_of: Vec<Vec<Option<(usize, usize)>>>,
@@ -359,31 +423,10 @@ struct Executor<'a> {
     hetero: bool,
     num_stages: usize,
     m: usize,
-    steps: usize,
     obs: Option<Obs>,
-    /// DAG recorder: the caller's observer when one was attached, or a
-    /// private one on strict untraced runs so the critical-path identity
-    /// is still verified. `None` otherwise (nothing recorded).
-    dag_obs: Option<Obs>,
-    /// Whether `dag_obs` is the caller's observer — only then may node
-    /// ids appear in reports (private ids would be meaningless outside).
-    dag_public: bool,
-    /// Per GPU: the last compute node (serializes the compute chain).
-    last_compute_sid: Vec<Option<u64>>,
-    /// Per GPU: the compute node currently running.
-    running_sid: Vec<Option<u64>>,
-    /// `slot_deps[g][idx]`: constraints slot `idx`'s compute inherits
-    /// from its stage uploads (flow end + swap overhead).
-    slot_deps: Vec<Vec<Vec<DagDep>>>,
-    /// `act_dep[step][stage][mb]`: edge explaining the activation input
-    /// (transfer end + act latency, or the same-GPU producer's end).
-    act_dep: Vec<Vec<Vec<Option<DagDep>>>>,
-    /// `grad_dep[step][stage][mb]`: same for the backward gradient input.
-    grad_dep: Vec<Vec<Vec<Option<DagDep>>>>,
+    dag: DagRecorder,
     /// Per step: the node whose end is the step boundary.
     step_heads: Vec<Option<u64>>,
-    /// `grad_flush_sids[step][stage]`: node of the gradient-offload flow.
-    grad_flush_sids: Vec<Vec<Option<u64>>>,
     /// Attached fault schedule; `None` when empty (nothing armed, so the
     /// run is bit-identical to an unfaulted one).
     faults: Option<&'a FaultSchedule>,
@@ -564,7 +607,8 @@ fn simulate_steps_inner(
                         step,
                         stage: j,
                         phase: Phase::Fwd,
-                        load: load_rt(total),
+                        load: LoadRt::new(total),
+                        deps: Vec::new(),
                         resident: stages[j].resident_fwd(),
                     });
                 }
@@ -578,7 +622,8 @@ fn simulate_steps_inner(
                         step,
                         stage: j,
                         phase: Phase::Bwd,
-                        load: load_rt(total),
+                        load: LoadRt::new(total),
+                        deps: Vec::new(),
                         resident: stages[j].resident_bwd(m),
                     });
                 }
@@ -588,6 +633,7 @@ fn simulate_steps_inner(
                 cur: 0,
                 mb: 0,
                 running: None,
+                last_sid: None,
             }
         })
         .collect();
@@ -627,18 +673,11 @@ fn simulate_steps_inner(
         (Vec::new(), Vec::new())
     };
 
-    // The dependency DAG records into the caller's observer when given;
-    // strict untraced runs record into a private one so the critical-path
-    // identity is verified everywhere, but its node ids never leak.
-    let dag_public = obs.is_some();
-    let dag_obs = match obs {
-        Some(o) => Some(o.clone()),
-        None if cfg.strict_validation => Some(Obs::new()),
-        None => None,
-    };
-    let slot_deps: Vec<Vec<Vec<DagDep>>> = gpus
-        .iter()
-        .map(|g| vec![Vec::new(); g.slots.len()])
+    let inputs = (0..s)
+        .map(|j| {
+            let input = |arrived| Input { arrived, via: None };
+            vec![[input(j == 0), input(j + 1 == s)]; m]
+        })
         .collect();
 
     let mut exec = Executor {
@@ -649,27 +688,17 @@ fn simulate_steps_inner(
         engine,
         trace,
         gpus,
-        act_in: vec![vec![vec![false; m]; s]; steps],
-        grad_in: vec![vec![vec![false; m]; s]; steps],
-        grad_flushed: vec![vec![!hetero; s]; steps],
-        grad_flush: vec![vec![SimTime::ZERO; s]; steps],
+        inputs: vec![inputs; steps],
+        flushes: vec![vec![None; s]; steps],
         fwd_slot_of,
         bwd_done: vec![0; steps],
         step_boundaries: vec![SimTime::ZERO; steps],
         hetero,
         num_stages: s,
         m,
-        steps,
         obs: obs.cloned(),
-        dag_obs,
-        dag_public,
-        last_compute_sid: vec![None; n],
-        running_sid: vec![None; n],
-        slot_deps,
-        act_dep: vec![vec![vec![None; m]; s]; steps],
-        grad_dep: vec![vec![vec![None; m]; s]; steps],
+        dag: DagRecorder::new(obs, cfg.strict_validation),
         step_heads: vec![None; steps],
-        grad_flush_sids: vec![vec![None; s]; steps],
         faults,
         fault_stats: FaultStats::default(),
         base_caps,
@@ -694,7 +723,7 @@ fn simulate_steps_inner(
     // Boundaries are committed only on successful runs: an aborted attempt
     // leaves its nodes in the caller's DAG, but without boundaries they are
     // unreachable from any verified head and stay inert under analysis.
-    if let Some(dag) = &exec.dag_obs {
+    if let Some(dag) = exec.dag.obs() {
         for (i, &b) in exec.step_boundaries.iter().enumerate() {
             if let Some(sid) = exec.step_heads[i] {
                 dag.dag_boundary(b.as_nanos(), sid);
@@ -705,11 +734,7 @@ fn simulate_steps_inner(
             // reconstruct every step boundary as an exact critical-path
             // tiling. A failure means the executor started work at a time
             // its recorded constraints cannot explain.
-            if let Err(e) = dag.verify_dag_identity() {
-                let msg = e.to_string();
-                dag.violation("critical-path-identity", &msg, drain_time.as_nanos());
-                panic!("critical-path identity violated: {msg}");
-            }
+            dag.assert_dag_identity("critical-path identity", drain_time.as_nanos());
         }
     }
     if let Some(obs) = obs {
@@ -736,30 +761,28 @@ fn simulate_steps_inner(
         }
     }
     // Stages that never launched a gradient offload (resident-memory
-    // modes) have their gradients ready at the step boundary.
-    let mut grad_flush = exec.grad_flush;
-    for (step, flushes) in grad_flush.iter_mut().enumerate() {
-        for t in flushes.iter_mut() {
-            if *t == SimTime::ZERO {
-                *t = exec.step_boundaries[step];
-            }
-        }
-    }
-    // Node ids are only meaningful inside the caller's observer: private
-    // (strict-untraced) ids must not leak into the report.
-    let (step_heads, grad_flush_sids) = if exec.dag_public {
-        let mut sids = exec.grad_flush_sids;
-        for (step, row) in sids.iter_mut().enumerate() {
-            for sid in row.iter_mut() {
-                if sid.is_none() {
-                    *sid = exec.step_heads[step];
-                }
-            }
-        }
-        (exec.step_heads, sids)
-    } else {
-        (vec![None; steps], vec![vec![None; s]; steps])
-    };
+    // modes) have their gradients ready at the step boundary, flushed by
+    // the step head; a flush stamped at t = 0 takes the boundary time too.
+    // Private (strict-untraced) node ids must not leak into the report.
+    let step_heads: Vec<Option<u64>> = exec
+        .step_heads
+        .iter()
+        .map(|&h| exec.dag.public(h))
+        .collect();
+    let (grad_flush, grad_flush_sids) = exec
+        .flushes
+        .iter()
+        .zip(exec.step_boundaries.iter().zip(&step_heads))
+        .map(|(row, (&boundary, &head))| {
+            row.iter()
+                .map(|f| {
+                    let at = f.map_or(SimTime::ZERO, |f| f.at);
+                    let at = if at == SimTime::ZERO { boundary } else { at };
+                    (at, exec.dag.public(f.and_then(|f| f.sid)).or(head))
+                })
+                .unzip()
+        })
+        .unzip();
     Ok(MultiStepReport {
         step_boundaries: exec.step_boundaries,
         drain_time,
@@ -771,19 +794,13 @@ fn simulate_steps_inner(
     })
 }
 
-fn load_rt(total: u64) -> LoadRt {
-    LoadRt {
-        prefetch_launched: total == 0,
-        prefetch_done: true, // becomes false when a prefetch flow launches
-        residual_started: total == 0,
-        residual_done: total == 0,
-        prefetch_bytes: 0,
-        total_bytes: total,
-        usable: total == 0,
-        overhead_scheduled: total == 0,
-        prefetch_wanted: None,
-        residual_wanted: false,
-    }
+/// Edges chaining a transfer after the end of the compute that produced
+/// its data (none without a DAG).
+fn produced_by(producer: Option<u64>) -> Vec<DagDep> {
+    producer
+        .map(|p| DagDep::after_end(p, 0, "produce"))
+        .into_iter()
+        .collect()
 }
 
 impl Executor<'_> {
@@ -829,18 +846,7 @@ impl Executor<'_> {
     fn handle_event(&mut self, ev: Ev) {
         match ev {
             Ev::ComputeDone { gpu } => self.compute_done(gpu),
-            Ev::ActArrived {
-                step,
-                to_stage,
-                mb,
-                grad,
-            } => {
-                if grad {
-                    self.grad_in[step][to_stage][mb] = true;
-                } else {
-                    self.act_in[step][to_stage][mb] = true;
-                }
-            }
+            Ev::ActArrived(key) => self.input_mut(key).arrived = true,
             Ev::LoadUsable { gpu, idx } => {
                 self.gpus[gpu].slots[idx].load.usable = true;
             }
@@ -1053,7 +1059,7 @@ impl Executor<'_> {
         let (_, transfer) = self.server.net_mut().cancel(fid).expect("retried flow");
         // The cancelled attempt's occupancy ends here; the relaunch node
         // chains after it with the backoff as the edge latency.
-        if let (Some(dag), Some(sid)) = (&self.dag_obs, transfer.sid) {
+        if let (Some(dag), Some(sid)) = (self.dag.obs(), transfer.sid) {
             dag.dag_close(sid, now.as_nanos());
         }
         self.fault_stats.retries += 1;
@@ -1130,17 +1136,18 @@ impl Executor<'_> {
     fn complete_flow(&mut self, rec: FlowRecord, transfer: Transfer) {
         let sid = transfer.sid;
         self.trace.record_flow(&rec, transfer.kind, &transfer.gpus);
-        if let (Some(dag), Some(fsid)) = (&self.dag_obs, sid) {
+        // A flow has a node exactly when a DAG is recorded.
+        if let (Some(dag), Some(fsid)) = (self.dag.obs(), sid) {
             dag.dag_close(fsid, self.engine.now().as_nanos());
         }
         match transfer.purpose {
             Purpose::Load { gpu, idx, residual } => {
                 let overhead = self.cfg.swap_overhead;
-                if let (Some(_), Some(fsid)) = (&self.dag_obs, sid) {
+                if let Some(fsid) = sid {
                     // The slot's compute may only start once this upload
                     // landed and the swap overhead elapsed. With both a
                     // prefetch and a residual flow, the later one binds.
-                    self.slot_deps[gpu][idx].push(DagDep::after_end(
+                    self.gpus[gpu].slots[idx].deps.push(DagDep::after_end(
                         fsid,
                         overhead.as_nanos(),
                         "swap-overhead",
@@ -1148,45 +1155,28 @@ impl Executor<'_> {
                 }
                 let l = &mut self.gpus[gpu].slots[idx].load;
                 if residual {
-                    l.residual_done = true;
+                    l.residual = Upload::Done;
                 } else {
-                    l.prefetch_done = true;
+                    l.prefetch = Upload::Done;
                 }
-                if l.transferred() && !l.overhead_scheduled {
-                    l.overhead_scheduled = true;
+                // Each upload completes once, so this fires once per slot.
+                if l.transferred() {
                     self.engine
                         .schedule_after(overhead, Ev::LoadUsable { gpu, idx });
                 }
             }
-            Purpose::ActTransfer {
-                step,
-                to_stage,
-                mb,
-                grad,
-            } => {
-                if let (Some(_), Some(fsid)) = (&self.dag_obs, sid) {
-                    let dep =
-                        DagDep::after_end(fsid, self.cfg.act_latency.as_nanos(), "act-latency");
-                    if grad {
-                        self.grad_dep[step][to_stage][mb] = Some(dep);
-                    } else {
-                        self.act_dep[step][to_stage][mb] = Some(dep);
-                    }
+            Purpose::ActTransfer(key) => {
+                if let Some(fsid) = sid {
+                    self.input_mut(key).via = Some(Via::Transfer(fsid));
                 }
-                self.engine.schedule_after(
-                    self.cfg.act_latency,
-                    Ev::ActArrived {
-                        step,
-                        to_stage,
-                        mb,
-                        grad,
-                    },
-                );
+                self.engine
+                    .schedule_after(self.cfg.act_latency, Ev::ActArrived(key));
             }
             Purpose::GradOffload { step, stage } => {
-                self.grad_flushed[step][stage] = true;
-                self.grad_flush[step][stage] = self.engine.now();
-                self.grad_flush_sids[step][stage] = sid;
+                self.flushes[step][stage] = Some(Flush {
+                    at: self.engine.now(),
+                    sid,
+                });
                 self.unblock_gated_load(step, stage, sid);
             }
             Purpose::Bookkeeping => {}
@@ -1198,21 +1188,16 @@ impl Executor<'_> {
     /// the gradient-offload flow's DAG node — unblocked loads chain after
     /// its end (the reload-gate dependency of §3, constraint 4).
     fn unblock_gated_load(&mut self, step: usize, stage: usize, flush_sid: Option<u64>) {
-        let next_step = step + 1;
-        if next_step >= self.steps {
-            return;
-        }
-        let Some((g, idx)) = self.fwd_slot_of[next_step][stage] else {
+        let Some((g, idx)) = self.fwd_slot_of.get(step + 1).and_then(|row| row[stage]) else {
             return;
         };
         let l = self.gpus[g].slots[idx].load;
-        if let Some(reserved) = l.prefetch_wanted {
-            let trig = flush_sid.map(|s| DagDep::after_end(s, 0, "reload-gate"));
-            self.launch_prefetch(g, idx, reserved, trig);
+        let trig = || flush_sid.map(|s| DagDep::after_end(s, 0, "reload-gate"));
+        if let Upload::Gated(reserved) = l.prefetch {
+            self.launch_prefetch(g, idx, reserved, trig());
         }
-        if l.residual_wanted {
-            let trig = flush_sid.map(|s| DagDep::after_end(s, 0, "reload-gate"));
-            self.launch_residual(g, idx, trig);
+        if let Upload::Gated(_) = l.residual {
+            self.launch_residual(g, idx, trig());
         }
     }
 
@@ -1222,7 +1207,7 @@ impl Executor<'_> {
         if slot.phase != Phase::Fwd || slot.step == 0 || !self.hetero {
             return true;
         }
-        self.grad_flushed[slot.step - 1][slot.stage]
+        self.flushes[slot.step - 1][slot.stage].is_some()
     }
 
     /// Starts every compute that has become ready.
@@ -1232,9 +1217,10 @@ impl Executor<'_> {
             if gpu.running.is_some() || gpu.cur >= gpu.slots.len() {
                 continue;
             }
-            let slot = gpu.slots[gpu.cur];
-            let mb = gpu.mb;
-            if !slot.load.usable || !self.input_ready(slot.step, slot.stage, slot.phase, mb) {
+            let (cur, mb) = (gpu.cur, gpu.mb);
+            let slot = &gpu.slots[cur];
+            let input = &self.inputs[slot.step][slot.stage][mb][slot.phase as usize];
+            if !slot.load.usable || !input.arrived {
                 continue;
             }
             let duration = match slot.phase {
@@ -1248,128 +1234,112 @@ impl Executor<'_> {
             } else {
                 SimTime::from_secs_f64(duration.as_secs_f64() * self.gpu_slow[g])
             };
-            let task = Task {
-                step: slot.step,
-                stage: slot.stage,
-                mb,
-                phase: slot.phase,
-            };
             let now = self.engine.now();
-            if let Some(dag) = &self.dag_obs {
-                let cur = self.gpus[g].cur;
+            let sid = self.dag.obs().map(|dag| {
                 let mut deps = Vec::new();
-                if let Some(prev) = self.last_compute_sid[g] {
+                if let Some(prev) = gpu.last_sid {
                     deps.push(DagDep::after_end(prev, 0, "gpu-serial"));
                 }
-                deps.extend(self.slot_deps[g][cur].iter().cloned());
-                let input = match slot.phase {
-                    Phase::Fwd if slot.stage > 0 => self.act_dep[slot.step][slot.stage][mb].clone(),
-                    Phase::Bwd if slot.stage + 1 < self.num_stages => {
-                        self.grad_dep[slot.step][slot.stage][mb].clone()
+                deps.extend(slot.deps.iter().cloned());
+                deps.extend(input.via.map(|via| match via {
+                    Via::Local(p) => DagDep::after_end(p, 0, "act-local"),
+                    Via::Transfer(f) => {
+                        DagDep::after_end(f, self.cfg.act_latency.as_nanos(), "act-latency")
                     }
-                    _ => None,
-                };
-                deps.extend(input);
+                }));
                 let phase_s = match slot.phase {
                     Phase::Fwd => "fwd",
                     Phase::Bwd => "bwd",
                 };
-                let sid = dag.dag_open(
+                dag.dag_open(
                     "compute",
                     format!("{phase_s} s{} mb{} step{}", slot.stage, mb, slot.step),
                     ResourceId::Gpu(g),
                     now.as_nanos(),
                     deps,
-                );
-                self.running_sid[g] = Some(sid);
-                self.last_compute_sid[g] = Some(sid);
-            }
-            self.gpus[g].running = Some((task, now));
+                )
+            });
+            let gpu = &mut self.gpus[g];
+            gpu.running = Some(now);
+            gpu.last_sid = sid;
             self.engine
                 .schedule_after(duration, Ev::ComputeDone { gpu: g });
             if mb == 0 {
-                let cur = self.gpus[g].cur;
                 self.request_prefetch_for_next_slot(g, cur);
             }
         }
     }
 
-    fn input_ready(&self, step: usize, stage: usize, phase: Phase, mb: usize) -> bool {
-        match phase {
-            Phase::Fwd => stage == 0 || self.act_in[step][stage][mb],
-            Phase::Bwd => stage == self.num_stages - 1 || self.grad_in[step][stage][mb],
-        }
-    }
-
     fn compute_done(&mut self, g: usize) {
-        let (task, started) = self.gpus[g].running.take().expect("no task running");
+        let gpu = &mut self.gpus[g];
+        let started = gpu.running.take().expect("no compute running");
+        let head_sid = gpu.last_sid;
+        let finished_slot = gpu.cur;
+        let Slot {
+            step,
+            stage: j,
+            phase,
+            ..
+        } = gpu.slots[finished_slot];
+        let mb = gpu.mb;
+        let slot_done = mb + 1 == self.m;
+        if slot_done {
+            gpu.cur += 1;
+            gpu.mb = 0;
+        } else {
+            gpu.mb = mb + 1;
+        }
         let now = self.engine.now();
         self.trace.record_compute(g, started, now);
-        let head_sid = self.running_sid[g].take();
-        if let (Some(dag), Some(sid)) = (&self.dag_obs, head_sid) {
+        if let (Some(dag), Some(sid)) = (self.dag.obs(), head_sid) {
             dag.dag_close(sid, now.as_nanos());
         }
 
-        let finished_slot = self.gpus[g].cur;
-        if task.mb + 1 == self.m {
-            self.gpus[g].cur += 1;
-            self.gpus[g].mb = 0;
-        } else {
-            self.gpus[g].mb = task.mb + 1;
-        }
-
-        let j = task.stage;
-        let produce = |sid: Option<u64>| -> Vec<DagDep> {
-            sid.map(|p| DagDep::after_end(p, 0, "produce"))
-                .into_iter()
-                .collect()
-        };
-        match task.phase {
-            Phase::Fwd => {
-                if j + 1 < self.num_stages {
-                    self.send_activation(task.step, j, task.mb, head_sid);
-                }
-                if self.hetero && j > 0 && self.stages[j].in_act_bytes > 0 {
-                    // Checkpoint offload of this microbatch's stage input.
-                    let path = self.server.gpu_to_dram(g);
-                    self.launch(
-                        path,
-                        self.stages[j].in_act_bytes,
-                        30,
-                        Purpose::Bookkeeping,
-                        CommKind::ActivationOffload,
-                        vec![g],
-                        produce(head_sid),
-                    );
-                }
-            }
-            Phase::Bwd => {
-                self.bwd_done[task.step] += 1;
-                if self.bwd_done[task.step] == self.num_stages * self.m {
-                    self.step_boundaries[task.step] = now;
-                    self.step_heads[task.step] = head_sid;
-                }
-                if j > 0 {
-                    self.send_grad(task.step, j, task.mb, head_sid);
-                }
-                if self.hetero && task.mb + 1 == self.m {
-                    let path = self.server.gpu_to_dram(g);
-                    self.launch(
-                        path,
-                        self.stages[j].grad_bytes.max(1),
-                        20,
-                        Purpose::GradOffload {
-                            step: task.step,
-                            stage: j,
-                        },
-                        CommKind::GradientOffload,
-                        vec![g],
-                        produce(head_sid),
-                    );
-                }
+        if phase == Phase::Bwd {
+            self.bwd_done[step] += 1;
+            if self.bwd_done[step] == self.num_stages * self.m {
+                self.step_boundaries[step] = now;
+                self.step_heads[step] = head_sid;
             }
         }
-        if task.mb + 1 == self.m {
+        if let Some(stage) = phase.next_stage(j, self.num_stages) {
+            let to = InputKey {
+                step,
+                stage,
+                mb,
+                phase,
+            };
+            self.send(j, to, head_sid);
+        }
+        match phase {
+            Phase::Fwd if self.hetero && j > 0 && self.stages[j].in_act_bytes > 0 => {
+                // Checkpoint offload of this microbatch's stage input.
+                let path = self.server.gpu_to_dram(g);
+                self.launch(
+                    path,
+                    self.stages[j].in_act_bytes,
+                    30,
+                    Purpose::Bookkeeping,
+                    CommKind::ActivationOffload,
+                    vec![g],
+                    produced_by(head_sid),
+                );
+            }
+            Phase::Bwd if self.hetero && slot_done => {
+                let path = self.server.gpu_to_dram(g);
+                self.launch(
+                    path,
+                    self.stages[j].grad_bytes.max(1),
+                    20,
+                    Purpose::GradOffload { step, stage: j },
+                    CommKind::GradientOffload,
+                    vec![g],
+                    produced_by(head_sid),
+                );
+            }
+            _ => {}
+        }
+        if slot_done {
             // Memory of the finished slot is free: start the next slot's
             // residual upload.
             let trig = head_sid.map(|s| DagDep::after_end(s, 0, "slot-retire"));
@@ -1377,72 +1347,32 @@ impl Executor<'_> {
         }
     }
 
-    fn send_activation(&mut self, step: usize, from: usize, mb: usize, producer: Option<u64>) {
-        let to = from + 1;
+    /// Hands stage `from`'s output to input `to`: the activation forward,
+    /// the gradient backward. Both carry the later stage's input
+    /// activation size; a same-GPU handoff moves nothing.
+    fn send(&mut self, from: usize, to: InputKey, producer: Option<u64>) {
         let g_from = self.mapping.gpu_of(from);
-        let g_to = self.mapping.gpu_of(to);
+        let g_to = self.mapping.gpu_of(to.stage);
         match self.server.gpu_to_gpu(g_from, g_to) {
             None => {
-                self.act_in[step][to][mb] = true;
-                if let Some(p) = producer {
-                    self.act_dep[step][to][mb] = Some(DagDep::after_end(p, 0, "act-local"));
-                }
+                let input = self.input_mut(to);
+                input.arrived = true;
+                input.via = producer.map(Via::Local);
             }
-            Some(path) => {
-                let deps = producer
-                    .map(|p| DagDep::after_end(p, 0, "produce"))
-                    .into_iter()
-                    .collect();
-                self.launch(
-                    path,
-                    self.stages[to].in_act_bytes.max(1),
-                    255,
-                    Purpose::ActTransfer {
-                        step,
-                        to_stage: to,
-                        mb,
-                        grad: false,
-                    },
-                    CommKind::ActivationTransfer,
-                    vec![g_from, g_to],
-                    deps,
-                );
-            }
+            Some(path) => self.launch(
+                path,
+                self.stages[from.max(to.stage)].in_act_bytes.max(1),
+                255,
+                Purpose::ActTransfer(to),
+                CommKind::ActivationTransfer,
+                vec![g_from, g_to],
+                produced_by(producer),
+            ),
         }
     }
 
-    fn send_grad(&mut self, step: usize, from: usize, mb: usize, producer: Option<u64>) {
-        let to = from - 1;
-        let g_from = self.mapping.gpu_of(from);
-        let g_to = self.mapping.gpu_of(to);
-        match self.server.gpu_to_gpu(g_from, g_to) {
-            None => {
-                self.grad_in[step][to][mb] = true;
-                if let Some(p) = producer {
-                    self.grad_dep[step][to][mb] = Some(DagDep::after_end(p, 0, "act-local"));
-                }
-            }
-            Some(path) => {
-                let deps = producer
-                    .map(|p| DagDep::after_end(p, 0, "produce"))
-                    .into_iter()
-                    .collect();
-                self.launch(
-                    path,
-                    self.stages[from].in_act_bytes.max(1),
-                    255,
-                    Purpose::ActTransfer {
-                        step,
-                        to_stage: to,
-                        mb,
-                        grad: true,
-                    },
-                    CommKind::ActivationTransfer,
-                    vec![g_from, g_to],
-                    deps,
-                );
-            }
-        }
+    fn input_mut(&mut self, k: InputKey) -> &mut Input {
+        &mut self.inputs[k.step][k.stage][k.mb][k.phase as usize]
     }
 
     /// When slot `idx` starts computing its first microbatch, the next
@@ -1457,39 +1387,33 @@ impl Executor<'_> {
             .cfg
             .gpu_mem_bytes
             .saturating_sub(self.gpus[g].slots[idx].resident);
-        {
-            let l = &self.gpus[g].slots[next].load;
-            if l.prefetch_launched || l.total_bytes == 0 {
-                return;
-            }
+        if self.gpus[g].slots[next].load.prefetch.started() {
+            return;
         }
         if self.load_gate_open(g, next) {
             // The prefetch window opens the moment the covering compute
             // *starts* (constraint 5 reserves memory next to it).
-            let trig = self.running_sid[g].map(|s| DagDep::after_start(s, 0, "prefetch-window"));
+            let trig = self.gpus[g]
+                .last_sid
+                .map(|s| DagDep::after_start(s, 0, "prefetch-window"));
             self.launch_prefetch(g, next, reserved, trig);
         } else {
-            self.gpus[g].slots[next].load.prefetch_wanted = Some(reserved);
+            self.gpus[g].slots[next].load.prefetch = Upload::Gated(reserved);
         }
     }
 
     fn launch_prefetch(&mut self, g: usize, idx: usize, reserved: u64, trigger: Option<DagDep>) {
-        let slot = self.gpus[g].slots[idx];
-        let p;
-        {
-            let l = &mut self.gpus[g].slots[idx].load;
-            if l.prefetch_launched {
-                return;
-            }
-            l.prefetch_launched = true;
-            l.prefetch_wanted = None;
-            p = l.total_bytes.min(reserved);
-            l.prefetch_bytes = p;
-            if p == 0 {
-                return; // everything uploads as residual
-            }
-            l.prefetch_done = false;
+        let l = &mut self.gpus[g].slots[idx].load;
+        if l.prefetch.started() {
+            return;
         }
+        let p = l.total_bytes.min(reserved);
+        l.prefetch_bytes = p;
+        if p == 0 {
+            l.prefetch = Upload::Done; // everything uploads as residual
+            return;
+        }
+        l.prefetch = Upload::InFlight;
         if self.cfg.strict_validation {
             // Constraint 5: the prefetch must fit next to whatever the GPU
             // is currently computing on. Recomputed from the live GPU
@@ -1512,21 +1436,7 @@ impl Executor<'_> {
                 panic!("{msg}");
             }
         }
-        let prio = self.load_priority(slot.stage, slot.phase);
-        let path = self.server.dram_to_gpu(g);
-        self.launch(
-            path,
-            p,
-            prio,
-            Purpose::Load {
-                gpu: g,
-                idx,
-                residual: false,
-            },
-            CommKind::StageUpload,
-            vec![g],
-            trigger.into_iter().collect(),
-        );
+        self.launch_upload(g, idx, p, false, trigger);
     }
 
     /// When slot `idx - 1` retires (or at t = 0 for the first slot), the
@@ -1539,59 +1449,72 @@ impl Executor<'_> {
         if self.load_gate_open(g, idx) {
             self.launch_residual(g, idx, trigger);
         } else {
-            self.gpus[g].slots[idx].load.residual_wanted = true;
+            // A slot with nothing to upload is done already.
+            let l = &mut self.gpus[g].slots[idx].load;
+            if l.residual == Upload::Idle {
+                l.residual = Upload::Gated(0);
+            }
         }
     }
 
     fn launch_residual(&mut self, g: usize, idx: usize, trigger: Option<DagDep>) {
-        let slot = self.gpus[g].slots[idx];
-        let bytes;
-        {
-            let l = &mut self.gpus[g].slots[idx].load;
-            if l.residual_started {
-                return;
-            }
-            l.residual_started = true;
-            l.residual_wanted = false;
-            // If no prefetch was ever launched (first slot), everything is
-            // residual.
-            l.prefetch_launched = true;
-            bytes = l.total_bytes - l.prefetch_bytes;
-            if let (Some(obs), true) = (&self.obs, l.total_bytes > 0) {
-                // A slot swap whose bytes all arrived by prefetch never
-                // blocks compute — the paper's prefetch win. Any residual
-                // left to upload synchronously is a (partial) miss.
-                obs.counter_add("swap.count", 1.0);
-                obs.counter_add(
-                    if bytes == 0 {
-                        "prefetch.hit"
-                    } else {
-                        "prefetch.miss"
-                    },
-                    1.0,
-                );
-            }
-            if bytes == 0 {
-                l.residual_done = true;
-                if l.transferred() && !l.overhead_scheduled {
-                    l.overhead_scheduled = true;
-                    let overhead = self.cfg.swap_overhead;
-                    self.engine
-                        .schedule_after(overhead, Ev::LoadUsable { gpu: g, idx });
-                    // Full prefetch hit: usability is trigger + overhead
-                    // (no residual flow node exists to carry the edge).
-                    if let (Some(_), Some(t)) = (&self.dag_obs, &trigger) {
-                        self.slot_deps[g][idx].push(DagDep {
-                            pred: t.pred,
-                            lat_ns: t.lat_ns + self.cfg.swap_overhead.as_nanos(),
-                            edge: t.edge,
-                            label: "swap-overhead".to_string(),
-                        });
-                    }
-                }
-                return;
-            }
+        let l = &mut self.gpus[g].slots[idx].load;
+        if l.residual.started() {
+            return;
         }
+        // The residual takes whatever has not prefetched (everything on the
+        // first slot); no prefetch may start after it.
+        if !l.prefetch.started() {
+            l.prefetch = Upload::Done;
+        }
+        let bytes = l.total_bytes - l.prefetch_bytes;
+        if let (Some(obs), true) = (&self.obs, l.total_bytes > 0) {
+            // A slot swap whose bytes all arrived by prefetch never
+            // blocks compute — the paper's prefetch win. Any residual
+            // left to upload synchronously is a (partial) miss.
+            obs.counter_add("swap.count", 1.0);
+            obs.counter_add(
+                if bytes == 0 {
+                    "prefetch.hit"
+                } else {
+                    "prefetch.miss"
+                },
+                1.0,
+            );
+        }
+        if bytes > 0 {
+            l.residual = Upload::InFlight;
+        } else {
+            l.residual = Upload::Done;
+            if l.transferred() {
+                let overhead = self.cfg.swap_overhead;
+                self.engine
+                    .schedule_after(overhead, Ev::LoadUsable { gpu: g, idx });
+                // Full prefetch hit: usability is trigger + overhead
+                // (no residual flow node exists to carry the edge).
+                if let Some(t) = trigger {
+                    self.gpus[g].slots[idx].deps.push(DagDep {
+                        lat_ns: t.lat_ns + overhead.as_nanos(),
+                        label: "swap-overhead".to_string(),
+                        ..t
+                    });
+                }
+            }
+            return;
+        }
+        self.launch_upload(g, idx, bytes, true, trigger);
+    }
+
+    /// Starts slot `idx`'s prefetch or residual upload flow.
+    fn launch_upload(
+        &mut self,
+        g: usize,
+        idx: usize,
+        bytes: u64,
+        residual: bool,
+        trigger: Option<DagDep>,
+    ) {
+        let slot = &self.gpus[g].slots[idx];
         let prio = self.load_priority(slot.stage, slot.phase);
         let path = self.server.dram_to_gpu(g);
         self.launch(
@@ -1601,7 +1524,7 @@ impl Executor<'_> {
             Purpose::Load {
                 gpu: g,
                 idx,
-                residual: true,
+                residual,
             },
             CommKind::StageUpload,
             vec![g],
@@ -1628,7 +1551,7 @@ impl Executor<'_> {
     /// capacity — the stable attribution target even while a fault window
     /// temporarily degrades some other link).
     fn open_flow_node(&self, path: &[LinkId], kind: CommKind, deps: Vec<DagDep>) -> Option<u64> {
-        let dag = self.dag_obs.as_ref()?;
+        let dag = self.dag.obs()?;
         let label = self.trace.bottleneck_label(path).unwrap_or("unknown");
         Some(dag.dag_open(
             "flow",

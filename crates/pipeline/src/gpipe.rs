@@ -34,7 +34,7 @@ pub struct GpipePlan {
 /// Per-GPU bytes GPipe needs resident: FP16 parameters and gradients, the
 /// FP32 optimizer state, `m` checkpointed microbatch inputs, workspace, and
 /// the boundary activations.
-pub fn gpipe_memory(stage: &StageCosts, m: usize) -> u64 {
+fn gpipe_memory(stage: &StageCosts, m: usize) -> u64 {
     let params = stage.param_bytes / 2; // parameter count (fp16 = 2 bytes)
     stage.param_bytes
         + stage.grad_bytes

@@ -7,9 +7,9 @@
 //!   objective is the full analytic pipeline makespan (constraints 4–11),
 //!   seeded with the best near-uniform segmentation and pruned with
 //!   admissible load bounds. Layer similarity keeps the evaluation cheap.
-//! * [`max_stage_partition`] — each stage packs as many layers as fit in
+//! * [`PartitionAlgo::MaxStage`] — each stage packs as many layers as fit in
 //!   GPU memory (fewest, largest stages; no room to prefetch).
-//! * [`min_stage_partition`] — one layer per stage (most, smallest stages;
+//! * [`PartitionAlgo::MinStage`] — one layer per stage (most, smallest stages;
 //!   maximal activation traffic).
 
 use mobius_mapping::Mapping;
@@ -78,7 +78,7 @@ pub fn partition_model(
 /// # Errors
 ///
 /// Propagates [`ScheduleError`] from the analytic evaluation.
-pub fn min_stage_partition(
+fn min_stage_partition(
     profile: &ModelProfile,
     n_gpus: usize,
     cfg: &PipelineConfig,
@@ -100,7 +100,7 @@ pub fn min_stage_partition(
 ///
 /// Returns [`ScheduleError::StageTooLarge`] if a single layer exceeds GPU
 /// memory.
-pub fn max_stage_partition(
+fn max_stage_partition(
     profile: &ModelProfile,
     n_gpus: usize,
     cfg: &PipelineConfig,

@@ -40,6 +40,7 @@ pub use validate::{
     expected_step_traffic, verify_traffic_identity, ExpectedZeroTraffic, ZeroTrafficViolation,
 };
 
+use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 
@@ -160,7 +161,7 @@ struct GpuZ {
     computing: Option<SimTime>,
     /// Remaining sequential phases of the in-flight load chain
     /// (shard fetch → shard publish → gather on PCIe-only servers).
-    chain: Vec<(Dir, u64)>,
+    chain: VecDeque<(Dir, u64)>,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -248,7 +249,7 @@ pub fn simulate_zero_step_traced(
             outstanding_loads: 0,
             launched_loads: vec![false; 2 * l],
             computing: None,
-            chain: Vec::new(),
+            chain: VecDeque::new(),
         })
         .collect();
 
@@ -332,23 +333,20 @@ impl ZeroExec<'_> {
     /// A load flow of `gpu` landed: continue its sequential all-gather
     /// chain, if any.
     fn load_done(&mut self, gpu: usize) {
-        if let Some((dir, bytes)) = self.gpus[gpu].chain.first().copied() {
-            self.gpus[gpu].chain.remove(0);
-            let path = match dir {
-                Dir::H2d => self.server.dram_to_gpu(gpu),
-                Dir::D2h => self.server.gpu_to_dram(gpu),
-            };
-            self.launch(
-                gpu,
-                path,
-                bytes,
-                100,
-                CommKind::ParamGather,
-                vec![gpu],
-                true,
-            );
-        }
+        self.launch_chain_head(gpu);
         self.gpus[gpu].outstanding_loads -= 1;
+    }
+
+    /// Launches the next phase of `g`'s load chain, if one is left.
+    fn launch_chain_head(&mut self, g: usize) {
+        let Some((dir, bytes)) = self.gpus[g].chain.pop_front() else {
+            return;
+        };
+        let path = match dir {
+            Dir::H2d => self.server.dram_to_gpu(g),
+            Dir::D2h => self.server.gpu_to_dram(g),
+        };
+        self.launch(g, path, bytes, 100, CommKind::ParamGather, vec![g], true);
     }
 
     fn pump(&mut self) {
@@ -494,28 +492,20 @@ impl ZeroExec<'_> {
             // Real ZeRO-3 data path without GPUDirect P2P, three dependent
             // phases: fetch own offloaded shard, publish it to host staging
             // for the all-gather, then pull the other GPUs' shards.
+            // The fetch carries the re-uploaded activation too.
             let shard = params / self.n as u64;
             let gather = params - shard;
-            let mut chain: Vec<(Dir, u64)> = Vec::new();
-            let first = shard + act;
-            if shard > 0 {
-                chain.push((Dir::D2h, shard));
-            }
-            if gather > 0 {
-                chain.push((Dir::H2d, gather));
-            }
-            if first > 0 {
+            let chain: VecDeque<(Dir, u64)> = [
+                (Dir::H2d, shard + act),
+                (Dir::D2h, shard),
+                (Dir::H2d, gather),
+            ]
+            .into_iter()
+            .filter(|&(_, bytes)| bytes > 0)
+            .collect();
+            if !chain.is_empty() {
                 self.gpus[g].chain = chain;
-                let path = self.server.dram_to_gpu(g);
-                self.launch(g, path, first, 100, CommKind::ParamGather, vec![g], true);
-            } else if !chain.is_empty() {
-                let (dir, bytes) = chain.remove(0);
-                self.gpus[g].chain = chain;
-                let path = match dir {
-                    Dir::H2d => self.server.dram_to_gpu(g),
-                    Dir::D2h => self.server.gpu_to_dram(g),
-                };
-                self.launch(g, path, bytes, 100, CommKind::ParamGather, vec![g], true);
+                self.launch_chain_head(g);
             }
         }
     }
