@@ -33,7 +33,7 @@ impl Rule {
     }
 
     /// Inverse of [`Rule::label`].
-    pub fn from_label(s: &str) -> Option<Rule> {
+    fn from_label(s: &str) -> Option<Rule> {
         match s {
             "exact" => Some(Rule::Exact),
             "<= baseline" => Some(Rule::AtMost),

@@ -28,7 +28,7 @@ pub fn stages() -> Vec<StageCosts> {
 }
 
 /// Step time under a mapping, plus the rendered timeline.
-pub fn schedule_for(mapping: &Mapping) -> (f64, String) {
+fn schedule_for(mapping: &Mapping) -> (f64, String) {
     let stages = stages();
     let cfg = PipelineConfig::mobius(4, 24 * GIB_BYTES, 13.1e9);
     let sch = evaluate_analytic(&stages, mapping, &cfg).expect("figure setting is feasible");

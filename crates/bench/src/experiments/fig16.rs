@@ -9,7 +9,7 @@ use mobius_sim::{Cdf, CommKind};
 use crate::{cdf_cells, data_center, Experiment};
 
 /// The PCIe-only (GPU↔CPU) bandwidth CDF of a system on the DC server.
-pub fn host_cdf(system: System) -> Cdf {
+fn host_cdf(system: System) -> Cdf {
     let report = FineTuner::new(GptConfig::gpt_8b())
         .topology(data_center())
         .system(system)

@@ -110,7 +110,7 @@ pub fn overhead(quick: bool, seed: u64) -> Experiment {
 /// Work lost vs crash point at a fixed cadence: an injected `crash:<k>`
 /// terminates the run and the uncommitted tail since the last checkpoint
 /// is lost; the resume restarts from the committed step.
-pub fn lost_work(quick: bool, seed: u64) -> Experiment {
+fn lost_work(quick: bool, seed: u64) -> Experiment {
     const EVERY: u64 = 2;
     let mut e = Experiment::new(
         "recovery-lost-work",

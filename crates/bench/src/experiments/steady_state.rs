@@ -8,7 +8,7 @@ use mobius_model::GptConfig;
 use crate::{commodity, fmt_secs, Experiment};
 
 /// First-step and steady-state durations over a `k`-step run.
-pub fn first_vs_steady(cfg: &GptConfig, system: System, quick: bool) -> (f64, f64) {
+fn first_vs_steady(cfg: &GptConfig, system: System, quick: bool) -> (f64, f64) {
     let k = if quick { 3 } else { 5 };
     let rep = FineTuner::new(cfg.clone())
         .topology(commodity(&[2, 2]))

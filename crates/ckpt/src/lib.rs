@@ -446,7 +446,7 @@ fn io_err(path: &Path, e: &std::io::Error) -> CkptError {
 /// # Errors
 ///
 /// [`CkptError::Io`] when the directory cannot be read.
-pub fn list_checkpoints(dir: &Path) -> Result<Vec<PathBuf>, CkptError> {
+fn list_checkpoints(dir: &Path) -> Result<Vec<PathBuf>, CkptError> {
     let entries = std::fs::read_dir(dir).map_err(|e| io_err(dir, &e))?;
     let mut out = Vec::new();
     for entry in entries {

@@ -236,7 +236,6 @@ pub struct FineTuner {
     microbatch_size: Option<usize>,
     num_microbatches: Option<usize>,
     unbudgeted_solver: bool,
-    efficiency: Option<f64>,
     prefetch: bool,
     prioritized_loads: bool,
     strict_validation: bool,
@@ -267,7 +266,6 @@ impl FineTuner {
             microbatch_size: None,
             num_microbatches: None,
             unbudgeted_solver: false,
-            efficiency: None,
             prefetch: true,
             prioritized_loads: true,
             strict_validation: false,
@@ -331,13 +329,8 @@ impl FineTuner {
         self
     }
 
-    /// Overrides the profiler's FLOP efficiency derating.
-    pub fn efficiency(mut self, e: f64) -> Self {
-        self.efficiency = Some(e);
-        self
-    }
-
-    /// Ablation: disables stage prefetching (every load blocks, §3.1).
+    /// Ablation: disables Mobius stage prefetching (every load blocks, §3.1).
+    /// The ZeRO baselines always prefetch, as DeepSpeed does.
     pub fn prefetch(mut self, on: bool) -> Self {
         self.prefetch = on;
         self
@@ -439,10 +432,12 @@ impl FineTuner {
             .part(format_args!("sys={}", self.system.label()))
             .part(format_args!("part={:?}", self.partition_algo))
             .part(format_args!("map={:?}", self.mapping_algo))
-            // A fixed literal: every checkpoint persists this hash, including
-            // tests/golden/checkpoint_gpt2.mckpt and mobius-perf's train-ckpt digests.
+            // Fixed literals for two deleted knobs (the wall-clock budget
+            // and the FLOP efficiency): every checkpoint persists this hash,
+            // including tests/golden/checkpoint_gpt2.mckpt and mobius-perf's
+            // train-ckpt digests.
             .part(format_args!("budget=3s"))
-            .part(format_args!("eff={:?}", self.efficiency))
+            .part(format_args!("eff=None"))
             .part(format_args!(
                 "pf={} pl={} sv={}",
                 self.prefetch, self.prioritized_loads, self.strict_validation
@@ -484,16 +479,8 @@ impl FineTuner {
         })
     }
 
-    fn profiler(&self) -> Profiler {
-        let p = Profiler::new(self.topo.gpu().clone());
-        match self.efficiency {
-            Some(e) => p.efficiency(e),
-            None => p,
-        }
-    }
-
     fn profile(&self) -> (&Model, ModelProfile) {
-        let profile = self.profiler().profile(&self.model, self.mbs());
+        let profile = Profiler::new(self.topo.gpu().clone()).profile(&self.model, self.mbs());
         (&self.model, profile)
     }
 
@@ -576,7 +563,8 @@ impl FineTuner {
                 ],
             );
         }
-        let profiling = self.profiler().profiling_time(model, self.mbs(), true);
+        let profiling =
+            Profiler::new(self.topo.gpu().clone()).profiling_time(model, self.mbs(), true);
 
         Ok(Plan {
             partition: outcome.partition,
@@ -954,7 +942,6 @@ impl FineTuner {
     fn attach_cluster_zero(&self, rep: &mut StepReport, cluster: &Cluster) -> Result<(), RunError> {
         let (_, profile) = self.profile();
         let cfg = ClusterZeroConfig {
-            prefetch: self.prefetch,
             strict_validation: self.strict_validation,
         };
         let nic = simulate_cluster_zero_step(&profile, cluster, &cfg, self.obs.as_ref())?;
@@ -1020,7 +1007,6 @@ impl FineTuner {
         let (_, profile) = self.profile();
         let zero_cfg = ZeroConfig {
             strict_validation: self.strict_validation,
-            ..ZeroConfig::default()
         };
         let rep = simulate_zero_step_traced(&profile, topo, &zero_cfg, self.obs.as_ref())?;
         Ok(self.report(rep.step_time, rep.step_time, rep.trace, model_size))

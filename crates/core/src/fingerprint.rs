@@ -21,9 +21,8 @@ const SEPARATOR: u8 = 0x1f;
 /// straight into FNV-1a-64, so `["ab","c"]` and `["a","bc"]` hash
 /// differently and no part is ever built as a `String`.
 ///
-/// Text written through [`fmt::Write`] extends the current part;
-/// [`Fingerprint::end_part`] terminates it. [`Fingerprint::part`] does
-/// both for one formatted part.
+/// Text written through [`fmt::Write`] extends the current part, and
+/// [`Fingerprint::part`] writes one formatted part and terminates it.
 #[derive(Debug, Clone, Default)]
 pub struct Fingerprint(Fnv64);
 
@@ -41,7 +40,7 @@ impl Fingerprint {
     }
 
     /// Terminates the part written so far.
-    pub fn end_part(&mut self) -> &mut Self {
+    fn end_part(&mut self) -> &mut Self {
         self.0.write(&[SEPARATOR]);
         self
     }

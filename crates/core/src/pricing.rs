@@ -16,7 +16,7 @@ pub const P3_8XLARGE_USD_PER_HOUR: f64 = 12.24;
 pub const COMMODITY_4GPU_USD_PER_HOUR: f64 = 5.0;
 
 /// Hourly rental price of a server with `topo`'s GPU count and class.
-pub fn hourly_rate(topo: &Topology) -> f64 {
+fn hourly_rate(topo: &Topology) -> f64 {
     let per4 = match topo.interconnect() {
         Interconnect::NvLink => P3_8XLARGE_USD_PER_HOUR,
         Interconnect::PcieOnly => COMMODITY_4GPU_USD_PER_HOUR,

@@ -133,7 +133,7 @@ const PRESERVE_CALLS: &[&str] = &[
 /// (`_f64`, `_u64`, …) are stripped first, and matching is
 /// case-insensitive so `COMMODITY_NIC_GBPS` and `nic_gbps` agree.
 #[must_use]
-pub fn ident_unit(name: &str) -> Option<Unit> {
+fn ident_unit(name: &str) -> Option<Unit> {
     let lower = name.to_ascii_lowercase();
     if EXCLUDED_IDENTS.contains(&lower.as_str()) {
         return None;

@@ -41,7 +41,7 @@ pub const CONVERSION_IDENTS: &[&str] = &[
 /// (case-insensitive) qualifies: `X_PER_Y` names a ratio, and multiplying
 /// or dividing by a ratio is a dimension change by construction.
 #[must_use]
-pub fn is_conversion_ident(name: &str) -> bool {
+fn is_conversion_ident(name: &str) -> bool {
     CONVERSION_IDENTS.contains(&name) || name.to_ascii_lowercase().contains("_per_")
 }
 

@@ -27,7 +27,7 @@ pub enum Directive {
 }
 
 /// Parses one comment body for a `mobius-lint:` directive.
-pub fn parse_directive(comment: &str) -> Directive {
+fn parse_directive(comment: &str) -> Directive {
     let Some(pos) = comment.find("mobius-lint:") else {
         return Directive::None;
     };

@@ -94,7 +94,7 @@ impl Mapping {
     /// # Panics
     ///
     /// Panics if `perm` is not a permutation of `0..N`.
-    pub fn from_round_permutation(perm: &[usize], num_stages: usize) -> Self {
+    fn from_round_permutation(perm: &[usize], num_stages: usize) -> Self {
         let n = perm.len();
         assert!(n > 0 && num_stages > 0);
         let mut seen = vec![false; n];

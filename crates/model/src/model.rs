@@ -93,7 +93,7 @@ impl Model {
     /// # Panics
     ///
     /// Panics if any dimension is zero.
-    pub fn llama(name: &str, hidden: usize, heads: usize, layers: usize, seq: usize) -> Self {
+    fn llama(name: &str, hidden: usize, heads: usize, layers: usize, seq: usize) -> Self {
         assert!(hidden > 0 && heads > 0 && layers > 0 && seq > 0);
         let intermediate = (hidden * 8 / 3).div_ceil(256) * 256;
         let config = GptConfig::new(name, LLAMA_VOCAB, hidden, heads, layers, seq, 1);

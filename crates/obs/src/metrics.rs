@@ -110,11 +110,6 @@ impl Histogram {
         self.quantile(0.5)
     }
 
-    /// 90th-percentile estimate — `quantile(0.9)`.
-    pub fn p90(&self) -> f64 {
-        self.quantile(0.9)
-    }
-
     /// 99th-percentile estimate — `quantile(0.99)`.
     pub fn p99(&self) -> f64 {
         self.quantile(0.99)
@@ -230,7 +225,7 @@ mod tests {
         }
         assert!((h.p50() - 10.0).abs() < 1e-12);
         assert!((h.quantile(0.75) - 15.0).abs() < 1e-12);
-        assert!((h.p90() - 18.0).abs() < 1e-12);
+        assert!((h.quantile(0.9) - 18.0).abs() < 1e-12);
         assert!((h.p99() - 19.8).abs() < 1e-12);
     }
 
@@ -278,7 +273,7 @@ mod tests {
         };
         let (a, b) = (build(), build());
         assert_eq!(a.p50().to_bits(), b.p50().to_bits());
-        assert_eq!(a.p90().to_bits(), b.p90().to_bits());
+        assert_eq!(a.quantile(0.9).to_bits(), b.quantile(0.9).to_bits());
         assert_eq!(a.p99().to_bits(), b.p99().to_bits());
     }
 

@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// let p = Partition::from_sizes(vec![3, 2, 2]);
 /// assert_eq!(p.num_stages(), 3);
 /// assert_eq!(p.num_layers(), 7);
-/// assert_eq!(p.layer_range(1), 3..5);
+/// assert_eq!(p.sizes(), &[3, 2, 2]);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Partition {
@@ -60,7 +60,7 @@ impl Partition {
     /// # Panics
     ///
     /// Panics if `j` is out of range.
-    pub fn layer_range(&self, j: usize) -> Range<usize> {
+    fn layer_range(&self, j: usize) -> Range<usize> {
         let start: usize = self.sizes[..j].iter().sum();
         start..start + self.sizes[j]
     }

@@ -90,45 +90,31 @@ impl ModelProfile {
     }
 }
 
+/// Fraction of a GPU's peak FP16 tensor throughput that large transformer
+/// kernels achieve: every profiled compute time is derated by it.
+const FLOP_EFFICIENCY: f64 = 0.45;
+
 /// Roofline profiler for a GPU model.
 ///
 /// Time per layer = `max(flops / achievable_flops, bytes / memory_bw)` plus
 /// a fixed kernel-launch overhead. `achievable_flops` is the spec's FP16
-/// peak derated by [`Profiler::efficiency`].
+/// peak derated to the 45 % that large transformer kernels achieve.
 #[derive(Debug, Clone)]
 pub struct Profiler {
     gpu: GpuSpec,
-    efficiency: f64,
     kernel_overhead: SimTime,
     recompute: bool,
 }
 
 impl Profiler {
-    /// Creates a profiler for `gpu` with default derating (45 % of peak
-    /// tensor throughput, a typical figure for large transformer kernels)
-    /// and activation checkpointing on, as the paper assumes for
-    /// fine-tuning.
+    /// Creates a profiler for `gpu` with activation checkpointing on, as
+    /// the paper assumes for fine-tuning.
     pub fn new(gpu: GpuSpec) -> Self {
         Profiler {
             gpu,
-            efficiency: 0.45,
             kernel_overhead: SimTime::from_micros(30),
             recompute: true,
         }
-    }
-
-    /// Overrides the fraction of peak FLOP/s the kernels achieve.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < efficiency <= 1`.
-    pub fn efficiency(mut self, efficiency: f64) -> Self {
-        assert!(
-            efficiency > 0.0 && efficiency <= 1.0,
-            "efficiency must be in (0, 1]"
-        );
-        self.efficiency = efficiency;
-        self
     }
 
     /// Enables or disables activation checkpointing (recompute in backward).
@@ -143,7 +129,7 @@ impl Profiler {
     }
 
     /// Profiles a single layer at microbatch size `mbs`.
-    pub fn profile_layer(&self, layer: &LayerKind, mbs: usize) -> LayerProfile {
+    fn profile_layer(&self, layer: &LayerKind, mbs: usize) -> LayerProfile {
         let fwd = self.kernel_time(layer.flops_fwd(mbs), layer, mbs);
         let bwd = self.kernel_time(layer.flops_bwd(mbs, self.recompute), layer, mbs);
         LayerProfile {
@@ -204,7 +190,7 @@ impl Profiler {
     }
 
     fn kernel_time(&self, flops: f64, layer: &LayerKind, mbs: usize) -> SimTime {
-        let compute_s = flops / (self.gpu.fp16_tflops * 1e12 * self.efficiency);
+        let compute_s = flops / (self.gpu.fp16_tflops * 1e12 * FLOP_EFFICIENCY);
         // Memory traffic: parameters are read once; activations are read and
         // written a handful of times across the fused kernels.
         let bytes = layer.param_bytes() as f64 + 4.0 * layer.output_act_bytes(mbs) as f64;
@@ -303,11 +289,5 @@ mod tests {
         let dc = Profiler::new(GpuSpec::a100()).profile(&m, 1);
         let fwd = |p: &ModelProfile| p.layers().iter().map(|l| l.fwd).sum::<SimTime>();
         assert!(fwd(&dc) < fwd(&commodity));
-    }
-
-    #[test]
-    #[should_panic(expected = "efficiency")]
-    fn bad_efficiency_rejected() {
-        profiler().efficiency(1.5);
     }
 }

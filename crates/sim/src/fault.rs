@@ -234,7 +234,7 @@ impl FaultSchedule {
     }
 
     /// Crashes the process once accumulated simulated time exceeds `at`.
-    pub fn crash_at(mut self, at: SimTime) -> Self {
+    fn crash_at(mut self, at: SimTime) -> Self {
         self.push(FaultEvent {
             at,
             kind: FaultKind::Crash {
@@ -259,13 +259,6 @@ impl FaultSchedule {
             .collect();
         pts.sort();
         pts
-    }
-
-    /// Whether the schedule contains any process crash.
-    pub fn has_crash(&self) -> bool {
-        self.events
-            .iter()
-            .any(|e| matches!(e.kind, FaultKind::Crash { .. }))
     }
 
     /// A copy with every process crash removed — what the checkpointing
@@ -610,7 +603,7 @@ mod tests {
             .crash_at_step(7)
             .crash_at_step(2)
             .crash_at(SimTime::from_millis(10));
-        assert!(s.has_crash());
+        assert!(!s.crash_points().is_empty());
         assert_eq!(
             s.crash_points(),
             vec![
@@ -629,7 +622,7 @@ mod tests {
             .stall(SimTime::from_millis(2), SimTime::from_millis(1))
             .fail_gpu(1, SimTime::from_millis(4));
         let stripped = s.without_crashes();
-        assert!(!stripped.has_crash());
+        assert!(stripped.crash_points().is_empty());
         assert_eq!(stripped.events().len(), 2);
         assert_eq!(stripped.watchdog_timeout, s.watchdog_timeout);
     }

@@ -11,7 +11,7 @@
 ///
 /// let mut a = Rng::new(42);
 /// let mut b = Rng::new(42);
-/// assert_eq!(a.next_u64(), b.next_u64());
+/// assert_eq!(a.below(1000), b.below(1000));
 /// ```
 #[derive(Debug, Clone)]
 pub struct Rng {
@@ -35,7 +35,7 @@ impl Rng {
     }
 
     /// Next raw 64-bit value.
-    pub fn next_u64(&mut self) -> u64 {
+    fn next_u64(&mut self) -> u64 {
         let r = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
         let t = self.s[1] << 17;
         self.s[2] ^= self.s[0];

@@ -30,7 +30,7 @@ pub const COMMODITY_NIC_GBPS: f64 = 12.5;
 /// let server = Topology::commodity(GpuSpec::rtx3090ti(), &[2, 2]);
 /// let cluster = Cluster::new(server, 4, 12.5);
 /// assert_eq!(cluster.num_servers(), 4);
-/// assert_eq!(cluster.total_gpus(), 16);
+/// assert_eq!(cluster.server().num_gpus(), 4);
 /// assert_eq!(cluster.name(), "4x Topo 2+2 @ 12.5 GB/s NIC");
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -99,11 +99,6 @@ impl Cluster {
     /// Aggregate switch-fabric bandwidth in GB/s.
     pub fn switch_gbps(&self) -> f64 {
         self.switch_gbps
-    }
-
-    /// GPUs across the whole cluster.
-    pub fn total_gpus(&self) -> usize {
-        self.num_servers * self.server.num_gpus()
     }
 
     /// Human name, e.g. `4x Topo 2+2 @ 12.5 GB/s NIC`.
@@ -216,7 +211,7 @@ mod tests {
     fn cluster_accessors() {
         let c = cluster(4);
         assert_eq!(c.num_servers(), 4);
-        assert_eq!(c.total_gpus(), 16);
+        assert_eq!(c.server().num_gpus(), 4);
         assert_eq!(c.nic_gbps(), 12.5);
         assert_eq!(c.switch_gbps(), 50.0, "non-blocking by default");
         assert!(c.name().contains("Topo 2+2"));

@@ -22,31 +22,22 @@
 //! [`mobius-cluster`]: https://docs.rs/mobius-cluster
 
 use mobius_obs::{AttrValue, Lane, Obs};
-use mobius_sim::{CommKind, Engine, SimTime, Step, TraceRecorder};
+use mobius_profiler::{LayerProfile, ModelProfile};
+use mobius_sim::{CommKind, FlowNetwork, FlowRecord, SimTime, TraceRecorder};
 use mobius_topology::{Cluster, ClusterNetwork};
 
+use crate::walk::{slot_layer, trace_for, walk, Slots};
 use crate::{check_memory, ZeroError};
-use mobius_profiler::ModelProfile;
 
-/// Configuration of a cluster-scale ZeRO-3 NIC simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Configuration of a cluster-scale ZeRO-3 NIC simulation. The next
+/// layer's remote shards always prefetch during the current layer's
+/// compute, as in DeepSpeed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClusterZeroConfig {
-    /// Whether the next layer's remote shards prefetch during the current
-    /// layer's compute (DeepSpeed default: on).
-    pub prefetch: bool,
     /// Debug mode: run the fabric with flow-conservation checking and
     /// verify the measured NIC traffic against the closed form
     /// ([`expected_cluster_nic_traffic`]). Violations panic.
     pub strict_validation: bool,
-}
-
-impl Default for ClusterZeroConfig {
-    fn default() -> Self {
-        ClusterZeroConfig {
-            prefetch: true,
-            strict_validation: false,
-        }
-    }
 }
 
 /// Result of simulating the NIC side of one cluster-scale ZeRO-3 step.
@@ -81,17 +72,6 @@ pub fn expected_cluster_nic_traffic(profile: &ModelProfile, cluster: &Cluster) -
     sum
 }
 
-#[derive(Debug, Clone, Copy)]
-enum Ev {
-    ComputeDone,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    Fwd,
-    Bwd,
-}
-
 /// Simulates the cross-server traffic of one ZeRO-3 step on `cluster`'s
 /// NIC fabric. Servers move through the `2L` layer slots in lockstep (they
 /// hold symmetric shards and identical microbatch shapes), so every slot
@@ -119,139 +99,24 @@ pub fn simulate_cluster_zero_step(
     obs: Option<&Obs>,
 ) -> Result<ClusterZeroReport, ZeroError> {
     check_memory(profile, cluster.server().gpu_mem_bytes())?;
-    let layers = profile.layers();
-    let l = layers.len();
     let s = cluster.num_servers();
-    let g = cluster.server().num_gpus() as f64;
-    let shard_denom = g * s as f64;
-
-    // Flow tags: (source server, blocks next compute).
     let mut net = ClusterNetwork::new(cluster);
     if cfg.strict_validation {
         net.net_mut().set_strict_validation(true);
     }
-    let mut engine: Engine<Ev> = Engine::new();
-    let mut trace = TraceRecorder::new();
-    if let Some(obs) = obs {
-        trace.set_obs(obs.clone());
-        trace.set_link_labels(net.net().link_labels());
-        net.net_mut().set_obs(obs.clone());
-    }
-
-    let mut per_server_tx = vec![0.0; s];
-    let mut outstanding = 0usize;
-    let mut launched = vec![false; 2 * l];
-    let mut computing: Option<SimTime> = None;
-    let mut slot = 0usize;
-
-    let slot_layer = |slot: usize| -> (usize, Phase) {
-        if slot < l {
-            (slot, Phase::Fwd)
-        } else {
-            (2 * l - 1 - slot, Phase::Bwd)
-        }
+    let trace = trace_for(net.net_mut(), obs);
+    let mut sim = Mesh {
+        layers: profile.layers(),
+        net,
+        trace,
+        obs,
+        g: cluster.server().num_gpus() as f64,
+        tx: vec![0.0; s],
     };
+    // The servers are one unit; the engine stays unobserved.
+    let step_time = walk(&mut sim, profile.layers(), 1, None)?;
 
-    // Launches the pairwise NIC gathers a slot needs before computing.
-    macro_rules! launch_slot {
-        ($slot:expr) => {{
-            let sl = $slot;
-            if sl < 2 * l && !launched[sl] && s > 1 {
-                launched[sl] = true;
-                let (layer, _) = slot_layer(sl);
-                let pair_bytes = g * g * layers[layer].param_bytes as f64 / shard_denom;
-                if pair_bytes > 0.0 {
-                    for from in 0..s {
-                        for to in 0..s {
-                            if let Some(path) = net.server_to_server(from, to) {
-                                net.net_mut()
-                                    .start_flow(path, pair_bytes, 100, (from, true));
-                                outstanding += 1;
-                            }
-                        }
-                    }
-                }
-            }
-        }};
-    }
-
-    launch_slot!(0);
-    if s < 2 {
-        // Degenerate cluster: every slot is compute-only.
-        launched.iter_mut().for_each(|x| *x = true);
-    }
-
-    loop {
-        // Start compute when the current slot's remote shards are in.
-        if computing.is_none() && slot < 2 * l && outstanding == 0 && launched[slot] {
-            let (layer, phase) = slot_layer(slot);
-            let duration = match phase {
-                Phase::Fwd => layers[layer].fwd,
-                Phase::Bwd => layers[layer].bwd,
-            };
-            computing = Some(engine.now());
-            engine.schedule_after(duration, Ev::ComputeDone);
-            if cfg.prefetch {
-                launch_slot!(slot + 1);
-            }
-        }
-
-        let t = match mobius_sim::step(net.net_mut(), &mut engine)? {
-            None => break,
-            Some(Step::Flow(_, rec, (from, blocks))) => {
-                per_server_tx[from] += rec.bytes;
-                let kind = if blocks {
-                    CommKind::ParamGather
-                } else {
-                    CommKind::GradientReduce
-                };
-                trace.record_flow(&rec, kind, &[]);
-                if blocks {
-                    outstanding -= 1;
-                }
-                continue;
-            }
-            Some(Step::Event(t, Ev::ComputeDone)) => t,
-        };
-        let started = computing.take().expect("no compute running");
-        let (layer, phase) = slot_layer(slot);
-        if let Some(obs) = obs {
-            let name = match phase {
-                Phase::Fwd => format!("fwd L{layer}"),
-                Phase::Bwd => format!("bwd L{layer}"),
-            };
-            for srv in 0..s {
-                obs.span(
-                    Lane::Server(srv),
-                    "compute",
-                    name.clone(),
-                    started.as_nanos(),
-                    t.as_nanos(),
-                    vec![("layer", AttrValue::U64(layer as u64))],
-                );
-            }
-        }
-        if phase == Phase::Bwd && s > 1 {
-            // Reduce-scatter the layer's gradients back to shard owners;
-            // does not block the next slot's compute.
-            let pair_bytes = g * g * layers[layer].grad_bytes as f64 / shard_denom;
-            if pair_bytes > 0.0 {
-                for from in 0..s {
-                    for to in 0..s {
-                        if let Some(path) = net.server_to_server(from, to) {
-                            net.net_mut()
-                                .start_flow(path, pair_bytes, 60, (from, false));
-                        }
-                    }
-                }
-            }
-        }
-        slot += 1;
-        launch_slot!(slot);
-    }
-    debug_assert!(slot == 2 * l, "cluster ZeRO step did not finish its slots");
-
-    let total: f64 = per_server_tx.iter().sum();
+    let total: f64 = sim.tx.iter().sum();
     if cfg.strict_validation {
         let want = expected_cluster_nic_traffic(profile, cluster);
         let tol = 1.0f64.max(1e-6 * want);
@@ -259,17 +124,97 @@ pub fn simulate_cluster_zero_step(
             let detail =
                 format!("cluster ZeRO NIC traffic: measured {total:.0} B, expected {want:.0} B");
             if let Some(obs) = obs {
-                obs.violation("cluster-zero-nic-traffic", &detail, engine.now().as_nanos());
+                obs.violation("cluster-zero-nic-traffic", &detail, step_time.as_nanos());
             }
             panic!("{detail}");
         }
     }
     Ok(ClusterZeroReport {
-        step_time: engine.now(),
-        nic_bytes_per_server: per_server_tx,
+        step_time,
+        nic_bytes_per_server: sim.tx,
         total_nic_bytes: total,
-        trace,
+        trace: sim.trace,
     })
+}
+
+/// Cluster ZeRO-3's side of the walk: the servers are one lockstep unit
+/// whose loads and gradient returns are pairwise meshes on the fabric.
+struct Mesh<'a> {
+    layers: &'a [LayerProfile],
+    /// Flow tags: source server, kind.
+    net: ClusterNetwork<(usize, CommKind)>,
+    trace: TraceRecorder,
+    obs: Option<&'a Obs>,
+    /// GPUs per server.
+    g: f64,
+    /// Bytes each server transmitted.
+    tx: Vec<f64>,
+}
+
+impl Mesh<'_> {
+    /// Starts one flow per ordered server pair, each carrying that pair's
+    /// `g²/G` share of a layer's `bytes`; returns how many it started.
+    fn mesh(&mut self, bytes: u64, prio: u8, kind: CommKind) -> usize {
+        let s = self.tx.len();
+        let pair_bytes = self.g * self.g * bytes as f64 / (self.g * s as f64);
+        if pair_bytes <= 0.0 {
+            return 0;
+        }
+        let mut started = 0;
+        for from in 0..s {
+            for to in 0..s {
+                if let Some(path) = self.net.server_to_server(from, to) {
+                    self.net
+                        .net_mut()
+                        .start_flow(path, pair_bytes, prio, (from, kind));
+                    started += 1;
+                }
+            }
+        }
+        started
+    }
+}
+
+impl Slots for Mesh<'_> {
+    type Tag = (usize, CommKind);
+
+    fn net(&mut self) -> &mut FlowNetwork<(usize, CommKind)> {
+        self.net.net_mut()
+    }
+
+    /// The pairwise gathers of the slot's remote shards.
+    fn load(&mut self, _: usize, slot: usize) -> usize {
+        let (layer, _) = slot_layer(slot, self.layers.len());
+        self.mesh(self.layers[layer].param_bytes, 100, CommKind::ParamGather)
+    }
+
+    fn computed(&mut self, _: usize, slot: usize, started: SimTime, now: SimTime) {
+        let (layer, backward) = slot_layer(slot, self.layers.len());
+        if let Some(obs) = self.obs {
+            let name = format!("{} L{layer}", if backward { "bwd" } else { "fwd" });
+            for srv in 0..self.tx.len() {
+                obs.span(
+                    Lane::Server(srv),
+                    "compute",
+                    name.clone(),
+                    started.as_nanos(),
+                    now.as_nanos(),
+                    vec![("layer", AttrValue::U64(layer as u64))],
+                );
+            }
+        }
+        if backward {
+            // Reduce-scatter the layer's gradients back to shard owners;
+            // does not block the next slot's compute.
+            self.mesh(self.layers[layer].grad_bytes, 60, CommKind::GradientReduce);
+        }
+    }
+
+    fn landed(&mut self, rec: &FlowRecord, (from, kind): (usize, CommKind)) -> Option<usize> {
+        self.tx[from] += rec.bytes;
+        self.trace.record_flow(rec, kind, &[]);
+        (kind == CommKind::ParamGather).then_some(0)
+    }
 }
 
 #[cfg(test)]
@@ -290,7 +235,6 @@ mod tests {
     fn strict() -> ClusterZeroConfig {
         ClusterZeroConfig {
             strict_validation: true,
-            ..ClusterZeroConfig::default()
         }
     }
 
@@ -346,26 +290,6 @@ mod tests {
                 .step_time
         };
         assert!(t(4) > t(2), "{} !> {}", t(4), t(2));
-    }
-
-    #[test]
-    fn prefetch_overlaps_and_speeds_up() {
-        let p = profile();
-        let with = simulate_cluster_zero_step(&p, &cluster(4), &strict(), None)
-            .unwrap()
-            .step_time;
-        let without = simulate_cluster_zero_step(
-            &p,
-            &cluster(4),
-            &ClusterZeroConfig {
-                prefetch: false,
-                strict_validation: true,
-            },
-            None,
-        )
-        .unwrap()
-        .step_time;
-        assert!(with < without, "prefetch {with} vs no prefetch {without}");
     }
 
     #[test]

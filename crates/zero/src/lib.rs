@@ -24,6 +24,10 @@
 //! On NVLink servers (§4.8) each GPU reads only its `1/N` shard from DRAM
 //! and the remaining `(N−1)/N` arrives over the NVLink ring — which is why
 //! DeepSpeed wins on data-center hardware (Figure 15).
+//!
+//! ZeRO-3, ZeRO-Offload and cluster-scale ZeRO-3 all run one slot walk
+//! over the step's `2L` layer slots; each supplies only its loads, the
+//! flows that follow a compute, and its own checks.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,6 +35,7 @@
 mod cluster;
 mod offload;
 mod validate;
+mod walk;
 
 pub use cluster::{
     expected_cluster_nic_traffic, simulate_cluster_zero_step, ClusterZeroConfig, ClusterZeroReport,
@@ -40,15 +45,16 @@ pub use validate::{
     expected_step_traffic, verify_traffic_identity, ExpectedZeroTraffic, ZeroTrafficViolation,
 };
 
-use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 
-use mobius_model::LayerKind;
 use mobius_profiler::{LayerProfile, ModelProfile};
-use mobius_sim::{ClockOverflow, CommKind, Engine, SimTime, Step, TraceRecorder};
+use mobius_sim::{
+    ClockOverflow, CommKind, FlowNetwork, FlowRecord, LinkId, SimTime, TraceRecorder,
+};
 use mobius_topology::{Interconnect, ServerNetwork, Topology};
 use serde::{Deserialize, Serialize};
+use walk::{slot_layer, trace_for, walk, Slots};
 
 /// Multiplicative runtime overhead of DeepSpeed's pipeline-parallel engine
 /// relative to a bare GPipe schedule (scheduling and communication glue).
@@ -56,25 +62,15 @@ use serde::{Deserialize, Serialize};
 /// parallelism" baseline of Figure 5 from the GPipe plan.
 pub const DS_PIPELINE_OVERHEAD: f64 = 1.05;
 
-/// Configuration of a simulated ZeRO-3 offload step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// Configuration of a simulated ZeRO-3 offload step. The next layer's
+/// parameters always prefetch during the current layer's compute, as in
+/// DeepSpeed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ZeroConfig {
-    /// Whether the next layer's parameters prefetch during the current
-    /// layer's compute (DeepSpeed default: on).
-    pub prefetch: bool,
     /// Debug mode: after the step, check the recorded traffic against the
     /// closed-form Eq. 2 prediction ([`verify_traffic_identity`]) and run
     /// the flow network with invariant checking. Violations panic.
     pub strict_validation: bool,
-}
-
-impl Default for ZeroConfig {
-    fn default() -> Self {
-        ZeroConfig {
-            prefetch: true,
-            strict_validation: false,
-        }
-    }
 }
 
 /// Why ZeRO cannot run.
@@ -140,49 +136,6 @@ pub struct ZeroReport {
     pub trace: TraceRecorder,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    Fwd,
-    Bwd,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Dir {
-    H2d,
-    D2h,
-}
-
-#[derive(Debug)]
-struct GpuZ {
-    /// Slot index: 0..L forward, L..2L backward (stage = reverse order).
-    slot: usize,
-    outstanding_loads: usize,
-    launched_loads: Vec<bool>, // per slot
-    computing: Option<SimTime>,
-    /// Remaining sequential phases of the in-flight load chain
-    /// (shard fetch → shard publish → gather on PCIe-only servers).
-    chain: VecDeque<(Dir, u64)>,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum Ev {
-    ComputeDone { gpu: usize },
-}
-
-struct ZeroExec<'a> {
-    layers: &'a [LayerProfile],
-    /// Flow tags: GPU, kind, traced GPUs, whether the flow blocks compute.
-    server: ServerNetwork<(usize, CommKind, Vec<usize>, bool)>,
-    engine: Engine<Ev>,
-    trace: TraceRecorder,
-    gpus: Vec<GpuZ>,
-    cfg: ZeroConfig,
-    num_layers: usize,
-    n: usize,
-    nvlink: bool,
-    last_compute_done: SimTime,
-}
-
 /// Checks each layer fits on a GPU alongside its prefetched successor.
 fn check_memory(profile: &ModelProfile, capacity: u64) -> Result<(), ZeroError> {
     let layers = profile.layers();
@@ -239,302 +192,205 @@ pub fn simulate_zero_step_traced(
     obs: Option<&mobius_obs::Obs>,
 ) -> Result<ZeroReport, ZeroError> {
     check_memory(profile, topo.gpu_mem_bytes())?;
-    let l = profile.len();
     let n = topo.num_gpus();
-    assert!(l > 0 && n > 0, "need layers and GPUs");
-
-    let gpus = (0..n)
-        .map(|_| GpuZ {
-            slot: 0,
-            outstanding_loads: 0,
-            launched_loads: vec![false; 2 * l],
-            computing: None,
-            chain: VecDeque::new(),
-        })
-        .collect();
+    assert!(!profile.is_empty() && n > 0, "need layers and GPUs");
 
     let mut server = ServerNetwork::new(topo);
     if cfg.strict_validation {
         server.net_mut().set_strict_validation(true);
     }
-    let mut engine = Engine::new();
-    let mut trace = TraceRecorder::new();
-    if let Some(obs) = obs {
-        trace.set_obs(obs.clone());
-        trace.set_link_labels(server.net().link_labels());
-        server.net_mut().set_obs(obs.clone());
-        engine.set_obs(obs.clone());
-    }
-
-    let mut exec = ZeroExec {
+    let trace = trace_for(server.net_mut(), obs);
+    let mut sim = Zero3 {
         layers: profile.layers(),
         server,
-        engine,
         trace,
-        gpus,
-        cfg: *cfg,
-        num_layers: l,
         n,
         nvlink: topo.interconnect() == Interconnect::NvLink,
-        last_compute_done: SimTime::ZERO,
     };
-    exec.run()?;
+    let step_time = walk(&mut sim, profile.layers(), n, obs)?;
     if cfg.strict_validation {
-        if let Err(v) = verify_traffic_identity(&exec.trace, profile, topo) {
+        if let Err(v) = verify_traffic_identity(&sim.trace, profile, topo) {
             if let Some(obs) = obs {
                 obs.violation(
                     "zero-traffic-identity",
                     &v.to_string(),
-                    exec.engine.now().as_nanos(),
+                    step_time.as_nanos(),
                 );
             }
             panic!("ZeRO traffic identity violated: {v}");
         }
     }
     Ok(ZeroReport {
-        step_time: exec.engine.now(),
-        trace: exec.trace,
+        step_time,
+        trace: sim.trace,
     })
 }
 
-impl ZeroExec<'_> {
-    fn slot_layer(&self, slot: usize) -> (usize, Phase) {
-        if slot < self.num_layers {
-            (slot, Phase::Fwd)
-        } else {
-            (2 * self.num_layers - 1 - slot, Phase::Bwd)
-        }
-    }
+/// A ZeRO-3 flow.
+struct Flow {
+    gpu: usize,
+    /// The ring neighbour the flow comes from, traced with `gpu`.
+    peer: Option<usize>,
+    kind: CommKind,
+    /// Bytes of the PCIe load chain's legs still to launch after this one.
+    rest: [u64; 3],
+}
 
-    fn run(&mut self) -> Result<(), ZeroError> {
-        for g in 0..self.n {
-            self.launch_loads(g, 0);
+impl Flow {
+    fn new(gpu: usize, kind: CommKind) -> Self {
+        Flow {
+            gpu,
+            peer: None,
+            kind,
+            rest: [0; 3],
         }
-        self.pump();
-        while let Some(step) = mobius_sim::step(self.server.net_mut(), &mut self.engine)? {
-            match step {
-                Step::Flow(_, rec, (gpu, kind, traced, blocks)) => {
-                    self.trace.record_flow(&rec, kind, &traced);
-                    if blocks {
-                        self.load_done(gpu);
-                    }
-                }
-                Step::Event(_, Ev::ComputeDone { gpu }) => self.compute_done(gpu),
-            }
-            self.pump();
-        }
-        debug_assert!(
-            self.gpus.iter().all(|g| g.slot == 2 * self.num_layers),
-            "a GPU did not finish its step"
-        );
-        Ok(())
-    }
-
-    /// A load flow of `gpu` landed: continue its sequential all-gather
-    /// chain, if any.
-    fn load_done(&mut self, gpu: usize) {
-        self.launch_chain_head(gpu);
-        self.gpus[gpu].outstanding_loads -= 1;
-    }
-
-    /// Launches the next phase of `g`'s load chain, if one is left.
-    fn launch_chain_head(&mut self, g: usize) {
-        let Some((dir, bytes)) = self.gpus[g].chain.pop_front() else {
-            return;
-        };
-        let path = match dir {
-            Dir::H2d => self.server.dram_to_gpu(g),
-            Dir::D2h => self.server.gpu_to_dram(g),
-        };
-        self.launch(g, path, bytes, 100, CommKind::ParamGather, vec![g], true);
-    }
-
-    fn pump(&mut self) {
-        for g in 0..self.n {
-            let gpu = &self.gpus[g];
-            if gpu.computing.is_some() || gpu.slot >= 2 * self.num_layers {
-                continue;
-            }
-            if gpu.outstanding_loads > 0 || !gpu.launched_loads[gpu.slot] {
-                continue;
-            }
-            // Start computing this slot.
-            let (layer, phase) = self.slot_layer(gpu.slot);
-            let duration = match phase {
-                Phase::Fwd => self.layers[layer].fwd,
-                Phase::Bwd => self.layers[layer].bwd,
-            };
-            let now = self.engine.now();
-            self.gpus[g].computing = Some(now);
-            self.engine
-                .schedule_after(duration, Ev::ComputeDone { gpu: g });
-            // Prefetch the next slot's parameters while computing.
-            if self.cfg.prefetch {
-                let next = self.gpus[g].slot + 1;
-                self.launch_loads(g, next);
-            }
-        }
-    }
-
-    fn compute_done(&mut self, g: usize) {
-        let started = self.gpus[g].computing.take().expect("no compute running");
-        let now = self.engine.now();
-        self.trace.record_compute(g, started, now);
-        self.last_compute_done = now;
-        let slot = self.gpus[g].slot;
-        let (layer, phase) = self.slot_layer(slot);
-        match phase {
-            Phase::Fwd => {
-                // Checkpoint offload of the layer's boundary activation.
-                let act = self.layers[layer].output_act_bytes;
-                if act > 0 {
-                    let path = self.server.gpu_to_dram(g);
-                    self.launch(
-                        g,
-                        path,
-                        act,
-                        50,
-                        CommKind::ActivationOffload,
-                        vec![g],
-                        false,
-                    );
-                }
-            }
-            Phase::Bwd => {
-                // Gradient reduce + return to DRAM.
-                let grad = self.layers[layer].grad_bytes;
-                if grad > 0 {
-                    if self.nvlink {
-                        // Ring all-reduce over NVLink, then shard to DRAM.
-                        let prev = (g + self.n - 1) % self.n;
-                        if let Some(ring) = self.server.gpu_to_gpu(prev, g) {
-                            let bytes = grad * (self.n as u64 - 1) / self.n as u64;
-                            if bytes > 0 {
-                                self.launch(
-                                    g,
-                                    ring,
-                                    bytes,
-                                    60,
-                                    CommKind::GradientReduce,
-                                    vec![prev, g],
-                                    false,
-                                );
-                            }
-                        }
-                        let path = self.server.gpu_to_dram(g);
-                        self.launch(
-                            g,
-                            path,
-                            (grad / self.n as u64).max(1),
-                            60,
-                            CommKind::GradientReduce,
-                            vec![g],
-                            false,
-                        );
-                    } else {
-                        // Every GPU returns its full gradient through the
-                        // CPU for reduction.
-                        let path = self.server.gpu_to_dram(g);
-                        self.launch(g, path, grad, 60, CommKind::GradientReduce, vec![g], false);
-                    }
-                }
-            }
-        }
-        self.gpus[g].slot += 1;
-        let next = self.gpus[g].slot;
-        // Without prefetch (or if the prefetch never fired) launch now.
-        self.launch_loads(g, next);
-    }
-
-    /// Launches the parameter (and, for backward, activation) uploads a slot
-    /// needs before computing.
-    fn launch_loads(&mut self, g: usize, slot: usize) {
-        if slot >= 2 * self.num_layers || self.gpus[g].launched_loads[slot] {
-            return;
-        }
-        self.gpus[g].launched_loads[slot] = true;
-        let (layer, phase) = self.slot_layer(slot);
-        let params = self.layers[layer].param_bytes;
-        let act = match phase {
-            Phase::Fwd => 0,
-            // Backward re-uploads the checkpointed input activation.
-            Phase::Bwd => {
-                if layer == 0 {
-                    0
-                } else {
-                    self.layers[layer - 1].output_act_bytes
-                }
-            }
-        };
-        if self.nvlink {
-            // Shard from DRAM + the rest over the NVLink ring.
-            let shard = params / self.n as u64 + act;
-            if shard > 0 {
-                let path = self.server.dram_to_gpu(g);
-                self.launch(g, path, shard, 100, CommKind::ParamGather, vec![g], true);
-            }
-            let ring_bytes = params - params / self.n as u64;
-            if ring_bytes > 0 {
-                let prev = (g + self.n - 1) % self.n;
-                if let Some(ring) = self.server.gpu_to_gpu(prev, g) {
-                    self.launch(
-                        g,
-                        ring,
-                        ring_bytes,
-                        100,
-                        CommKind::ParamGather,
-                        vec![prev, g],
-                        true,
-                    );
-                }
-            }
-        } else {
-            // Real ZeRO-3 data path without GPUDirect P2P, three dependent
-            // phases: fetch own offloaded shard, publish it to host staging
-            // for the all-gather, then pull the other GPUs' shards.
-            // The fetch carries the re-uploaded activation too.
-            let shard = params / self.n as u64;
-            let gather = params - shard;
-            let chain: VecDeque<(Dir, u64)> = [
-                (Dir::H2d, shard + act),
-                (Dir::D2h, shard),
-                (Dir::H2d, gather),
-            ]
-            .into_iter()
-            .filter(|&(_, bytes)| bytes > 0)
-            .collect();
-            if !chain.is_empty() {
-                self.gpus[g].chain = chain;
-                self.launch_chain_head(g);
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn launch(
-        &mut self,
-        gpu: usize,
-        path: Vec<mobius_sim::LinkId>,
-        bytes: u64,
-        prio: u8,
-        kind: CommKind,
-        traced: Vec<usize>,
-        blocks: bool,
-    ) {
-        if blocks {
-            self.gpus[gpu].outstanding_loads += 1;
-        }
-        self.server
-            .net_mut()
-            .start_flow(path, bytes as f64, prio, (gpu, kind, traced, blocks));
     }
 }
 
-/// The largest single transformer block trainable on one GPU (the paper's
-/// observation that hidden 9216 is the limit for a 24 GiB card): a helper
-/// for tests and reports.
-pub fn largest_block_fits(layer: &LayerKind, capacity: u64, mbs: usize) -> bool {
-    2 * layer.param_bytes() + layer.grad_bytes() + layer.workspace_bytes(mbs) <= capacity
+/// ZeRO-3's side of the walk: every GPU is a unit, a parameter load blocks
+/// its compute, and activations and gradients leave after it.
+struct Zero3<'a> {
+    layers: &'a [LayerProfile],
+    server: ServerNetwork<Flow>,
+    trace: TraceRecorder,
+    n: usize,
+    nvlink: bool,
+}
+
+impl Zero3<'_> {
+    fn start(&mut self, path: Vec<LinkId>, bytes: u64, prio: u8, flow: Flow) {
+        self.server
+            .net_mut()
+            .start_flow(path, bytes as f64, prio, flow);
+    }
+
+    /// Launches the first leg of the PCIe load chain `rest` that has bytes:
+    /// fetch the own shard to the GPU, publish it back to host staging,
+    /// gather the other shards to the GPU. The leg's flow carries the legs
+    /// after it.
+    fn next_leg(&mut self, gpu: usize, mut rest: [u64; 3]) {
+        let Some(leg) = rest.iter().position(|&b| b > 0) else {
+            return;
+        };
+        let bytes = std::mem::take(&mut rest[leg]);
+        let path = if leg == 1 {
+            self.server.gpu_to_dram(gpu)
+        } else {
+            self.server.dram_to_gpu(gpu)
+        };
+        let flow = Flow {
+            rest,
+            ..Flow::new(gpu, CommKind::ParamGather)
+        };
+        self.start(path, bytes, 100, flow);
+    }
+}
+
+impl Slots for Zero3<'_> {
+    type Tag = Flow;
+
+    fn net(&mut self) -> &mut FlowNetwork<Flow> {
+        self.server.net_mut()
+    }
+
+    /// The parameter (and, backward, activation) uploads a slot needs.
+    fn load(&mut self, g: usize, slot: usize) -> usize {
+        let (layer, backward) = slot_layer(slot, self.layers.len());
+        let params = self.layers[layer].param_bytes;
+        // Backward re-uploads the checkpointed input activation.
+        let act = if backward && layer > 0 {
+            self.layers[layer - 1].output_act_bytes
+        } else {
+            0
+        };
+        let shard = params / self.n as u64;
+        if !self.nvlink {
+            // Real ZeRO-3 data path without GPUDirect P2P: three dependent
+            // legs, the first carrying the re-uploaded activation too.
+            let rest = [shard + act, shard, params - shard];
+            self.next_leg(g, rest);
+            return rest.iter().filter(|&&b| b > 0).count();
+        }
+        // Shard from DRAM + the rest over the NVLink ring.
+        let mut loads = 0;
+        if shard + act > 0 {
+            let path = self.server.dram_to_gpu(g);
+            self.start(path, shard + act, 100, Flow::new(g, CommKind::ParamGather));
+            loads += 1;
+        }
+        let prev = (g + self.n - 1) % self.n;
+        if params > shard {
+            if let Some(ring) = self.server.gpu_to_gpu(prev, g) {
+                let flow = Flow {
+                    peer: Some(prev),
+                    ..Flow::new(g, CommKind::ParamGather)
+                };
+                self.start(ring, params - shard, 100, flow);
+                loads += 1;
+            }
+        }
+        loads
+    }
+
+    fn computed(&mut self, g: usize, slot: usize, started: SimTime, now: SimTime) {
+        self.trace.record_compute(g, started, now);
+        let (layer, backward) = slot_layer(slot, self.layers.len());
+        let layer = &self.layers[layer];
+        if !backward {
+            // Checkpoint offload of the layer's boundary activation.
+            if layer.output_act_bytes > 0 {
+                let path = self.server.gpu_to_dram(g);
+                let flow = Flow::new(g, CommKind::ActivationOffload);
+                self.start(path, layer.output_act_bytes, 50, flow);
+            }
+            return;
+        }
+        // Gradient reduce + return to DRAM.
+        let grad = layer.grad_bytes;
+        if grad == 0 {
+            return;
+        }
+        let reduce = CommKind::GradientReduce;
+        if !self.nvlink {
+            // Every GPU returns its full gradient through the CPU for
+            // reduction.
+            let path = self.server.gpu_to_dram(g);
+            self.start(path, grad, 60, Flow::new(g, reduce));
+            return;
+        }
+        // Ring all-reduce over NVLink, then shard to DRAM.
+        let prev = (g + self.n - 1) % self.n;
+        let bytes = grad * (self.n as u64 - 1) / self.n as u64;
+        if let Some(ring) = self.server.gpu_to_gpu(prev, g).filter(|_| bytes > 0) {
+            let flow = Flow {
+                peer: Some(prev),
+                ..Flow::new(g, reduce)
+            };
+            self.start(ring, bytes, 60, flow);
+        }
+        let path = self.server.gpu_to_dram(g);
+        self.start(
+            path,
+            (grad / self.n as u64).max(1),
+            60,
+            Flow::new(g, reduce),
+        );
+    }
+
+    fn landed(&mut self, rec: &FlowRecord, flow: Flow) -> Option<usize> {
+        let pair = [flow.peer.unwrap_or(flow.gpu), flow.gpu];
+        let traced = if flow.peer.is_some() {
+            &pair[..]
+        } else {
+            &pair[1..]
+        };
+        self.trace.record_flow(rec, flow.kind, traced);
+        if flow.kind != CommKind::ParamGather {
+            return None;
+        }
+        self.next_leg(flow.gpu, flow.rest);
+        Some(flow.gpu)
+    }
 }
 
 #[cfg(test)]
@@ -590,26 +446,6 @@ mod tests {
             median < 8.0,
             "median gather bandwidth {median} GB/s should be well under the 13.1 peak"
         );
-    }
-
-    #[test]
-    fn prefetch_overlaps_and_speeds_up() {
-        let p = profile(&GptConfig::gpt_3b(), 1);
-        let with = simulate_zero_step_traced(&p, &topo22(), &ZeroConfig::default(), None)
-            .unwrap()
-            .step_time;
-        let without = simulate_zero_step_traced(
-            &p,
-            &topo22(),
-            &ZeroConfig {
-                prefetch: false,
-                ..ZeroConfig::default()
-            },
-            None,
-        )
-        .unwrap()
-        .step_time;
-        assert!(with < without, "prefetch {with} vs no prefetch {without}");
     }
 
     #[test]
@@ -684,22 +520,10 @@ mod tests {
     fn strict_mode_verifies_traffic_identity() {
         let strict = ZeroConfig {
             strict_validation: true,
-            ..ZeroConfig::default()
         };
-        // PCIe commodity server, with and without prefetch (prefetch
-        // reorders transfers but must not change a single byte).
+        // PCIe commodity server: the three-leg load chain.
         let p = profile(&GptConfig::gpt_3b(), 1);
         simulate_zero_step_traced(&p, &topo22(), &strict, None).unwrap();
-        simulate_zero_step_traced(
-            &p,
-            &topo22(),
-            &ZeroConfig {
-                prefetch: false,
-                strict_validation: true,
-            },
-            None,
-        )
-        .unwrap();
         // NVLink data-center server exercises the ring path.
         let dc_gpu = GpuSpec::v100();
         let dc_profile =
@@ -744,20 +568,11 @@ mod tests {
 
     #[test]
     fn largest_block_boundary() {
-        // The 51B model's 9216-hidden block fits on a 24 GiB card; much
-        // bigger does not.
-        let ok = LayerKind::TransformerBlock {
-            hidden: 9216,
-            heads: 80,
-            seq: 512,
-        };
-        let too_big = LayerKind::TransformerBlock {
-            hidden: 20480,
-            heads: 80,
-            seq: 512,
-        };
+        // The 51B model's 9216-hidden block fits on a 24 GiB card beside
+        // its prefetched successor; a 20480-hidden block does not.
         let cap = GpuSpec::rtx3090ti().mem_bytes;
-        assert!(largest_block_fits(&ok, cap, 1));
-        assert!(!largest_block_fits(&too_big, cap, 1));
+        assert!(check_memory(&profile(&GptConfig::gpt_51b(), 1), cap).is_ok());
+        let too_big = GptConfig::new("too-big", 1000, 20480, 80, 2, 512, 1);
+        assert!(check_memory(&profile(&too_big, 1), cap).is_err());
     }
 }

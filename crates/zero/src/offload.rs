@@ -9,10 +9,11 @@
 //! FP16 parameters. Traffic ≈ `N · (G + P)` — less than ZeRO-3's
 //! `≈ 1.5·N·model`, more than Mobius.
 
-use mobius_profiler::ModelProfile;
-use mobius_sim::{CommKind, Engine, SimTime, Step, TraceRecorder};
+use mobius_profiler::{LayerProfile, ModelProfile};
+use mobius_sim::{CommKind, FlowNetwork, FlowRecord, SimTime, TraceRecorder};
 use mobius_topology::{ServerNetwork, Topology};
 
+use crate::walk::{slot_layer, trace_for, walk, Slots};
 use crate::{ZeroError, ZeroReport};
 
 /// Checks ZeRO-Offload's memory bound: the full FP16 parameters plus the
@@ -36,19 +37,6 @@ pub fn check_offload_memory(profile: &ModelProfile, capacity: u64) -> Result<(),
     Ok(())
 }
 
-#[derive(Debug, Clone, Copy)]
-enum Ev {
-    ComputeDone { gpu: usize },
-}
-
-#[derive(Debug)]
-struct GpuO {
-    /// 0..L forward slots, L..2L backward slots, 2L = parameter refresh.
-    slot: usize,
-    computing: Option<SimTime>,
-    refresh_outstanding: bool,
-}
-
 /// Simulates one ZeRO-Offload training step (data parallel, one microbatch
 /// per GPU; the profile is taken at the per-GPU microbatch size), with an
 /// optional observer: gradient streams, parameter refreshes, and compute
@@ -68,82 +56,66 @@ pub fn simulate_zero_offload_step_traced(
     obs: Option<&mobius_obs::Obs>,
 ) -> Result<ZeroReport, ZeroError> {
     check_offload_memory(profile, topo.gpu_mem_bytes())?;
-    let l = profile.len();
-    let n = topo.num_gpus();
-    let layers = profile.layers();
-
     let mut server = ServerNetwork::new(topo);
-    let mut engine: Engine<Ev> = Engine::new();
-    let mut trace = TraceRecorder::new();
-    if let Some(obs) = obs {
-        trace.set_obs(obs.clone());
-        trace.set_link_labels(server.net().link_labels());
-        server.net_mut().set_obs(obs.clone());
-        engine.set_obs(obs.clone());
-    }
-    let mut gpus: Vec<GpuO> = (0..n)
-        .map(|_| GpuO {
-            slot: 0,
-            computing: None,
-            refresh_outstanding: false,
-        })
-        .collect();
+    let trace = trace_for(server.net_mut(), obs);
+    let mut sim = Offload {
+        layers: profile.layers(),
+        server,
+        trace,
+    };
+    let step_time = walk(&mut sim, profile.layers(), topo.num_gpus(), obs)?;
+    Ok(ZeroReport {
+        step_time,
+        trace: sim.trace,
+    })
+}
 
-    // Start compute on every GPU.
-    for (g, gpu) in gpus.iter_mut().enumerate() {
-        gpu.computing = Some(SimTime::ZERO);
-        engine.schedule(layers[0].fwd, Ev::ComputeDone { gpu: g });
+/// ZeRO-Offload's side of the walk: every GPU is a unit that never waits
+/// on a load, streams each backward layer's gradient to the CPU, and pulls
+/// the updated parameters after its last slot.
+struct Offload<'a> {
+    layers: &'a [LayerProfile],
+    /// Flow tags: kind, GPU.
+    server: ServerNetwork<(CommKind, usize)>,
+    trace: TraceRecorder,
+}
+
+impl Slots for Offload<'_> {
+    type Tag = (CommKind, usize);
+
+    fn net(&mut self) -> &mut FlowNetwork<(CommKind, usize)> {
+        self.server.net_mut()
     }
 
-    while let Some(step) = mobius_sim::step(server.net_mut(), &mut engine)? {
-        match step {
-            Step::Flow(_, rec, (kind, g)) => {
-                trace.record_flow(&rec, kind, &[g]);
-                if kind == CommKind::StageUpload {
-                    gpus[g].refresh_outstanding = false;
-                }
-            }
-            Step::Event(t, Ev::ComputeDone { gpu: g }) => {
-                let started = gpus[g].computing.take().expect("was computing");
-                trace.record_compute(g, started, t);
-                let slot = gpus[g].slot;
-                if slot >= l {
-                    // Backward slot finished: stream the layer's gradient.
-                    let layer = 2 * l - 1 - slot;
-                    let grad = layers[layer].grad_bytes;
-                    if grad > 0 {
-                        let path = server.gpu_to_dram(g);
-                        let tag = (CommKind::GradientOffload, g);
-                        server.net_mut().start_flow(path, grad as f64, 50, tag);
-                    }
-                }
-                gpus[g].slot += 1;
-                let next = gpus[g].slot;
-                if next < l {
-                    // Next forward layer.
-                    gpus[g].computing = Some(t);
-                    engine.schedule_after(layers[next].fwd, Ev::ComputeDone { gpu: g });
-                } else if next < 2 * l {
-                    let layer = 2 * l - 1 - next;
-                    gpus[g].computing = Some(t);
-                    engine.schedule_after(layers[layer].bwd, Ev::ComputeDone { gpu: g });
-                } else if !gpus[g].refresh_outstanding {
-                    // Parameter refresh from the CPU optimizer.
-                    let params: u64 = layers.iter().map(|x| x.param_bytes).sum();
-                    let path = server.dram_to_gpu(g);
-                    let tag = (CommKind::StageUpload, g);
-                    server.net_mut().start_flow(path, params as f64, 80, tag);
-                    gpus[g].refresh_outstanding = true;
-                }
-            }
+    /// The parameters are resident: nothing to load.
+    fn load(&mut self, _: usize, _: usize) -> usize {
+        0
+    }
+
+    fn computed(&mut self, g: usize, slot: usize, started: SimTime, now: SimTime) {
+        self.trace.record_compute(g, started, now);
+        let (layer, backward) = slot_layer(slot, self.layers.len());
+        let grad = self.layers[layer].grad_bytes;
+        if backward && grad > 0 {
+            let path = self.server.gpu_to_dram(g);
+            let tag = (CommKind::GradientOffload, g);
+            self.server.net_mut().start_flow(path, grad as f64, 50, tag);
+        }
+        if slot + 1 == 2 * self.layers.len() {
+            // Parameter refresh from the CPU optimizer.
+            let params: u64 = self.layers.iter().map(|x| x.param_bytes).sum();
+            let path = self.server.dram_to_gpu(g);
+            let tag = (CommKind::StageUpload, g);
+            self.server
+                .net_mut()
+                .start_flow(path, params as f64, 80, tag);
         }
     }
 
-    debug_assert!(gpus.iter().all(|g| g.slot == 2 * l));
-    Ok(ZeroReport {
-        step_time: engine.now(),
-        trace,
-    })
+    fn landed(&mut self, rec: &FlowRecord, (kind, g): (CommKind, usize)) -> Option<usize> {
+        self.trace.record_flow(rec, kind, &[g]);
+        None
+    }
 }
 
 #[cfg(test)]

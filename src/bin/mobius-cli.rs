@@ -147,6 +147,9 @@ cluster scales the server out N ways: Mobius runs one pipeline replica per
   across every GPU of every server
 analyze re-reads a recorded trace's dependency DAG (the mobiusDag key) and
   prints the per-step critical path, per-resource blame, and what-if bounds
+plan, step, report, compare and cluster also take --mbs, --microbatches,
+  --strict, --faults, --seed and --recover; a flag its command does not read
+  is a usage error
 add --strict to re-check every schedule and trace against the paper's constraints
 --trace-out writes a Chrome trace-event JSON (open in Perfetto or chrome://tracing)
 --analyze-out prints the attribution table and writes it as deterministic JSON
@@ -211,24 +214,94 @@ const BOOL_FLAGS: &[&str] = &[
 /// enough to cover any single simulated step of the Table 3 models.
 const FAULT_HORIZON: SimTime = SimTime::from_secs(10);
 
-/// Rejects anything that is not a known flag. A silently ignored typo like
-/// `--sttrict` would otherwise run without validation while the user
-/// believes it is on.
+/// Flags every planning command (`plan`, `step`, `report`, `compare`,
+/// `cluster`) reads to build its tuner.
+const TUNER_FLAGS: &[&str] = &[
+    "--model",
+    "--topo",
+    "--mbs",
+    "--microbatches",
+    "--strict",
+    "--strict-validation",
+    "--faults",
+    "--seed",
+    "--recover",
+];
+
+/// The flags `cmd` reads besides the tuner flags, and whether it reads
+/// those.
+fn command_flags(cmd: &str) -> Result<(&'static [&'static str], bool), CliError> {
+    Ok(match cmd {
+        "plan" | "compare" => (&[], true),
+        "report" => (&["--system"], true),
+        "step" => (
+            &[
+                "--system",
+                "--trace-out",
+                "--metrics-out",
+                "--analyze-out",
+                "--timeline",
+                "--steps",
+                "--checkpoint-out",
+                "--checkpoint-every",
+                "--checkpoint-keep",
+                "--resume",
+                "--crash-corrupt",
+            ],
+            true,
+        ),
+        "cluster" => (
+            &[
+                "--system",
+                "--servers",
+                "--nic-gbps",
+                "--switch-gbps",
+                "--trace-out",
+                "--analyze-out",
+                "--steps",
+                "--checkpoint-out",
+                "--checkpoint-every",
+                "--checkpoint-keep",
+                "--resume",
+                "--crash-corrupt",
+            ],
+            true,
+        ),
+        "analyze" => (&["--trace-in", "--analyze-out"], false),
+        "serve" => (&["--script", "--capacity", "--no-warm-seed"], false),
+        other => return Err(usage(format!("unknown command `{other}`"))),
+    })
+}
+
+/// Rejects anything that is not a flag of `args[0]`, the command. A
+/// silently ignored flag — a typo like `--sttrict`, or `--metrics-out` on a
+/// command that writes no metrics — would otherwise run while the user
+/// believes it took effect.
 fn validate_flags(args: &[String]) -> Result<(), CliError> {
-    let mut i = 1; // args[0] is the subcommand
+    let cmd = args[0].as_str();
+    let (own, tuner) = command_flags(cmd)?;
+    let mut i = 1;
     while i < args.len() {
         let a = args[i].as_str();
-        if VALUE_FLAGS.contains(&a) {
-            match args.get(i + 1) {
-                Some(v) if !v.starts_with("--") => i += 2,
-                _ => return Err(usage(format!("flag `{a}` expects a value"))),
-            }
-        } else if BOOL_FLAGS.contains(&a) {
+        let takes_value = VALUE_FLAGS.contains(&a);
+        if !takes_value && !BOOL_FLAGS.contains(&a) {
+            return Err(usage(if a.starts_with("--") {
+                format!("unknown flag `{a}`")
+            } else {
+                format!("unexpected argument `{a}`")
+            }));
+        }
+        let reads = own.contains(&a) || (tuner && TUNER_FLAGS.contains(&a));
+        if !reads {
+            return Err(usage(format!("flag `{a}` does not apply to `{cmd}`")));
+        }
+        if !takes_value {
             i += 1;
-        } else if a.starts_with("--") {
-            return Err(usage(format!("unknown flag `{a}`")));
-        } else {
-            return Err(usage(format!("unexpected argument `{a}`")));
+            continue;
+        }
+        match args.get(i + 1) {
+            Some(v) if !v.starts_with("--") => i += 2,
+            _ => return Err(usage(format!("flag `{a}` expects a value"))),
         }
     }
     Ok(())
@@ -844,6 +917,45 @@ mod tests {
         assert!(err.to_string().contains("--sttrict"), "{err}");
         let err = run(&argv(&["plan", "--modle", "8b"])).unwrap_err();
         assert!(err.to_string().contains("unknown flag"), "{err}");
+    }
+
+    #[test]
+    fn flags_a_command_ignores_are_rejected() {
+        // `cluster` writes no metrics file.
+        let err = run(&argv(&[
+            "cluster",
+            "--model",
+            "gpt2",
+            "--topo",
+            "2+2",
+            "--servers",
+            "2",
+            "--metrics-out",
+            "m.json",
+        ]))
+        .unwrap_err();
+        assert_eq!(err.exit_code(), 2, "{err}");
+        assert_eq!(
+            err.to_string(),
+            "flag `--metrics-out` does not apply to `cluster`"
+        );
+        // `plan` plans Mobius on one server and draws no timeline.
+        let err = run(&argv(&[
+            "plan",
+            "--system",
+            "gpipe",
+            "--servers",
+            "9",
+            "--timeline",
+            "--script",
+            "x",
+        ]))
+        .unwrap_err();
+        assert_eq!(err.exit_code(), 2, "{err}");
+        assert_eq!(err.to_string(), "flag `--system` does not apply to `plan`");
+        // Tuner flags stay off the commands that build no tuner.
+        let err = run(&argv(&["serve", "--script", "x", "--model", "gpt2"])).unwrap_err();
+        assert!(err.to_string().contains("`--model`"), "{err}");
     }
 
     #[test]
