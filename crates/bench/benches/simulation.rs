@@ -1,7 +1,8 @@
 //! Criterion benchmarks for the simulation substrate: flow-network rate
 //! solving and full training-step simulations for every system. These are
 //! the "one bench per figure" end-to-end targets at reduced size — the
-//! figure binaries (`cargo run --bin fig05` …) produce the full tables.
+//! `mobius-bench <name>` binary (`mobius-bench fig05` …) produces the full
+//! tables.
 //!
 //! The flow network solves lazily, at the first rate read after a
 //! mutation, so a case solves as often as it reads.

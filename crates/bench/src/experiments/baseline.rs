@@ -85,7 +85,7 @@ pub fn counters_experiment(
 
 /// Extracts the row cells of the experiment `id` from a JSON report
 /// produced by [`crate::render_json_report`]. Hand-rolled on purpose: the
-/// workspace `serde` is a marker shim and the report grammar is our own
+/// workspace has no JSON library and the report grammar is our own
 /// emitter's, whose strings (counter names, integers, hex digests) never
 /// contain escapes.
 pub fn extract_rows(doc: &str, id: &str) -> Option<Vec<Vec<String>>> {

@@ -315,7 +315,7 @@ fn wall(quick: bool) -> Experiment {
     ]);
 
     e.note(format!(
-        "best of {reps} run(s); regenerate with `cargo run -p mobius-bench --bin solver_perf`"
+        "best of {reps} run(s); regenerate with `mobius-bench solver_perf`"
     ));
     e
 }

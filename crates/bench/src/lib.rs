@@ -2,8 +2,9 @@
 //!
 //! The experiment harness: one module per table and figure of the Mobius
 //! paper's evaluation (§4), each regenerating the corresponding result on
-//! the simulated substrate. Binaries under `src/bin` print individual
-//! experiments; `run_all` regenerates everything and emits the markdown
+//! the simulated substrate. The `mobius-bench` binary runs one by name
+//! (`mobius-bench fig05`) from the table in [`experiments::ENTRIES`];
+//! `mobius-bench all` regenerates everything and writes the markdown
 //! digest behind `EXPERIMENTS.md`.
 //!
 //! Each experiment returns a structured [`Experiment`] so tests can assert
@@ -16,10 +17,7 @@
 pub mod experiments;
 mod report;
 
-pub use report::{
-    check_flag, emit, fmt_gb, fmt_secs, fmt_x, render_json_report, seed_flag, Experiment,
-    REPORT_SCHEMA_VERSION,
-};
+pub use report::{fmt_gb, fmt_secs, fmt_x, render_json_report, Experiment, REPORT_SCHEMA_VERSION};
 
 use mobius_sim::Cdf;
 use mobius_topology::{GpuSpec, Topology, ROOT_COMPLEX_GBPS};

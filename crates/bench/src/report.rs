@@ -115,8 +115,8 @@ impl Experiment {
     }
 
     /// Appends the experiment as a JSON object. Written through the
-    /// [`mobius_obs::json`] helpers — the workspace `serde` is a marker
-    /// shim, so all JSON in the tree is emitted by hand.
+    /// [`mobius_obs::json`] helpers: all JSON in the tree is emitted by
+    /// hand.
     fn push_json(&self, out: &mut String) {
         let strings = |out: &mut String, items: &[String]| {
             json::push_array(out, items, |out, c| json::push_string(out, c));
@@ -154,84 +154,6 @@ pub fn render_json_report<'a, I: IntoIterator<Item = &'a Experiment>>(experiment
     json::push_array(&mut s, experiments, |out, e| e.push_json(out));
     s.push_str("}\n");
     s
-}
-
-/// Prints each experiment and honours the shared `--json <path>` flag:
-/// when present on the command line, the combined JSON report is also
-/// written to `path`. Every bench binary routes its output through here.
-///
-/// # Errors
-///
-/// Returns the I/O error message when the JSON file cannot be written.
-pub fn emit(experiments: &[Experiment]) -> Result<(), String> {
-    for e in experiments {
-        e.print();
-    }
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(i) = args.iter().position(|a| a == "--json") {
-        let path = args
-            .get(i + 1)
-            .ok_or_else(|| "flag `--json` expects a path".to_string())?;
-        std::fs::write(path, render_json_report(experiments.iter()))
-            .map_err(|e| format!("writing {path}: {e}"))?;
-        eprintln!("wrote JSON report to {path}");
-    }
-    Ok(())
-}
-
-/// The shared `--seed N` flag (42 when absent). A missing or non-integer
-/// value is a usage error: it exits with status 2.
-pub fn seed_flag() -> u64 {
-    let args: Vec<String> = std::env::args().collect();
-    match args.iter().position(|a| a == "--seed") {
-        Some(i) => match args.get(i + 1).and_then(|s| s.parse().ok()) {
-            Some(s) => s,
-            None => {
-                eprintln!("error: flag `--seed` expects an integer");
-                std::process::exit(2);
-            }
-        },
-        None => 42,
-    }
-}
-
-/// Runs the shared `--check <baseline.json>` mode when the flag is given:
-/// `check` diffs a fresh run against the baseline's text and returns the
-/// delta table, as `Err` on a regression. The table is printed; a
-/// regression exits with status 1 naming the `what` counters, a missing
-/// path or unreadable file with status 2. Returns whether the check ran.
-pub fn check_flag(what: &str, check: impl FnOnce(&str) -> Result<String, String>) -> bool {
-    let args: Vec<String> = std::env::args().collect();
-    let Some(i) = args.iter().position(|a| a == "--check") else {
-        return false;
-    };
-    let Some(path) = args.get(i + 1) else {
-        eprintln!("error: flag `--check` expects a baseline path");
-        std::process::exit(2);
-    };
-    let baseline = match std::fs::read_to_string(path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: reading {path}: {e}");
-            std::process::exit(2);
-        }
-    };
-    match check(&baseline) {
-        Ok(table) => {
-            println!("{table}");
-            println!("baseline OK: no counter regressed");
-            true
-        }
-        Err(table) => {
-            println!("{table}");
-            eprintln!(
-                "FAIL: {what} counters regressed against {path} — if the \
-                 change is intentional, regenerate with \
-                 `UPDATE_BASELINE=1 scripts/verify.sh`"
-            );
-            std::process::exit(1);
-        }
-    }
 }
 
 /// Formats seconds with adaptive precision.

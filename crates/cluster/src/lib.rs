@@ -33,7 +33,6 @@ use std::fmt;
 use mobius_obs::{AttrValue, DagDep, DagRecorder, Lane, Obs, ResourceId};
 use mobius_sim::{ClockOverflow, CommKind, SimTime, TraceRecorder};
 use mobius_topology::{Cluster, ClusterNetwork};
-use serde::Serialize;
 
 /// Priority of gradient-synchronization flows on the fabric (the fabric
 /// carries nothing else today, but the constant keeps ordering explicit
@@ -44,7 +43,7 @@ const SYNC_PRIO: u8 = 60;
 /// how many bytes it contributes and when the bucket finished flushing to
 /// DRAM. For a Mobius replica a bucket is one pipeline stage and the ready
 /// time is the stage's gradient-flush completion.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReplicaTiming {
     /// Gradient bytes per bucket (identical across replicas — they train
     /// the same model).
@@ -90,7 +89,7 @@ impl ReplicaTiming {
 }
 
 /// Configuration of a cluster gradient synchronization.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClusterDpConfig {
     /// Debug mode: run the fabric with flow-conservation checking and
     /// verify the measured per-server traffic against the closed-form ring
@@ -119,7 +118,7 @@ pub struct ClusterSyncReport {
 }
 
 /// Why a synchronization could not run.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ClusterSyncError {
     /// Fewer than two servers: there is nothing to synchronize (callers
     /// must structurally skip the degenerate case so a 1-server cluster

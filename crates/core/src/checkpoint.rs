@@ -431,7 +431,7 @@ pub fn run_checkpointed(
             if let Some(o) = &obs {
                 let analysis = o
                     .analyze()
-                    .map_err(|e| CkptRunError::Analyze(format!("{e:?}")))?;
+                    .map_err(|e| CkptRunError::Analyze(e.to_string()))?;
                 sink.push(&analysis.to_json());
             }
         }

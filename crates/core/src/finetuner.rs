@@ -16,13 +16,12 @@ use mobius_zero::{
     simulate_cluster_zero_step, simulate_zero_offload_step_traced, simulate_zero_step_traced,
     ClusterZeroConfig, ZeroConfig, DS_PIPELINE_OVERHEAD,
 };
-use serde::{Deserialize, Serialize};
 
 use crate::resilience::{Degradation, DegradeAction, ResiliencePolicy};
 use crate::{pricing, RunError};
 
 /// Which training system to run (the four bars of Figure 5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum System {
     /// The paper's system: heterogeneous-memory pipeline with MIP
     /// partitioning and cross mapping.
@@ -52,7 +51,7 @@ impl System {
 }
 
 /// Planning overheads (Figure 12).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Overheads {
     /// Simulated wall-clock cost of profiling the model on hardware, with
     /// layer similarity enabled.
@@ -75,7 +74,7 @@ pub struct Overheads {
 ///
 /// A 1-server cluster is treated exactly as no cluster at all, so attaching
 /// one cannot perturb a single-server run (bit-identical results).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterConfig {
     /// Number of servers (each running the configured [`Topology`]).
     pub servers: usize,
@@ -105,7 +104,7 @@ impl ClusterConfig {
 }
 
 /// One server's share of a cluster step.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServerStepBreakdown {
     /// The replica's local pipeline (or ZeRO) step time.
     pub local_step: SimTime,
@@ -117,7 +116,7 @@ pub struct ServerStepBreakdown {
 
 /// The cross-server portion of a cluster step: gradient-synchronization
 /// timing and per-server NIC accounting.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterStepReport {
     /// Servers in the cluster.
     pub num_servers: usize,
@@ -640,13 +639,7 @@ impl FineTuner {
                 None => self.run_step(),
             },
             System::Gpipe | System::DeepSpeedPipeline => {
-                let (_, profile) = self.profile();
-                let cfg = self.pipeline_cfg(MemoryMode::Resident);
-                // plan_gpipe performs the OOM check with optimizer state.
-                let plan = plan_gpipe(&profile, self.topo.num_gpus(), &cfg)?;
-                let stages = stage_costs(&profile, &plan.partition);
-                let mapping =
-                    Mapping::sequential(plan.partition.num_stages(), self.topo.num_gpus());
+                let (stages, mapping, cfg) = self.gpipe_plan()?;
                 // No recovery here: GPipe has no swap machinery to replan
                 // around, so aborts surface typed.
                 let sim = simulate_steps_faulted(
@@ -687,6 +680,19 @@ impl FineTuner {
                 Ok(self.report(rep.step_time, rep.step_time, rep.trace, model_size))
             }
         }
+    }
+
+    /// The GPipe and DeepSpeed-pipeline plan: stage costs of
+    /// [`plan_gpipe`]'s partition (which performs the OOM check with
+    /// optimizer state) on the resident pipeline configuration, mapped to
+    /// the GPUs in order.
+    fn gpipe_plan(&self) -> Result<(Vec<StageCosts>, Mapping, PipelineConfig), RunError> {
+        let (_, profile) = self.profile();
+        let cfg = self.pipeline_cfg(MemoryMode::Resident);
+        let plan = plan_gpipe(&profile, self.topo.num_gpus(), &cfg)?;
+        let stages = stage_costs(&profile, &plan.partition);
+        let mapping = Mapping::sequential(plan.partition.num_stages(), self.topo.num_gpus());
+        Ok((stages, mapping, cfg))
     }
 
     /// The Mobius step with fault injection and recovery: run → on GPU
@@ -1059,15 +1065,7 @@ impl FineTuner {
                 let cfg = self.pipeline_cfg(MemoryMode::Heterogeneous);
                 (plan.stages, plan.mapping, cfg)
             }
-            System::Gpipe | System::DeepSpeedPipeline => {
-                let (_, profile) = self.profile();
-                let cfg = self.pipeline_cfg(MemoryMode::Resident);
-                let plan = plan_gpipe(&profile, self.topo.num_gpus(), &cfg)?;
-                let stages = stage_costs(&profile, &plan.partition);
-                let mapping =
-                    Mapping::sequential(plan.partition.num_stages(), self.topo.num_gpus());
-                (stages, mapping, cfg)
-            }
+            System::Gpipe | System::DeepSpeedPipeline => self.gpipe_plan()?,
             other => {
                 return Err(RunError::Unsupported(format!(
                     "{} steps are independent; run_step() per step instead",

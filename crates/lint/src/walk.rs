@@ -337,7 +337,7 @@ for (k, v) in flows.iter() {
 
     #[test]
     fn toml_unused_allow_is_stale() {
-        let src = "[package]\nname = \"mobius-obs\"\n\n[dependencies]\n# mobius-lint: allow(D005, reason = \"nothing\")\nserde_shim = { path = \"x\" }\n";
+        let src = "[package]\nname = \"mobius-obs\"\n\n[dependencies]\n# mobius-lint: allow(D005, reason = \"nothing\")\nunused_shim = { path = \"x\" }\n";
         let f = scan_cargo_toml("crates/obs/Cargo.toml", src);
         assert_eq!(f.len(), 1);
         assert_eq!((f[0].code, f[0].line), (Code::D008, 5));

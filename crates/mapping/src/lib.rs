@@ -32,10 +32,9 @@
 #![warn(missing_docs)]
 
 use mobius_topology::Topology;
-use serde::{Deserialize, Serialize};
 
 /// Which mapping policy to use (selected by the `mobius` facade crate).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MappingAlgo {
     /// `stage j → GPU j mod N`, the policy of existing pipeline systems.
     Sequential,
@@ -48,7 +47,7 @@ pub enum MappingAlgo {
 /// Invariants: every stage has a GPU; the stages of one GPU are executed in
 /// ascending stage order (the Mobius pipeline requirement), which any
 /// assignment satisfies since execution order is derived from stage ids.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Mapping {
     gpu_of: Vec<usize>,
     num_gpus: usize,

@@ -15,7 +15,6 @@
 //!   exactly by dynamic programming (GPipe's balanced partitioner).
 
 use mobius_obs::{WallSecs, WallTimer};
-use serde::{Deserialize, Serialize};
 
 /// Objective supplied by the caller to [`SegmentSearch`].
 pub trait SegmentObjective {
@@ -40,7 +39,7 @@ pub trait SegmentObjective {
 }
 
 /// Statistics from a [`SegmentSearch`] run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SearchStats {
     /// Leaves evaluated with the exact objective.
     pub evaluated: usize,
@@ -61,7 +60,7 @@ pub struct SearchStats {
 }
 
 /// The best segmentation found, its cost, and search statistics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SegmentResult {
     /// Per-stage item counts, in order.
     pub sizes: Vec<usize>,

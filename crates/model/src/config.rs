@@ -1,7 +1,5 @@
 //! Model configurations, including the paper's Table 3 presets.
 
-use serde::{Deserialize, Serialize};
-
 /// Hyper-parameters of a GPT-like decoder-only transformer.
 ///
 /// The four large presets reproduce Table 3 of the paper; the sequence
@@ -17,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(cfg.num_layers, 40);
 /// assert_eq!(cfg.default_microbatch, 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct GptConfig {
     /// Display name ("3B", "8B", …).
     pub name: String,

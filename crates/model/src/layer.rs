@@ -5,8 +5,6 @@
 //! live on the GPU, while the FP32 master copy and Adam moments live in
 //! DRAM (as in Mobius and ZeRO-Offload).
 
-use serde::{Deserialize, Serialize};
-
 /// Bytes per FP16 scalar.
 pub const FP16: u64 = 2;
 /// Bytes per FP32 scalar.
@@ -16,7 +14,7 @@ pub const FP32: u64 = 4;
 pub const OPTIMIZER_BYTES_PER_PARAM: u64 = 3 * FP32;
 
 /// One layer of a GPT-like model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LayerKind {
     /// Token + position embedding.
     Embedding {

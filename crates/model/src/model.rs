@@ -1,7 +1,5 @@
 //! A concrete model: an ordered list of layers built from a [`GptConfig`].
 
-use serde::{Deserialize, Serialize};
-
 use crate::{GptConfig, LayerKind, FP16, LLAMA_VOCAB};
 
 /// A GPT-like model as an ordered sequence of layers.
@@ -17,7 +15,7 @@ use crate::{GptConfig, LayerKind, FP16, LLAMA_VOCAB};
 /// let billions = model.total_params() as f64 / 1e9;
 /// assert!((7.0..9.5).contains(&billions));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Model {
     config: GptConfig,
     layers: Vec<LayerKind>,

@@ -1,8 +1,7 @@
 //! Minimal deterministic JSON writing helpers and a small parser.
 //!
-//! The workspace's `serde` is an offline marker shim (its derives expand to
-//! nothing), so every JSON emitter in the tree writes strings by hand. These
-//! helpers keep that honest: proper escaping and a number format that is
+//! The workspace has no serialization library, so every JSON emitter in
+//! the tree writes strings by hand. These helpers keep that honest: proper escaping and a number format that is
 //! stable across runs, which is what makes golden-file trace tests possible.
 //! Every exporter appends into one buffer through the `push_*` helpers;
 //! [`string`], [`number`] and [`object`] return a standalone value for

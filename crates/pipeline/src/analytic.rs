@@ -20,13 +20,12 @@ use std::fmt;
 
 use mobius_mapping::Mapping;
 use mobius_sim::SimTime;
-use serde::{Deserialize, Serialize};
 
 use crate::StageCosts;
 
 /// Whether parameters stream from DRAM (Mobius) or live in GPU memory
 /// (GPipe-style systems).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemoryMode {
     /// Stages are stored in DRAM and swapped in/out with prefetching —
     /// the Mobius pipeline (§3.1).
@@ -36,7 +35,7 @@ pub enum MemoryMode {
 }
 
 /// Static configuration of a pipeline evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipelineConfig {
     /// Microbatches per step (`M`; the paper sets `M = N`).
     pub num_microbatches: usize,
@@ -114,7 +113,7 @@ impl PipelineConfig {
 }
 
 /// Why a schedule is impossible.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ScheduleError {
     /// A single stage cannot fit in GPU memory even alone.
     StageTooLarge {
@@ -195,7 +194,7 @@ impl Error for ScheduleError {}
 ///
 /// Staged GPU↔GPU transfers (no P2P) cross the bus twice and are counted
 /// twice, matching what a bus monitor would see.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct TrafficEstimate {
     /// DRAM→GPU parameter/activation uploads.
     pub upload_bytes: f64,
@@ -215,7 +214,7 @@ impl TrafficEstimate {
 }
 
 /// The fully resolved timetable of one training step.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AnalyticSchedule {
     /// Step makespan: completion of the last backward microbatch.
     pub step_time: SimTime,

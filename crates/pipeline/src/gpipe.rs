@@ -11,7 +11,6 @@ use mobius_mip::chain_partition_dp;
 use mobius_model::OPTIMIZER_BYTES_PER_PARAM;
 use mobius_profiler::ModelProfile;
 use mobius_sim::SimTime;
-use serde::{Deserialize, Serialize};
 
 use crate::{
     evaluate_analytic, stage_costs, MemoryMode, Partition, PipelineConfig, ScheduleError,
@@ -19,7 +18,7 @@ use crate::{
 };
 
 /// Result of planning a GPipe run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpipePlan {
     /// The balanced one-stage-per-GPU partition.
     pub partition: Partition,

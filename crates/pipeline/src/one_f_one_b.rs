@@ -10,12 +10,11 @@
 //! measurable for resident (GPipe-style) pipelines with one stage per GPU.
 
 use mobius_sim::SimTime;
-use serde::{Deserialize, Serialize};
 
 use crate::{ScheduleError, StageCosts};
 
 /// Timing and memory results of a 1F1B schedule.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OneFOneBSchedule {
     /// Step makespan.
     pub step_time: SimTime,

@@ -16,7 +16,6 @@ use mobius_mapping::Mapping;
 use mobius_mip::{SearchStats, SegmentObjective, SegmentSearch};
 use mobius_profiler::ModelProfile;
 use mobius_sim::SimTime;
-use serde::{Deserialize, Serialize};
 
 use crate::{evaluate_analytic, stage_costs, Partition, PipelineConfig, ScheduleError};
 
@@ -27,7 +26,7 @@ use crate::{evaluate_analytic, stage_costs, Partition, PipelineConfig, ScheduleE
 pub const PLAN_NODE_BUDGET: usize = 8_192;
 
 /// Which partition algorithm to run (selected by the `mobius` facade).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PartitionAlgo {
     /// The paper's MIP partition algorithm.
     Mip,
@@ -38,7 +37,7 @@ pub enum PartitionAlgo {
 }
 
 /// A chosen partition plus the predicted step time and solver statistics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PartitionOutcome {
     /// The chosen partition.
     pub partition: Partition,

@@ -4,7 +4,6 @@ use std::ops::Range;
 
 use mobius_profiler::ModelProfile;
 use mobius_sim::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// A partition of a model's layers into contiguous stages.
 ///
@@ -18,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(p.num_layers(), 7);
 /// assert_eq!(p.sizes(), &[3, 2, 2]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Partition {
     sizes: Vec<usize>,
 }
@@ -68,7 +67,7 @@ impl Partition {
 
 /// Aggregated costs of one pipeline stage, everything the schedule
 /// evaluators need. Activation quantities are per microbatch.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StageCosts {
     /// Forward time for one microbatch.
     pub fwd: SimTime,

@@ -29,11 +29,10 @@
 use mobius_model::{LayerKind, Model};
 use mobius_sim::SimTime;
 use mobius_topology::GpuSpec;
-use serde::{Deserialize, Serialize};
 
 /// Measured (here: modelled) characteristics of one layer for one
 /// microbatch, everything the MIP partition algorithm needs (Table 2).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LayerProfile {
     /// Forward time for one microbatch.
     pub fwd: SimTime,
@@ -51,7 +50,7 @@ pub struct LayerProfile {
 }
 
 /// A profiled model: one [`LayerProfile`] per layer, in order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelProfile {
     layers: Vec<LayerProfile>,
     microbatch: usize,

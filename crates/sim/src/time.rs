@@ -9,8 +9,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// An instant (or span) of simulated time with nanosecond resolution.
 ///
 /// `SimTime` is an ordered, copyable newtype over `u64` nanoseconds.
@@ -26,9 +24,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(t.as_nanos(), 1_500_000_000);
 /// assert!((t.as_secs_f64() - 1.5).abs() < 1e-12);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 impl SimTime {

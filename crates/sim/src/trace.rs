@@ -8,7 +8,6 @@
 use std::collections::BTreeMap;
 
 use mobius_obs::{counter_name, AttrValue, Lane, Obs, GBPS_BUCKETS};
-use serde::{Deserialize, Serialize};
 
 use crate::units::bytes_per_sec_to_gbps;
 use crate::{FlowRecord, IntervalSet, LinkId, SimTime};
@@ -16,7 +15,7 @@ use crate::{FlowRecord, IntervalSet, LinkId, SimTime};
 /// Categories of transfers, used for traffic breakdowns.
 ///
 /// The set is the union of what Mobius and ZeRO-style systems move.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum CommKind {
     /// Stage parameters DRAM → GPU (Mobius upload / prefetch).
     StageUpload,
@@ -65,7 +64,7 @@ impl CommKind {
 }
 
 /// One completed transfer: size, duration and achieved bandwidth.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BandwidthSample {
     /// Bytes moved.
     pub bytes: f64,
@@ -82,7 +81,7 @@ pub struct BandwidthSample {
 /// "Byte-weighted" matches the paper's methodology: the CDF answers *what
 /// fraction of the data* moved at ≤ x GB/s, so a few tiny fast transfers
 /// cannot mask a slow bulk.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Cdf {
     // (bandwidth GB/s, cumulative byte fraction in [0,1]), sorted by bw.
     points: Vec<(f64, f64)>,

@@ -28,19 +28,15 @@
 mod adam;
 mod autograd;
 mod data;
-mod generate;
 mod nn;
 mod rng;
-mod schedule;
 mod tensor;
 mod train;
 
 pub use adam::Adam;
 pub use autograd::{Tape, Var};
 pub use data::Corpus;
-pub use generate::{generate, next_token_distribution};
 pub use nn::{TinyGpt, TinyGptConfig};
 pub use rng::Rng;
-pub use schedule::{apply_weight_decay, clip_grad_norm, LrSchedule};
 pub use tensor::Tensor;
 pub use train::{curve_gap, train, train_loss_curve, ScheduleOrder, TrainConfig};

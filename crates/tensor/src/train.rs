@@ -10,12 +10,10 @@
 //! the curves. This module reproduces exactly that: same data, same
 //! initialization, different accumulation order.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Adam, Corpus, Rng, Tape, Tensor, TinyGpt, TinyGptConfig};
 
 /// Which system's execution order to emulate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ScheduleOrder {
     /// GPipe: microbatch backward gradients accumulate in submission order.
     Gpipe,
@@ -24,7 +22,7 @@ pub enum ScheduleOrder {
 }
 
 /// Configuration of a convergence run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainConfig {
     /// Optimizer steps.
     pub steps: usize,

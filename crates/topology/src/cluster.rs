@@ -11,7 +11,6 @@
 //! for measured — not assumed — bandwidth.
 
 use mobius_sim::{FlowNetwork, LinkId};
-use serde::Serialize;
 
 use crate::Topology;
 
@@ -33,7 +32,7 @@ pub const COMMODITY_NIC_GBPS: f64 = 12.5;
 /// assert_eq!(cluster.server().num_gpus(), 4);
 /// assert_eq!(cluster.name(), "4x Topo 2+2 @ 12.5 GB/s NIC");
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cluster {
     server: Topology,
     num_servers: usize,

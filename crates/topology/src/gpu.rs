@@ -1,7 +1,5 @@
 //! GPU specifications (the paper's Table 1, plus the V100 used in §4.8).
 
-use serde::Serialize;
-
 /// Static description of a GPU model: compute, memory, connectivity, price.
 ///
 /// The numbers mirror Table 1 of the paper plus public spec sheets. They
@@ -18,7 +16,7 @@ use serde::Serialize;
 /// assert!(gpu.fp32_tflops > GpuSpec::a100().fp32_tflops); // Table 1
 /// assert!(!gpu.gpudirect_p2p);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuSpec {
     /// Marketing name.
     pub name: &'static str,

@@ -3,8 +3,6 @@
 
 use std::fmt;
 
-use serde::Serialize;
-
 use crate::GpuSpec;
 
 /// Measured usable bandwidth of one CPU root complex in GB/s.
@@ -15,7 +13,7 @@ use crate::GpuSpec;
 pub const ROOT_COMPLEX_GBPS: f64 = 13.1;
 
 /// Interconnect class of a server.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Interconnect {
     /// PCIe only; GPU↔GPU traffic is staged through DRAM (no GPUDirect P2P).
     PcieOnly,
@@ -41,7 +39,7 @@ pub enum Interconnect {
 /// assert!(topo.same_root_complex(0, 1));
 /// assert!(!topo.same_root_complex(1, 2));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
     gpu: GpuSpec,
     groups: Vec<usize>,

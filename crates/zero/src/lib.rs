@@ -53,7 +53,6 @@ use mobius_sim::{
     ClockOverflow, CommKind, FlowNetwork, FlowRecord, LinkId, SimTime, TraceRecorder,
 };
 use mobius_topology::{Interconnect, ServerNetwork, Topology};
-use serde::{Deserialize, Serialize};
 use walk::{slot_layer, trace_for, walk, Slots};
 
 /// Multiplicative runtime overhead of DeepSpeed's pipeline-parallel engine
@@ -65,7 +64,7 @@ pub const DS_PIPELINE_OVERHEAD: f64 = 1.05;
 /// Configuration of a simulated ZeRO-3 offload step. The next layer's
 /// parameters always prefetch during the current layer's compute, as in
 /// DeepSpeed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ZeroConfig {
     /// Debug mode: after the step, check the recorded traffic against the
     /// closed-form Eq. 2 prediction ([`verify_traffic_identity`]) and run
@@ -74,7 +73,7 @@ pub struct ZeroConfig {
 }
 
 /// Why ZeRO cannot run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ZeroError {
     /// One layer (plus its prefetch buddy) cannot fit on a GPU.
     LayerTooLarge {

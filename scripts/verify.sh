@@ -64,7 +64,7 @@ cargo run --release -q --example topology_explorer >/dev/null
 
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
-bench() { cargo run --release -q -p mobius-bench --bin "$@"; }
+bench() { cargo run --release -q -p mobius-bench -- "$@"; }
 run_cli() { cargo run --release -q -p mobius-repro --bin mobius-cli -- "$@"; }
 
 # same_bytes NAME WHY CMD... runs CMD twice, each time with a fresh output
@@ -84,28 +84,28 @@ same_bytes() {
 
 stage "fault-injection determinism gate (two seeded runs, byte-identical JSON)"
 same_bytes resilience "identically seeded resilience runs diverged" \
-  bench resilience -- --quick --seed 42 --json
+  bench resilience --quick --seed 42 --json
 
 stage "cluster-scaling determinism gate (two seeded runs, byte-identical JSON)"
 same_bytes scaling "identically seeded scaling runs diverged" \
-  bench scaling -- --quick --seed 42 --json
+  bench scaling --quick --seed 42 --json
 
 stage "recovery determinism gate (two seeded runs, byte-identical JSON)"
 same_bytes recovery "identically seeded recovery runs diverged" \
-  bench recovery -- --quick --seed 42 --json
+  bench recovery --quick --seed 42 --json
 
 stage "solver-perf determinism gate (two seeded runs, byte-identical JSON)"
 same_bytes solver_perf "identically seeded solver-perf runs diverged" \
-  bench solver_perf -- --deterministic --seed 42 --json
+  bench solver_perf --deterministic --seed 42 --json
 
 if [ "${UPDATE_BASELINE:-0}" = "1" ]; then
   stage "regenerating BENCH_solver.json (UPDATE_BASELINE=1)"
-  bench solver_perf -- --quick --seed 42 --json BENCH_solver.json >/dev/null
+  bench solver_perf --quick --seed 42 --json BENCH_solver.json >/dev/null
 fi
 
 stage "serve determinism gate (two seeded load-generator runs, byte-identical JSON)"
 same_bytes serve "identically seeded serve load-generator runs diverged" \
-  bench serve -- --seed 42 --json
+  bench serve --seed 42 --json
 
 if [ "${UPDATE_BASELINE:-0}" = "1" ]; then
   stage "regenerating BENCH_serve.json (UPDATE_BASELINE=1)"
@@ -131,35 +131,35 @@ cmp "$tmpdir/attribution.json" tests/golden/attribution_cli.json || {
   exit 1
 }
 
-# crash_resume_gate TAG STEPS CRASH ARGS... runs `step ARGS` for STEPS
-# steps with a checkpoint every 2, once uninterrupted and once crashed at
-# step CRASH then resumed, and fails unless the concatenated trace,
-# metrics and analysis chunks of the two segments equal the uninterrupted
-# run's bytes exactly. The uninterrupted run's checkpoints stay in
-# "$ck/TAG/ref".
+# crash_resume_gate CMD SINKS TAG STEPS CRASH ARGS... runs `CMD ARGS` for
+# STEPS steps with a checkpoint every 2, once uninterrupted and once crashed
+# at step CRASH then resumed. The crashed run must exit 6, and for each sink
+# in the space-separated SINKS (trace, metrics, analyze) the concatenated
+# chunks of the two segments must equal the uninterrupted run's bytes
+# exactly. The uninterrupted run's checkpoints stay in "$ck/TAG/ref".
 ck="$tmpdir/ckpt"
 mkdir -p "$ck"
-# sinks DIR NAME prints the trace, metrics and analysis output flags of one run.
+# sinks DIR NAME SINKS prints the output flag of each sink of one run.
 sinks() {
-  echo --trace-out "$1/$2-trace.json" --metrics-out "$1/$2-metrics.json" \
-    --analyze-out "$1/$2-analyze.json"
+  local s
+  for s in $3; do echo "--$s-out $1/$2-$s.json"; done
 }
 crash_resume_gate() {
-  local tag="$1" steps="$2" crash="$3" rc=0 s
-  shift 3
+  local cmd="$1" list="$2" tag="$3" steps="$4" crash="$5" rc=0 s
+  shift 5
   local d="$ck/$tag"
   mkdir -p "$d"
-  run_cli step "$@" --steps "$steps" --checkpoint-every 2 \
-    --checkpoint-out "$d/ref" $(sinks "$d" ref) >/dev/null
-  run_cli step "$@" --faults "crash:$crash" --steps "$steps" --checkpoint-every 2 \
-    --checkpoint-out "$d/crash" $(sinks "$d" c1) >/dev/null 2>&1 || rc=$?
+  run_cli "$cmd" "$@" --steps "$steps" --checkpoint-every 2 \
+    --checkpoint-out "$d/ref" $(sinks "$d" ref "$list") >/dev/null
+  run_cli "$cmd" "$@" --faults "crash:$crash" --steps "$steps" --checkpoint-every 2 \
+    --checkpoint-out "$d/crash" $(sinks "$d" c1 "$list") >/dev/null 2>&1 || rc=$?
   [ "$rc" -eq 6 ] || {
     echo "FAIL: $tag: injected crash must exit 6, got $rc" >&2
     exit 1
   }
-  run_cli step "$@" --faults "crash:$crash" --steps "$steps" --checkpoint-every 2 \
-    --checkpoint-out "$d/crash" --resume "$d/crash" $(sinks "$d" c2) >/dev/null
-  for s in trace metrics analyze; do
+  run_cli "$cmd" "$@" --faults "crash:$crash" --steps "$steps" --checkpoint-every 2 \
+    --checkpoint-out "$d/crash" --resume "$d/crash" $(sinks "$d" c2 "$list") >/dev/null
+  for s in $list; do
     cat "$d/c1-$s.json" "$d/c2-$s.json" > "$d/stitched-$s.json"
     cmp "$d/stitched-$s.json" "$d/ref-$s.json" || {
       echo "FAIL: $tag crash+resume $s chunks diverged from the uninterrupted run" >&2
@@ -172,42 +172,21 @@ stage "crash-resume gate (single server: stitched chunks byte-identical)"
 # The checkpoint subsystem's headline contract: crash a run at step 5,
 # resume it, and the concatenated trace/metrics/analysis chunks of the two
 # segments equal the uninterrupted reference's bytes exactly.
-crash_resume_gate gpt2 6 5 --model gpt2 --topo 2+2 --system mobius
+crash_resume_gate step "trace metrics analyze" gpt2 6 5 --model gpt2 --topo 2+2 --system mobius
 
 stage "paper-scale planning determinism gate (8B crash-resume, two 15B metrics runs)"
 # On Table 3 presets the MIP stops at its fixed node budget, so a resumed
 # invocation re-solves to the same plan and record, and two identical
 # steps write the same metrics bytes.
-crash_resume_gate paper8b 4 3 --model 8b --topo 2+2 --system mobius
+crash_resume_gate step "trace metrics analyze" paper8b 4 3 --model 8b --topo 2+2 --system mobius
 same_bytes paper15b "identical 15B 4+4 steps wrote different metrics" \
   run_cli step --model 15b --topo 4+4 --metrics-out
 
 stage "crash-resume gate (cluster: stitched chunks byte-identical)"
-run_cli cluster --model gpt2 --topo 2+2 --servers 2 --system mobius \
-  --steps 4 --checkpoint-every 2 --checkpoint-out "$ck/cl_ref" \
-  --trace-out "$ck/clref-trace.json" --analyze-out "$ck/clref-analyze.json" \
-  >/dev/null
-rc=0
-run_cli cluster --model gpt2 --topo 2+2 --servers 2 --system mobius \
-  --faults crash:3 --steps 4 --checkpoint-every 2 --checkpoint-out "$ck/cl" \
-  --trace-out "$ck/cl1-trace.json" --analyze-out "$ck/cl1-analyze.json" \
-  >/dev/null 2>&1 || rc=$?
-[ "$rc" -eq 6 ] || {
-  echo "FAIL: injected cluster crash must exit 6, got $rc" >&2
-  exit 1
-}
-run_cli cluster --model gpt2 --topo 2+2 --servers 2 --system mobius \
-  --faults crash:3 --steps 4 --checkpoint-every 2 --checkpoint-out "$ck/cl" \
-  --resume "$ck/cl" \
-  --trace-out "$ck/cl2-trace.json" --analyze-out "$ck/cl2-analyze.json" \
-  >/dev/null
-for s in trace analyze; do
-  cat "$ck/cl1-$s.json" "$ck/cl2-$s.json" > "$ck/clstitched-$s.json"
-  cmp "$ck/clstitched-$s.json" "$ck/clref-$s.json" || {
-    echo "FAIL: cluster crash+resume $s chunks diverged" >&2
-    exit 1
-  }
-done
+# `cluster` writes no metrics (it rejects --metrics-out), so only its trace
+# and analysis chunks are stitched.
+crash_resume_gate cluster "trace analyze" cluster 4 3 \
+  --model gpt2 --topo 2+2 --servers 2 --system mobius
 
 newest_ckpt="$ck/gpt2/ref/$(ls "$ck/gpt2/ref" | sort | tail -1)"
 if [ "${UPDATE_GOLDEN:-0}" = "1" ]; then
@@ -230,7 +209,7 @@ stage "solver-perf baseline gate (counter diff vs BENCH_solver.json)"
 # shrink, reuse counters may only grow, checksums must match exactly. The
 # delta table is printed either way; regressions fail the build. Regenerate
 # the committed baseline with UPDATE_BASELINE=1 after intentional changes.
-bench solver_perf -- --check BENCH_solver.json --seed 42 || {
+bench solver_perf --check BENCH_solver.json --seed 42 || {
   echo "FAIL: solver counters regressed vs BENCH_solver.json" >&2
   exit 1
 }
@@ -240,7 +219,7 @@ stage "serve baseline gate (counter diff vs BENCH_serve.json)"
 # grow, misses/evictions/latency percentiles may only shrink, and the
 # response-stream checksum must match exactly. Regenerate the committed
 # baseline with UPDATE_BASELINE=1 after intentional changes.
-bench serve -- --check BENCH_serve.json --seed 42 || {
+bench serve --check BENCH_serve.json --seed 42 || {
   echo "FAIL: serve counters regressed vs BENCH_serve.json" >&2
   exit 1
 }

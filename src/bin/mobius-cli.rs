@@ -89,7 +89,9 @@ impl From<CkptRunError> for CliError {
             CkptRunError::Sink { path, msg } => {
                 CliError::Other(format!("writing {}: {msg}", path.display()))
             }
-            CkptRunError::Analyze(msg) => CliError::Other(msg),
+            CkptRunError::Analyze(msg) => {
+                CliError::Other(format!("attribution analysis failed: {msg}"))
+            }
         }
     }
 }
@@ -152,7 +154,8 @@ plan, step, report, compare and cluster also take --mbs, --microbatches,
   is a usage error
 add --strict to re-check every schedule and trace against the paper's constraints
 --trace-out writes a Chrome trace-event JSON (open in Perfetto or chrome://tracing)
---analyze-out prints the attribution table and writes it as deterministic JSON
+--analyze-out prints the attribution table and writes it as deterministic JSON;
+  ds-hetero and zero-offload record no dependency DAG, so they reject it
 --faults injects a deterministic fault schedule; SPEC is comma-separated
   clauses (times in ms): degrade:<link>:<factor>:<t0>:<t1>  slow:<gpu>:<factor>:<t0>:<t1>
   stall:<t>:<dur>  gpufail:<gpu>:<t>  crash:<step>  crashat:<t_ms>  random:<n>
@@ -340,7 +343,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
     match cmd.as_str() {
         "plan" => plan(tuner, &topo),
         "step" => {
-            let system = parse_system(&flag(args, "--system").unwrap_or_else(|| "mobius".into()))?;
+            let system = system_flag(args)?;
             if wants_checkpointing(args) {
                 return checkpointed_run(
                     tuner.system(system),
@@ -379,12 +382,12 @@ fn run(args: &[String]) -> Result<(), CliError> {
             serve_script(&path, capacity, warm_seed)
         }
         "report" => {
-            let system = parse_system(&flag(args, "--system").unwrap_or_else(|| "mobius".into()))?;
+            let system = system_flag(args)?;
             report(tuner.system(system))
         }
         "compare" => compare(tuner),
         "cluster" => {
-            let system = parse_system(&flag(args, "--system").unwrap_or_else(|| "mobius".into()))?;
+            let system = system_flag(args)?;
             let servers: usize = flag(args, "--servers")
                 .ok_or_else(|| usage("cluster needs --servers"))?
                 .parse()
@@ -572,6 +575,24 @@ fn parse_topo(s: &str) -> Result<Topology, CliError> {
 fn parse_system(s: &str) -> Result<System, CliError> {
     mobius::parse_system(s)
         .ok_or_else(|| usage(format!("unknown system `{}`", s.to_ascii_lowercase())))
+}
+
+/// The `--system` flag (mobius when absent). `--analyze-out` with a ZeRO
+/// system is a usage error, reported before anything runs: their
+/// simulators record no dependency DAG to analyze.
+fn system_flag(args: &[String]) -> Result<System, CliError> {
+    let name = flag(args, "--system").unwrap_or_else(|| "mobius".into());
+    let system = parse_system(&name)?;
+    if matches!(system, System::DeepSpeedHetero | System::ZeroOffload)
+        && flag(args, "--analyze-out").is_some()
+    {
+        return Err(usage(format!(
+            "flag `--analyze-out` does not apply to `--system {}`: it records no \
+             dependency DAG",
+            name.to_ascii_lowercase()
+        )));
+    }
+    Ok(system)
 }
 
 fn plan(tuner: FineTuner, topo: &Topology) -> Result<(), CliError> {
@@ -956,6 +977,43 @@ mod tests {
         // Tuner flags stay off the commands that build no tuner.
         let err = run(&argv(&["serve", "--script", "x", "--model", "gpt2"])).unwrap_err();
         assert!(err.to_string().contains("`--model`"), "{err}");
+    }
+
+    #[test]
+    fn analyze_out_on_a_zero_system_fails_before_running() {
+        let dir = std::env::temp_dir().join(format!("mobius-cli-zero-dag-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let out = dir.join("a.json");
+        let out_s = out.to_str().unwrap();
+        let ckpt_s = dir.join("ckpt");
+        let ckpt_s = ckpt_s.to_str().unwrap();
+        let base = ["--model", "gpt2", "--topo", "2+2", "--analyze-out", out_s];
+        for (cmd, system, extra) in [
+            ("step", "ds-hetero", &[][..]),
+            ("step", "zero-offload", &[][..]),
+            (
+                "step",
+                "ds-hetero",
+                &["--steps", "2", "--checkpoint-out", ckpt_s][..],
+            ),
+            ("cluster", "ds-hetero", &["--servers", "2"][..]),
+            (
+                "cluster",
+                "ds-hetero",
+                &["--servers", "2", "--steps", "2"][..],
+            ),
+        ] {
+            let mut args = vec![cmd, "--system", system];
+            args.extend(base);
+            args.extend(extra);
+            let err = run(&argv(&args)).unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{args:?}: {err}");
+            assert!(
+                err.to_string().contains(&format!("`--system {system}`")),
+                "{err}"
+            );
+            assert!(!dir.exists(), "{args:?} created {}", dir.display());
+        }
     }
 
     #[test]
