@@ -110,9 +110,8 @@ pub fn blame(quick: bool) -> Experiment {
     e
 }
 
-/// Runs the attribution table (seed kept for CLI uniformity with the other
-/// deterministic extensions; nothing here draws randomness).
-pub fn run(quick: bool, _seed: u64) -> Vec<Experiment> {
+/// Runs the attribution table.
+pub fn run(quick: bool) -> Vec<Experiment> {
     vec![blame(quick)]
 }
 

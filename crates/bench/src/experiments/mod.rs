@@ -107,11 +107,9 @@ pub const ENTRIES: &[Entry] = &[
     entry("resilience", QUICK_SEED, |o| {
         resilience::run(o.quick, o.seed)
     }),
-    entry("scaling", QUICK_SEED, |o| scaling::run(o.quick, o.seed)),
-    entry("attribution", QUICK_SEED, |o| {
-        attribution::run(o.quick, o.seed)
-    }),
-    entry("recovery", QUICK_SEED, |o| recovery::run(o.quick, o.seed)),
+    entry("scaling", QUICK, |o| scaling::run(o.quick)),
+    entry("attribution", QUICK, |o| attribution::run(o.quick)),
+    entry("recovery", QUICK, |o| recovery::run(o.quick)),
     Entry {
         name: "solver_perf",
         flags: &["--quick", "--seed", "--deterministic"],

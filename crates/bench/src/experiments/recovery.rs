@@ -2,10 +2,9 @@
 //! lost vs crash point under a fixed cadence.
 //!
 //! Both tables are bit-deterministic: the partition uses
-//! `PartitionAlgo::MinStage`, the crash points are explicit (the seed is
-//! unused, kept so every extension table shares a CLI), and no wall-clock
-//! value enters a cell. `scripts/verify.sh` byte-compares the JSON report
-//! of two identically seeded runs.
+//! `PartitionAlgo::MinStage`, the crash points are explicit, and no
+//! wall-clock value enters a cell. `scripts/verify.sh` byte-compares the
+//! JSON report of two runs.
 //!
 //! The overhead table runs the checkpointed driver with no checkpoint
 //! directory: the simulated SSD write cost (the `ckpt` resource class)
@@ -67,7 +66,7 @@ fn commits(steps: u64, every: u64) -> u64 {
 
 /// Checkpoint overhead vs `--checkpoint-every`: how much simulated run
 /// clock the SSD checkpoint writes add at each cadence.
-pub fn overhead(quick: bool, seed: u64) -> Experiment {
+pub fn overhead(quick: bool) -> Experiment {
     let mut e = Experiment::new(
         "recovery-overhead",
         "Run-clock overhead vs checkpoint cadence",
@@ -99,9 +98,9 @@ pub fn overhead(quick: bool, seed: u64) -> Experiment {
         ]);
     }
     e.note(format!(
-        "model {}, Topo 2+2, min-stage partition, {steps} steps, seed {seed} \
-         (unused: cadence is explicit); every=0 commits only at completion \
-         and, with no store configured, simulates no writes",
+        "model {}, Topo 2+2, min-stage partition, {steps} steps; every=0 \
+         commits only at completion and, with no store configured, \
+         simulates no writes",
         cfg.name
     ));
     e
@@ -110,7 +109,7 @@ pub fn overhead(quick: bool, seed: u64) -> Experiment {
 /// Work lost vs crash point at a fixed cadence: an injected `crash:<k>`
 /// terminates the run and the uncommitted tail since the last checkpoint
 /// is lost; the resume restarts from the committed step.
-fn lost_work(quick: bool, seed: u64) -> Experiment {
+fn lost_work(quick: bool) -> Experiment {
     const EVERY: u64 = 2;
     let mut e = Experiment::new(
         "recovery-lost-work",
@@ -148,16 +147,15 @@ fn lost_work(quick: bool, seed: u64) -> Experiment {
     }
     e.note(format!(
         "model {}, Topo 2+2, min-stage partition, {steps}-step run, \
-         --checkpoint-every {EVERY}, seed {seed} (unused: crash points are \
-         explicit); crash:<k> fires before step k executes",
+         --checkpoint-every {EVERY}; crash:<k> fires before step k executes",
         cfg.name
     ));
     e
 }
 
 /// Runs both recovery tables.
-pub fn run(quick: bool, seed: u64) -> Vec<Experiment> {
-    vec![overhead(quick, seed), lost_work(quick, seed)]
+pub fn run(quick: bool) -> Vec<Experiment> {
+    vec![overhead(quick), lost_work(quick)]
 }
 
 #[cfg(test)]
@@ -166,8 +164,8 @@ mod tests {
 
     #[test]
     fn overhead_is_deterministic_and_grows_with_cadence() {
-        let a = overhead(true, 42);
-        let b = overhead(true, 42);
+        let a = overhead(true);
+        let b = overhead(true);
         assert_eq!(a.rows, b.rows);
         // every=0 is the no-write baseline; every=1 pays for the most
         // commits and must show the largest overhead.
@@ -186,7 +184,7 @@ mod tests {
 
     #[test]
     fn lost_work_matches_the_cadence_arithmetic() {
-        let e = lost_work(true, 42);
+        let e = lost_work(true);
         for row in &e.rows {
             let k: u64 = row[0].trim_start_matches("crash:").parse().unwrap();
             let committed: u64 = row[1].parse().unwrap();

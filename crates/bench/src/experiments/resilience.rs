@@ -8,7 +8,7 @@
 //! the JSON report of two identically seeded runs. Replan wall latency is
 //! reported on stderr only.
 
-use mobius::{DegradeAction, FineTuner, ResiliencePolicy, System};
+use mobius::{DegradeAction, FineTuner, System};
 use mobius_model::GptConfig;
 use mobius_obs::WallTimer;
 use mobius_pipeline::PartitionAlgo;
@@ -31,7 +31,7 @@ fn tuner(cfg: &GptConfig) -> FineTuner {
         // (the default is one microbatch per surviving GPU).
         .num_microbatches(4)
         .strict_validation(true)
-        .resilience(ResiliencePolicy::recover())
+        .recover(true)
 }
 
 /// Step time under `n` seeded random faults. With one seed the schedules

@@ -10,9 +10,9 @@
 //! GPUs per server), several times more than the gradient-sized bytes the
 //! ring moves.
 //!
-//! Deterministic for a given seed: min-stage partition, pinned
-//! microbatches, no wall-clock in any cell. `scripts/verify.sh`
-//! byte-compares the JSON of two identically seeded runs.
+//! Deterministic: min-stage partition, pinned microbatches, no random
+//! draws and no wall-clock in any cell. `scripts/verify.sh` byte-compares
+//! the JSON of two runs.
 
 use mobius::{ClusterConfig, FineTuner, System};
 use mobius_model::GptConfig;
@@ -78,7 +78,7 @@ fn measure(cfg: &GptConfig, servers: usize) -> ScalingPoint {
 }
 
 /// The scale-out sweep: both systems at 1, 2, 4 (and 8) servers.
-pub fn sweep(quick: bool, seed: u64) -> Experiment {
+pub fn sweep(quick: bool) -> Experiment {
     let mut e = Experiment::new(
         "cluster-scaling",
         "Cross-server NIC traffic vs server count (Mobius-DP vs cluster-ZeRO)",
@@ -115,16 +115,15 @@ pub fn sweep(quick: bool, seed: u64) -> Experiment {
     }
     e.note(format!(
         "model {}, Topo 2+2 per server, {COMMODITY_NIC_GBPS} GB/s NICs, \
-         non-blocking switch, min-stage partition, seed {seed} (no random \
-         draws; kept so every determinism-gated binary shares a CLI)",
+         non-blocking switch, min-stage partition",
         cfg.name
     ));
     e
 }
 
 /// Runs the scale-out table.
-pub fn run(quick: bool, seed: u64) -> Vec<Experiment> {
-    vec![sweep(quick, seed)]
+pub fn run(quick: bool) -> Vec<Experiment> {
+    vec![sweep(quick)]
 }
 
 #[cfg(test)]
@@ -133,8 +132,8 @@ mod tests {
 
     #[test]
     fn sweep_is_deterministic() {
-        let a = sweep(true, 42);
-        let b = sweep(true, 42);
+        let a = sweep(true);
+        let b = sweep(true);
         assert_eq!(a.rows, b.rows);
     }
 

@@ -21,8 +21,7 @@ use mobius_bench::{render_json_report, Experiment};
 const USAGE: &str = "\
 usage: mobius-bench <name|all> [--quick] [--seed N] [--json PATH]
   --quick           a reduced run: shorter solver budgets, fewer steps
-  --seed N          reseeds resilience, scaling, attribution, recovery,
-                    solver_perf and serve (default 42)
+  --seed N          reseeds resilience, solver_perf and serve (default 42)
   --json PATH       also writes the experiments as one JSON report
   --deterministic   solver_perf only: leaves out the wall-clock table
   --check BASELINE  solver_perf and serve only: diffs a fresh run's counters
@@ -286,13 +285,18 @@ mod tests {
             parse_err(&["fig05", "--check", "x"]).contains("`--check` does not apply to `fig05`")
         );
         assert!(parse_err(&["fig05", "--seed", "1"]).contains("`--seed` does not apply to `fig05`"));
+        assert!(
+            parse_err(&["scaling", "--seed", "1"]).contains("`--seed` does not apply to `scaling`")
+        );
         assert!(parse_err(&["serve", "--deterministic"]).contains("does not apply to `serve`"));
         assert!(parse_err(&["serve", "--quick"]).contains("does not apply to `serve`"));
         assert!(parse_err(&["all", "--seed", "1"]).contains("does not apply to `all`"));
         assert!(parse_err(&["table1", "--quick"]).contains("does not apply to `table1`"));
         assert!(parse_err(&["scaling", "--json"]).contains("`--json` expects a value"));
-        assert!(parse_err(&["scaling", "--seed", "--quick"]).contains("`--seed` expects a value"));
-        assert!(parse_err(&["scaling", "--seed", "x"]).contains("`--seed` expects an integer"));
+        assert!(
+            parse_err(&["resilience", "--seed", "--quick"]).contains("`--seed` expects a value")
+        );
+        assert!(parse_err(&["resilience", "--seed", "x"]).contains("`--seed` expects an integer"));
         assert!(parse_err(&["serve", "--check"]).contains("`--check` expects a value"));
         let err = parse_err(&["solver_perf", "--check", "b.json", "--json", "o.json"]);
         assert!(

@@ -276,7 +276,7 @@ pub fn run_checkpointed(
     }
 
     // Crash events are the driver's; the executor gets the rest.
-    let schedule = base.faults_cloned();
+    let schedule = &base.faults;
     let crashes = schedule.crash_points();
     let step_crashes: Vec<u64> = crashes
         .iter()

@@ -17,7 +17,7 @@ use mobius_zero::{
     ClusterZeroConfig, ZeroConfig, DS_PIPELINE_OVERHEAD,
 };
 
-use crate::resilience::{Degradation, DegradeAction, ResiliencePolicy};
+use crate::resilience::{Degradation, DegradeAction};
 use crate::{pricing, RunError};
 
 /// Which training system to run (the four bars of Figure 5).
@@ -173,8 +173,9 @@ pub struct StepReport {
     /// Fault-injection accounting, summed over every attempt of the step
     /// (aborted attempts included). All zeros when no schedule is attached.
     pub faults: FaultStats,
-    /// Recovery steps the [`ResiliencePolicy`] took to complete this step,
-    /// in the order taken. Empty when the step ran as configured.
+    /// Recovery steps taken to complete this step under
+    /// [`FineTuner::recover`], in the order taken. Empty when the step ran
+    /// as configured.
     pub degradations: Vec<Degradation>,
     /// Cross-server accounting of a multi-server run. `None` for
     /// single-server runs (including a configured 1-server cluster).
@@ -239,8 +240,8 @@ pub struct FineTuner {
     prioritized_loads: bool,
     strict_validation: bool,
     obs: Option<Obs>,
-    faults: Option<FaultSchedule>,
-    resilience: ResiliencePolicy,
+    pub(crate) faults: FaultSchedule,
+    recover: bool,
     cluster: Option<ClusterConfig>,
     warm_start: Option<Vec<usize>>,
 }
@@ -269,8 +270,8 @@ impl FineTuner {
             prioritized_loads: true,
             strict_validation: false,
             obs: None,
-            faults: None,
-            resilience: ResiliencePolicy::default(),
+            faults: FaultSchedule::default(),
+            recover: false,
             cluster: None,
             warm_start: None,
         }
@@ -366,14 +367,19 @@ impl FineTuner {
     /// results). ZeRO systems reject non-empty schedules with
     /// [`RunError::Unsupported`].
     pub fn faults(mut self, schedule: FaultSchedule) -> Self {
-        self.faults = Some(schedule);
+        self.faults = schedule;
         self
     }
 
-    /// Sets the recovery policy applied when a faulted or infeasible step
-    /// fails (default: recover nothing — errors surface typed).
-    pub fn resilience(mut self, policy: ResiliencePolicy) -> Self {
-        self.resilience = policy;
+    /// Lets a failed Mobius step recover instead of surfacing its typed
+    /// error (default: off). A hard GPU failure replans on the surviving
+    /// topology, dropping GPU-addressed faults, whose indices no longer
+    /// name the right device. An OOM walks the degradation ladder: the
+    /// configured partition → [`PartitionAlgo::MaxStage`] (more, smaller
+    /// stages) → ZeRO-hetero, which runs without fault injection. Every
+    /// step taken is recorded in [`StepReport::degradations`].
+    pub fn recover(mut self, on: bool) -> Self {
+        self.recover = on;
         self
     }
 
@@ -419,11 +425,8 @@ impl FineTuner {
     /// can resume onto a shrunken server) and the crash events themselves
     /// (so a resume may drop or keep its crash clauses).
     pub fn config_fingerprint(&self) -> u64 {
-        let faults = self
-            .faults
-            .as_ref()
-            .map(FaultSchedule::without_crashes)
-            .filter(|f| !f.is_empty());
+        let crashless = self.faults.without_crashes();
+        let faults = (!crashless.is_empty()).then_some(crashless.events());
         crate::fingerprint::Fingerprint::new()
             .part(format_args!("{}", self.model.config().name))
             .part(format_args!("mbs={}", self.mbs()))
@@ -441,27 +444,13 @@ impl FineTuner {
                 "pf={} pl={} sv={}",
                 self.prefetch, self.prioritized_loads, self.strict_validation
             ))
-            .part(format_args!(
-                "faults={:?}",
-                faults.as_ref().map(|f| f.events())
-            ))
+            .part(format_args!("faults={faults:?}"))
             .part(format_args!("cluster={:?}", self.cluster))
             .finish()
     }
 
     pub(crate) fn topo_ref(&self) -> &Topology {
         &self.topo
-    }
-
-    pub(crate) fn faults_cloned(&self) -> FaultSchedule {
-        self.faults.clone().unwrap_or_default()
-    }
-
-    /// The attached fault schedule, if any and non-empty. An empty schedule
-    /// is treated exactly as none so that attaching one cannot perturb an
-    /// unfaulted run.
-    fn active_faults(&self) -> Option<&FaultSchedule> {
-        self.faults.as_ref().filter(|f| !f.is_empty())
     }
 
     /// The effective cluster, if genuinely multi-server. A 1-server cluster
@@ -478,16 +467,11 @@ impl FineTuner {
         })
     }
 
-    fn profile(&self) -> (&Model, ModelProfile) {
-        let profile = Profiler::new(self.topo.gpu().clone()).profile(&self.model, self.mbs());
-        (&self.model, profile)
+    fn profile(&self) -> ModelProfile {
+        Profiler::new(self.topo.gpu().clone()).profile(&self.model, self.mbs())
     }
 
-    fn pipeline_cfg(&self, mode: MemoryMode) -> PipelineConfig {
-        self.pipeline_cfg_on(&self.topo, mode)
-    }
-
-    fn pipeline_cfg_on(&self, topo: &Topology, mode: MemoryMode) -> PipelineConfig {
+    fn pipeline_cfg(&self, topo: &Topology, mode: MemoryMode) -> PipelineConfig {
         PipelineConfig {
             memory_mode: mode,
             prefetch: self.prefetch,
@@ -523,8 +507,8 @@ impl FineTuner {
         algo: PartitionAlgo,
         warm_start: Option<Vec<usize>>,
     ) -> Result<Plan, RunError> {
-        let (model, profile) = self.profile();
-        let cfg = self.pipeline_cfg_on(topo, MemoryMode::Heterogeneous);
+        let profile = self.profile();
+        let cfg = self.pipeline_cfg(topo, MemoryMode::Heterogeneous);
         let n = topo.num_gpus();
 
         let solve_timer = WallTimer::start();
@@ -563,7 +547,7 @@ impl FineTuner {
             );
         }
         let profiling =
-            Profiler::new(self.topo.gpu().clone()).profiling_time(model, self.mbs(), true);
+            Profiler::new(self.topo.gpu().clone()).profiling_time(&self.model, self.mbs(), true);
 
         Ok(Plan {
             partition: outcome.partition,
@@ -586,8 +570,8 @@ impl FineTuner {
     ///
     /// Returns [`RunError::OutOfMemory`] for configurations the system
     /// cannot train (the OOM entries of Figure 5) and [`RunError::Fault`]
-    /// when an attached [`FaultSchedule`] kills the step and the
-    /// [`ResiliencePolicy`] cannot (or may not) recover it.
+    /// when an attached [`FaultSchedule`] kills the step and
+    /// [`FineTuner::recover`] cannot (or may not) recover it.
     pub fn run_step(&self) -> Result<StepReport, RunError> {
         self.run_step_with(self.solve_step_plan().as_ref())
     }
@@ -648,7 +632,7 @@ impl FineTuner {
                     &self.topo,
                     &cfg,
                     1,
-                    &self.faults_cloned(),
+                    &self.faults,
                     self.obs.as_ref(),
                 )
                 .map(SimStepReport::from)
@@ -674,9 +658,11 @@ impl FineTuner {
             }
             System::ZeroOffload => {
                 self.reject_faults()?;
-                let (_, profile) = self.profile();
-                let rep =
-                    simulate_zero_offload_step_traced(&profile, &self.topo, self.obs.as_ref())?;
+                let rep = simulate_zero_offload_step_traced(
+                    &self.profile(),
+                    &self.topo,
+                    self.obs.as_ref(),
+                )?;
                 Ok(self.report(rep.step_time, rep.step_time, rep.trace, model_size))
             }
         }
@@ -687,8 +673,8 @@ impl FineTuner {
     /// optimizer state) on the resident pipeline configuration, mapped to
     /// the GPUs in order.
     fn gpipe_plan(&self) -> Result<(Vec<StageCosts>, Mapping, PipelineConfig), RunError> {
-        let (_, profile) = self.profile();
-        let cfg = self.pipeline_cfg(MemoryMode::Resident);
+        let profile = self.profile();
+        let cfg = self.pipeline_cfg(&self.topo, MemoryMode::Resident);
         let plan = plan_gpipe(&profile, self.topo.num_gpus(), &cfg)?;
         let stages = stage_costs(&profile, &plan.partition);
         let mapping = Mapping::sequential(plan.partition.num_stages(), self.topo.num_gpus());
@@ -707,7 +693,7 @@ impl FineTuner {
         let mut degradations: Vec<Degradation> = Vec::new();
         let mut carried = FaultStats::default();
         let mut topo = self.topo.clone();
-        let mut faults = self.faults_cloned();
+        let mut faults = self.faults.clone();
         let mut algo = self.partition_algo;
         // The first attempt runs on the plan solved before the step (a
         // resumed checkpointed run's solve already used its committed
@@ -721,7 +707,9 @@ impl FineTuner {
         // identically.
         let mut replanned = false;
 
-        loop {
+        // The step that ran, with its gradient-ready timing and the DAG
+        // node ending its backward pass, for the cluster ring.
+        let (mut rep, timing, local_head) = loop {
             let mut planned_sizes: Option<Vec<usize>> = None;
             let mut search = None;
             let plan = match first.take() {
@@ -736,7 +724,7 @@ impl FineTuner {
             let attempt = plan.map_err(AttemptError::Run).and_then(|plan| {
                 planned_sizes = Some(plan.partition.sizes().to_vec());
                 search = plan.search;
-                let cfg = self.pipeline_cfg_on(&topo, MemoryMode::Heterogeneous);
+                let cfg = self.pipeline_cfg(&topo, MemoryMode::Heterogeneous);
                 let sim = simulate_steps_faulted(
                     &plan.stages,
                     &plan.mapping,
@@ -751,27 +739,14 @@ impl FineTuner {
             match attempt {
                 Ok((sim, stages)) => {
                     carried.absorb(&sim.faults);
-                    let local_step = sim.step_time;
                     let mut rep = self.report(sim.step_time, sim.drain_time, sim.trace, model_size);
-                    rep.faults = carried;
                     rep.search = search;
-                    if let Some(cluster) = self.active_cluster() {
-                        let timing = ReplicaTiming {
-                            bucket_bytes: grad_buckets(&stages),
-                            ready: sim.grad_flush,
-                            ready_sids: sim.grad_flush_sids,
-                        };
-                        self.attach_cluster_sync(
-                            &mut rep,
-                            &cluster,
-                            timing,
-                            local_step,
-                            sim.step_head,
-                            replanned.then_some(solved),
-                        )?;
-                    }
-                    rep.degradations = degradations;
-                    return Ok(rep);
+                    let timing = ReplicaTiming {
+                        bucket_bytes: grad_buckets(&stages),
+                        ready: sim.grad_flush,
+                        ready_sids: sim.grad_flush_sids,
+                    };
+                    break (rep, timing, sim.step_head);
                 }
                 Err(AttemptError::Fault { abort, stats }) => {
                     carried.absorb(&stats);
@@ -780,7 +755,7 @@ impl FineTuner {
                         // budget; there is nothing sensible to replan.
                         return Err(RunError::Fault(abort));
                     };
-                    if !self.resilience.elastic_replan {
+                    if !self.recover {
                         return Err(RunError::Fault(abort));
                     }
                     let Some(survivor) = topo.without_gpu(gpu) else {
@@ -806,9 +781,7 @@ impl FineTuner {
                     warm = planned_sizes;
                     faults = faults.link_faults_only();
                 }
-                Err(AttemptError::Run(err @ RunError::OutOfMemory(_)))
-                    if self.resilience.degrade_ladder =>
-                {
+                Err(AttemptError::Run(err @ RunError::OutOfMemory(_))) if self.recover => {
                     if algo != PartitionAlgo::MaxStage {
                         degradations.push(Degradation {
                             action: DegradeAction::MoreStages {
@@ -825,41 +798,36 @@ impl FineTuner {
                         if let Some(obs) = &self.obs {
                             obs.counter_add("fault.degraded_to_zero", 1.0);
                         }
-                        let mut rep = self.zero_hetero_step(&topo, model_size)?;
-                        rep.faults = carried;
-                        if let Some(cluster) = self.active_cluster() {
-                            // ZeRO gives no per-stage flush times: the whole
-                            // gradient is one bucket, ready at step end.
-                            let (_, profile) = self.profile();
-                            let grad: f64 =
-                                profile.layers().iter().map(|l| l.grad_bytes as f64).sum();
-                            let timing = ReplicaTiming {
-                                bucket_bytes: vec![grad],
-                                ready: vec![rep.step_time],
-                                ready_sids: vec![None],
-                            };
-                            let local_step = rep.step_time;
-                            self.attach_cluster_sync(
-                                &mut rep,
-                                &cluster,
-                                timing,
-                                local_step,
-                                None,
-                                replanned.then_some(solved),
-                            )?;
-                        }
-                        rep.degradations = degradations;
-                        return Ok(rep);
+                        let rep = self.zero_hetero_step(&topo, model_size)?;
+                        // ZeRO gives no per-stage flush times: the whole
+                        // gradient is one bucket, ready at step end.
+                        let timing = ReplicaTiming {
+                            bucket_bytes: vec![self.model.total_grad_bytes() as f64],
+                            ready: vec![rep.step_time],
+                            ready_sids: vec![None],
+                        };
+                        break (rep, timing, None);
                     }
                 }
                 Err(AttemptError::Run(e)) => return Err(e),
             }
+        };
+        rep.faults = carried;
+        if let Some(cluster) = self.active_cluster() {
+            self.attach_cluster_sync(
+                &mut rep,
+                &cluster,
+                timing,
+                local_head,
+                replanned.then_some(solved),
+            )?;
         }
+        rep.degradations = degradations;
+        Ok(rep)
     }
 
     /// Runs the cross-server ring all-reduce for one step of this replica
-    /// and folds it into the report: the sync trace merges in, step and
-    /// drain extend to the synchronization, the price covers every server.
+    /// and folds it into the report ([`FineTuner::fold_cluster`]).
     ///
     /// When `degraded` carries the step's solved plan, this server
     /// replanned around a lost GPU and its bucket structure no longer
@@ -872,11 +840,11 @@ impl FineTuner {
         rep: &mut StepReport,
         cluster: &Cluster,
         this: ReplicaTiming,
-        local_step: SimTime,
         local_head: Option<u64>,
         degraded: Option<&SolvedPlan>,
     ) -> Result<(), RunError> {
         let n = cluster.num_servers();
+        let local_step = rep.step_time;
         let (replicas, local_steps) = match degraded {
             Some(solved) => {
                 let (healthy_timing, healthy_step) = self.healthy_shadow(solved)?;
@@ -893,26 +861,21 @@ impl FineTuner {
             strict_validation: self.strict_validation,
         };
         let sync = simulate_ring_allreduce(cluster, &replicas, &cfg, self.obs.as_ref())?;
-        rep.trace.merge(&sync.trace);
-        rep.cluster = Some(ClusterStepReport {
-            num_servers: n,
-            sync_done: sync.sync_done,
+        let servers = (0..n)
+            .map(|s| ServerStepBreakdown {
+                local_step: local_steps[s],
+                nic_tx_bytes: sync.per_server_tx[s],
+                nic_rx_bytes: sync.per_server_rx[s],
+            })
+            .collect();
+        let step = self.fold_cluster(
+            rep,
+            &sync.trace,
+            sync.sync_done,
+            sync.bucket_done,
+            servers,
             grad_bytes,
-            bucket_done: sync.bucket_done,
-            servers: (0..n)
-                .map(|s| ServerStepBreakdown {
-                    local_step: local_steps[s],
-                    nic_tx_bytes: sync.per_server_tx[s],
-                    nic_rx_bytes: sync.per_server_rx[s],
-                })
-                .collect(),
-        });
-        let step = local_steps
-            .iter()
-            .copied()
-            .max()
-            .unwrap_or(local_step)
-            .max(sync.sync_done);
+        );
         // Commit the synchronized boundary to the dependency DAG (it
         // supersedes the pipeline's local boundary): the head must be a
         // node ending exactly at the cluster step time — the final ring
@@ -935,45 +898,70 @@ impl FineTuner {
                 }
             }
         }
-        rep.step_time = step;
-        rep.drain_time = rep.drain_time.max(step);
-        rep.price_usd = pricing::step_price_usd(&self.topo, step) * n as f64;
         Ok(())
     }
 
     /// Runs the NIC side of a cluster-scale ZeRO-3 step and folds it into
-    /// the local report (the intra-server PCIe side): the step is bounded
-    /// by the slower of the two, traces merge, the price covers every
-    /// server.
+    /// the local report, the intra-server PCIe side
+    /// ([`FineTuner::fold_cluster`]).
     fn attach_cluster_zero(&self, rep: &mut StepReport, cluster: &Cluster) -> Result<(), RunError> {
-        let (_, profile) = self.profile();
         let cfg = ClusterZeroConfig {
             strict_validation: self.strict_validation,
         };
-        let nic = simulate_cluster_zero_step(&profile, cluster, &cfg, self.obs.as_ref())?;
-        let n = cluster.num_servers();
-        let local = rep.step_time;
-        rep.trace.merge(&nic.trace);
+        let nic = simulate_cluster_zero_step(&self.profile(), cluster, &cfg, self.obs.as_ref())?;
+        let local_step = rep.step_time;
+        let servers = nic
+            .nic_bytes_per_server
+            .iter()
+            .map(|&bytes| ServerStepBreakdown {
+                local_step,
+                nic_tx_bytes: bytes,
+                // The pairwise mesh is symmetric: each server receives
+                // exactly what it transmits.
+                nic_rx_bytes: bytes,
+            })
+            .collect();
+        self.fold_cluster(
+            rep,
+            &nic.trace,
+            nic.step_time,
+            Vec::new(),
+            servers,
+            self.model.total_grad_bytes() as f64,
+        );
+        Ok(())
+    }
+
+    /// Folds one step's cross-server side into this replica's report: the
+    /// cluster trace merges in, step and drain extend to the slowest
+    /// server or to `sync_done`, whichever ends last, and the price covers
+    /// every server. Returns the cluster step time.
+    fn fold_cluster(
+        &self,
+        rep: &mut StepReport,
+        trace: &TraceRecorder,
+        sync_done: SimTime,
+        bucket_done: Vec<SimTime>,
+        servers: Vec<ServerStepBreakdown>,
+        grad_bytes: f64,
+    ) -> SimTime {
+        let n = servers.len();
+        let step = servers
+            .iter()
+            .map(|s| s.local_step)
+            .fold(sync_done, SimTime::max);
+        rep.trace.merge(trace);
         rep.cluster = Some(ClusterStepReport {
             num_servers: n,
-            sync_done: nic.step_time,
-            grad_bytes: profile.layers().iter().map(|l| l.grad_bytes as f64).sum(),
-            bucket_done: Vec::new(),
-            servers: (0..n)
-                .map(|s| ServerStepBreakdown {
-                    local_step: local,
-                    nic_tx_bytes: nic.nic_bytes_per_server[s],
-                    // The pairwise mesh is symmetric: each server receives
-                    // exactly what it transmits.
-                    nic_rx_bytes: nic.nic_bytes_per_server[s],
-                })
-                .collect(),
+            sync_done,
+            grad_bytes,
+            bucket_done,
+            servers,
         });
-        let step = local.max(nic.step_time);
         rep.step_time = step;
         rep.drain_time = rep.drain_time.max(step);
         rep.price_usd = pricing::step_price_usd(&self.topo, step) * n as f64;
-        Ok(())
+        step
     }
 
     /// The collapsed ring timing and local step time of the cluster's
@@ -983,7 +971,7 @@ impl FineTuner {
     /// the observer so the shadow leaves no spans in this server's trace.
     fn healthy_shadow(&self, solved: &SolvedPlan) -> Result<(ReplicaTiming, SimTime), RunError> {
         let plan = solved.plan.as_ref().map_err(RunError::clone)?;
-        let cfg = self.pipeline_cfg(MemoryMode::Heterogeneous);
+        let cfg = self.pipeline_cfg(&self.topo, MemoryMode::Heterogeneous);
         let sim = simulate_steps_faulted(
             &plan.stages,
             &plan.mapping,
@@ -1010,22 +998,21 @@ impl FineTuner {
     /// of the degradation ladder). Fault injection does not apply: the
     /// fault subsystem drives the pipeline executor.
     fn zero_hetero_step(&self, topo: &Topology, model_size: u64) -> Result<StepReport, RunError> {
-        let (_, profile) = self.profile();
         let zero_cfg = ZeroConfig {
             strict_validation: self.strict_validation,
         };
-        let rep = simulate_zero_step_traced(&profile, topo, &zero_cfg, self.obs.as_ref())?;
+        let rep = simulate_zero_step_traced(&self.profile(), topo, &zero_cfg, self.obs.as_ref())?;
         Ok(self.report(rep.step_time, rep.step_time, rep.trace, model_size))
     }
 
     fn reject_faults(&self) -> Result<(), RunError> {
-        match self.active_faults() {
-            Some(_) => Err(RunError::Unsupported(format!(
-                "fault injection drives the pipeline executor; {} does not replay a schedule",
-                self.system.label()
-            ))),
-            None => Ok(()),
+        if self.faults.is_empty() {
+            return Ok(());
         }
+        Err(RunError::Unsupported(format!(
+            "fault injection drives the pipeline executor; {} does not replay a schedule",
+            self.system.label()
+        )))
     }
 
     /// Simulates `k` consecutive training steps (pipeline systems only:
@@ -1062,7 +1049,7 @@ impl FineTuner {
         let (stages, mapping, cfg) = match self.system {
             System::Mobius => {
                 let plan = self.plan()?;
-                let cfg = self.pipeline_cfg(MemoryMode::Heterogeneous);
+                let cfg = self.pipeline_cfg(&self.topo, MemoryMode::Heterogeneous);
                 (plan.stages, plan.mapping, cfg)
             }
             System::Gpipe | System::DeepSpeedPipeline => self.gpipe_plan()?,
@@ -1079,7 +1066,7 @@ impl FineTuner {
             &self.topo,
             &cfg,
             k,
-            &self.faults_cloned(),
+            &self.faults,
             self.obs.as_ref(),
         )
         .map_err(|e| AttemptError::from(e).into())
@@ -1449,7 +1436,7 @@ mod tests {
             .system(System::Mobius)
             .num_microbatches(4)
             .faults(FaultSchedule::new().fail_gpu(2, SimTime::from_millis(50)))
-            .resilience(ResiliencePolicy::recover())
+            .recover(true)
             .observe(obs.clone())
             .run_step()
             .unwrap();
@@ -1478,7 +1465,7 @@ mod tests {
         let rep = cluster_tuner(System::Mobius)
             .cluster(ClusterConfig::new(2, 12.5))
             .faults(schedule)
-            .resilience(ResiliencePolicy::recover())
+            .recover(true)
             .run_step()
             .unwrap();
         assert!(!rep.degradations.is_empty());

@@ -57,7 +57,7 @@ pub use finetuner::{
     ClusterConfig, ClusterStepReport, FineTuner, Overheads, Plan, ServerStepBreakdown, StepReport,
     System,
 };
-pub use resilience::{Degradation, DegradeAction, ResiliencePolicy};
+pub use resilience::{Degradation, DegradeAction};
 pub use topo_spec::{parse_model, parse_system, parse_topology, TopoSpecError, MAX_SERVER_GPUS};
 
 // Re-export the sub-crates so downstream users need a single dependency.

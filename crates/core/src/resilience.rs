@@ -1,9 +1,10 @@
-//! Degraded-mode recovery policies for the fine-tuner.
+//! Degraded-mode recovery for the fine-tuner.
 //!
 //! When a [`FaultSchedule`](mobius_sim::FaultSchedule) is attached, a run
 //! can fail mid-step (a GPU dies, a transfer exhausts its retries) or a
-//! configuration can turn out infeasible (OOM). A [`ResiliencePolicy`]
-//! tells the [`FineTuner`](crate::FineTuner) what it may do about it:
+//! configuration can turn out infeasible (OOM).
+//! [`FineTuner::recover`](crate::FineTuner::recover) lets the step recover
+//! instead of failing:
 //!
 //! * **Elastic replan** — on a hard GPU failure, re-run the partition and
 //!   cross-mapping search over the surviving topology and resume there.
@@ -20,41 +21,7 @@ use mobius_sim::SimTime;
 
 use crate::RunError;
 
-/// What the fine-tuner may do when a step fails.
-///
-/// The default policy recovers nothing: faults and OOM surface as typed
-/// errors exactly as without a policy. Use [`ResiliencePolicy::recover`]
-/// (or set the fields) to opt in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[non_exhaustive]
-pub struct ResiliencePolicy {
-    /// On a hard GPU failure, replan on the surviving topology (dropping
-    /// GPU-addressed faults, whose indices no longer name the right
-    /// device) and run the step there.
-    pub elastic_replan: bool,
-    /// On OOM, degrade along the ladder: the configured partition →
-    /// [`PartitionAlgo::MaxStage`] (more, smaller stages) → ZeRO-hetero.
-    /// The ZeRO fallback runs without fault injection (the fault subsystem
-    /// drives the pipeline executor).
-    pub degrade_ladder: bool,
-}
-
-impl ResiliencePolicy {
-    /// A policy that recovers nothing (the default).
-    pub fn none() -> Self {
-        Self::default()
-    }
-
-    /// A policy with both recovery paths enabled.
-    pub fn recover() -> Self {
-        ResiliencePolicy {
-            elastic_replan: true,
-            degrade_ladder: true,
-        }
-    }
-}
-
-/// What a recovery policy switched to.
+/// What a recovery switched to.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum DegradeAction {
@@ -95,11 +62,11 @@ impl std::fmt::Display for DegradeAction {
     }
 }
 
-/// One recorded recovery step: what the policy did and the typed error
+/// One recorded recovery step: what the recovery did and the typed error
 /// that forced it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Degradation {
-    /// What the policy switched to.
+    /// What the recovery switched to.
     pub action: DegradeAction,
     /// The error that forced the switch.
     pub cause: RunError,
@@ -114,20 +81,6 @@ impl std::fmt::Display for Degradation {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn default_policy_recovers_nothing() {
-        let p = ResiliencePolicy::default();
-        assert!(!p.elastic_replan);
-        assert!(!p.degrade_ladder);
-        assert_eq!(p, ResiliencePolicy::none());
-    }
-
-    #[test]
-    fn recover_enables_both_paths() {
-        let p = ResiliencePolicy::recover();
-        assert!(p.elastic_replan && p.degrade_ladder);
-    }
 
     #[test]
     fn degradation_displays_action_and_cause() {

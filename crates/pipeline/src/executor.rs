@@ -427,9 +427,9 @@ struct Executor<'a> {
     dag: DagRecorder,
     /// Per step: the node whose end is the step boundary.
     step_heads: Vec<Option<u64>>,
-    /// Attached fault schedule; `None` when empty (nothing armed, so the
-    /// run is bit-identical to an unfaulted one).
-    faults: Option<&'a FaultSchedule>,
+    /// Attached fault schedule; an empty one arms nothing, so the run is
+    /// bit-identical to an unfaulted one.
+    faults: &'a FaultSchedule,
     fault_stats: FaultStats,
     /// Original link capacities, indexed by [`LinkId::index`].
     base_caps: Vec<f64>,
@@ -496,11 +496,12 @@ pub fn simulate_steps_traced(
     steps: usize,
     obs: Option<&Obs>,
 ) -> Result<MultiStepReport, ScheduleError> {
-    match simulate_steps_inner(stages, mapping, topo, cfg, steps, None, obs) {
+    let none = FaultSchedule::new();
+    match simulate_steps_inner(stages, mapping, topo, cfg, steps, &none, obs) {
         Ok(rep) => Ok(rep),
         Err(ExecError::Schedule(e)) => Err(e),
         Err(ExecError::Fault { .. }) => {
-            unreachable!("faults cannot fire without a schedule attached")
+            unreachable!("an empty schedule fires no faults")
         }
         // Only a fault degrades a link enough to outlast the clock.
         Err(e @ ExecError::ClockOverflow { .. }) => panic!("{e}"),
@@ -528,7 +529,7 @@ pub fn simulate_steps_faulted(
     faults: &FaultSchedule,
     obs: Option<&Obs>,
 ) -> Result<MultiStepReport, ExecError> {
-    simulate_steps_inner(stages, mapping, topo, cfg, steps, Some(faults), obs)
+    simulate_steps_inner(stages, mapping, topo, cfg, steps, faults, obs)
 }
 
 fn simulate_steps_inner(
@@ -537,7 +538,7 @@ fn simulate_steps_inner(
     topo: &Topology,
     cfg: &PipelineConfig,
     steps: usize,
-    faults: Option<&FaultSchedule>,
+    faults: &FaultSchedule,
     obs: Option<&Obs>,
 ) -> Result<MultiStepReport, ExecError> {
     let s = stages.len();
@@ -664,9 +665,8 @@ fn simulate_steps_inner(
     }
 
     // An empty schedule must be indistinguishable from no schedule at all:
-    // drop it here so nothing downstream even sees it.
-    let faults = faults.filter(|f| !f.is_empty());
-    let (base_caps, link_factor) = if faults.is_some() {
+    // it arms no events and keeps no link-capacity bookkeeping.
+    let (base_caps, link_factor) = if !faults.is_empty() {
         let factors = vec![1.0; caps.len()];
         (caps, factors)
     } else {
@@ -707,10 +707,8 @@ fn simulate_steps_inner(
         pending_relaunches: 0,
         abort: None,
     };
-    if let Some(f) = exec.faults {
-        for (idx, ev) in f.events().iter().enumerate() {
-            exec.engine.schedule(ev.at, Ev::Fault { idx });
-        }
+    for (idx, ev) in faults.events().iter().enumerate() {
+        exec.engine.schedule(ev.at, Ev::Fault { idx });
     }
     exec.run()?;
     if let Some(abort) = exec.abort {
@@ -815,7 +813,7 @@ impl Executor<'_> {
             // closes) past the end of real work; don't let them stretch the
             // drain time. Unfaulted runs never take this branch, keeping
             // their loop byte-identical to before.
-            if self.faults.is_some() && self.work_complete() {
+            if !self.faults.is_empty() && self.work_complete() {
                 break;
             }
             match mobius_sim::step(self.server.net_mut(), &mut self.engine)? {
@@ -868,7 +866,7 @@ impl Executor<'_> {
 
     /// Replays scheduled fault `idx` at the current instant.
     fn apply_fault(&mut self, idx: usize) {
-        let Some(faults) = self.faults else { return };
+        let faults = self.faults;
         let kind = faults.events()[idx].kind.clone();
         let now = self.engine.now();
         self.fault_stats.injected += 1;
@@ -980,7 +978,7 @@ impl Executor<'_> {
 
     /// Closes the degradation/straggler window of fault `idx`.
     fn end_fault(&mut self, idx: usize) {
-        let Some(faults) = self.faults else { return };
+        let faults = self.faults;
         match &faults.events()[idx].kind {
             FaultKind::LinkDegrade { link, factor, .. } => {
                 let (link, factor) = (link.clone(), *factor);
@@ -1016,7 +1014,7 @@ impl Executor<'_> {
         attempt: u32,
         stalled_until: SimTime,
     ) {
-        let Some(faults) = self.faults else { return };
+        let faults = self.faults;
         let Some(rem_now) = self.server.net().remaining_of(fid) else {
             return; // completed or already retried under a new id
         };
@@ -1099,7 +1097,7 @@ impl Executor<'_> {
     /// that killed it is still open, the relaunch freezes too and the
     /// watchdog keeps counting toward the retry budget.
     fn relaunch(&mut self, mut spec: RetrySpec) {
-        let Some(faults) = self.faults else { return };
+        let faults = self.faults;
         if self.abort.is_some() {
             return;
         }

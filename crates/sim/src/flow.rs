@@ -387,7 +387,7 @@ impl<T> FlowNetwork<T> {
 
     /// Enables or disables strict invariant validation.
     ///
-    /// While enabled, [`FlowNetwork::validate_rates`] runs after every rate
+    /// While enabled, the flow-conservation checks run after every rate
     /// solve and before every time advance, and any
     /// [`InvariantViolation`](crate::InvariantViolation) panics. Solves are
     /// lazy, so this checks every state a rate read observes, not the
@@ -415,12 +415,15 @@ impl<T> FlowNetwork<T> {
     ///    idle links would mean the allocator dropped a flow.
     ///
     /// Settles stale rates first, so it checks the rates a read would see.
-    pub fn validate_rates(&mut self) -> Result<(), InvariantViolation> {
+    #[cfg(test)]
+    pub(crate) fn validate_rates(&mut self) -> Result<(), InvariantViolation> {
         self.settle();
         self.check_rates()
     }
 
-    /// [`FlowNetwork::validate_rates`] on the rates as they stand.
+    /// The flow-conservation checks on the rates as they stand: no link
+    /// carries more than its capacity, no flow has a negative rate, and a
+    /// zero-rate flow is preempted by flows of equal or higher priority.
     fn check_rates(&self) -> Result<(), InvariantViolation> {
         use crate::InvariantViolation as V;
         // Per-link allocated rate, total and by minimum contributing
@@ -491,8 +494,8 @@ impl<T> FlowNetwork<T> {
     /// network (stale rates are settled first, so the injected rate stands
     /// until the next mutation). Test-only injection hook for exercising
     /// the strict-mode validators; never call this from simulation code.
-    #[doc(hidden)]
-    pub fn debug_set_rate(&mut self, id: FlowId, rate: f64) {
+    #[cfg(test)]
+    pub(crate) fn debug_set_rate(&mut self, id: FlowId, rate: f64) {
         self.settle();
         self.flow_mut(id).expect("unknown flow id").rate = rate;
     }

@@ -91,7 +91,8 @@ impl IntervalSet {
     /// Checks the structural invariant: spans sorted by start, each
     /// non-empty, pairwise disjoint and non-touching. Returns the first
     /// offending span on failure.
-    pub fn validate_invariants(&self) -> Result<(), crate::InvariantViolation> {
+    #[cfg(test)]
+    pub(crate) fn validate_invariants(&self) -> Result<(), crate::InvariantViolation> {
         use crate::InvariantViolation as V;
         let mut prev_end: Option<SimTime> = None;
         for (i, &(s, e)) in self.spans.iter().enumerate() {
@@ -119,8 +120,8 @@ impl IntervalSet {
     /// Builds a set from spans taken verbatim — no sorting, merging, or
     /// filtering. Test-only injection hook for exercising
     /// [`IntervalSet::validate_invariants`]; never use in simulation code.
-    #[doc(hidden)]
-    pub fn from_raw_spans(spans: Vec<(SimTime, SimTime)>) -> Self {
+    #[cfg(test)]
+    pub(crate) fn from_raw_spans(spans: Vec<(SimTime, SimTime)>) -> Self {
         IntervalSet { spans }
     }
 

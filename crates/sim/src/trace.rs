@@ -206,11 +206,6 @@ impl TraceRecorder {
             .collect();
     }
 
-    /// The attached observer, if any.
-    pub fn observer(&self) -> Option<&Obs> {
-        self.obs.as_ref()
-    }
-
     /// Supplies link names indexed by [`crate::LinkId`] so flow spans can be
     /// placed on per-link lanes (see [`crate::FlowNetwork::link_labels`]).
     pub fn set_link_labels(&mut self, labels: Vec<String>) {

@@ -3,16 +3,17 @@
 //! Strict mode turns silent modelling errors into loud ones: when enabled
 //! via [`FlowNetwork::set_strict_validation`], the flow network re-checks
 //! flow conservation after every rate solve, and panics with a
-//! [`InvariantViolation`] describing exactly which guarantee broke.
-//! [`IntervalSet::validate_invariants`] does the same for the overlap
-//! accounting structure.
+//! [`InvariantViolation`] describing exactly which guarantee broke. The
+//! overlap accounting structure ([`IntervalSet`]) has a structural check
+//! of its own, [`InvariantViolation::MalformedIntervals`], which its unit
+//! tests run.
 //!
 //! The checks are written as an independent re-statement of the documented
 //! invariants, *not* by reusing the allocator's own arithmetic — otherwise a
 //! bug in the water-filling solver would validate itself.
 //!
 //! [`FlowNetwork::set_strict_validation`]: crate::FlowNetwork::set_strict_validation
-//! [`IntervalSet::validate_invariants`]: crate::IntervalSet::validate_invariants
+//! [`IntervalSet`]: crate::IntervalSet
 
 use std::fmt;
 

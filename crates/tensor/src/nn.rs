@@ -93,7 +93,8 @@ impl TinyGpt {
     }
 
     /// The configuration.
-    pub fn config(&self) -> &TinyGptConfig {
+    #[cfg(test)]
+    fn config(&self) -> &TinyGptConfig {
         &self.cfg
     }
 
@@ -114,7 +115,7 @@ impl TinyGpt {
     /// # Panics
     ///
     /// Panics if `inputs` is empty or longer than `max_seq`.
-    pub fn logits(&self, tape: &mut Tape, inputs: &[usize]) -> (Var, Vec<Var>) {
+    fn logits(&self, tape: &mut Tape, inputs: &[usize]) -> (Var, Vec<Var>) {
         assert!(!inputs.is_empty(), "need at least one input token");
         assert!(inputs.len() <= self.cfg.max_seq, "sequence exceeds max_seq");
         let n = inputs.len();

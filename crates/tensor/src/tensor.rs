@@ -233,7 +233,8 @@ impl Tensor {
     }
 
     /// Frobenius norm.
-    pub fn norm(&self) -> f32 {
+    #[cfg(test)]
+    pub(crate) fn norm(&self) -> f32 {
         self.data.iter().map(|a| a * a).sum::<f32>().sqrt()
     }
 }

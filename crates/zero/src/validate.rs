@@ -41,7 +41,8 @@ impl ExpectedZeroTraffic {
     /// gives `2 + 2/N` model-sizes of gather and `1` of reduce per GPU,
     /// i.e. a ratio a little above 3 (the paper's `1.5 N ×` counts model
     /// size as parameters *plus* gradients).
-    pub fn eq2_ratio(&self, profile: &ModelProfile, num_gpus: usize) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn eq2_ratio(&self, profile: &ModelProfile, num_gpus: usize) -> f64 {
         let model = profile.total_param_bytes() as f64;
         (self.param_gather + self.gradient_reduce) / (num_gpus as f64 * model)
     }

@@ -21,8 +21,8 @@ use std::process::ExitCode;
 use mobius::obs::Obs;
 use mobius::sim::{FaultSchedule, SimTime};
 use mobius::{
-    run_checkpointed, CheckpointOpts, CkptRunError, ClusterConfig, FineTuner, ResiliencePolicy,
-    RunError, RunOutcome, RunSinks, System, TopoSpecError,
+    run_checkpointed, CheckpointOpts, CkptRunError, ClusterConfig, FineTuner, RunError, RunOutcome,
+    RunSinks, System, TopoSpecError,
 };
 use mobius_mip::SearchStats;
 use mobius_model::Model;
@@ -316,11 +316,11 @@ fn run(args: &[String]) -> Result<(), CliError> {
     let model = parse_model(&flag(args, "--model").unwrap_or_else(|| "15b".into()))?;
     let topo = parse_topo(&flag(args, "--topo").unwrap_or_else(|| "2+2".into()))?;
     let mut tuner = FineTuner::from_model(model).topology(topo.clone());
-    if let Some(mbs) = flag(args, "--mbs") {
-        tuner = tuner.microbatch_size(mbs.parse().map_err(|_| usage("bad --mbs"))?);
+    if let Some(mbs) = parsed(args, "--mbs")? {
+        tuner = tuner.microbatch_size(mbs);
     }
-    if let Some(m) = flag(args, "--microbatches") {
-        tuner = tuner.num_microbatches(m.parse().map_err(|_| usage("bad --microbatches"))?);
+    if let Some(m) = parsed(args, "--microbatches")? {
+        tuner = tuner.num_microbatches(m);
     }
     if args
         .iter()
@@ -329,16 +329,13 @@ fn run(args: &[String]) -> Result<(), CliError> {
         tuner = tuner.strict_validation(true);
     }
     if let Some(spec) = flag(args, "--faults") {
-        let seed: u64 = flag(args, "--seed")
-            .map(|s| s.parse().map_err(|_| usage("bad --seed")))
-            .transpose()?
-            .unwrap_or(0);
+        let seed: u64 = parsed(args, "--seed")?.unwrap_or(0);
         let schedule = FaultSchedule::parse(&spec, seed, topo.num_gpus(), FAULT_HORIZON)
             .map_err(|e| usage(format!("bad --faults: {e}")))?;
         tuner = tuner.faults(schedule);
     }
     if args.iter().any(|a| a == "--recover") {
-        tuner = tuner.resilience(ResiliencePolicy::recover());
+        tuner = tuner.recover(true);
     }
     match cmd.as_str() {
         "plan" => plan(tuner, &topo),
@@ -371,10 +368,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
         }
         "serve" => {
             let path = flag(args, "--script").ok_or_else(|| usage("serve needs --script FILE"))?;
-            let capacity: usize = flag(args, "--capacity")
-                .map(|s| s.parse().map_err(|_| usage("bad --capacity")))
-                .transpose()?
-                .unwrap_or(64);
+            let capacity: usize = parsed(args, "--capacity")?.unwrap_or(64);
             if capacity == 0 {
                 return Err(usage("bad --capacity: need room for at least one plan"));
             }
@@ -388,23 +382,18 @@ fn run(args: &[String]) -> Result<(), CliError> {
         "compare" => compare(tuner),
         "cluster" => {
             let system = system_flag(args)?;
-            let servers: usize = flag(args, "--servers")
-                .ok_or_else(|| usage("cluster needs --servers"))?
-                .parse()
-                .map_err(|_| usage("bad --servers"))?;
+            let servers: usize =
+                parsed(args, "--servers")?.ok_or_else(|| usage("cluster needs --servers"))?;
             if servers == 0 {
                 return Err(usage("bad --servers: need at least one server"));
             }
-            let nic: f64 = flag(args, "--nic-gbps")
-                .map(|s| s.parse().map_err(|_| usage("bad --nic-gbps")))
-                .transpose()?
-                .unwrap_or(mobius_topology::COMMODITY_NIC_GBPS);
+            let nic: f64 =
+                parsed(args, "--nic-gbps")?.unwrap_or(mobius_topology::COMMODITY_NIC_GBPS);
             if !(nic.is_finite() && nic > 0.0) {
                 return Err(usage("bad --nic-gbps: need a positive bandwidth"));
             }
             let mut cfg = ClusterConfig::new(servers, nic);
-            if let Some(s) = flag(args, "--switch-gbps") {
-                let gbps: f64 = s.parse().map_err(|_| usage("bad --switch-gbps"))?;
+            if let Some(gbps) = parsed::<f64>(args, "--switch-gbps")? {
                 if !(gbps.is_finite() && gbps > 0.0) {
                     return Err(usage("bad --switch-gbps: need a positive bandwidth"));
                 }
@@ -438,6 +427,14 @@ fn flag(args: &[String], name: &str) -> Option<String> {
         .cloned()
 }
 
+/// The value of flag `name` parsed as a `T`; `None` when the flag is
+/// absent, and a value that does not parse is a usage error naming it.
+fn parsed<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, CliError> {
+    flag(args, name)
+        .map(|s| s.parse().map_err(|_| usage(format!("bad {name}"))))
+        .transpose()
+}
+
 /// Any checkpoint-driver flag routes `step`/`cluster` through the chunked
 /// multi-step driver; without them the legacy single-step path runs
 /// byte-unchanged.
@@ -454,21 +451,12 @@ fn wants_checkpointing(args: &[String]) -> bool {
 
 /// The checkpointed multi-step path of `step` and `cluster`.
 fn checkpointed_run(tuner: FineTuner, args: &[String], sinks: RunSinks) -> Result<(), CliError> {
-    let steps: u64 = flag(args, "--steps")
-        .map(|s| s.parse().map_err(|_| usage("bad --steps")))
-        .transpose()?
-        .unwrap_or(1);
+    let steps: u64 = parsed(args, "--steps")?.unwrap_or(1);
     if steps == 0 {
         return Err(usage("bad --steps: need at least one step"));
     }
-    let every: u64 = flag(args, "--checkpoint-every")
-        .map(|s| s.parse().map_err(|_| usage("bad --checkpoint-every")))
-        .transpose()?
-        .unwrap_or(0);
-    let keep: usize = flag(args, "--checkpoint-keep")
-        .map(|s| s.parse().map_err(|_| usage("bad --checkpoint-keep")))
-        .transpose()?
-        .unwrap_or(mobius::ckpt::DEFAULT_KEEP);
+    let every: u64 = parsed(args, "--checkpoint-every")?.unwrap_or(0);
+    let keep: usize = parsed(args, "--checkpoint-keep")?.unwrap_or(mobius::ckpt::DEFAULT_KEEP);
     if keep == 0 {
         return Err(usage("bad --checkpoint-keep: must keep at least one"));
     }

@@ -2,8 +2,8 @@
 //! `mobius-lint` — zero unsuppressed determinism or layering findings.
 //! This is the same check `scripts/verify.sh` runs as a hard gate; having
 //! it in the root test suite means plain `cargo test` enforces it too.
-//! A second gate keeps every package's manifest free of dependencies that
-//! none of its sources name.
+//! A second gate keeps every package's manifest free of dependencies and
+//! dev-dependencies that none of its sources name.
 
 use std::path::Path;
 
@@ -21,13 +21,14 @@ fn workspace_has_zero_unsuppressed_lint_findings() {
     );
 }
 
-/// The `[dependencies]` keys of a manifest, in file order.
+/// The `[dependencies]` and `[dev-dependencies]` keys of a manifest, in
+/// file order.
 fn dependencies(manifest: &str) -> Vec<String> {
     let mut in_deps = false;
     let mut names = Vec::new();
     for line in manifest.lines().map(str::trim) {
         if line.starts_with('[') {
-            in_deps = line == "[dependencies]";
+            in_deps = line == "[dependencies]" || line == "[dev-dependencies]";
         } else if in_deps && !line.is_empty() && !line.starts_with('#') {
             let key = line.split(['.', '=', ' ']).next().unwrap_or(line);
             names.push(key.to_string());
@@ -85,7 +86,8 @@ fn every_declared_dependency_is_named_by_its_package() {
     }
     assert!(
         unused.is_empty(),
-        "[dependencies] entries no source of their package names:\n{}",
+        "[dependencies] and [dev-dependencies] entries no source of their \
+         package names:\n{}",
         unused.join("\n")
     );
 }

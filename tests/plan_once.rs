@@ -11,8 +11,7 @@ use std::path::{Path, PathBuf};
 use mobius::ckpt::flow;
 use mobius::obs::Obs;
 use mobius::{
-    run_checkpointed, CheckpointOpts, ClusterConfig, FineTuner, ResiliencePolicy, RunOutcome,
-    RunSinks, RunSummary,
+    run_checkpointed, CheckpointOpts, ClusterConfig, FineTuner, RunOutcome, RunSinks, RunSummary,
 };
 use mobius_model::GptConfig;
 use mobius_sim::{FaultSchedule, SimTime};
@@ -165,7 +164,7 @@ fn run_step_replays_the_plan_record_where_the_solve_records_it() {
 fn elastic_replans_still_solve_inside_every_step() {
     let faulted = gpt2()
         .faults(FaultSchedule::parse("gpufail:1:50", 0, 4, SimTime::from_secs_f64(1.0)).unwrap())
-        .resilience(ResiliencePolicy::recover());
+        .recover(true);
     let (summary, replans) = assert_driver_matches_run_step("gpufail", &faulted);
     assert_eq!(replans, vec![1.0; STEPS as usize], "one replan per step");
     // The replans are the steps' own; the driver solved the plan once.
