@@ -1,7 +1,5 @@
 //! Stages: contiguous layer ranges with aggregated costs.
 
-use std::ops::Range;
-
 use mobius_profiler::ModelProfile;
 use mobius_sim::SimTime;
 
@@ -52,16 +50,6 @@ impl Partition {
     /// Per-stage layer counts.
     pub fn sizes(&self) -> &[usize] {
         &self.sizes
-    }
-
-    /// The half-open layer range of stage `j`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j` is out of range.
-    fn layer_range(&self, j: usize) -> Range<usize> {
-        let start: usize = self.sizes[..j].iter().sum();
-        start..start + self.sizes[j]
     }
 }
 
@@ -133,25 +121,34 @@ pub fn stage_costs(profile: &ModelProfile, partition: &Partition) -> Vec<StageCo
         profile.len()
     );
     let layers = profile.layers();
-    (0..partition.num_stages())
-        .map(|j| {
-            let r = partition.layer_range(j);
-            let slice = &layers[r.clone()];
-            StageCosts {
-                fwd: slice.iter().map(|l| l.fwd).sum(),
-                bwd: slice.iter().map(|l| l.bwd).sum(),
-                param_bytes: slice.iter().map(|l| l.param_bytes).sum(),
-                grad_bytes: slice.iter().map(|l| l.grad_bytes).sum(),
-                in_act_bytes: if r.start == 0 {
-                    0
-                } else {
-                    layers[r.start - 1].output_act_bytes
-                },
-                out_act_bytes: layers[r.end - 1].output_act_bytes,
-                workspace_bytes: slice.iter().map(|l| l.workspace_bytes).max().unwrap_or(0),
-            }
-        })
-        .collect()
+    let mut start = 0;
+    let mut costs = Vec::with_capacity(partition.num_stages());
+    for &size in partition.sizes() {
+        let slice = &layers[start..start + size];
+        let mut st = StageCosts {
+            fwd: SimTime::ZERO,
+            bwd: SimTime::ZERO,
+            param_bytes: 0,
+            grad_bytes: 0,
+            in_act_bytes: if start == 0 {
+                0
+            } else {
+                layers[start - 1].output_act_bytes
+            },
+            out_act_bytes: slice[size - 1].output_act_bytes,
+            workspace_bytes: 0,
+        };
+        for l in slice {
+            st.fwd += l.fwd;
+            st.bwd += l.bwd;
+            st.param_bytes += l.param_bytes;
+            st.grad_bytes += l.grad_bytes;
+            st.workspace_bytes = st.workspace_bytes.max(l.workspace_bytes);
+        }
+        costs.push(st);
+        start += size;
+    }
+    costs
 }
 
 #[cfg(test)]
@@ -183,11 +180,16 @@ mod tests {
     }
 
     #[test]
-    fn ranges_partition_the_layers() {
-        let p = Partition::from_sizes(vec![2, 1, 1]);
-        assert_eq!(p.layer_range(0), 0..2);
-        assert_eq!(p.layer_range(1), 2..3);
-        assert_eq!(p.layer_range(2), 3..4);
+    fn stages_cover_consecutive_layer_ranges() {
+        // Layers 0..2, 2..3 and 3..4: each boundary is the output of the
+        // layer before it.
+        let costs = stage_costs(&profile(), &Partition::from_sizes(vec![2, 1, 1]));
+        let params: Vec<u64> = costs.iter().map(|c| c.param_bytes).collect();
+        let ins: Vec<u64> = costs.iter().map(|c| c.in_act_bytes).collect();
+        let outs: Vec<u64> = costs.iter().map(|c| c.out_act_bytes).collect();
+        assert_eq!(params, [300, 300, 400]);
+        assert_eq!(ins, [0, 20, 30]);
+        assert_eq!(outs, [20, 30, 40]);
     }
 
     #[test]
