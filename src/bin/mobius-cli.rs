@@ -1129,6 +1129,35 @@ mod tests {
     }
 
     #[test]
+    fn an_infeasible_plan_reports_a_requirement_above_the_capacity() {
+        use mobius::OomCause;
+        use mobius_pipeline::ScheduleError;
+
+        // At 8,192 microbatches only a stage without checkpointed inputs
+        // fits, so no segmentation gives every GPU a stage.
+        let err = run(&argv(&[
+            "step",
+            "--model",
+            "15b",
+            "--topo",
+            "2+2",
+            "--microbatches",
+            "8192",
+        ]))
+        .unwrap_err();
+        assert_eq!(err.exit_code(), 3, "{err}");
+        let CliError::Run(RunError::OutOfMemory(OomCause::Schedule(
+            ScheduleError::StageTooLarge {
+                required, capacity, ..
+            },
+        ))) = &err
+        else {
+            panic!("not a stage memory error: {err}");
+        };
+        assert!(required > capacity, "{err}");
+    }
+
+    #[test]
     fn a_fabric_too_slow_for_the_clock_exits_9() {
         for (flag, system) in [
             ("--nic-gbps", "mobius"),
