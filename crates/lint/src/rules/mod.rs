@@ -5,9 +5,9 @@
 //! * [`units`] — D007, dimension-aware unit-consistency analysis.
 //! * [`registry`] — D009, DESIGN.md obs-registry drift.
 //!
-//! D000 (malformed suppression) and D008 (stale suppression) live in
-//! [`crate::suppress`]: they are properties of the directives themselves,
-//! not of the code under them.
+//! D000 (malformed suppression) and D008 (stale suppression) live in the
+//! crate's private `suppress` module: they are properties of the
+//! directives themselves, not of the code under them.
 
 pub mod determinism;
 pub mod layering;

@@ -55,8 +55,8 @@ cargo run --release -q -p mobius-lint -- --format human
 stage "cargo fmt --all -- --check"
 cargo fmt --all -- --check
 
-stage "cargo doc --no-deps (warnings denied)"
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
+stage "cargo doc --no-deps --workspace (warnings denied)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 
 stage "example smoke runs (quickstart, topology_explorer)"
 cargo run --release -q --example quickstart >/dev/null

@@ -5,9 +5,10 @@
 //!
 //! - the [`proptest!`] macro (with an optional `#![proptest_config(..)]`
 //!   header), [`prop_assert!`] and [`prop_assert_eq!`];
-//! - [`Strategy`] implemented for numeric [`std::ops::Range`]s, tuples of
-//!   strategies (arity 2–4), [`prop::collection::vec`], and
-//!   [`Strategy::prop_map`];
+//! - [`Strategy`](strategy::Strategy) implemented for numeric
+//!   [`std::ops::Range`]s, tuples of up to six strategies,
+//!   [`prop::collection::vec`], and
+//!   [`Strategy::prop_map`](strategy::Strategy::prop_map);
 //! - [`prelude::ProptestConfig`] / [`prelude::TestCaseError`].
 //!
 //! Differences from real proptest, by design:

@@ -162,7 +162,7 @@ impl_tuple_strategy! {
     (A.0, B.1, C.2, D.3, E.4, F.5)
 }
 
-/// Length specification for [`vec`] (mirrors `proptest`'s `SizeRange`):
+/// Length specification for [`vec()`] (mirrors `proptest`'s `SizeRange`):
 /// a `Range<usize>` draws the length, a bare `usize` fixes it.
 #[derive(Debug, Clone)]
 pub struct SizeRange {
@@ -188,7 +188,7 @@ impl From<usize> for SizeRange {
     }
 }
 
-/// Strategy returned by [`vec`].
+/// Strategy returned by [`vec()`].
 #[derive(Debug, Clone)]
 pub struct VecStrategy<S> {
     element: S,
