@@ -27,7 +27,7 @@ pub fn compare(m: usize) -> (f64, f64, u64, u64) {
     let mapping = Mapping::sequential(4, 4);
 
     let gpipe = evaluate_analytic(&stages, &mapping, &cfg).expect("gpipe evaluates");
-    let ours = evaluate_1f1b(&stages, m, cfg.act_latency).expect("1f1b evaluates");
+    let ours = evaluate_1f1b(&stages, m, cfg.act_latency);
 
     let gpipe_act: u64 = m as u64 * stages[1].in_act_bytes;
     let ours_act = ours.act_memory_bytes(&stages, 1);

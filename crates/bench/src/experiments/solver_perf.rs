@@ -25,6 +25,7 @@
 //! counters cover the whole search. Wall timings live in a separate `solver-wall`
 //! experiment that the baseline diff and the determinism gate both ignore.
 
+use mobius::ckpt::Fnv64;
 use mobius_obs::WallTimer;
 use mobius_pipeline::{mip_partition_opts, MipPartitionOpts, PartitionOutcome, PipelineConfig};
 use mobius_profiler::{LayerProfile, ModelProfile};
@@ -163,15 +164,6 @@ fn xorshift(state: &mut u64) -> u64 {
     x.wrapping_mul(0x2545_F491_4F6C_DD1D)
 }
 
-fn fnv1a(acc: u64, word: u64) -> u64 {
-    let mut h = acc;
-    for b in word.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 const STORM_EVENTS: usize = 20_000;
 
 /// The seeded storm: dense ties early, a sparse millisecond horizon
@@ -182,7 +174,7 @@ const STORM_EVENTS: usize = 20_000;
 fn event_storm(seed: u64, metrics: &mut Vec<Metric>) {
     let mut e: Engine<u64> = Engine::new();
     let mut rng = seed | 1;
-    let mut checksum = 0xCBF2_9CE4_8422_2325u64;
+    let mut checksum = Fnv64::new();
     let mut popped = 0u64;
     for i in 0..STORM_EVENTS {
         let r = xorshift(&mut rng);
@@ -195,20 +187,22 @@ fn event_storm(seed: u64, metrics: &mut Vec<Metric>) {
         if r % 7 < 3 {
             for _ in 0..(r % 4) {
                 if let Some((at, payload)) = e.pop() {
-                    checksum = fnv1a(fnv1a(checksum, at.as_nanos()), payload);
+                    checksum.write(&at.as_nanos().to_le_bytes());
+                    checksum.write(&payload.to_le_bytes());
                     popped += 1;
                 }
             }
         }
     }
     while let Some((at, payload)) = e.pop() {
-        checksum = fnv1a(fnv1a(checksum, at.as_nanos()), payload);
+        checksum.write(&at.as_nanos().to_le_bytes());
+        checksum.write(&payload.to_le_bytes());
         popped += 1;
     }
     metrics.push(Metric::new("engine.popped", popped, Rule::Exact));
     metrics.push(Metric::new(
         "engine.checksum",
-        format!("{checksum:016x}"),
+        format!("{:016x}", checksum.finish()),
         Rule::Exact,
     ));
 }
@@ -254,18 +248,19 @@ fn flow_churn(metrics: &mut Vec<Metric>) {
     }
 
     // Drain: advance to each completion and retire the flow.
-    let mut checksum = 0xCBF2_9CE4_8422_2325u64;
+    let mut checksum = Fnv64::new();
     let mut completed = 0u64;
     while let Some((_, rec, tag)) = mobius_sim::step_flows(&mut net).expect("churn links are fast")
     {
-        checksum = fnv1a(fnv1a(checksum, tag), rec.finished.as_nanos());
+        checksum.write(&tag.to_le_bytes());
+        checksum.write(&rec.finished.as_nanos().to_le_bytes());
         completed += 1;
     }
 
     metrics.push(Metric::new("flow.completed", completed, Rule::Exact));
     metrics.push(Metric::new(
         "flow.checksum",
-        format!("{checksum:016x}"),
+        format!("{:016x}", checksum.finish()),
         Rule::Exact,
     ));
 }

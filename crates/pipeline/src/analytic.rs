@@ -269,6 +269,43 @@ fn residual(cfg: &PipelineConfig, load: u64, reserved: u64, window: SimTime) -> 
     load - prefetched
 }
 
+/// The checks both evaluators make before they schedule anything, in this
+/// order: no stages, zero microbatches, a mapping over a different number
+/// of stages, and the first stage that does not fit in GPU memory
+/// (constraint 4, [`StageCosts::required_bytes`]). The first one that
+/// fails is the error. (A mapping covers at least one stage, so an empty
+/// stage list always mismatches its mapping too; it reports no stages.)
+pub(crate) fn check_workload(
+    stages: &[StageCosts],
+    mapping: &Mapping,
+    cfg: &PipelineConfig,
+) -> Result<(), ScheduleError> {
+    let empty = |what: &str| ScheduleError::EmptyWorkload { what: what.into() };
+    if stages.is_empty() {
+        return Err(empty("stages"));
+    }
+    if cfg.num_microbatches == 0 {
+        return Err(empty("microbatches"));
+    }
+    if mapping.num_stages() != stages.len() {
+        return Err(ScheduleError::MappingMismatch {
+            mapped: mapping.num_stages(),
+            stages: stages.len(),
+        });
+    }
+    for (j, st) in stages.iter().enumerate() {
+        let required = st.required_bytes(cfg.num_microbatches);
+        if required > cfg.gpu_mem_bytes {
+            return Err(ScheduleError::StageTooLarge {
+                stage: j,
+                required,
+                capacity: cfg.gpu_mem_bytes,
+            });
+        }
+    }
+    Ok(())
+}
+
 /// Working memory of the evaluator: each stage's neighbours on its GPU, the
 /// start rows, and each stage's finish time and execution window.
 #[derive(Debug, Default)]
@@ -299,39 +336,12 @@ impl Scratch {
         mapping: &Mapping,
         cfg: &PipelineConfig,
     ) -> Result<SimTime, ScheduleError> {
+        check_workload(stages, mapping, cfg)?;
         let s = stages.len();
         let m = cfg.num_microbatches;
-        if s == 0 {
-            return Err(ScheduleError::EmptyWorkload {
-                what: "stages".into(),
-            });
-        }
-        if m == 0 {
-            return Err(ScheduleError::EmptyWorkload {
-                what: "microbatches".into(),
-            });
-        }
-        if mapping.num_stages() != s {
-            return Err(ScheduleError::MappingMismatch {
-                mapped: mapping.num_stages(),
-                stages: s,
-            });
-        }
         let g_cap = cfg.gpu_mem_bytes;
         let b = cfg.bandwidth;
         let hetero = cfg.memory_mode == MemoryMode::Heterogeneous;
-
-        // Memory feasibility (constraint 4).
-        for (j, st) in stages.iter().enumerate() {
-            let required = st.resident_fwd().max(st.resident_bwd(m));
-            if required > g_cap {
-                return Err(ScheduleError::StageTooLarge {
-                    stage: j,
-                    required,
-                    capacity: g_cap,
-                });
-            }
-        }
 
         // Each stage's neighbours on its GPU, in one pass.
         self.last.clear();
@@ -484,8 +494,9 @@ impl Scratch {
 ///
 /// # Errors
 ///
-/// Returns [`ScheduleError`] when a stage cannot fit in GPU memory or the
-/// mapping does not match the stage list.
+/// Returns [`ScheduleError`] when there are no stages or no microbatches,
+/// the mapping does not match the stage list, or a stage cannot fit in GPU
+/// memory; with several of these, the first in that order.
 pub fn evaluate_analytic(
     stages: &[StageCosts],
     mapping: &Mapping,

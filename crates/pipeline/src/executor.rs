@@ -37,6 +37,7 @@ use mobius_sim::{
 };
 use mobius_topology::{ServerNetwork, Topology};
 
+use crate::analytic::check_workload;
 use crate::{MemoryMode, PipelineConfig, ScheduleError, StageCosts};
 
 /// Result of simulating one training step.
@@ -485,9 +486,12 @@ pub fn simulate_step_traced(
 ///
 /// # Errors
 ///
-/// Returns [`ScheduleError`] when a stage cannot fit in GPU memory, the
-/// mapping mismatches the stage list or topology, or the workload is
-/// empty (`steps == 0`, no stages, no microbatches).
+/// Returns [`ScheduleError`] when the workload is empty or cannot run;
+/// when several checks fail, the first of: `steps == 0`, a mapping over a
+/// different GPU count than the topology, then
+/// [`evaluate_analytic`](crate::evaluate_analytic)'s checks in its order
+/// (no stages, no microbatches, a stage-count mismatch, a stage too large
+/// for GPU memory).
 pub fn simulate_steps_traced(
     stages: &[StageCosts],
     mapping: &Mapping,
@@ -541,30 +545,10 @@ fn simulate_steps_inner(
     faults: &FaultSchedule,
     obs: Option<&Obs>,
 ) -> Result<MultiStepReport, ExecError> {
-    let s = stages.len();
-    let m = cfg.num_microbatches;
-    if s == 0 {
-        return Err(ScheduleError::EmptyWorkload {
-            what: "stages".into(),
-        }
-        .into());
-    }
-    if m == 0 {
-        return Err(ScheduleError::EmptyWorkload {
-            what: "microbatches".into(),
-        }
-        .into());
-    }
+    // The run's own arguments first, then what the analytic core checks.
     if steps == 0 {
         return Err(ScheduleError::EmptyWorkload {
             what: "steps".into(),
-        }
-        .into());
-    }
-    if mapping.num_stages() != s {
-        return Err(ScheduleError::MappingMismatch {
-            mapped: mapping.num_stages(),
-            stages: s,
         }
         .into());
     }
@@ -575,17 +559,9 @@ fn simulate_steps_inner(
         }
         .into());
     }
-    for (j, st) in stages.iter().enumerate() {
-        let required = st.resident_fwd().max(st.resident_bwd(m));
-        if required > cfg.gpu_mem_bytes {
-            return Err(ScheduleError::StageTooLarge {
-                stage: j,
-                required,
-                capacity: cfg.gpu_mem_bytes,
-            }
-            .into());
-        }
-    }
+    check_workload(stages, mapping, cfg)?;
+    let s = stages.len();
+    let m = cfg.num_microbatches;
 
     let hetero = cfg.memory_mode == MemoryMode::Heterogeneous;
     let n = topo.num_gpus();
@@ -2022,6 +1998,72 @@ mod tests {
             err,
             ScheduleError::GpuCountMismatch { mapped: 2, topo: 4 }
         ));
+    }
+
+    /// With several rules broken, the executor reports zero steps, then a
+    /// GPU-count mismatch, then what the shared workload check finds first:
+    /// no stages, zero microbatches, a stage-count mismatch, a stage too
+    /// large. Each case breaks the rule it expects and, where it can, every
+    /// rule after it; the analytic evaluator, which checks no steps and no
+    /// topology, agrees from the third case on.
+    #[test]
+    fn the_first_broken_rule_in_precedence_order_is_reported() {
+        let (mut stages, _, topo, c) = hetero_setup();
+        stages[3].param_bytes = 100 * GB;
+        let zero_m = PipelineConfig {
+            num_microbatches: 0,
+            ..c
+        };
+        let wrong_gpus = Mapping::sequential(9, 2);
+        let wrong_stages = Mapping::sequential(9, 4);
+        let empty = |what: &str| ScheduleError::EmptyWorkload { what: what.into() };
+        let cases: [(
+            &[StageCosts],
+            &Mapping,
+            PipelineConfig,
+            usize,
+            ScheduleError,
+        ); 6] = [
+            (&stages, &wrong_gpus, zero_m, 0, empty("steps")),
+            (
+                &stages,
+                &wrong_gpus,
+                zero_m,
+                1,
+                ScheduleError::GpuCountMismatch { mapped: 2, topo: 4 },
+            ),
+            (&[], &wrong_stages, zero_m, 1, empty("stages")),
+            (&stages, &wrong_stages, zero_m, 1, empty("microbatches")),
+            (
+                &stages,
+                &wrong_stages,
+                c,
+                1,
+                ScheduleError::MappingMismatch {
+                    mapped: 9,
+                    stages: 8,
+                },
+            ),
+            (
+                &stages,
+                &Mapping::sequential(8, 4),
+                c,
+                1,
+                ScheduleError::StageTooLarge {
+                    stage: 3,
+                    required: stages[3].required_bytes(4),
+                    capacity: c.gpu_mem_bytes,
+                },
+            ),
+        ];
+        for (i, (st, mapping, cfg, steps, want)) in cases.into_iter().enumerate() {
+            let got = simulate_steps_traced(st, mapping, &topo, &cfg, steps, None).unwrap_err();
+            assert_eq!(got, want, "case {i}");
+            if i >= 2 {
+                let analytic = crate::evaluate_analytic(st, mapping, &cfg).unwrap_err();
+                assert_eq!(analytic, want, "analytic, case {i}");
+            }
+        }
     }
 
     #[test]

@@ -12,6 +12,7 @@ use mobius_model::OPTIMIZER_BYTES_PER_PARAM;
 use mobius_profiler::ModelProfile;
 use mobius_sim::SimTime;
 
+use crate::partitioner::fill_gpus;
 use crate::{
     evaluate_analytic, stage_costs, MemoryMode, Partition, PipelineConfig, ScheduleError,
     StageCosts, TrafficEstimate,
@@ -30,17 +31,12 @@ pub struct GpipePlan {
     pub traffic: TrafficEstimate,
 }
 
-/// Per-GPU bytes GPipe needs resident: FP16 parameters and gradients, the
-/// FP32 optimizer state, `m` checkpointed microbatch inputs, workspace, and
-/// the boundary activations.
+/// Per-GPU bytes GPipe needs resident: what the stage needs to run
+/// ([`StageCosts::required_bytes`]) plus the FP32 optimizer state, which
+/// GPipe keeps on the GPU.
 fn gpipe_memory(stage: &StageCosts, m: usize) -> u64 {
     let params = stage.param_bytes / 2; // parameter count (fp16 = 2 bytes)
-    stage.param_bytes
-        + stage.grad_bytes
-        + params * OPTIMIZER_BYTES_PER_PARAM
-        + m as u64 * stage.in_act_bytes
-        + stage.workspace_bytes
-        + stage.out_act_bytes
+    stage.required_bytes(m) + params * OPTIMIZER_BYTES_PER_PARAM
 }
 
 /// Plans and analytically evaluates GPipe on `n_gpus`.
@@ -64,15 +60,7 @@ pub fn plan_gpipe(
     let (mut sizes, _) = chain_partition_dp(&weights, n_gpus.min(profile.len()));
     // chain_partition_dp may use fewer parts; GPipe wants exactly n_gpus
     // when there are enough layers.
-    while sizes.len() < n_gpus && sizes.iter().any(|&s| s > 1) {
-        let (i, &biggest) = sizes
-            .iter()
-            .enumerate()
-            .max_by_key(|&(_, &s)| s)
-            .expect("nonempty");
-        sizes[i] = biggest / 2;
-        sizes.insert(i + 1, biggest - biggest / 2);
-    }
+    fill_gpus(&mut sizes, n_gpus);
     let partition = Partition::from_sizes(sizes);
     let costs = stage_costs(profile, &partition);
     let m = cfg.num_microbatches;

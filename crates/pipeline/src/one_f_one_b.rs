@@ -11,7 +11,7 @@
 
 use mobius_sim::SimTime;
 
-use crate::{ScheduleError, StageCosts};
+use crate::StageCosts;
 
 /// Timing and memory results of a 1F1B schedule.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,20 +71,13 @@ fn task_order(i: usize, s: usize, m: usize) -> Vec<Kind> {
 /// [`crate::PipelineConfig::act_latency`]); bandwidth is not modelled here
 /// because resident pipelines only move boundary activations.
 ///
-/// # Errors
-///
-/// This evaluator has no memory constraint of its own; it returns
-/// `Ok` for every input (the `Result` mirrors the other evaluators for
-/// interface symmetry).
+/// This evaluator has no memory constraint of its own, so it cannot fail
+/// on a valid input.
 ///
 /// # Panics
 ///
 /// Panics if `stages` is empty or `m == 0`.
-pub fn evaluate_1f1b(
-    stages: &[StageCosts],
-    m: usize,
-    act_latency: SimTime,
-) -> Result<OneFOneBSchedule, ScheduleError> {
+pub fn evaluate_1f1b(stages: &[StageCosts], m: usize, act_latency: SimTime) -> OneFOneBSchedule {
     let s = stages.len();
     assert!(s > 0 && m > 0, "need stages and microbatches");
 
@@ -170,12 +163,12 @@ pub fn evaluate_1f1b(
         .max()
         .expect("at least one backward");
 
-    Ok(OneFOneBSchedule {
+    OneFOneBSchedule {
         step_time,
         fwd_start,
         bwd_start,
         peak_in_flight,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -217,7 +210,7 @@ mod tests {
     #[test]
     fn caps_in_flight_at_pipeline_depth() {
         let stages: Vec<StageCosts> = (0..4).map(|_| stage(10, 20, 1 << 20)).collect();
-        let sch = evaluate_1f1b(&stages, 8, SimTime::ZERO).unwrap();
+        let sch = evaluate_1f1b(&stages, 8, SimTime::ZERO);
         // Stage i holds at most S - i in-flight microbatches.
         assert_eq!(sch.peak_in_flight, vec![4, 3, 2, 1]);
     }
@@ -226,7 +219,7 @@ mod tests {
     fn act_memory_beats_gpipe_for_many_microbatches() {
         let stages: Vec<StageCosts> = (0..4).map(|_| stage(10, 20, 64 << 20)).collect();
         let m = 8;
-        let sch = evaluate_1f1b(&stages, m, SimTime::ZERO).unwrap();
+        let sch = evaluate_1f1b(&stages, m, SimTime::ZERO);
         for i in 0..4 {
             let gpipe = m as u64 * stages[i].in_act_bytes;
             let ours = sch.act_memory_bytes(&stages, i);
@@ -243,7 +236,7 @@ mod tests {
         // within a few percent of the GPipe fill/drain makespan.
         let stages: Vec<StageCosts> = (0..4).map(|_| stage(10, 20, 0)).collect();
         let m = 8;
-        let ours = evaluate_1f1b(&stages, m, SimTime::ZERO).unwrap().step_time;
+        let ours = evaluate_1f1b(&stages, m, SimTime::ZERO).step_time;
         let mapping = Mapping::sequential(4, 4);
         let cfg = PipelineConfig {
             memory_mode: MemoryMode::Resident,
@@ -264,7 +257,7 @@ mod tests {
     #[test]
     fn single_stage_degenerates_to_serial() {
         let stages = vec![stage(10, 20, 0)];
-        let sch = evaluate_1f1b(&stages, 3, SimTime::ZERO).unwrap();
+        let sch = evaluate_1f1b(&stages, 3, SimTime::ZERO);
         // F B F B F B, strictly serial: 3 * 30ms.
         assert_eq!(sch.step_time, SimTime::from_millis(90));
         assert_eq!(sch.peak_in_flight, vec![1]);
@@ -273,7 +266,7 @@ mod tests {
     #[test]
     fn backward_never_precedes_forward() {
         let stages: Vec<StageCosts> = (0..3).map(|_| stage(7, 13, 0)).collect();
-        let sch = evaluate_1f1b(&stages, 5, SimTime::from_millis(1)).unwrap();
+        let sch = evaluate_1f1b(&stages, 5, SimTime::from_millis(1));
         for i in 0..3 {
             for mb in 0..5 {
                 assert!(

@@ -17,7 +17,7 @@ use mobius_mip::{SearchStats, SegmentObjective, SegmentSearch};
 use mobius_profiler::ModelProfile;
 use mobius_sim::SimTime;
 
-use crate::{evaluate_analytic, stage_costs, Partition, PipelineConfig, ScheduleError};
+use crate::{evaluate_analytic, stage_costs, Partition, PipelineConfig, ScheduleError, StageCosts};
 
 /// Node budget of a budgeted MIP partition search
 /// ([`MipPartitionOpts::budgeted`]). 8,192 = 2^13 is the number of internal
@@ -108,48 +108,16 @@ fn max_stage_partition(
     let mut sizes = Vec::new();
     let mut start = 0;
     while start < l {
-        let c = max_feasible(profile, cfg, start);
-        if c == 0 {
-            // Report what the single layer actually needs resident (the
-            // same fwd/bwd peak `max_feasible` tested), not just its
-            // parameters.
-            let layers = profile.layers();
-            let first = &layers[start];
-            let in_act = if start == 0 {
-                0
-            } else {
-                layers[start - 1].output_act_bytes
-            };
-            let m = cfg.num_microbatches as u64;
-            let fwd = first.param_bytes + first.workspace_bytes + in_act + first.output_act_bytes;
-            let bwd = first.param_bytes
-                + first.grad_bytes
-                + first.workspace_bytes
-                + m * in_act
-                + first.output_act_bytes;
-            return Err(ScheduleError::StageTooLarge {
+        let c =
+            max_feasible(profile, cfg, start).map_err(|required| ScheduleError::StageTooLarge {
                 stage: sizes.len(),
-                required: fwd.max(bwd),
+                required,
                 capacity: cfg.gpu_mem_bytes,
-            });
-        }
-        let c = c.min(l - start);
+            })?;
         sizes.push(c);
         start += c;
     }
-    // Ensure at least one stage per GPU.
-    while sizes.len() < n_gpus {
-        let (i, &biggest) = sizes
-            .iter()
-            .enumerate()
-            .max_by_key(|&(_, &s)| s)
-            .expect("nonempty");
-        if biggest < 2 {
-            break; // fewer layers than GPUs; nothing more to split
-        }
-        sizes[i] = biggest / 2;
-        sizes.insert(i + 1, biggest - biggest / 2);
-    }
+    fill_gpus(&mut sizes, n_gpus);
     let partition = Partition::from_sizes(sizes);
     let predicted = predict(&partition, profile, n_gpus, cfg)?;
     Ok(PartitionOutcome {
@@ -274,34 +242,37 @@ fn balanced_sizes(l: usize, s: usize) -> Vec<usize> {
         .collect()
 }
 
-/// Largest `c` such that layers `[start, start + c)` fit in GPU memory as
-/// one stage (forward and backward residency).
-fn max_feasible(profile: &ModelProfile, cfg: &PipelineConfig, start: usize) -> usize {
-    let layers = profile.layers();
-    let m = cfg.num_microbatches as u64;
-    let g = cfg.gpu_mem_bytes;
-    let in_act = if start == 0 {
-        0
-    } else {
-        layers[start - 1].output_act_bytes
-    };
-    let mut params = 0u64;
-    let mut grads = 0u64;
-    let mut work = 0u64;
-    let mut c = 0;
-    for layer in &layers[start..] {
-        params += layer.param_bytes;
-        grads += layer.grad_bytes;
-        work = work.max(layer.workspace_bytes);
-        let out_act = layer.output_act_bytes;
-        let fwd = params + work + in_act + out_act;
-        let bwd = params + grads + work + m * in_act + out_act;
-        if fwd.max(bwd) > g {
-            break;
+/// Splits the largest stage in two (the larger half second) until each of
+/// `n_gpus` GPUs has a stage or every stage is a single layer.
+pub(crate) fn fill_gpus(sizes: &mut Vec<usize>, n_gpus: usize) {
+    while sizes.len() < n_gpus {
+        let (i, &biggest) = sizes
+            .iter()
+            .enumerate()
+            .max_by_key(|&(_, &s)| s)
+            .expect("nonempty");
+        if biggest < 2 {
+            break; // fewer layers than GPUs; nothing more to split
         }
-        c += 1;
+        sizes[i] = biggest / 2;
+        sizes.insert(i + 1, biggest - biggest / 2);
     }
-    c
+}
+
+/// Largest `c` such that layers `[start, start + c)` fit in GPU memory as
+/// one stage ([`StageCosts::required_bytes`]), or, when layer `start` does
+/// not fit even alone, the bytes that layer needs resident.
+fn max_feasible(profile: &ModelProfile, cfg: &PipelineConfig, start: usize) -> Result<usize, u64> {
+    let layers = profile.layers();
+    let mut stage = StageCosts::opening_at(layers, start);
+    for (c, layer) in layers[start..].iter().enumerate() {
+        stage.push_layer(layer);
+        let required = stage.required_bytes(cfg.num_microbatches);
+        if required > cfg.gpu_mem_bytes {
+            return if c == 0 { Err(required) } else { Ok(c) };
+        }
+    }
+    Ok(layers.len() - start)
 }
 
 fn predict(
@@ -365,7 +336,7 @@ impl SegmentObjective for PipelineObjective<'_> {
     }
 
     fn max_stage_size(&self, first_item: usize) -> usize {
-        max_feasible(self.profile, self.cfg, first_item)
+        max_feasible(self.profile, self.cfg, first_item).unwrap_or(0)
     }
 }
 

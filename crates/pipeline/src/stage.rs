@@ -1,6 +1,6 @@
 //! Stages: contiguous layer ranges with aggregated costs.
 
-use mobius_profiler::ModelProfile;
+use mobius_profiler::{LayerProfile, ModelProfile};
 use mobius_sim::SimTime;
 
 /// A partition of a model's layers into contiguous stages.
@@ -75,6 +75,46 @@ pub struct StageCosts {
 }
 
 impl StageCosts {
+    /// A stage that begins at layer `start` of `layers` and holds no layer
+    /// yet: its input is the previous layer's output (nothing for the
+    /// first stage, whose input is the token batch). Add its layers in
+    /// order with [`StageCosts::push_layer`].
+    pub(crate) fn opening_at(layers: &[LayerProfile], start: usize) -> Self {
+        StageCosts {
+            fwd: SimTime::ZERO,
+            bwd: SimTime::ZERO,
+            param_bytes: 0,
+            grad_bytes: 0,
+            in_act_bytes: start
+                .checked_sub(1)
+                .map_or(0, |p| layers[p].output_act_bytes),
+            out_act_bytes: 0,
+            workspace_bytes: 0,
+        }
+    }
+
+    /// Appends the stage's next layer: times and parameter and gradient
+    /// bytes add up, the workspace is the largest layer's, and the layer's
+    /// output becomes the stage's.
+    pub(crate) fn push_layer(&mut self, layer: &LayerProfile) {
+        self.fwd += layer.fwd;
+        self.bwd += layer.bwd;
+        self.param_bytes += layer.param_bytes;
+        self.grad_bytes += layer.grad_bytes;
+        self.workspace_bytes = self.workspace_bytes.max(layer.workspace_bytes);
+        self.out_act_bytes = layer.output_act_bytes;
+    }
+
+    /// Bytes the stage needs resident to run at all with `m` microbatches
+    /// (constraint 4): the larger of its forward and backward residency.
+    /// For `m ≥ 1` that is [`StageCosts::resident_bwd`], which holds
+    /// gradients and every stored input on top of what forward holds.
+    /// Every memory check in the crate reads this, except the validator's
+    /// independent statement of the constraints.
+    pub(crate) fn required_bytes(&self, m: usize) -> u64 {
+        self.resident_fwd().max(self.resident_bwd(m))
+    }
+
     /// GPU bytes resident while the stage runs *forward* on one microbatch:
     /// parameters, workspace, and the in/out boundary activations.
     pub fn resident_fwd(&self) -> u64 {
@@ -124,26 +164,9 @@ pub fn stage_costs(profile: &ModelProfile, partition: &Partition) -> Vec<StageCo
     let mut start = 0;
     let mut costs = Vec::with_capacity(partition.num_stages());
     for &size in partition.sizes() {
-        let slice = &layers[start..start + size];
-        let mut st = StageCosts {
-            fwd: SimTime::ZERO,
-            bwd: SimTime::ZERO,
-            param_bytes: 0,
-            grad_bytes: 0,
-            in_act_bytes: if start == 0 {
-                0
-            } else {
-                layers[start - 1].output_act_bytes
-            },
-            out_act_bytes: slice[size - 1].output_act_bytes,
-            workspace_bytes: 0,
-        };
-        for l in slice {
-            st.fwd += l.fwd;
-            st.bwd += l.bwd;
-            st.param_bytes += l.param_bytes;
-            st.grad_bytes += l.grad_bytes;
-            st.workspace_bytes = st.workspace_bytes.max(l.workspace_bytes);
+        let mut st = StageCosts::opening_at(layers, start);
+        for layer in &layers[start..start + size] {
+            st.push_layer(layer);
         }
         costs.push(st);
         start += size;
@@ -154,7 +177,6 @@ pub fn stage_costs(profile: &ModelProfile, partition: &Partition) -> Vec<StageCo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mobius_profiler::LayerProfile;
 
     fn layer(t_ms: u64, param: u64, act: u64) -> LayerProfile {
         LayerProfile {
@@ -217,6 +239,18 @@ mod tests {
             c.param_bytes + c.workspace_bytes + c.in_act_bytes + c.out_act_bytes
         );
         assert!(c.resident_bwd(4) > c.resident_fwd());
+        // From one microbatch on, backward residency is the requirement.
+        for m in 1..6 {
+            assert_eq!(c.required_bytes(m), c.resident_bwd(m));
+        }
+        // At zero, an input larger than the gradients makes forward the
+        // larger of the two.
+        let wide = StageCosts {
+            in_act_bytes: c.grad_bytes + 1,
+            ..*c
+        };
+        assert_eq!(wide.required_bytes(0), wide.resident_fwd());
+        assert!(wide.resident_bwd(0) < wide.resident_fwd());
         assert_eq!(c.bwd_load_bytes(4, true), 4 * c.in_act_bytes);
         assert_eq!(
             c.bwd_load_bytes(4, false),

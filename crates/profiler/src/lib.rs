@@ -93,6 +93,10 @@ impl ModelProfile {
 /// kernels achieve: every profiled compute time is derated by it.
 const FLOP_EFFICIENCY: f64 = 0.45;
 
+/// Activation checkpointing is always on, as the paper assumes for
+/// fine-tuning: backward recomputes the forward pass.
+const RECOMPUTE: bool = true;
+
 /// Roofline profiler for a GPU model.
 ///
 /// Time per layer = `max(flops / achievable_flops, bytes / memory_bw)` plus
@@ -102,24 +106,15 @@ const FLOP_EFFICIENCY: f64 = 0.45;
 pub struct Profiler {
     gpu: GpuSpec,
     kernel_overhead: SimTime,
-    recompute: bool,
 }
 
 impl Profiler {
-    /// Creates a profiler for `gpu` with activation checkpointing on, as
-    /// the paper assumes for fine-tuning.
+    /// Creates a profiler for `gpu`.
     pub fn new(gpu: GpuSpec) -> Self {
         Profiler {
             gpu,
             kernel_overhead: SimTime::from_micros(30),
-            recompute: true,
         }
-    }
-
-    /// Enables or disables activation checkpointing (recompute in backward).
-    pub fn recompute(mut self, on: bool) -> Self {
-        self.recompute = on;
-        self
     }
 
     /// The GPU being modelled.
@@ -130,7 +125,7 @@ impl Profiler {
     /// Profiles a single layer at microbatch size `mbs`.
     fn profile_layer(&self, layer: &LayerKind, mbs: usize) -> LayerProfile {
         let fwd = self.kernel_time(layer.flops_fwd(mbs), layer, mbs);
-        let bwd = self.kernel_time(layer.flops_bwd(mbs, self.recompute), layer, mbs);
+        let bwd = self.kernel_time(layer.flops_bwd(mbs, RECOMPUTE), layer, mbs);
         LayerProfile {
             fwd,
             bwd,
@@ -236,18 +231,6 @@ mod tests {
         };
         let prof = p.profile_layer(&l, 2);
         assert!(prof.bwd > prof.fwd);
-    }
-
-    #[test]
-    fn recompute_increases_backward() {
-        let l = LayerKind::TransformerBlock {
-            hidden: 4096,
-            heads: 32,
-            seq: 512,
-        };
-        let with = profiler().recompute(true).profile_layer(&l, 1).bwd;
-        let without = profiler().recompute(false).profile_layer(&l, 1).bwd;
-        assert!(with > without);
     }
 
     #[test]

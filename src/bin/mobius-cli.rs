@@ -156,6 +156,9 @@ add --strict to re-check every schedule and trace against the paper's constraint
 --trace-out writes a Chrome trace-event JSON (open in Perfetto or chrome://tracing)
 --analyze-out prints the attribution table and writes it as deterministic JSON;
   ds-hetero and zero-offload record no dependency DAG, so they reject it
+--microbatches sets the pipeline's microbatch count; ds-hetero and
+  zero-offload run no pipeline, so step, report and cluster reject it with
+  them (compare keeps it for its pipeline systems)
 --faults injects a deterministic fault schedule; SPEC is comma-separated
   clauses (times in ms): degrade:<link>:<factor>:<t0>:<t1>  slow:<gpu>:<factor>:<t0>:<t1>
   stall:<t>:<dur>  gpufail:<gpu>:<t>  crash:<step>  crashat:<t_ms>  random:<n>
@@ -565,20 +568,26 @@ fn parse_system(s: &str) -> Result<System, CliError> {
         .ok_or_else(|| usage(format!("unknown system `{}`", s.to_ascii_lowercase())))
 }
 
-/// The `--system` flag (mobius when absent). `--analyze-out` with a ZeRO
-/// system is a usage error, reported before anything runs: their
-/// simulators record no dependency DAG to analyze.
+/// The `--system` flag (mobius when absent). Two flags are usage errors
+/// with a ZeRO system, reported before anything runs: `--analyze-out`,
+/// because their simulators record no dependency DAG to analyze, and
+/// `--microbatches`, because they run no pipeline to split into
+/// microbatches.
 fn system_flag(args: &[String]) -> Result<System, CliError> {
     let name = flag(args, "--system").unwrap_or_else(|| "mobius".into());
     let system = parse_system(&name)?;
-    if matches!(system, System::DeepSpeedHetero | System::ZeroOffload)
-        && flag(args, "--analyze-out").is_some()
-    {
-        return Err(usage(format!(
-            "flag `--analyze-out` does not apply to `--system {}`: it records no \
-             dependency DAG",
-            name.to_ascii_lowercase()
-        )));
+    if matches!(system, System::DeepSpeedHetero | System::ZeroOffload) {
+        for (f, why) in [
+            ("--analyze-out", "it records no dependency DAG"),
+            ("--microbatches", "it runs no pipeline"),
+        ] {
+            if args.iter().any(|a| a == f) {
+                return Err(usage(format!(
+                    "flag `{f}` does not apply to `--system {}`: {why}",
+                    name.to_ascii_lowercase()
+                )));
+            }
+        }
     }
     Ok(system)
 }
@@ -1002,6 +1011,48 @@ mod tests {
             );
             assert!(!dir.exists(), "{args:?} created {}", dir.display());
         }
+    }
+
+    #[test]
+    fn microbatches_on_a_zero_system_fails_before_running() {
+        let dir = std::env::temp_dir().join(format!("mobius-cli-zero-mb-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let ckpt_s = dir.join("ckpt");
+        let ckpt_s = ckpt_s.to_str().unwrap();
+        let base = ["--model", "gpt2", "--topo", "2+2", "--microbatches", "4"];
+        for (cmd, system, extra) in [
+            ("step", "ds-hetero", &[][..]),
+            ("step", "zero-offload", &[][..]),
+            (
+                "step",
+                "ds-hetero",
+                &["--steps", "2", "--checkpoint-out", ckpt_s][..],
+            ),
+            ("report", "zero-offload", &[][..]),
+            ("cluster", "ds-hetero", &["--servers", "2"][..]),
+        ] {
+            let mut args = vec![cmd, "--system", system];
+            args.extend(base);
+            args.extend(extra);
+            let err = run(&argv(&args)).unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{args:?}: {err}");
+            assert_eq!(
+                err.to_string(),
+                format!("flag `--microbatches` does not apply to `--system {system}`: it runs no pipeline"),
+            );
+            assert!(!dir.exists(), "{args:?} created {}", dir.display());
+        }
+        // compare runs pipeline systems too, so it keeps the flag.
+        run(&argv(&[
+            "compare",
+            "--model",
+            "gpt2",
+            "--topo",
+            "2+2",
+            "--microbatches",
+            "4",
+        ]))
+        .expect("compare reads --microbatches");
     }
 
     #[test]
