@@ -1,6 +1,6 @@
 //! Criterion micro-benchmarks for the planner's search kernels: the
 //! chain-partition DP, the segmentation search used by the MIP partitioner,
-//! and the cross-mapping permutation search.
+//! and the cross-mapping branch-and-bound.
 
 use std::time::Duration;
 

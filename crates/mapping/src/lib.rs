@@ -5,8 +5,8 @@
 //! After partitioning, every pipeline stage must be placed on a GPU. The
 //! naive **sequential mapping** (`stage j → GPU j mod N`) is oblivious to
 //! the PCIe topology: adjacent stages often land on GPUs sharing a CPU root
-//! complex, so their prefetches contend. **Cross mapping** searches the
-//! placement space for the scheme minimizing the paper's contention degree
+//! complex, so their prefetches contend. **Cross mapping** finds the
+//! round permutation minimizing the paper's contention degree
 //!
 //! ```text
 //! contention(i, j) = shared(i, j) / |i − j|          (Eq. 12)
@@ -15,6 +15,11 @@
 //!
 //! where `shared(i, j)` is the size of the root-complex group when the two
 //! stages' GPUs share one, else 0.
+//!
+//! Most of the `N!` round permutations repeat a score, which depends only
+//! on the root complex each round position lands under. [`Mapping::cross`]
+//! therefore runs an exact branch-and-bound over those label sequences,
+//! which stays within a fixed node budget on servers of up to 16 GPUs.
 //!
 //! # Example
 //!
@@ -30,6 +35,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+mod search;
 
 use mobius_topology::Topology;
 
@@ -108,46 +115,20 @@ impl Mapping {
         }
     }
 
-    /// The paper's cross mapping: exhaustively search round permutations for
-    /// the one minimizing the contention degree (Eq. 13). Ties resolve to
-    /// the first minimum in `permute`'s swap order, which starts from the
-    /// sequential mapping, so the result is deterministic. That is not
-    /// always the lexicographically smallest optimum: on 2+1 with 4 stages
-    /// it is `[2, 1, 0]`, not `[2, 0, 1]`.
+    /// The paper's cross mapping: the round permutation minimizing the
+    /// contention degree (Eq. 13), found by an exact branch-and-bound over
+    /// root-complex label sequences. Ties resolve to the first minimum in
+    /// swap order (each position in turn takes every later GPU, starting
+    /// from the sequential mapping), so the result is deterministic. That
+    /// is not always the lexicographically smallest optimum: on 2+1 with 4
+    /// stages it is `[2, 1, 0]`, not `[2, 0, 1]`.
     ///
     /// # Panics
     ///
     /// Panics if `num_stages == 0`.
     pub fn cross(topo: &Topology, num_stages: usize) -> Self {
         assert!(num_stages > 0, "need at least one stage");
-        let n = topo.num_gpus();
-        // Weight W[a][b] = Σ over stage pairs i<j with i≡a, j≡b (mod N) of
-        // 1/(j-i); contention degree factorizes through it, making the
-        // per-permutation cost O(N²) instead of O(S²).
-        let mut w = vec![vec![0.0f64; n]; n];
-        for i in 0..num_stages {
-            for j in (i + 1)..num_stages {
-                w[i % n][j % n] += 1.0 / (j - i) as f64;
-            }
-        }
-        let mut best: Option<(f64, Vec<usize>)> = None;
-        let mut perm: Vec<usize> = (0..n).collect();
-        permute(&mut perm, 0, &mut |p| {
-            let mut degree = 0.0;
-            for a in 0..n {
-                for b in 0..n {
-                    if w[a][b] > 0.0 {
-                        degree += topo.shared(p[a], p[b]) as f64 * w[a][b];
-                    }
-                }
-            }
-            match &best {
-                Some((d, _)) if *d <= degree => {}
-                _ => best = Some((degree, p.to_vec())),
-            }
-        });
-        let (_, perm) = best.expect("at least one permutation");
-        Self::from_round_permutation(&perm, num_stages)
+        Self::from_round_permutation(&search::cross_permutation(topo, num_stages), num_stages)
     }
 
     /// Builds a mapping with the given policy.
@@ -193,21 +174,6 @@ impl Mapping {
             }
         }
         degree
-    }
-}
-
-/// Calls `f` on every permutation of `items[k..]` by swap recursion: each
-/// position in turn takes every later item, the tail is permuted, and the
-/// swap is undone. The first permutation visited is `items` itself.
-fn permute<F: FnMut(&[usize])>(items: &mut Vec<usize>, k: usize, f: &mut F) {
-    if k == items.len() {
-        f(items);
-        return;
-    }
-    for i in k..items.len() {
-        items.swap(k, i);
-        permute(items, k + 1, f);
-        items.swap(k, i);
     }
 }
 
@@ -326,5 +292,116 @@ mod tests {
         // Cross (0,2,1,3): sharing pairs (0,1)→gap 2, (2,3)→gap 2 → 2.
         let cross = Mapping::from_round_permutation(&[0, 2, 1, 3], 4);
         assert_eq!(cross.contention_degree(&topo), 2.0);
+    }
+
+    /// Calls `f` on every permutation of `items[k..]` by swap recursion: each
+    /// position in turn takes every later item, the tail is permuted, and the
+    /// swap is undone. The first permutation visited is `items` itself.
+    fn permute<F: FnMut(&[usize])>(items: &mut Vec<usize>, k: usize, f: &mut F) {
+        if k == items.len() {
+            f(items);
+            return;
+        }
+        for i in k..items.len() {
+            items.swap(k, i);
+            permute(items, k + 1, f);
+            items.swap(k, i);
+        }
+    }
+
+    /// The exhaustive search `cross` replaced: every round permutation in
+    /// swap order, the first strict minimum kept. `shared` is tabulated
+    /// only to speed up debug builds; every term and its order are as
+    /// before.
+    fn cross_by_enumeration(topo: &Topology, num_stages: usize) -> Mapping {
+        let n = topo.num_gpus();
+        let mut w = vec![vec![0.0f64; n]; n];
+        for i in 0..num_stages {
+            for j in (i + 1)..num_stages {
+                w[i % n][j % n] += 1.0 / (j - i) as f64;
+            }
+        }
+        let shared: Vec<Vec<f64>> = (0..n)
+            .map(|g| (0..n).map(|h| topo.shared(g, h) as f64).collect())
+            .collect();
+        let mut best: Option<(f64, Vec<usize>)> = None;
+        let mut perm: Vec<usize> = (0..n).collect();
+        permute(&mut perm, 0, &mut |p| {
+            let mut degree = 0.0;
+            for (a, row) in w.iter().enumerate() {
+                let from = &shared[p[a]];
+                for (b, &wab) in row.iter().enumerate() {
+                    if wab > 0.0 {
+                        degree += from[p[b]] * wab;
+                    }
+                }
+            }
+            match &best {
+                Some((d, _)) if *d <= degree => {}
+                _ => best = Some((degree, p.to_vec())),
+            }
+        });
+        let (_, perm) = best.expect("at least one permutation");
+        Mapping::from_round_permutation(&perm, num_stages)
+    }
+
+    /// Root-complex group sizes of the composition of `n` GPUs whose
+    /// `i`-th bit marks a group boundary after GPU `i + 1`.
+    fn composition(n: usize, cuts: u32) -> Vec<usize> {
+        let mut groups = vec![1];
+        for i in 0..n - 1 {
+            if cuts >> i & 1 == 1 {
+                groups.push(1);
+            } else {
+                *groups.last_mut().unwrap() += 1;
+            }
+        }
+        groups
+    }
+
+    fn assert_matches_enumerator(groups: &[usize], stage_counts: &[usize]) {
+        let topo = Topology::commodity(GpuSpec::rtx3090ti(), groups);
+        for &s in stage_counts {
+            assert_eq!(
+                Mapping::cross(&topo, s),
+                cross_by_enumeration(&topo, s),
+                "{groups:?} with {s} stages"
+            );
+        }
+    }
+
+    #[test]
+    fn cross_matches_the_enumerator_up_to_7_gpus() {
+        for n in 1..=7 {
+            let counts = [
+                1,
+                n.max(2) - 1,
+                n,
+                n + 1,
+                2 * n - 1,
+                2 * n,
+                3 * n + 1,
+                4 * n,
+            ];
+            for cuts in 0..1u32 << (n - 1) {
+                assert_matches_enumerator(&composition(n, cuts), &counts);
+            }
+        }
+    }
+
+    #[test]
+    fn cross_matches_the_enumerator_on_8_and_9_gpus() {
+        let counts = [8, 9, 15, 16, 25, 32];
+        assert_matches_enumerator(&[4, 4], &counts);
+        // A seeded sample of the 128 compositions of 8 GPUs.
+        let mut x: u32 = 0x9e37_79b9;
+        for _ in 0..7 {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            assert_matches_enumerator(&composition(8, x & 0x7f), &counts);
+        }
+        assert_matches_enumerator(&[3, 3, 3], &[9, 19]);
+        assert_matches_enumerator(&[4, 5], &[9, 19]);
     }
 }

@@ -489,3 +489,27 @@ fn fewer_layers_than_gpus_is_a_scheduling_error_not_an_oom() {
         })
     );
 }
+
+#[test]
+fn plan_maps_eleven_and_twelve_gpu_servers_deterministically() {
+    // Before cross mapping pruned by root-complex labels, these two plans
+    // enumerated 11! and 12! round permutations (18 s and over a minute).
+    // The overheads line carries wall times, so it is compared up to them.
+    let plan = |topo: &str| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_mobius-cli"))
+            .args(["plan", "--model", "3b", "--topo", topo])
+            .output()
+            .expect("mobius-cli runs");
+        assert!(out.status.success(), "plan --topo {topo}: {out:?}");
+        String::from_utf8(out.stdout)
+            .expect("stdout is UTF-8")
+            .lines()
+            .map(|l| l.split("; overheads:").next().unwrap_or(l).to_string())
+            .collect::<Vec<_>>()
+    };
+    for topo in ["12", "3+3+3+2"] {
+        let first = plan(topo);
+        assert!(first[0].contains("GPUs (Topo "), "{first:?}");
+        assert_eq!(first, plan(topo), "--topo {topo}");
+    }
+}

@@ -292,3 +292,17 @@ fn model_names_match_case_insensitively_onto_one_entry() {
     );
     assert_eq!(obs.counter("serve.cache.hit"), 1.0);
 }
+
+#[test]
+fn an_eleven_gpu_plan_answers_and_its_repeat_is_a_byte_identical_hit() {
+    // Cross mapping on 3+3+3+2 once enumerated 11! round permutations
+    // (18 s) inside the request; the label-pruned search maps it at once.
+    let obs = Obs::new();
+    let mut s = server_with(&obs, 4, true);
+    let miss = s.handle("plan model=gpt2 topo=3+3+3+2").unwrap().unwrap();
+    assert!(miss.starts_with("ok plan cache=miss "), "{miss}");
+    assert!(payload_of(&miss).contains("topo=Topo 3+3+3+2 "), "{miss}");
+    let hit = s.handle("plan model=gpt2 topo=3+3+3+2").unwrap().unwrap();
+    assert!(hit.starts_with("ok plan cache=hit "), "{hit}");
+    assert_eq!(payload_of(&hit), payload_of(&miss));
+}
