@@ -201,6 +201,30 @@ proptest! {
         );
     }
 
+    /// Cross mapping is exact: no round permutation of the GPUs has a
+    /// lower contention degree. (The mapping crate's unit tests also pin
+    /// its tie-break against the exhaustive enumerator.)
+    #[test]
+    fn cross_mapping_is_optimal_over_round_permutations(
+        groups in prop::collection::vec(1usize..4, 1..4),
+        extra in 0usize..7,
+    ) {
+        let mut groups = groups;
+        while groups.iter().sum::<usize>() > 7 {
+            groups.pop();
+        }
+        let topo = Topology::commodity(GpuSpec::rtx3090ti(), &groups);
+        let n = topo.num_gpus();
+        let stages = n + extra;
+        let cross = Mapping::cross(&topo, stages).contention_degree(&topo);
+        let mut best = f64::INFINITY;
+        each_permutation(&mut (0..n).collect(), 0, &mut |p| {
+            let table = (0..stages).map(|j| p[j % n]).collect();
+            best = best.min(Mapping::from_table(table, n).contention_degree(&topo));
+        });
+        prop_assert!(cross <= best + 1e-9 * best, "cross {cross} vs best {best} on {groups:?}");
+    }
+
     /// The analytic evaluator and the event-driven executor agree within
     /// the documented tolerance band ([`mobius_pipeline::DIFFERENTIAL_RATIO_BAND`])
     /// on random uncontended pipelines — one GPU per root complex, so the
@@ -242,6 +266,19 @@ proptest! {
             let s = m.stages_of(g);
             prop_assert!(s.windows(2).all(|w| w[0] < w[1]));
         }
+    }
+}
+
+/// Calls `f` on every permutation of `items[k..]`.
+fn each_permutation(items: &mut Vec<usize>, k: usize, f: &mut impl FnMut(&[usize])) {
+    if k == items.len() {
+        f(items);
+        return;
+    }
+    for i in k..items.len() {
+        items.swap(k, i);
+        each_permutation(items, k + 1, f);
+        items.swap(k, i);
     }
 }
 
