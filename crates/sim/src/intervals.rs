@@ -88,43 +88,6 @@ impl IntervalSet {
         self.spans.last().map(|&(_, e)| e)
     }
 
-    /// Checks the structural invariant: spans sorted by start, each
-    /// non-empty, pairwise disjoint and non-touching. Returns the first
-    /// offending span on failure.
-    #[cfg(test)]
-    pub(crate) fn validate_invariants(&self) -> Result<(), crate::InvariantViolation> {
-        use crate::InvariantViolation as V;
-        let mut prev_end: Option<SimTime> = None;
-        for (i, &(s, e)) in self.spans.iter().enumerate() {
-            if s >= e {
-                return Err(V::MalformedIntervals {
-                    index: i,
-                    span: (s, e),
-                    reason: "span is empty or inverted (start >= end)",
-                });
-            }
-            if let Some(pe) = prev_end {
-                if s <= pe {
-                    return Err(V::MalformedIntervals {
-                        index: i,
-                        span: (s, e),
-                        reason: "span overlaps, touches, or precedes its predecessor",
-                    });
-                }
-            }
-            prev_end = Some(e);
-        }
-        Ok(())
-    }
-
-    /// Builds a set from spans taken verbatim — no sorting, merging, or
-    /// filtering. Test-only injection hook for exercising
-    /// [`IntervalSet::validate_invariants`]; never use in simulation code.
-    #[cfg(test)]
-    pub(crate) fn from_raw_spans(spans: Vec<(SimTime, SimTime)>) -> Self {
-        IntervalSet { spans }
-    }
-
     /// Set union.
     pub fn union(&self, other: &IntervalSet) -> IntervalSet {
         let mut out = self.clone();
@@ -212,6 +175,49 @@ mod tests {
 
     fn set(spans: &[(u64, u64)]) -> IntervalSet {
         spans.iter().map(|&(a, b)| (s(a), s(b))).collect()
+    }
+
+    /// The index of the first span that breaks the structural invariant
+    /// (each span non-empty; spans sorted, disjoint and non-touching),
+    /// checked independently of `insert`'s merging.
+    fn first_malformed(set: &IntervalSet) -> Option<usize> {
+        let mut prev_end: Option<SimTime> = None;
+        for (i, &(start, end)) in set.spans.iter().enumerate() {
+            if start >= end || prev_end.is_some_and(|pe| start <= pe) {
+                return Some(i);
+            }
+            prev_end = Some(end);
+        }
+        None
+    }
+
+    #[test]
+    fn malformed_interval_sets_are_caught() {
+        let raw = |spans: &[(u64, u64)]| IntervalSet {
+            spans: spans.iter().map(|&(a, b)| (s(a), s(b))).collect(),
+        };
+        assert_eq!(first_malformed(&raw(&[(0, 1), (2, 3)])), None);
+        assert_eq!(first_malformed(&raw(&[(1, 1)])), Some(0), "empty span");
+        assert_eq!(
+            first_malformed(&raw(&[(0, 1), (1, 2)])),
+            Some(1),
+            "touching"
+        );
+        assert_eq!(
+            first_malformed(&raw(&[(5, 6), (0, 1)])),
+            Some(1),
+            "unsorted"
+        );
+    }
+
+    #[test]
+    fn insert_preserves_invariants_under_strict_check() {
+        let t = SimTime::from_millis;
+        let mut v = IntervalSet::new();
+        for (a, b) in [(0, 10), (20, 30), (5, 25), (40, 40), (50, 45), (29, 41)] {
+            v.insert(t(a), t(b));
+            assert_eq!(first_malformed(&v), None, "after inserting [{a}, {b})");
+        }
     }
 
     #[test]

@@ -3,17 +3,13 @@
 //! Strict mode turns silent modelling errors into loud ones: when enabled
 //! via [`FlowNetwork::set_strict_validation`], the flow network re-checks
 //! flow conservation after every rate solve, and panics with a
-//! [`InvariantViolation`] describing exactly which guarantee broke. The
-//! overlap accounting structure ([`IntervalSet`]) has a structural check
-//! of its own, [`InvariantViolation::MalformedIntervals`], which its unit
-//! tests run.
+//! [`InvariantViolation`] describing exactly which guarantee broke.
 //!
 //! The checks are written as an independent re-statement of the documented
 //! invariants, *not* by reusing the allocator's own arithmetic — otherwise a
 //! bug in the water-filling solver would validate itself.
 //!
 //! [`FlowNetwork::set_strict_validation`]: crate::FlowNetwork::set_strict_validation
-//! [`IntervalSet`]: crate::IntervalSet
 
 use std::fmt;
 
@@ -46,16 +42,6 @@ pub enum InvariantViolation {
         id: FlowId,
         /// Priority class of the starved flow.
         priority: u8,
-    },
-    /// An [`IntervalSet`](crate::IntervalSet) no longer holds its structural
-    /// invariant (sorted, disjoint, non-touching, non-empty spans).
-    MalformedIntervals {
-        /// Index of the first offending span.
-        index: usize,
-        /// The offending span.
-        span: (SimTime, SimTime),
-        /// What exactly is wrong with it.
-        reason: &'static str,
     },
     /// A completion was delivered for a flow id that is not (or no longer)
     /// in the network, e.g. one a watchdog already cancelled.
@@ -116,15 +102,6 @@ impl fmt::Display for InvariantViolation {
                 "flow {id:?} (priority {priority}) starved with no saturated link of \
                  equal-or-higher priority on its path"
             ),
-            InvariantViolation::MalformedIntervals {
-                index,
-                span,
-                reason,
-            } => write!(
-                f,
-                "interval set span #{index} [{:?}, {:?}) malformed: {reason}",
-                span.0, span.1
-            ),
             InvariantViolation::UnknownFlow { id } => {
                 write!(f, "completion for unknown (torn down?) flow {id:?}")
             }
@@ -154,7 +131,7 @@ impl std::error::Error for InvariantViolation {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FlowNetwork, IntervalSet};
+    use crate::FlowNetwork;
 
     fn gbps(x: f64) -> f64 {
         x * 1e9
@@ -228,40 +205,5 @@ mod tests {
         // Advancing time in strict mode re-checks conservation first, so the
         // injected oversubscription is seen before any bytes drain at it.
         net.advance_to(SimTime::from_millis(1));
-    }
-
-    #[test]
-    fn malformed_interval_sets_are_caught() {
-        let t = SimTime::from_secs;
-        let ok = IntervalSet::from_raw_spans(vec![(t(0), t(1)), (t(2), t(3))]);
-        assert_eq!(ok.validate_invariants(), Ok(()));
-
-        let empty_span = IntervalSet::from_raw_spans(vec![(t(1), t(1))]);
-        assert!(matches!(
-            empty_span.validate_invariants(),
-            Err(InvariantViolation::MalformedIntervals { index: 0, .. })
-        ));
-
-        let touching = IntervalSet::from_raw_spans(vec![(t(0), t(1)), (t(1), t(2))]);
-        assert!(matches!(
-            touching.validate_invariants(),
-            Err(InvariantViolation::MalformedIntervals { index: 1, .. })
-        ));
-
-        let unsorted = IntervalSet::from_raw_spans(vec![(t(5), t(6)), (t(0), t(1))]);
-        assert!(matches!(
-            unsorted.validate_invariants(),
-            Err(InvariantViolation::MalformedIntervals { index: 1, .. })
-        ));
-    }
-
-    #[test]
-    fn insert_preserves_invariants_under_strict_check() {
-        let t = SimTime::from_millis;
-        let mut s = IntervalSet::new();
-        for (a, b) in [(0, 10), (20, 30), (5, 25), (40, 40), (50, 45), (29, 41)] {
-            s.insert(t(a), t(b));
-            assert_eq!(s.validate_invariants(), Ok(()));
-        }
     }
 }

@@ -5,8 +5,11 @@
 //! resident ablations and strict validation). A change to the leaf scorer,
 //! the seed or the bound that moves any of these numbers fails here.
 
+use mobius_mip::SearchStats;
 use mobius_model::{GptConfig, Model};
-use mobius_pipeline::{mip_partition_opts, MemoryMode, MipPartitionOpts, PipelineConfig};
+use mobius_pipeline::{
+    mip_partition_opts, MemoryMode, MipPartitionOpts, PartitionOutcome, PipelineConfig,
+};
 use mobius_profiler::Profiler;
 use mobius_topology::{GpuSpec, Topology};
 
@@ -25,21 +28,29 @@ fn same(cfg: PipelineConfig) -> PipelineConfig {
     cfg
 }
 
-fn solve(case: &Case) -> String {
+/// Solves `case`, with strict validation forced to `strict` when given.
+fn outcome(case: &Case, strict: Option<bool>) -> PartitionOutcome {
     let topo = Topology::commodity(GpuSpec::rtx3090ti(), case.groups);
     let model = Model::from_config(&case.model);
     let profile = Profiler::new(topo.gpu().clone()).profile(&model, case.model.default_microbatch);
     let n = topo.num_gpus();
-    let cfg = (case.tweak)(PipelineConfig::mobius(
+    let mut cfg = (case.tweak)(PipelineConfig::mobius(
         n,
         topo.gpu_mem_bytes(),
         topo.avg_gpu_bandwidth(),
     ));
+    if let Some(on) = strict {
+        cfg = cfg.with_strict_validation(on);
+    }
     let opts = MipPartitionOpts {
         budgeted: case.budgeted,
         warm_start: case.warm_start.clone(),
     };
-    let out = mip_partition_opts(&profile, n, &cfg, &opts, None).expect("feasible plan");
+    mip_partition_opts(&profile, n, &cfg, &opts, None).expect("feasible plan")
+}
+
+fn solve(case: &Case) -> String {
+    let out = outcome(case, None);
     let st = out.stats.expect("MIP stats");
     format!(
         "{} sizes={:?} step_ns={} evaluated={} pruned={} nodes={} complete={} warm={}",
@@ -149,4 +160,27 @@ const PINNED: &[&str] = &[
 fn mip_outcomes_are_pinned() {
     let got: Vec<String> = cases().iter().map(solve).collect();
     assert_eq!(got, PINNED);
+}
+
+/// Strict validation re-checks every leaf through `evaluate_analytic` while
+/// the search ranks leaves by the objective's own scratch: on every GPT-2
+/// case the two modes choose the same sizes with the same predicted step
+/// and the same search statistics (wall time aside).
+#[test]
+fn strict_validation_changes_no_gpt2_solve() {
+    let deterministic = |out: &PartitionOutcome| SearchStats {
+        wall_elapsed: Default::default(),
+        ..out.stats.expect("MIP stats")
+    };
+    for case in cases().iter().filter(|c| c.name.starts_with("gpt2")) {
+        let [fast, strict] = [false, true].map(|on| outcome(case, Some(on)));
+        assert_eq!(fast.partition, strict.partition, "{}", case.name);
+        assert_eq!(fast.predicted_step, strict.predicted_step, "{}", case.name);
+        assert_eq!(
+            deterministic(&fast),
+            deterministic(&strict),
+            "{}",
+            case.name
+        );
+    }
 }
