@@ -6,9 +6,8 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use mobius_mapping::Mapping;
-use mobius_mip::chain_partition_dp;
 use mobius_model::{GptConfig, Model};
-use mobius_pipeline::{mip_partition_opts, MipPartitionOpts, PipelineConfig};
+use mobius_pipeline::{chain_partition_dp, mip_partition_opts, MipPartitionOpts, PipelineConfig};
 use mobius_profiler::Profiler;
 use mobius_topology::{GpuSpec, Topology};
 

@@ -7,7 +7,8 @@ use mobius_model::{GptConfig, Model};
 use mobius_obs::{AttrValue, Lane, Obs, Recording, WallSecs, WallTimer};
 use mobius_pipeline::{
     partition_model, plan_gpipe, simulate_steps_faulted, stage_costs, ExecError, MemoryMode,
-    MultiStepReport, Partition, PartitionAlgo, PipelineConfig, SimStepReport, StageCosts,
+    MultiStepReport, Partition, PartitionAlgo, PipelineConfig, SearchStats, SimStepReport,
+    StageCosts,
 };
 use mobius_profiler::{ModelProfile, Profiler};
 use mobius_sim::{Cdf, FaultAbort, FaultSchedule, FaultStats, SimTime, TraceRecorder};
@@ -150,7 +151,7 @@ pub struct Plan {
     /// Partition-search accounting (evaluated/pruned leaves, warm-start
     /// flag). `None` for non-MIP partition algorithms, whose closed-form
     /// splits evaluate no search tree.
-    pub search: Option<mobius_mip::SearchStats>,
+    pub search: Option<SearchStats>,
 }
 
 /// The measurements of one simulated training step.
@@ -183,7 +184,7 @@ pub struct StepReport {
     /// Partition-search accounting of the plan the step ran on ([`Plan::search`]).
     /// `None` when no partition search ran (non-Mobius systems, non-MIP
     /// partition algorithms, or a step degraded to ZeRO-hetero).
-    pub search: Option<mobius_mip::SearchStats>,
+    pub search: Option<SearchStats>,
 }
 
 impl StepReport {
@@ -314,15 +315,14 @@ impl FineTuner {
         self
     }
 
-    /// Runs the MIP partition search to [`SegmentSearch`]'s node cap
-    /// instead of stopping at [`PLAN_NODE_BUDGET`] nodes: slower on big
-    /// models, and it may prove optimal a plan the budgeted search only
-    /// found. Both are deterministic. `mobius-serve` plans this way.
+    /// Runs the MIP partition search to its 2,000,000-node cap instead of
+    /// stopping at [`PLAN_NODE_BUDGET`] nodes: slower on big models, and it
+    /// may prove optimal a plan the budgeted search only found. Both are
+    /// deterministic.
     /// Deliberately excluded from [`Self::config_fingerprint`] — it changes
     /// how long the search runs, never which run the config names (and the
     /// hashed bytes must stay stable for old checkpoints).
     ///
-    /// [`SegmentSearch`]: mobius_mip::SegmentSearch
     /// [`PLAN_NODE_BUDGET`]: mobius_pipeline::PLAN_NODE_BUDGET
     pub fn unbudgeted_solver(mut self, on: bool) -> Self {
         self.unbudgeted_solver = on;

@@ -64,7 +64,6 @@ pub use topo_spec::{parse_model, parse_system, parse_topology, TopoSpecError, MA
 pub use mobius_ckpt as ckpt;
 pub use mobius_cluster as cluster;
 pub use mobius_mapping as mapping;
-pub use mobius_mip as mip;
 pub use mobius_model as model;
 pub use mobius_obs as obs;
 pub use mobius_pipeline as pipeline;

@@ -19,7 +19,6 @@ pub const LAYERING: &[(&str, &[&str])] = &[
     ("mobius-sim", &["mobius-obs"]),
     ("mobius-ckpt", &["mobius-sim", "mobius-obs"]),
     ("mobius-topology", &["mobius-sim", "mobius-obs"]),
-    ("mobius-mip", &["mobius-obs"]),
     (
         "mobius-mapping",
         &["mobius-topology", "mobius-sim", "mobius-obs"],
@@ -50,7 +49,6 @@ pub const LAYERING: &[(&str, &[&str])] = &[
     (
         "mobius-pipeline",
         &[
-            "mobius-mip",
             "mobius-mapping",
             "mobius-profiler",
             "mobius-model",
@@ -67,7 +65,6 @@ pub const LAYERING: &[(&str, &[&str])] = &[
             "mobius-cluster",
             "mobius-zero",
             "mobius-pipeline",
-            "mobius-mip",
             "mobius-mapping",
             "mobius-profiler",
             "mobius-model",
@@ -85,7 +82,6 @@ pub const LAYERING: &[(&str, &[&str])] = &[
             "mobius-cluster",
             "mobius-zero",
             "mobius-pipeline",
-            "mobius-mip",
             "mobius-mapping",
             "mobius-profiler",
             "mobius-model",
@@ -104,7 +100,6 @@ pub const LAYERING: &[(&str, &[&str])] = &[
             "mobius-cluster",
             "mobius-zero",
             "mobius-pipeline",
-            "mobius-mip",
             "mobius-mapping",
             "mobius-profiler",
             "mobius-model",

@@ -7,7 +7,6 @@
 //! memory — the OOM columns of Figure 5.
 
 use mobius_mapping::Mapping;
-use mobius_mip::chain_partition_dp;
 use mobius_model::OPTIMIZER_BYTES_PER_PARAM;
 use mobius_profiler::ModelProfile;
 use mobius_sim::SimTime;
@@ -37,6 +36,55 @@ pub struct GpipePlan {
 fn gpipe_memory(stage: &StageCosts, m: usize) -> u64 {
     let params = stage.param_bytes / 2; // parameter count (fp16 = 2 bytes)
     stage.required_bytes(m) + params * OPTIMIZER_BYTES_PER_PARAM
+}
+
+/// Exact min-max contiguous partition of `weights` into at most `k` parts by
+/// dynamic programming (GPipe's balanced partitioner). Returns the part
+/// sizes and the bottleneck part's weight.
+///
+/// # Panics
+///
+/// Panics if `weights` is empty or `k == 0`.
+pub fn chain_partition_dp(weights: &[f64], k: usize) -> (Vec<usize>, f64) {
+    let n = weights.len();
+    assert!(n > 0 && k > 0, "need items and parts");
+    let k = k.min(n);
+    // prefix sums
+    let mut pre = vec![0.0; n + 1];
+    for (i, w) in weights.iter().enumerate() {
+        pre[i + 1] = pre[i] + w;
+    }
+    let seg = |a: usize, b: usize| pre[b] - pre[a]; // [a, b)
+                                                    // dp[j][i]: best bottleneck partitioning first i items into j parts.
+    let mut dp = vec![vec![f64::INFINITY; n + 1]; k + 1];
+    let mut cut = vec![vec![0usize; n + 1]; k + 1];
+    dp[0][0] = 0.0;
+    for j in 1..=k {
+        for i in 1..=n {
+            for c in (j - 1)..i {
+                let cost = dp[j - 1][c].max(seg(c, i));
+                if cost < dp[j][i] {
+                    dp[j][i] = cost;
+                    cut[j][i] = c;
+                }
+            }
+        }
+    }
+    // Best over exactly 1..=k parts (allowing fewer parts).
+    let (best_j, best_cost) = (1..=k)
+        .map(|j| (j, dp[j][n]))
+        .min_by(|a, b| a.1.total_cmp(&b.1))
+        .expect("nonempty");
+    let mut sizes = Vec::new();
+    let (mut j, mut i) = (best_j, n);
+    while j > 0 {
+        let c = cut[j][i];
+        sizes.push(i - c);
+        i = c;
+        j -= 1;
+    }
+    sizes.reverse();
+    (sizes, best_cost)
 }
 
 /// Plans and analytically evaluates GPipe on `n_gpus`.
@@ -105,6 +153,21 @@ mod tests {
 
     fn profile_of(c: &GptConfig, mbs: usize) -> ModelProfile {
         Profiler::new(GpuSpec::rtx3090ti()).profile(&Model::from_config(c), mbs)
+    }
+
+    #[test]
+    fn dp_uses_fewer_parts_when_beneficial() {
+        // One huge item: extra parts can't help beyond isolating it.
+        let (sizes, cost) = chain_partition_dp(&[10.0, 1.0, 1.0], 3);
+        assert_eq!(cost, 10.0);
+        assert!(sizes.len() <= 3);
+    }
+
+    #[test]
+    fn dp_single_item() {
+        let (sizes, cost) = chain_partition_dp(&[42.0], 4);
+        assert_eq!(sizes, vec![1]);
+        assert_eq!(cost, 42.0);
     }
 
     #[test]

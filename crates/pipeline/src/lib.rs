@@ -7,12 +7,14 @@
 //!   with aggregated time/byte costs.
 //! * [`evaluate_analytic`] — the paper's MIP constraints (4)–(11) as a fast
 //!   deterministic schedule evaluator (no contention).
-//! * [`partition_model`] — the MIP partition algorithm plus the
-//!   maximum-stage and minimum-stage baselines of §4.3.
+//! * [`partition_model`] — the MIP partition algorithm (an exact
+//!   branch-and-bound over contiguous layer segmentations, standing in for
+//!   the paper's Gurobi solve) plus the maximum-stage and minimum-stage
+//!   baselines of §4.3.
 //! * [`simulate_step`] — event-driven execution on a simulated server with
 //!   root-complex contention, prefetch priorities, and full tracing.
 //! * [`plan_gpipe`] — the GPipe baseline (GPU-memory-only), including its
-//!   OOM behaviour.
+//!   OOM behaviour, balanced by the min-max [`chain_partition_dp`].
 //!
 //! # Example
 //!
@@ -62,11 +64,11 @@ pub use executor::{
     MultiStepReport, SimStepReport,
 };
 pub use gantt::{render_gantt, utilization};
-pub use gpipe::{plan_gpipe, GpipePlan};
+pub use gpipe::{chain_partition_dp, plan_gpipe, GpipePlan};
 pub use one_f_one_b::{evaluate_1f1b, OneFOneBSchedule};
 pub use partitioner::{
     mip_partition_opts, partition_model, MipPartitionOpts, PartitionAlgo, PartitionOutcome,
-    PLAN_NODE_BUDGET,
+    SearchStats, PLAN_NODE_BUDGET,
 };
 pub use stage::{stage_costs, Partition, StageCosts};
 pub use validate::{

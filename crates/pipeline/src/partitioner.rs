@@ -7,15 +7,17 @@
 //!   objective is the full analytic pipeline makespan (constraints 4–11),
 //!   seeded with the best near-uniform segmentation and pruned with
 //!   admissible load bounds. Layer similarity keeps the evaluation cheap.
+//!   The paper states this program with boolean variables `B_{i,j}` and
+//!   solves it with Gurobi; because a stage is a contiguous layer range,
+//!   every feasible `B_{i,j}` assignment is one segmentation, so searching
+//!   the segmentations reaches the same optimum.
 //! * [`PartitionAlgo::MaxStage`] — each stage packs as many layers as fit in
 //!   GPU memory (fewest, largest stages; no room to prefetch).
 //! * [`PartitionAlgo::MinStage`] — one layer per stage (most, smallest stages;
 //!   maximal activation traffic).
 
-use std::cell::RefCell;
-
 use mobius_mapping::Mapping;
-use mobius_mip::{SearchStats, SegmentObjective, SegmentSearch};
+use mobius_obs::{AttrValue, Lane, Obs, WallSecs, WallTimer};
 use mobius_profiler::ModelProfile;
 use mobius_sim::SimTime;
 
@@ -27,6 +29,10 @@ use crate::{evaluate_analytic, stage_costs, Partition, PipelineConfig, ScheduleE
 /// nodes in the full search tree of any model with 14 or fewer layers, so
 /// every such search (GPT-2 small included) runs to a proof.
 pub const PLAN_NODE_BUDGET: usize = 8_192;
+
+/// Node cap of an unbudgeted MIP partition search
+/// ([`MipPartitionOpts::budgeted`] `false`).
+const UNBUDGETED_NODE_CAP: usize = 2_000_000;
 
 /// Which partition algorithm to run (selected by the `mobius` facade).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -48,6 +54,27 @@ pub struct PartitionOutcome {
     pub predicted_step: SimTime,
     /// Branch-and-bound statistics (only for [`PartitionAlgo::Mip`]).
     pub stats: Option<SearchStats>,
+}
+
+/// Statistics from one MIP partition search ([`mip_partition_opts`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct SearchStats {
+    /// Leaves evaluated with the exact objective.
+    pub evaluated: usize,
+    /// Internal nodes pruned by the lower bound.
+    pub pruned: usize,
+    /// Internal branch-and-bound nodes expanded.
+    pub nodes: usize,
+    /// Whether a warm-start candidate was feasible and installed as the
+    /// initial incumbent (see [`MipPartitionOpts::warm_start`]).
+    pub warm_started: bool,
+    /// Diagnostics-only wall-clock spent searching; machine-dependent, so
+    /// it never reaches a byte-compared artifact (see
+    /// [`mobius_obs::walltime`]).
+    pub wall_elapsed: WallSecs,
+    /// Whether the search ran to completion (`false` = node limit
+    /// reached; the result is the best incumbent, not proved optimal).
+    pub complete: bool,
 }
 
 /// Runs the selected partition algorithm.
@@ -134,17 +161,20 @@ fn max_stage_partition(
 #[derive(Debug, Clone, Default)]
 pub struct MipPartitionOpts {
     /// Stops the search after [`PLAN_NODE_BUDGET`] nodes. `false` (the
-    /// default) searches to [`SegmentSearch`]'s 2,000,000-node cap. Either
-    /// way the result and its statistics are a function of the inputs
-    /// alone.
+    /// default) searches to a 2,000,000-node cap. Either way the result and
+    /// its statistics are a function of the inputs alone.
     pub budgeted: bool,
     /// A previous solution's per-stage sizes, used to warm-start the
-    /// branch-and-bound (see [`SegmentSearch::warm_start`]). The elastic
-    /// replan path passes the partition that was running when a GPU failed:
-    /// a layer segmentation mentions no GPU indices, so it projects onto
-    /// the survivor topology as-is — only the stage→GPU mapping and the
-    /// objective change, and the candidate is re-costed under the new
-    /// objective before it is trusted as the incumbent.
+    /// branch-and-bound. The elastic replan path passes the partition that
+    /// was running when a GPU failed: a layer segmentation mentions no GPU
+    /// indices, so it projects onto the survivor topology as-is — only the
+    /// stage→GPU mapping and the objective change, so the candidate is
+    /// re-costed under the new objective before it is trusted as the
+    /// incumbent. An infeasible or ill-shaped candidate (empty, a
+    /// zero-sized stage, or sizes not summing to the layer count) is
+    /// ignored and the solve runs cold; a feasible one that beats the seed
+    /// becomes the initial incumbent, so pruning bites from the first
+    /// node. The optimum is the cold solve's; only the work changes.
     pub warm_start: Option<Vec<usize>>,
 }
 
@@ -169,7 +199,7 @@ pub fn mip_partition_opts(
     n_gpus: usize,
     cfg: &PipelineConfig,
     opts: &MipPartitionOpts,
-    obs: Option<&mobius_obs::Obs>,
+    obs: Option<&Obs>,
 ) -> Result<PartitionOutcome, ScheduleError> {
     let l = profile.len();
     if l < n_gpus {
@@ -180,47 +210,23 @@ pub fn mip_partition_opts(
             gpus: n_gpus,
         });
     }
-    let objective = PipelineObjective::new(profile, n_gpus, cfg);
-
-    // Seed: the best near-uniform segmentation over all stage counts that
-    // are multiples of the GPU count (so every round is full), then every
-    // other stage count near the extremes.
-    let mut seed: Option<(Vec<usize>, f64)> = None;
-    let multiples = (n_gpus..=l).step_by(n_gpus);
-    let near = (n_gpus..=l.min(n_gpus * 2)).filter(|s| s % n_gpus != 0);
-    for s in multiples.chain(near) {
-        let sizes = balanced_sizes(l, s);
-        if let Some(cost) = objective.cost(&sizes) {
-            if seed.as_ref().is_none_or(|(_, c)| cost < *c) {
-                seed = Some((sizes, cost));
-            }
-        }
-    }
-
-    let mut search = SegmentSearch::new(l);
-    if opts.budgeted {
-        search = search.node_limit(PLAN_NODE_BUDGET);
-    }
-    if let Some((sizes, cost)) = &seed {
-        search = search.seed(sizes.clone(), *cost);
-    }
-    if let Some(sizes) = &opts.warm_start {
-        search = search.warm_start(sizes.clone());
-    }
-    if let Some(obs) = obs {
-        search = search.observe(obs.clone());
-    }
-    match search.solve(&objective) {
-        Some(result) => {
-            let partition = Partition::from_sizes(result.sizes);
+    let node_limit = if opts.budgeted {
+        PLAN_NODE_BUDGET
+    } else {
+        UNBUDGETED_NODE_CAP
+    };
+    let search = Search::new(profile, n_gpus, cfg, node_limit, obs);
+    match search.solve(opts.warm_start.as_deref()) {
+        (Some((sizes, cost)), stats) => {
+            let partition = Partition::from_sizes(sizes);
             if let Some(obs) = obs {
-                obs.gauge_set("mip.predicted_step_secs", result.cost);
+                obs.gauge_set("mip.predicted_step_secs", cost);
                 obs.gauge_set("mip.stages", partition.num_stages() as f64);
             }
             Ok(PartitionOutcome {
                 partition,
-                predicted_step: SimTime::from_secs_f64(result.cost),
-                stats: Some(result.stats),
+                predicted_step: SimTime::from_secs_f64(cost),
+                stats: Some(stats),
             })
         }
         // No segmentation fits. The maximum-stage packing names the cause:
@@ -228,7 +234,7 @@ pub fn mip_partition_opts(
         // needs resident. Should that packing fit after all (the search
         // ran out of nodes before reaching a feasible leaf), it is the
         // plan.
-        None => max_stage_partition(profile, n_gpus, cfg),
+        (None, _) => max_stage_partition(profile, n_gpus, cfg),
     }
 }
 
@@ -285,49 +291,68 @@ fn predict(
     evaluate_analytic(&costs, &mapping, cfg).map(|s| s.step_time)
 }
 
-/// The branch-and-bound objective: exact analytic makespan of a complete
-/// segmentation, with admissible load-based lower bounds for pruning.
+/// Exact branch-and-bound over the contiguous segmentations of a model's
+/// layers. The objective is the analytic makespan of a complete
+/// segmentation under the sequential mapping, pruned with admissible
+/// load-based lower bounds and capped per stage by GPU memory.
 ///
 /// A leaf builds its stage costs (`O(L)` for `L` layers) and the
 /// sequential mapping, then runs the analytic core in the one [`Scratch`]
-/// the objective keeps for the whole solve, so it costs `O(L + S·M)` time
+/// the search keeps for the whole solve, so it costs `O(L + S·M)` time
 /// and five small allocations (the sizes, the stage costs and three in
 /// `Mapping::sequential`) and keeps only the makespan: no start rows are
 /// copied out and no traffic is estimated (1.14 µs per leaf in traced
 /// GPT-2 solves on a 2-vCPU VM). Under `strict_validation` each
 /// leaf also runs through [`evaluate_analytic`], whose validator checks
 /// the schedule, and the two makespans must agree.
-struct PipelineObjective<'a> {
+struct Search<'a> {
     profile: &'a ModelProfile,
     n_gpus: usize,
     cfg: &'a PipelineConfig,
-    /// The analytic core's working memory, reused by every leaf
-    /// ([`SegmentObjective::cost`] takes `&self`).
-    scratch: RefCell<Scratch>,
+    /// The analytic core's working memory, reused by every leaf.
+    scratch: Scratch,
+    node_limit: usize,
+    /// Receives incumbent marks on the solver lane and the `mip.*`
+    /// counters.
+    obs: Option<&'a Obs>,
+    /// The best segmentation found so far and its cost.
+    best: Option<(Vec<usize>, f64)>,
+    stats: SearchStats,
 }
 
-impl<'a> PipelineObjective<'a> {
-    fn new(profile: &'a ModelProfile, n_gpus: usize, cfg: &'a PipelineConfig) -> Self {
-        PipelineObjective {
+impl<'a> Search<'a> {
+    fn new(
+        profile: &'a ModelProfile,
+        n_gpus: usize,
+        cfg: &'a PipelineConfig,
+        node_limit: usize,
+        obs: Option<&'a Obs>,
+    ) -> Self {
+        Search {
             profile,
             n_gpus,
             cfg,
-            scratch: RefCell::default(),
+            scratch: Scratch::default(),
+            node_limit,
+            obs,
+            best: None,
+            stats: SearchStats {
+                complete: true,
+                ..SearchStats::default()
+            },
         }
     }
-}
 
-impl SegmentObjective for PipelineObjective<'_> {
-    fn cost(&self, sizes: &[usize]) -> Option<f64> {
+    /// Exact cost (step seconds) of a complete segmentation, or `None` when
+    /// it is infeasible: a stage does not fit in GPU memory, or there are
+    /// fewer stages than GPUs.
+    fn cost(&mut self, sizes: &[usize]) -> Option<f64> {
         if sizes.len() < self.n_gpus {
             return None; // an idle GPU is never optimal and breaks mapping
         }
         let costs = stage_costs(self.profile, &Partition::from_sizes(sizes.to_vec()));
         let mapping = Mapping::sequential(sizes.len(), self.n_gpus);
-        let step = self
-            .scratch
-            .borrow_mut()
-            .evaluate(&costs, &mapping, self.cfg);
+        let step = self.scratch.evaluate(&costs, &mapping, self.cfg);
         if self.cfg.strict_validation {
             let checked = evaluate_analytic(&costs, &mapping, self.cfg).map(|s| s.step_time);
             assert_eq!(step, checked, "leaf scorer disagrees on {sizes:?}");
@@ -335,6 +360,8 @@ impl SegmentObjective for PipelineObjective<'_> {
         step.ok().map(SimTime::as_secs_f64)
     }
 
+    /// Admissible lower bound on the cost of any completion of `prefix`
+    /// (never over-estimates).
     fn lower_bound(&self, prefix: &[usize]) -> f64 {
         let m = self.cfg.num_microbatches as f64;
         let layers = self.profile.layers();
@@ -365,8 +392,147 @@ impl SegmentObjective for PipelineObjective<'_> {
         total_work.max(bottleneck).max(max_gpu)
     }
 
-    fn max_stage_size(&self, first_item: usize) -> usize {
-        max_feasible(self.profile, self.cfg, first_item).unwrap_or(0)
+    /// The largest stage that fits in GPU memory starting at layer
+    /// `first_layer` (0 when that layer does not fit alone).
+    fn max_stage_size(&self, first_layer: usize) -> usize {
+        max_feasible(self.profile, self.cfg, first_layer).unwrap_or(0)
+    }
+
+    /// Runs the search from the best near-uniform seed and the optional
+    /// warm-start candidate. Returns the best segmentation and its cost
+    /// (`None` when no feasible one was found) with the search statistics.
+    fn solve(mut self, warm: Option<&[usize]>) -> (Option<(Vec<usize>, f64)>, SearchStats) {
+        let seed = self.seed();
+        let timer = WallTimer::start();
+        let seed_cost = seed.as_ref().map(|(_, cost)| *cost);
+        self.best = seed;
+        // Warm start: re-evaluate the previous solution under the current
+        // objective; if feasible and better than the seed, it is the
+        // initial incumbent.
+        if let Some(sizes) = warm.filter(|sizes| self.well_shaped(sizes)) {
+            self.stats.evaluated += 1;
+            if let Some(cost) = self.cost(sizes) {
+                if self.best.as_ref().is_none_or(|(_, c)| cost < *c) {
+                    self.best = Some((sizes.to_vec(), cost));
+                    self.stats.warm_started = true;
+                }
+            }
+        }
+        self.dfs(&mut Vec::new(), 0);
+        self.stats.wall_elapsed = timer.elapsed();
+        if let Some(obs) = self.obs {
+            let stats = &self.stats;
+            obs.counter_add("mip.evaluated", stats.evaluated as f64);
+            obs.counter_add("mip.pruned", stats.pruned as f64);
+            obs.counter_add("mip.nodes", stats.nodes as f64);
+            if stats.warm_started {
+                obs.counter_add("mip.warm_started", 1.0);
+            }
+            if let (Some(seed_cost), Some((_, final_cost))) = (seed_cost, &self.best) {
+                // Relative incumbent improvement: how far the search moved
+                // below the seed it started from (0 = seed was optimal). A
+                // zero-cost seed cannot be improved on, so the gap is 0 by
+                // definition — guarding the division keeps NaN out of the
+                // metrics registry (it would survive until JSON export).
+                let gap = if seed_cost > 0.0 {
+                    (seed_cost - final_cost) / seed_cost
+                } else {
+                    0.0
+                };
+                obs.gauge_set("mip.incumbent_gap", gap);
+            }
+        }
+        (self.best, self.stats)
+    }
+
+    /// The best near-uniform segmentation over all stage counts that are
+    /// multiples of the GPU count (so every round is full), then every
+    /// other stage count near the extremes.
+    fn seed(&mut self) -> Option<(Vec<usize>, f64)> {
+        let (l, n) = (self.profile.len(), self.n_gpus);
+        let mut seed: Option<(Vec<usize>, f64)> = None;
+        let multiples = (n..=l).step_by(n);
+        let near = (n..=l.min(n * 2)).filter(|s| s % n != 0);
+        for s in multiples.chain(near) {
+            let sizes = balanced_sizes(l, s);
+            if let Some(cost) = self.cost(&sizes) {
+                if seed.as_ref().is_none_or(|(_, c)| cost < *c) {
+                    seed = Some((sizes, cost));
+                }
+            }
+        }
+        seed
+    }
+
+    /// Whether `sizes` is a segmentation this search could itself produce:
+    /// non-empty stages covering exactly the model's layers. The sum is
+    /// checked, so a corrupt candidate cannot overflow.
+    fn well_shaped(&self, sizes: &[usize]) -> bool {
+        !sizes.is_empty()
+            && !sizes.contains(&0)
+            && sizes.iter().try_fold(0usize, |sum, &s| sum.checked_add(s))
+                == Some(self.profile.len())
+    }
+
+    fn dfs(&mut self, prefix: &mut Vec<usize>, covered: usize) {
+        let n_items = self.profile.len();
+        if covered == n_items {
+            self.stats.evaluated += 1;
+            if let Some(cost) = self.cost(prefix) {
+                if self.best.as_ref().is_none_or(|(_, c)| cost < *c) {
+                    if let Some(obs) = self.obs {
+                        // Solver-lane timestamps are the deterministic
+                        // evaluated-leaf count, not wall-clock: traces must
+                        // stay byte-identical across machines and runs.
+                        let evaluated = self.stats.evaluated as u64;
+                        obs.mark(
+                            Lane::Solver,
+                            "solver",
+                            "incumbent",
+                            evaluated,
+                            vec![
+                                ("cost", AttrValue::F64(cost)),
+                                ("stages", AttrValue::U64(prefix.len() as u64)),
+                                ("evaluated", AttrValue::U64(evaluated)),
+                            ],
+                        );
+                    }
+                    self.best = Some((prefix.clone(), cost));
+                }
+            }
+            return;
+        }
+        self.stats.nodes += 1;
+        if self.stats.nodes > self.node_limit {
+            self.stats.complete = false;
+            return;
+        }
+        // Bound pruning.
+        if let Some((_, inc)) = &self.best {
+            if self.lower_bound(prefix) >= *inc {
+                self.stats.pruned += 1;
+                return;
+            }
+        }
+        let remaining = n_items - covered;
+        let cap = self.max_stage_size(covered).min(remaining);
+        if cap == 0 {
+            return; // next stage cannot hold even one layer
+        }
+        // Candidate ordering: sizes near the balanced ideal first, so the
+        // first incumbent is already strong and pruning bites early.
+        let stages_left = n_items - prefix.len();
+        let ideal = (remaining as f64 / stages_left as f64).ceil() as usize;
+        let mut sizes: Vec<usize> = (1..=cap).collect();
+        sizes.sort_by_key(|&s| (s as i64 - ideal as i64).abs());
+        for s in sizes {
+            prefix.push(s);
+            self.dfs(prefix, covered + s);
+            prefix.pop();
+            if !self.stats.complete {
+                return;
+            }
+        }
     }
 }
 
@@ -522,23 +688,31 @@ mod tests {
         /// The unbudgeted search is exact and its bound admissible: on random
         /// small profiles the searched cost is the exhaustive minimum bit for
         /// bit, and no prefix of any feasible composition has a lower bound
-        /// above that composition's cost.
+        /// above that composition's cost. A warm start is a pure
+        /// accelerant: whatever candidate it gets (the optimum, another
+        /// feasible or an infeasible segmentation, or a malformed one a
+        /// corrupt checkpoint can carry),
+        /// the warm solve reaches the same optimum without expanding more
+        /// nodes, and a malformed candidate is never installed.
         #[test]
         fn mip_matches_exhaustive_and_bound_is_admissible(
             layers in prop::collection::vec(arb_layer(), 3..8),
             n_gpus in 2usize..4,
+            (kind, mask) in (0usize..8, prop::collection::vec(0usize..2, 7)),
         ) {
             let p = ModelProfile::from_layers(layers, 1);
             let c = cfg();
-            let obj = PipelineObjective::new(&p, n_gpus, &c);
-            let mut best: Option<f64> = None;
+            let mut search = Search::new(&p, n_gpus, &c, UNBUDGETED_NODE_CAP, None);
+            let mut best: Option<(Vec<usize>, f64)> = None;
             for comp in compositions(p.len()) {
-                let Some(cost) = obj.cost(&comp) else {
+                let Some(cost) = search.cost(&comp) else {
                     continue;
                 };
-                best = Some(best.map_or(cost, |b| b.min(cost)));
+                if best.as_ref().is_none_or(|(_, b)| cost < *b) {
+                    best = Some((comp.clone(), cost));
+                }
                 for k in 0..=comp.len() {
-                    let bound = obj.lower_bound(&comp[..k]);
+                    let bound = search.lower_bound(&comp[..k]);
                     prop_assert!(
                         bound <= cost,
                         "bound {bound} > cost {cost} of {comp:?} at prefix {:?}",
@@ -546,16 +720,60 @@ mod tests {
                     );
                 }
             }
-            let mip = mip_partition_opts(&p, n_gpus, &c, &MipPartitionOpts::default(), None);
-            let Some(best) = best else {
-                prop_assert!(mip.is_err(), "search found a plan exhaustion did not");
+            let l = p.len();
+            let segmentation = sizes_from_mask(&mask, l);
+            let (candidate, malformed) = match (kind, &best) {
+                (0, _) => (vec![], true),
+                (1, _) => ([&[0], &segmentation[..]].concat(), true),
+                (2, _) => ([&[1], &segmentation[..]].concat(), true), // sums to l + 1
+                (3, _) => (vec![usize::MAX, l + 1], true), // the sum wraps to l
+                (4, _) => (vec![1; l + 1], true), // more stages than layers
+                (5, Some((optimum, _))) => (optimum.clone(), false),
+                _ => (segmentation, false),
+            };
+            let cold = mip_partition_opts(&p, n_gpus, &c, &MipPartitionOpts::default(), None);
+            let warm_opts = MipPartitionOpts {
+                budgeted: false,
+                warm_start: Some(candidate.clone()),
+            };
+            let warm = mip_partition_opts(&p, n_gpus, &c, &warm_opts, None);
+            let Some((_, best)) = best else {
+                prop_assert!(cold.is_err(), "search found a plan exhaustion did not");
+                prop_assert!(warm.is_err(), "warm search found a plan exhaustion did not");
                 return Ok(());
             };
-            let mip = mip.expect("a feasible composition exists");
-            prop_assert!(mip.stats.expect("search stats").complete);
-            let cost = obj.cost(mip.partition.sizes()).expect("searched plan is feasible");
-            prop_assert_eq!(cost.to_bits(), best.to_bits(), "search {} vs exhaustive {}", cost, best);
-            prop_assert_eq!(mip.predicted_step, SimTime::from_secs_f64(best));
+            let cold = cold.expect("a feasible composition exists");
+            let warm = warm.expect("a warm start never loses feasibility");
+            let (cs, ws) = (cold.stats.expect("search stats"), warm.stats.expect("search stats"));
+            prop_assert!(cs.complete && ws.complete);
+            for (name, out) in [("cold", &cold), ("warm", &warm)] {
+                let cost = search.cost(out.partition.sizes()).expect("searched plan is feasible");
+                prop_assert_eq!(
+                    cost.to_bits(),
+                    best.to_bits(),
+                    "{} search {} vs exhaustive {}",
+                    name,
+                    cost,
+                    best
+                );
+                prop_assert_eq!(out.predicted_step, SimTime::from_secs_f64(best));
+            }
+            prop_assert!(
+                ws.nodes <= cs.nodes,
+                "warm start {candidate:?} expanded more nodes ({} > {})",
+                ws.nodes,
+                cs.nodes
+            );
+            if malformed {
+                // Ignored outright: not even evaluated, so the solve is the
+                // cold one, counters included.
+                let ws = SearchStats {
+                    wall_elapsed: cs.wall_elapsed,
+                    ..ws
+                };
+                prop_assert_eq!(ws, cs, "{:?} left a trace", candidate);
+                prop_assert_eq!(warm.partition, cold.partition);
+            }
         }
     }
 
@@ -575,7 +793,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// One objective scores up to 12 segmentations in turn, so its one
+        /// One search scores up to 12 segmentations in turn, so its one
         /// scratch serves growing and shrinking stage counts with
         /// infeasible leaves in between, and each score is the step time a
         /// fresh `evaluate_analytic` gives the same stages under the
@@ -603,10 +821,10 @@ mod tests {
                 strict_validation: flags & 4 != 0,
                 ..cfg()
             };
-            let obj = PipelineObjective::new(&p, n_gpus, &c);
+            let mut search = Search::new(&p, n_gpus, &c, UNBUDGETED_NODE_CAP, None);
             for mask in &masks {
                 let sizes = sizes_from_mask(mask, p.len());
-                let scored = obj.cost(&sizes).map(f64::to_bits);
+                let scored = search.cost(&sizes).map(f64::to_bits);
                 if sizes.len() < n_gpus {
                     prop_assert!(scored.is_none(), "{sizes:?} leaves a GPU idle");
                     continue;
@@ -692,6 +910,34 @@ mod tests {
             ws.evaluated,
             cs.evaluated
         );
+    }
+
+    #[test]
+    fn zero_cost_seed_emits_finite_incumbent_gap() {
+        // Zero-time, zero-byte layers, resident, with no swap overhead or
+        // hop latency: every segmentation, the seed included, takes a zero
+        // step, and the gap gauge must not divide that into NaN.
+        let free = LayerProfile {
+            fwd: SimTime::ZERO,
+            bwd: SimTime::ZERO,
+            param_bytes: 0,
+            grad_bytes: 0,
+            output_act_bytes: 0,
+            workspace_bytes: 0,
+        };
+        let p = ModelProfile::from_layers(vec![free; 4], 1);
+        let c = PipelineConfig {
+            memory_mode: MemoryMode::Resident,
+            swap_overhead: SimTime::ZERO,
+            act_latency: SimTime::ZERO,
+            ..cfg()
+        };
+        let obs = Obs::new();
+        let out = mip_partition_opts(&p, 2, &c, &budgeted(), Some(&obs)).unwrap();
+        assert_eq!(out.predicted_step, SimTime::ZERO);
+        let gap = obs.gauge("mip.incumbent_gap").expect("gauge present");
+        assert!(gap.is_finite(), "incumbent gap must be finite, got {gap}");
+        assert_eq!(gap, 0.0);
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! Property-based tests of schedule invariants: the analytic evaluator's
-//! constraint system and its agreement with the event-driven executor.
+//! constraint system and its agreement with the event-driven executor, and
+//! of GPipe's chain-partition DP.
 
 use proptest::prelude::*;
 
 use mobius_mapping::Mapping;
 use mobius_pipeline::{
-    check_differential, evaluate_analytic, simulate_step, MemoryMode, PipelineConfig, StageCosts,
+    chain_partition_dp, check_differential, evaluate_analytic, simulate_step, MemoryMode,
+    PipelineConfig, StageCosts,
 };
 use mobius_sim::SimTime;
 use mobius_topology::{GpuSpec, Topology};
@@ -183,5 +185,38 @@ proptest! {
             "uploads {} vs closed form {expected}",
             sch.traffic.upload_bytes
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// DP chain partition: the bottleneck never increases when more parts
+    /// are allowed, and equals the max element when parts >= items.
+    #[test]
+    fn chain_partition_monotone(weights in prop::collection::vec(0.5f64..10.0, 1..12)) {
+        let mut last = f64::INFINITY;
+        for k in 1..=weights.len() {
+            let (sizes, cost) = chain_partition_dp(&weights, k);
+            prop_assert!(cost <= last + 1e-12, "cost rose with more parts");
+            prop_assert_eq!(sizes.iter().sum::<usize>(), weights.len());
+            last = cost;
+        }
+        let max_w = weights.iter().cloned().fold(0.0, f64::max);
+        let (_, cost) = chain_partition_dp(&weights, weights.len());
+        prop_assert!((cost - max_w).abs() < 1e-12);
+    }
+
+    /// The DP bottleneck lies between the average part weight and the total.
+    #[test]
+    fn chain_partition_bounds(
+        weights in prop::collection::vec(0.5f64..10.0, 1..12),
+        k in 1usize..6,
+    ) {
+        let total: f64 = weights.iter().sum();
+        let (_, cost) = chain_partition_dp(&weights, k);
+        let k_eff = k.min(weights.len());
+        prop_assert!(cost >= total / k_eff as f64 - 1e-9);
+        prop_assert!(cost <= total + 1e-9);
     }
 }

@@ -20,7 +20,7 @@
 //!   p50/p99/p999 simulated latency.
 //!
 //! Everything is byte-deterministic per seed: misses solve with the
-//! unbudgeted branch-and-bound (machine-independent node counts), service
+//! node-budgeted branch-and-bound (machine-independent node counts), service
 //! latency is simulated from those counts (never measured), and cache
 //! state lives in ordered maps with logical-tick recency.
 

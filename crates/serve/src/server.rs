@@ -15,16 +15,18 @@
 //! (model, topology, system, budget) via [`mobius::fingerprint`]. The
 //! `budget_ms` key is a cache-key label only: every miss solves the same
 //! way whatever it says. A hit replays the cached payload bytes and runs
-//! no solver at all, a miss solves with the unbudgeted (byte-deterministic)
-//! MIP, seeded from the most recent same-model entry when one exists (the
-//! warm-start path).
+//! no solver at all, a miss solves with the planner's MIP under its fixed
+//! node budget ([`PLAN_NODE_BUDGET`], so the work per miss is bounded and
+//! byte-deterministic), seeded from the most recent same-model entry when
+//! one exists (the warm-start path).
 //!
 //! Service latency is *simulated*: a hit costs a fixed dispatch constant,
 //! a miss costs a setup constant plus a per-evaluated-leaf charge taken
 //! from the solver's own [`SearchStats`]. No wall clock is read anywhere,
 //! which is what makes two runs of the same script byte-identical.
 //!
-//! [`SearchStats`]: mobius_mip::SearchStats
+//! [`SearchStats`]: mobius::pipeline::SearchStats
+//! [`PLAN_NODE_BUDGET`]: mobius::pipeline::PLAN_NODE_BUDGET
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -292,8 +294,7 @@ impl Server {
     ) -> Result<(Entry, u64, bool), ServeError> {
         let mut tuner = FineTuner::from_model(target.model.clone())
             .topology(target.topo.clone())
-            .system(target.system)
-            .unbudgeted_solver(true);
+            .system(target.system);
         if let Some(sizes) = warm {
             tuner = tuner.warm_start(sizes);
         }

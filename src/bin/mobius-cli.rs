@@ -24,9 +24,8 @@ use mobius::{
     run_checkpointed, CheckpointOpts, CkptRunError, ClusterConfig, FineTuner, RunError, RunOutcome,
     RunSinks, System, TopoSpecError,
 };
-use mobius_mip::SearchStats;
 use mobius_model::Model;
-use mobius_pipeline::{evaluate_analytic, render_gantt, MemoryMode, PipelineConfig};
+use mobius_pipeline::{evaluate_analytic, render_gantt, MemoryMode, PipelineConfig, SearchStats};
 use mobius_topology::Topology;
 
 /// What went wrong, classed for the exit code: bad usage exits 2, OOM 3,

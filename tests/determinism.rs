@@ -2,15 +2,17 @@
 //! identical seeded runs — solver lane included — must export
 //! byte-identical Chrome traces.
 //!
-//! This is the regression net for the D001 fix in `crates/mip`: incumbent
-//! marks used to stamp `Instant::elapsed` nanoseconds into the solver lane,
-//! so two in-process runs produced different trace bytes. Timestamps are
-//! now the deterministic evaluated-leaf count and this test locks that in.
+//! This is the regression net for the D001 fix in the partition search:
+//! incumbent marks used to stamp `Instant::elapsed` nanoseconds into the
+//! solver lane, so two in-process runs produced different trace bytes.
+//! Timestamps are now the deterministic evaluated-leaf count and this test
+//! locks that in.
 
 use mobius::FineTuner;
-use mobius_mip::{SegmentObjective, SegmentSearch};
-use mobius_model::GptConfig;
+use mobius_model::{GptConfig, Model};
 use mobius_obs::Obs;
+use mobius_pipeline::{mip_partition_opts, MipPartitionOpts, PipelineConfig};
+use mobius_profiler::Profiler;
 use mobius_topology::{GpuSpec, Topology};
 
 /// One full plan + step with the MIP solver lane observed; returns the
@@ -62,34 +64,27 @@ fn paper_scale_observed_steps_are_byte_identical() {
     );
 }
 
-/// A seedless search improves its incumbent several times, so the solver
-/// lane definitely carries incumbent marks — the exact lane that used to
-/// stamp wall-clock nanoseconds.
-struct SpreadCost;
-
-impl SegmentObjective for SpreadCost {
-    fn cost(&self, sizes: &[usize]) -> Option<f64> {
-        let max = *sizes.iter().max()? as f64;
-        let min = *sizes.iter().min()? as f64;
-        (sizes.len() <= 4).then_some(max - min + sizes.len() as f64)
-    }
-}
-
+/// GPT-2 small on 2+2 improves on its near-uniform seed, so the solver
+/// lane carries incumbent marks — the exact lane that used to stamp
+/// wall-clock nanoseconds.
 #[test]
 fn solver_incumbent_marks_are_deterministic() {
+    let topo = Topology::commodity(GpuSpec::rtx3090ti(), &[2, 2]);
+    let config = GptConfig::gpt2_small();
+    let profile = Profiler::new(topo.gpu().clone())
+        .profile(&Model::from_config(&config), config.default_microbatch);
+    let cfg = PipelineConfig::mobius(4, topo.gpu_mem_bytes(), topo.avg_gpu_bandwidth());
     let trace = |_: u32| {
         let obs = Obs::new();
-        let result = SegmentSearch::new(8)
-            .observe(obs.clone())
-            .solve(&SpreadCost)
-            .expect("feasible");
-        assert!(result.cost > 0.0);
+        let opts = MipPartitionOpts::default();
+        mip_partition_opts(&profile, 4, &cfg, &opts, Some(&obs)).expect("feasible");
+        assert!(obs.gauge("mip.incumbent_gap").expect("seeded search") > 0.0);
         obs.chrome_trace_json()
     };
     let a = trace(0);
     assert!(
         a.contains("incumbent"),
-        "the seedless search must improve its incumbent at least once"
+        "the search must improve on its seed at least once"
     );
     assert_eq!(
         a,

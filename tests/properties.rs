@@ -7,9 +7,9 @@ use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
 use mobius_mapping::Mapping;
-use mobius_mip::{chain_partition_dp, SegmentObjective, SegmentSearch};
 use mobius_pipeline::{
-    check_differential, evaluate_analytic, simulate_step, PipelineConfig, StageCosts,
+    chain_partition_dp, check_differential, evaluate_analytic, simulate_step, PipelineConfig,
+    StageCosts,
 };
 use mobius_sim::{Cdf, FlowId, FlowNetwork, IntervalSet, LinkId, Priority, SimTime};
 use mobius_topology::{GpuSpec, Topology};
@@ -126,34 +126,45 @@ proptest! {
         prop_assert!((cdf.fraction_at(25.0) - 1.0).abs() < 1e-9);
     }
 
-    /// The DP chain partition is optimal: no contiguous segmentation found
-    /// by exhaustive search beats it.
+    /// The DP chain partition is optimal: no composition of the weights
+    /// into at most `k` contiguous parts has a lighter heaviest part, and
+    /// the DP's own sizes are such a composition with the cost it reports.
     #[test]
     fn chain_partition_dp_is_optimal(
         weights in prop::collection::vec(0.5f64..10.0, 1..9),
         k in 1usize..5,
     ) {
-        let (_, dp_cost) = chain_partition_dp(&weights, k);
-        struct Balance<'a>(&'a [f64], usize);
-        impl SegmentObjective for Balance<'_> {
-            fn cost(&self, sizes: &[usize]) -> Option<f64> {
-                if sizes.len() > self.1 {
-                    return None;
-                }
-                let mut i = 0;
-                let mut worst: f64 = 0.0;
-                for &s in sizes {
-                    worst = worst.max(self.0[i..i + s].iter().sum());
-                    i += s;
-                }
-                Some(worst)
+        let (sizes, dp_cost) = chain_partition_dp(&weights, k);
+        let bottleneck = |sizes: &[usize]| {
+            let mut i = 0;
+            let mut worst: f64 = 0.0;
+            for &s in sizes {
+                worst = worst.max(weights[i..i + s].iter().sum());
+                i += s;
             }
+            worst
+        };
+        prop_assert!(!sizes.is_empty() && sizes.len() <= k && !sizes.contains(&0));
+        prop_assert_eq!(sizes.iter().sum::<usize>(), weights.len());
+        prop_assert!((bottleneck(&sizes) - dp_cost).abs() < 1e-9);
+        // Every composition is a bit mask of cuts between adjacent items.
+        let n = weights.len();
+        let mut best = f64::INFINITY;
+        for mask in 0u32..1 << (n - 1) {
+            if mask.count_ones() as usize >= k {
+                continue;
+            }
+            let mut parts = vec![1];
+            for i in 0..n - 1 {
+                if mask & (1 << i) != 0 {
+                    parts.push(1);
+                } else {
+                    *parts.last_mut().expect("nonempty") += 1;
+                }
+            }
+            best = best.min(bottleneck(&parts));
         }
-        let res = SegmentSearch::new(weights.len())
-            .max_stages(k)
-            .solve(&Balance(&weights, k))
-            .expect("feasible");
-        prop_assert!((res.cost - dp_cost).abs() < 1e-9, "search {} vs dp {}", res.cost, dp_cost);
+        prop_assert!((best - dp_cost).abs() < 1e-9, "exhaustive {} vs dp {}", best, dp_cost);
     }
 
     /// Analytic schedules: more bandwidth never hurts; more memory never

@@ -8,7 +8,8 @@
 //! byte-deterministic per seed with a > 0.5 hit rate under zipfian skew.
 
 use mobius_obs::Obs;
-use mobius_serve::{run_load, LoadGenConfig, ServeConfig, Server};
+use mobius_pipeline::PLAN_NODE_BUDGET;
+use mobius_serve::{run_load, LoadGenConfig, ServeConfig, Server, LEAF_COST_US, MISS_BASE_US};
 
 fn server_with(obs: &Obs, capacity: usize, warm_seed: bool) -> Server {
     Server::new(ServeConfig {
@@ -297,12 +298,21 @@ fn model_names_match_case_insensitively_onto_one_entry() {
 fn an_eleven_gpu_plan_answers_and_its_repeat_is_a_byte_identical_hit() {
     // Cross mapping on 3+3+3+2 once enumerated 11! round permutations
     // (18 s) inside the request; the label-pruned search maps it at once.
+    // A paper-scale model's miss solves under the planner's node budget,
+    // so its (simulated) latency is bounded by that budget's leaves.
     let obs = Obs::new();
     let mut s = server_with(&obs, 4, true);
-    let miss = s.handle("plan model=gpt2 topo=3+3+3+2").unwrap().unwrap();
+    let miss = s.handle("plan model=3b topo=3+3+3+2").unwrap().unwrap();
     assert!(miss.starts_with("ok plan cache=miss "), "{miss}");
     assert!(payload_of(&miss).contains("topo=Topo 3+3+3+2 "), "{miss}");
-    let hit = s.handle("plan model=gpt2 topo=3+3+3+2").unwrap().unwrap();
+    let latency_us: u64 = miss
+        .split_once("latency_us=")
+        .and_then(|(_, rest)| rest.split_once(' '))
+        .and_then(|(n, _)| n.parse().ok())
+        .expect("a miss reports its latency");
+    let cap = MISS_BASE_US + LEAF_COST_US * PLAN_NODE_BUDGET as u64;
+    assert!(latency_us <= cap, "{latency_us} > {cap}: {miss}");
+    let hit = s.handle("plan model=3b topo=3+3+3+2").unwrap().unwrap();
     assert!(hit.starts_with("ok plan cache=hit "), "{hit}");
     assert_eq!(payload_of(&hit), payload_of(&miss));
 }

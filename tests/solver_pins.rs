@@ -5,10 +5,9 @@
 //! resident ablations and strict validation). A change to the leaf scorer,
 //! the seed or the bound that moves any of these numbers fails here.
 
-use mobius_mip::SearchStats;
 use mobius_model::{GptConfig, Model};
 use mobius_pipeline::{
-    mip_partition_opts, MemoryMode, MipPartitionOpts, PartitionOutcome, PipelineConfig,
+    mip_partition_opts, MemoryMode, MipPartitionOpts, PartitionOutcome, PipelineConfig, SearchStats,
 };
 use mobius_profiler::Profiler;
 use mobius_topology::{GpuSpec, Topology};
