@@ -4,9 +4,10 @@
 //! both roll their deterministic work counters into a table that is
 //! committed to the repo and diffed by `scripts/verify.sh`. This module
 //! holds the shared mechanism: the [`Rule`] vocabulary (exact / at-most /
-//! at-least), the [`Metric`] rows, the hand-rolled row extractor for our
-//! own JSON report grammar, and the [`check_counters`] diff that renders a
+//! at-least), the [`Metric`] rows, and the [`check`] diff that renders a
 //! delta table and fails when any counter violates its direction rule.
+
+use mobius_obs::json;
 
 use crate::Experiment;
 
@@ -83,44 +84,27 @@ pub fn counters_experiment(
     e
 }
 
-/// Extracts the row cells of the experiment `id` from a JSON report
-/// produced by [`crate::render_json_report`]. Hand-rolled on purpose: the
-/// workspace has no JSON library and the report grammar is our own
-/// emitter's, whose strings (counter names, integers, hex digests) never
-/// contain escapes.
-pub fn extract_rows(doc: &str, id: &str) -> Option<Vec<Vec<String>>> {
-    let start = doc.find(&format!("\"id\":\"{id}\""))?;
-    let key = "\"rows\":[";
-    let mut i = start + doc[start..].find(key)? + key.len();
-    let bytes = doc.as_bytes();
-    let mut rows = Vec::new();
-    let mut cur = Vec::new();
-    let mut depth = 1usize;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'[' => {
-                depth += 1;
-                cur = Vec::new();
-            }
-            b']' => {
-                depth -= 1;
-                if depth == 1 {
-                    rows.push(std::mem::take(&mut cur));
-                }
-                if depth == 0 {
-                    return Some(rows);
-                }
-            }
-            b'"' => {
-                let end = i + 1 + doc[i + 1..].find('"')?;
-                cur.push(doc[i + 1..end].to_string());
-                i = end;
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    None
+/// The row cells of the experiment `id` in a JSON report rendered by
+/// [`crate::render_json_report`]; `None` when the document does not parse
+/// or holds no such experiment.
+pub fn table_rows(doc: &str, id: &str) -> Option<Vec<Vec<String>>> {
+    let doc = json::parse(doc).ok()?;
+    let table = doc
+        .get("experiments")?
+        .as_array()?
+        .iter()
+        .find(|e| e.get("id").and_then(json::Value::as_str) == Some(id))?;
+    table
+        .get("rows")?
+        .as_array()?
+        .iter()
+        .map(|row| {
+            row.as_array()?
+                .iter()
+                .map(|cell| cell.as_str().map(str::to_string))
+                .collect()
+        })
+        .collect()
 }
 
 /// One line of the delta table the check prints.
@@ -132,26 +116,32 @@ struct Delta {
     ok: bool,
 }
 
-/// Diffs the `counters_id` table of `current_doc` (a freshly rendered JSON
-/// report) against the same table in `baseline_json` (the committed
-/// baseline file), applying each row's direction rule.
+/// Diffs the `counters_id` table of the `fresh` experiments against the
+/// same table in `baseline_json` (the committed baseline file), applying
+/// each row's direction rule.
 ///
 /// # Errors
 ///
 /// Returns the rendered delta table as `Err` when any counter violates its
 /// direction rule or the tables disagree structurally; returns it as `Ok`
 /// when everything holds.
-pub fn check_counters(
+///
+/// # Panics
+///
+/// Panics when `fresh` holds no `counters_id` table.
+pub fn check(
     baseline_json: &str,
-    current_doc: &str,
+    fresh: &[Experiment],
     counters_id: &str,
-    delta_id: &'static str,
-    delta_title: &'static str,
 ) -> Result<String, String> {
-    let baseline = extract_rows(baseline_json, counters_id).ok_or_else(|| {
+    let baseline = table_rows(baseline_json, counters_id).ok_or_else(|| {
         format!("baseline has no `{counters_id}` experiment — regenerate with UPDATE_BASELINE=1")
     })?;
-    let current = extract_rows(current_doc, counters_id).expect("caller rendered this table");
+    let current = &fresh
+        .iter()
+        .find(|e| e.id == counters_id)
+        .expect("the fresh run renders its counters table")
+        .rows;
 
     let lookup: std::collections::BTreeMap<&str, (&str, &str)> = baseline
         .iter()
@@ -161,7 +151,7 @@ pub fn check_counters(
 
     let mut deltas = Vec::new();
     let mut failed = false;
-    for row in &current {
+    for row in current {
         let (metric, value, rule_label) = (&row[0], &row[1], &row[2]);
         let rule = Rule::from_label(rule_label).expect("rules are emitted by this module");
         let (ok, base) = match lookup.get(metric.as_str()) {
@@ -203,8 +193,12 @@ pub fn check_counters(
         }
     }
 
-    let mut table = Experiment::new(delta_id, delta_title, "internal check table")
-        .columns(["metric", "baseline", "current", "rule", "status"]);
+    let mut table = Experiment::new(
+        "baseline-delta",
+        "Counter delta vs the committed baseline",
+        "internal check table",
+    )
+    .columns(["metric", "baseline", "current", "rule", "status"]);
     for d in &deltas {
         table.push_row([
             d.metric.clone(),
@@ -227,22 +221,21 @@ mod tests {
     use super::*;
     use crate::render_json_report;
 
-    fn table(id: &'static str, rows: &[(&'static str, &str, Rule)]) -> String {
+    fn table(id: &'static str, rows: &[(&'static str, &str, Rule)]) -> Vec<Experiment> {
         let metrics: Vec<Metric> = rows.iter().map(|(n, v, r)| Metric::new(n, v, *r)).collect();
-        let e = counters_experiment(id, "t", "c", &metrics);
-        render_json_report(std::iter::once(&e))
+        vec![counters_experiment(id, "t", "c", &metrics)]
     }
 
     #[test]
     fn direction_rules_hold_and_fail_as_documented() {
-        let base = table(
+        let base = render_json_report(&table(
             "x",
             &[
                 ("a.work", "10", Rule::AtMost),
                 ("a.reuse", "5", Rule::AtLeast),
                 ("a.sum", "deadbeef", Rule::Exact),
             ],
-        );
+        ));
         // Less work, more reuse, same checksum: all rules hold.
         let good = table(
             "x",
@@ -252,7 +245,7 @@ mod tests {
                 ("a.sum", "deadbeef", Rule::Exact),
             ],
         );
-        assert!(check_counters(&base, &good, "x", "d", "t").is_ok());
+        assert!(check(&base, &good, "x").is_ok());
         // More work: AtMost regresses.
         let bad = table(
             "x",
@@ -262,27 +255,28 @@ mod tests {
                 ("a.sum", "deadbeef", Rule::Exact),
             ],
         );
-        let err = check_counters(&base, &bad, "x", "d", "t").unwrap_err();
+        let err = check(&base, &bad, "x").unwrap_err();
         assert!(err.contains("REGRESSED"));
     }
 
     #[test]
     fn missing_and_renamed_metrics_are_structural_failures() {
-        let base = table("x", &[("a.work", "10", Rule::AtMost)]);
+        let base = render_json_report(&table("x", &[("a.work", "10", Rule::AtMost)]));
         let renamed = table("x", &[("a.labour", "10", Rule::AtMost)]);
-        let err = check_counters(&base, &renamed, "x", "d", "t").unwrap_err();
+        let err = check(&base, &renamed, "x").unwrap_err();
         assert!(err.contains("<missing>"));
         // A rule change on the same name is also a failure.
         let flipped = table("x", &[("a.work", "10", Rule::AtLeast)]);
-        assert!(check_counters(&base, &flipped, "x", "d", "t").is_err());
+        assert!(check(&base, &flipped, "x").is_err());
     }
 
     #[test]
     fn a_missing_counters_table_is_reported_not_panicked() {
-        let base = table("x", &[("a.work", "10", Rule::AtMost)]);
-        let err = check_counters(&base, &base, "y", "d", "t");
+        let fresh = table("x", &[("a.work", "10", Rule::AtMost)]);
+        let base = render_json_report(&fresh);
+        let err = check(&base, &fresh, "y");
         assert!(matches!(err, Err(ref m) if m.contains("`y`")), "{err:?}");
-        let err = check_counters("{}", &base, "x", "d", "t").unwrap_err();
+        let err = check("{}", &fresh, "x").unwrap_err();
         assert!(err.contains("UPDATE_BASELINE"));
     }
 }

@@ -41,10 +41,6 @@ pub struct Opts {
     pub deterministic: bool,
 }
 
-/// Diffs a fresh seeded run's counters against a committed baseline's
-/// text: the delta table, as `Err` when a counter regressed.
-pub type Check = fn(&str, u64) -> Result<String, String>;
-
 /// One named experiment set of the `mobius-bench` binary.
 #[derive(Debug)]
 pub struct Entry {
@@ -54,9 +50,10 @@ pub struct Entry {
     pub flags: &'static [&'static str],
     /// Regenerates the experiments.
     pub run: fn(Opts) -> Vec<Experiment>,
-    /// `--check <baseline.json>` mode, for the counter benchmarks with a
-    /// committed baseline; `all` (and [`run_all`]) runs every other entry.
-    pub check: Option<Check>,
+    /// For the counter benchmarks with a committed baseline, the id of
+    /// the counters table `--check <baseline.json>` diffs with
+    /// [`baseline::check`]; `all` (and [`run_all`]) runs every other entry.
+    pub check: Option<&'static str>,
 }
 
 const QUICK: &[&str] = &["--quick"];
@@ -120,13 +117,13 @@ pub const ENTRIES: &[Entry] = &[
                 solver_perf::run(o.quick, o.seed)
             }
         },
-        check: Some(solver_perf::check_against),
+        check: Some(solver_perf::COUNTERS_ID),
     },
     Entry {
         name: "serve",
         flags: &["--seed"],
         run: |o| serve::deterministic(o.seed),
-        check: Some(serve::check_against),
+        check: Some(serve::COUNTERS_ID),
     },
 ];
 

@@ -12,24 +12,17 @@
 //! percentiles may only shrink, and the response-stream checksum must
 //! match byte-for-byte.
 
-use mobius_serve::{run_load, LoadGenConfig, LoadReport};
+use mobius_serve::run_load;
 
-use super::baseline::{check_counters, counters_experiment, Metric, Rule};
+use super::baseline::{counters_experiment, Metric, Rule};
 use crate::Experiment;
 
 /// Stable id of the counter table the baseline gate diffs.
 pub const COUNTERS_ID: &str = "serve-counters";
 
-fn load_cfg(seed: u64) -> LoadGenConfig {
-    LoadGenConfig {
-        seed,
-        ..LoadGenConfig::default()
-    }
-}
-
 fn load(seed: u64, metrics: &mut Vec<Metric>) -> Experiment {
-    let cfg = load_cfg(seed);
-    let r: LoadReport = run_load(&cfg).expect("the built-in catalog is well-formed");
+    let r = run_load(seed).expect("the built-in catalog is well-formed");
+    let hit_rate = r.stats.hit_rate();
 
     let mut e = Experiment::new(
         "serve-load",
@@ -41,11 +34,10 @@ fn load(seed: u64, metrics: &mut Vec<Metric>) -> Experiment {
     )
     .columns(["metric", "value"]);
     for (name, value) in [
-        ("tenants", cfg.tenants.to_string()),
         ("requests", r.stats.requests.to_string()),
         ("hits", r.stats.hits.to_string()),
         ("misses", r.stats.misses.to_string()),
-        ("hit rate", format!("{:.4}", r.hit_rate)),
+        ("hit rate", format!("{hit_rate:.4}")),
         ("evictions", r.stats.evictions.to_string()),
         ("invalidations", r.stats.invalidations.to_string()),
         ("warm-seeded solves", r.stats.warm_seeded.to_string()),
@@ -62,7 +54,7 @@ fn load(seed: u64, metrics: &mut Vec<Metric>) -> Experiment {
     metrics.push(Metric::new("serve.hits", r.stats.hits, Rule::AtLeast));
     metrics.push(Metric::new(
         "serve.hit_rate",
-        format!("{:.4}", r.hit_rate),
+        format!("{hit_rate:.4}"),
         Rule::AtLeast,
     ));
     metrics.push(Metric::new("serve.misses", r.stats.misses, Rule::AtMost));
@@ -103,9 +95,9 @@ fn load(seed: u64, metrics: &mut Vec<Metric>) -> Experiment {
     ));
 
     e.note(format!(
-        "{} requests from {} tenants, seed {}, cache capacity {} over a \
-         {}-entry catalog, zipf s={}",
-        cfg.requests, cfg.tenants, cfg.seed, cfg.capacity, 8, cfg.zipf_s,
+        "{} requests from 4 tenants, seed {seed}, cache capacity 6 over an \
+         8-entry catalog, zipf s=1.2",
+        r.stats.requests,
     ));
     e
 }
@@ -128,29 +120,9 @@ pub fn deterministic(seed: u64) -> Vec<Experiment> {
     vec![load, counters]
 }
 
-/// Re-runs the load and diffs the counter table against `baseline_json`
-/// (the committed `BENCH_serve.json`).
-///
-/// # Errors
-///
-/// Returns the rendered delta table as `Err` when any counter violates its
-/// direction rule or the tables disagree structurally; returns it as `Ok`
-/// when everything holds.
-pub fn check_against(baseline_json: &str, seed: u64) -> Result<String, String> {
-    let fresh = deterministic(seed);
-    let doc = crate::render_json_report(fresh.iter());
-    check_counters(
-        baseline_json,
-        &doc,
-        COUNTERS_ID,
-        "serve-baseline-delta",
-        "Counter delta vs committed BENCH_serve.json",
-    )
-}
-
 #[cfg(test)]
 mod tests {
-    use super::super::baseline::extract_rows;
+    use super::super::baseline::{check, table_rows};
     use super::*;
     use crate::render_json_report;
 
@@ -160,7 +132,7 @@ mod tests {
         let b = render_json_report(deterministic(42).iter());
         assert_eq!(a, b);
 
-        let rows = extract_rows(&a, COUNTERS_ID).expect("counters present");
+        let rows = table_rows(&a, COUNTERS_ID).expect("counters present");
         let get = |name: &str| {
             rows.iter()
                 .find(|r| r[0] == name)
@@ -175,21 +147,22 @@ mod tests {
 
     #[test]
     fn check_passes_fresh_and_fails_on_a_hit_rate_regression() {
-        let baseline = render_json_report(deterministic(42).iter());
-        let table = check_against(&baseline, 42).expect("fresh baseline must pass");
+        let fresh = deterministic(42);
+        let baseline = render_json_report(fresh.iter());
+        let table = check(&baseline, &fresh, COUNTERS_ID).expect("fresh baseline must pass");
         assert!(table.contains("serve.hit_rate"));
         assert!(!table.contains("REGRESSED"));
 
         // Raise the baseline's hit-rate floor above what the run achieves:
         // AtLeast must flag the shortfall.
-        let rows = extract_rows(&baseline, COUNTERS_ID).unwrap();
+        let rows = table_rows(&baseline, COUNTERS_ID).unwrap();
         let achieved = rows.iter().find(|r| r[0] == "serve.hit_rate").unwrap()[1].clone();
         let tampered = baseline.replace(
             &format!("[\"serve.hit_rate\",\"{achieved}\""),
             "[\"serve.hit_rate\",\"0.9999\"",
         );
         assert_ne!(baseline, tampered, "tamper must hit");
-        let err = check_against(&tampered, 42).expect_err("regression must fail");
+        let err = check(&tampered, &fresh, COUNTERS_ID).expect_err("regression must fail");
         assert!(err.contains("REGRESSED"));
     }
 }

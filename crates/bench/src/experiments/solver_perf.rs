@@ -31,7 +31,7 @@ use mobius_pipeline::{mip_partition_opts, MipPartitionOpts, PartitionOutcome, Pi
 use mobius_profiler::{LayerProfile, ModelProfile};
 use mobius_sim::{Engine, FlowNetwork, SimTime};
 
-use super::baseline::{check_counters, counters_experiment, Metric, Rule};
+use super::baseline::{counters_experiment, Metric, Rule};
 use crate::{commodity, Experiment};
 
 const GIB_BYTES: u64 = 1 << 30;
@@ -316,7 +316,7 @@ fn wall(quick: bool) -> Experiment {
 }
 
 // ---------------------------------------------------------------------------
-// Assembly, baseline extraction, and the regression check
+// Assembly
 // ---------------------------------------------------------------------------
 
 /// The deterministic experiments plus the rolled-up counter table. Two
@@ -347,29 +347,9 @@ pub fn run(quick: bool, seed: u64) -> Vec<Experiment> {
     all
 }
 
-/// Re-runs the deterministic workloads and diffs the counter table against
-/// `baseline_json` (the committed `BENCH_solver.json`).
-///
-/// # Errors
-///
-/// Returns the rendered delta table as `Err` when any counter violates its
-/// direction rule or the tables disagree structurally; returns it as `Ok`
-/// when everything holds.
-pub fn check_against(baseline_json: &str, seed: u64) -> Result<String, String> {
-    let fresh = deterministic(seed);
-    let doc = crate::render_json_report(fresh.iter());
-    check_counters(
-        baseline_json,
-        &doc,
-        COUNTERS_ID,
-        "solver-baseline-delta",
-        "Counter delta vs committed BENCH_solver.json",
-    )
-}
-
 #[cfg(test)]
 mod tests {
-    use super::super::baseline::extract_rows;
+    use super::super::baseline::{check, table_rows};
     use super::*;
     use crate::render_json_report;
 
@@ -398,18 +378,19 @@ mod tests {
     }
 
     #[test]
-    fn extract_rows_round_trips_the_report_grammar() {
+    fn table_rows_round_trips_the_report_grammar() {
         let doc = render_json_report(deterministic(42).iter());
-        let rows = extract_rows(&doc, COUNTERS_ID).expect("counters present");
+        let rows = table_rows(&doc, COUNTERS_ID).expect("counters present");
         assert!(rows.iter().all(|r| r.len() == 3));
         assert!(rows.iter().any(|r| r[0] == "replan.warm.evaluated"));
-        assert!(extract_rows(&doc, "no-such-id").is_none());
+        assert!(table_rows(&doc, "no-such-id").is_none());
     }
 
     #[test]
     fn check_passes_against_a_fresh_baseline() {
-        let baseline = render_json_report(deterministic(42).iter());
-        let table = check_against(&baseline, 42).expect("fresh baseline must pass");
+        let fresh = deterministic(42);
+        let baseline = render_json_report(fresh.iter());
+        let table = check(&baseline, &fresh, COUNTERS_ID).expect("fresh baseline must pass");
         assert!(table.contains("replan.warm.evaluated"));
         assert!(!table.contains("REGRESSED"));
     }
@@ -418,8 +399,9 @@ mod tests {
     fn check_fails_on_a_work_counter_regression() {
         // Shrink the baseline's allowance for cold evaluations to below
         // what the workload spends: AtMost must flag the excess.
-        let doc = render_json_report(deterministic(42).iter());
-        let rows = extract_rows(&doc, COUNTERS_ID).unwrap();
+        let fresh = deterministic(42);
+        let doc = render_json_report(fresh.iter());
+        let rows = table_rows(&doc, COUNTERS_ID).unwrap();
         let spent = rows
             .iter()
             .find(|r| r[0] == "replan.cold.evaluated")
@@ -430,15 +412,16 @@ mod tests {
             "[\"replan.cold.evaluated\",\"0\"",
         );
         assert_ne!(doc, tampered, "tamper must hit");
-        let err = check_against(&tampered, 42).expect_err("regression must fail");
+        let err = check(&tampered, &fresh, COUNTERS_ID).expect_err("regression must fail");
         assert!(err.contains("REGRESSED"));
     }
 
     #[test]
     fn check_fails_on_a_missing_metric() {
-        let doc = render_json_report(deterministic(42).iter());
+        let fresh = deterministic(42);
+        let doc = render_json_report(fresh.iter());
         let tampered = doc.replace("flow.completed", "flow.completed_renamed");
-        let err = check_against(&tampered, 42).expect_err("rename must fail");
+        let err = check(&tampered, &fresh, COUNTERS_ID).expect_err("rename must fail");
         assert!(err.contains("<missing>"));
     }
 }

@@ -15,7 +15,7 @@
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
-use mobius_bench::experiments::{run_all, Check, Entry, Opts, DEFAULT_SEED, ENTRIES};
+use mobius_bench::experiments::{baseline, run_all, Entry, Opts, DEFAULT_SEED, ENTRIES};
 use mobius_bench::{render_json_report, Experiment};
 
 const USAGE: &str = "\
@@ -55,7 +55,8 @@ struct Cli<'a> {
     entry: Option<&'static Entry>,
     opts: Opts,
     json: Option<&'a str>,
-    check: Option<(Check, &'a str)>,
+    /// The baseline path of `--check`.
+    check: Option<&'a str>,
 }
 
 fn main() -> ExitCode {
@@ -133,7 +134,7 @@ fn parse(args: &[String]) -> Result<Cli<'_>, Fail> {
                             .parse()
                             .map_err(|_| usage("flag `--seed` expects an integer"))?;
                     }
-                    "--check" => cli.check = check.map(|diff| (diff, value)),
+                    "--check" => cli.check = Some(value),
                     _ => cli.json = Some(value),
                 }
             }
@@ -156,7 +157,7 @@ fn parse(args: &[String]) -> Result<Cli<'_>, Fail> {
 
 fn run(cli: Cli<'_>) -> Result<(), Fail> {
     match (cli.entry, cli.check) {
-        (Some(entry), Some((diff, path))) => check(entry.name, diff, path, cli.opts.seed),
+        (Some(entry), Some(path)) => check(entry, path, cli.opts.seed),
         (Some(entry), None) => emit(&(entry.run)(cli.opts), cli.json),
         (None, _) => all(cli.opts.quick, cli.json),
     }
@@ -191,12 +192,21 @@ fn all(quick: bool, json: Option<&str>) -> Result<(), Fail> {
     Ok(())
 }
 
-/// Diffs a fresh run's counters against the baseline at `path` and prints
-/// the delta table. A regression exits 1, an unreadable baseline 2.
-fn check(name: &str, diff: Check, path: &str, seed: u64) -> Result<(), Fail> {
+/// Diffs a fresh deterministic run's counters table against the baseline
+/// at `path` and prints the delta table. A regression exits 1, an
+/// unreadable baseline 2.
+fn check(entry: &Entry, path: &str, seed: u64) -> Result<(), Fail> {
+    let counters_id = entry
+        .check
+        .expect("only a counter benchmark parses `--check`");
     let baseline = std::fs::read_to_string(path)
         .map_err(|e| Fail::Exit(2, format!("error: reading {path}: {e}")))?;
-    match diff(&baseline, seed) {
+    let fresh = (entry.run)(Opts {
+        quick: false,
+        seed,
+        deterministic: true,
+    });
+    match baseline::check(&baseline, &fresh, counters_id) {
         Ok(table) => {
             println!("{table}");
             println!("baseline OK: no counter regressed");
@@ -207,8 +217,9 @@ fn check(name: &str, diff: Check, path: &str, seed: u64) -> Result<(), Fail> {
             Err(Fail::Exit(
                 1,
                 format!(
-                    "FAIL: {name} counters regressed against {path} — if the change is \
-                     intentional, regenerate with `UPDATE_BASELINE=1 scripts/verify.sh`"
+                    "FAIL: {} counters regressed against {path} — if the change is \
+                     intentional, regenerate with `UPDATE_BASELINE=1 scripts/verify.sh`",
+                    entry.name
                 ),
             ))
         }
@@ -308,8 +319,7 @@ mod tests {
     #[test]
     fn a_missing_baseline_exits_2() {
         let entry = ENTRIES.iter().find(|e| e.name == "serve").unwrap();
-        let diff = entry.check.unwrap();
-        match check("serve", diff, "no/such/baseline.json", DEFAULT_SEED) {
+        match check(entry, "no/such/baseline.json", DEFAULT_SEED) {
             Err(Fail::Exit(2, msg)) => assert!(msg.contains("no/such/baseline.json"), "{msg}"),
             other => panic!("expected exit 2, got {other:?}"),
         }

@@ -18,7 +18,7 @@
 //! `2·(n−1)/n · G` bytes per step — `(n−1)` reduce-scatter rounds plus
 //! `(n−1)` all-gather rounds of `G/n`-byte chunks. [`verify_ring_identity`]
 //! checks a finished run against this independently computed bound; the
-//! strict-validation mode panics on any drift.
+//! strict validation mode panics on any drift.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -352,7 +352,7 @@ impl FineTuner {
     }
 
     /// Attaches an [`Obs`] observer: planning decisions, compute cells,
-    /// transfers and strict-validation violations are recorded as spans,
+    /// transfers and strict validation violations are recorded as spans,
     /// marks and metrics. Observation is passive — every simulated result
     /// is bit-identical with or without it. The handle shares state with
     /// its clones, so export from the caller's copy after the run.

@@ -158,7 +158,7 @@ impl Obs {
         });
     }
 
-    /// Records a strict-validation violation as a structured event and bumps
+    /// Records a strict validation violation as a structured event and bumps
     /// the `violations` counter. Callers emit this *before* panicking so the
     /// failure carries context (which subsystem, what was violated, when).
     pub fn violation(&self, context: &'static str, detail: &str, at_ns: u64) {

@@ -1,5 +1,5 @@
-//! The content-addressed plan cache: a bounded map from configuration
-//! fingerprints to rendered plans, with strict-LRU eviction.
+//! The plan cache: a bounded map from (model, topology) fingerprint pairs
+//! to rendered plans, with strict-LRU eviction.
 //!
 //! The cache is pure mechanism — it counts nothing and records nothing.
 //! The [`crate::Server`] layered on top translates lookups into hit/miss
@@ -10,10 +10,14 @@
 
 use std::collections::BTreeMap;
 
-/// One cached solve: the rendered response payloads plus the metadata
-/// needed for invalidation and warm-start seeding.
+/// A cache key: the model and topology fingerprints, the only inputs a
+/// solve reads.
+pub(crate) type Key = (u64, u64);
+
+/// One cached solve: the rendered response payloads plus the warm-start
+/// seed for near-miss solves.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Entry {
+pub(crate) struct Entry {
     /// `plan` response payload (everything after the `" | "` separator).
     /// A hit replays these bytes verbatim — that is the byte-identity
     /// contract the cache exists to provide.
@@ -22,44 +26,28 @@ pub struct Entry {
     pub estimate_payload: String,
     /// Partition stage sizes, the warm-start seed for near-miss solves.
     pub sizes: Vec<usize>,
-    /// Model fingerprint component of the key (near-miss match field).
-    pub model_fp: u64,
-    /// Topology fingerprint component of the key.
-    pub topo_fp: u64,
-    /// System label component of the key.
-    pub system: String,
     /// Logical recency; the smallest value is the eviction victim.
     last_used: u64,
 }
 
 impl Entry {
     /// Builds an entry; recency is assigned by the cache on insert.
-    pub fn new(
-        plan_payload: String,
-        estimate_payload: String,
-        sizes: Vec<usize>,
-        model_fp: u64,
-        topo_fp: u64,
-        system: String,
-    ) -> Self {
+    pub fn new(plan_payload: String, estimate_payload: String, sizes: Vec<usize>) -> Self {
         Entry {
             plan_payload,
             estimate_payload,
             sizes,
-            model_fp,
-            topo_fp,
-            system,
             last_used: 0,
         }
     }
 }
 
-/// Bounded LRU map from content-address keys to [`Entry`] values.
+/// Bounded LRU map from [`Key`]s to [`Entry`] values.
 #[derive(Debug, Clone)]
-pub struct PlanCache {
+pub(crate) struct PlanCache {
     capacity: usize,
     tick: u64,
-    entries: BTreeMap<u64, Entry>,
+    entries: BTreeMap<Key, Entry>,
 }
 
 impl PlanCache {
@@ -83,13 +71,8 @@ impl PlanCache {
         self.entries.len()
     }
 
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Looks up `key`, bumping its recency on a hit.
-    pub fn lookup(&mut self, key: u64) -> Option<&Entry> {
+    pub fn lookup(&mut self, key: Key) -> Option<&Entry> {
         self.tick += 1;
         let tick = self.tick;
         match self.entries.get_mut(&key) {
@@ -103,7 +86,7 @@ impl PlanCache {
 
     /// Inserts (or replaces) `key`, evicting the least-recently-used entry
     /// when the cache would exceed capacity. Returns the evicted key.
-    pub fn insert(&mut self, key: u64, mut entry: Entry) -> Option<u64> {
+    pub fn insert(&mut self, key: Key, mut entry: Entry) -> Option<Key> {
         self.tick += 1;
         entry.last_used = self.tick;
         let fresh = !self.entries.contains_key(&key);
@@ -121,29 +104,23 @@ impl PlanCache {
         None
     }
 
-    /// Removes every entry matching `pred`; returns how many were removed.
-    pub fn invalidate_where(&mut self, pred: impl Fn(&Entry) -> bool) -> usize {
-        let victims: Vec<u64> = self
-            .entries
-            .iter()
-            .filter(|(_, e)| pred(e))
-            .map(|(k, _)| *k)
-            .collect();
-        for k in &victims {
-            self.entries.remove(k);
-        }
-        victims.len()
+    /// Removes every entry whose key matches `pred`; returns how many were
+    /// removed.
+    pub fn invalidate_where(&mut self, pred: impl Fn(&Key) -> bool) -> usize {
+        let before = self.entries.len();
+        self.entries.retain(|k, _| !pred(k));
+        before - self.entries.len()
     }
 
-    /// The most recently used entry for (`model_fp`, `system`) — the
-    /// near-miss warm-start donor: same model on a different topology.
-    /// Returns its partition stage sizes.
-    pub fn warm_hint(&self, model_fp: u64, system: &str) -> Option<Vec<usize>> {
+    /// The most recently used entry for `model_fp` — the near-miss
+    /// warm-start donor: same model on a different topology. Returns its
+    /// partition stage sizes.
+    pub fn warm_hint(&self, model_fp: u64) -> Option<Vec<usize>> {
         self.entries
-            .values()
-            .filter(|e| e.model_fp == model_fp && e.system == system)
-            .max_by_key(|e| e.last_used)
-            .map(|e| e.sizes.clone())
+            .iter()
+            .filter(|((m, _), _)| *m == model_fp)
+            .max_by_key(|(_, e)| e.last_used)
+            .map(|(_, e)| e.sizes.clone())
     }
 }
 
@@ -151,68 +128,58 @@ impl PlanCache {
 mod tests {
     use super::*;
 
-    fn entry(tag: &str, model_fp: u64) -> Entry {
-        // Per-tag topo fingerprint stand-in keeps entries distinguishable.
-        let topo_fp = tag.bytes().map(u64::from).sum();
-        Entry::new(
-            format!("plan-{tag}"),
-            format!("est-{tag}"),
-            vec![1, 2],
-            model_fp,
-            topo_fp,
-            "Mobius".into(),
-        )
+    fn entry(tag: &str) -> Entry {
+        Entry::new(format!("plan-{tag}"), format!("est-{tag}"), vec![1, 2])
     }
 
     #[test]
     fn lru_evicts_the_least_recently_used_key() {
         let mut c = PlanCache::new(2);
-        assert_eq!(c.insert(1, entry("a", 7)), None);
-        assert_eq!(c.insert(2, entry("b", 7)), None);
-        // Touch key 1 so key 2 becomes the LRU victim.
-        assert!(c.lookup(1).is_some());
-        assert_eq!(c.insert(3, entry("c", 7)), Some(2));
+        assert_eq!(c.insert((7, 1), entry("a")), None);
+        assert_eq!(c.insert((7, 2), entry("b")), None);
+        // Touch (7, 1) so (7, 2) becomes the LRU victim.
+        assert!(c.lookup((7, 1)).is_some());
+        assert_eq!(c.insert((7, 3), entry("c")), Some((7, 2)));
         assert_eq!(c.len(), 2);
-        assert!(c.lookup(2).is_none());
-        assert!(c.lookup(1).is_some());
-        assert!(c.lookup(3).is_some());
+        assert!(c.lookup((7, 2)).is_none());
+        assert!(c.lookup((7, 1)).is_some());
+        assert!(c.lookup((7, 3)).is_some());
     }
 
     #[test]
     fn replacing_a_key_does_not_evict() {
         let mut c = PlanCache::new(2);
-        c.insert(1, entry("a", 7));
-        c.insert(2, entry("b", 7));
-        assert_eq!(c.insert(1, entry("a2", 7)), None);
+        c.insert((7, 1), entry("a"));
+        c.insert((7, 2), entry("b"));
+        assert_eq!(c.insert((7, 1), entry("a2")), None);
         assert_eq!(c.len(), 2);
-        assert_eq!(c.lookup(1).unwrap().plan_payload, "plan-a2");
+        assert_eq!(c.lookup((7, 1)).unwrap().plan_payload, "plan-a2");
     }
 
     #[test]
     fn invalidate_where_removes_matches_only() {
         let mut c = PlanCache::new(4);
-        c.insert(1, entry("a", 7));
-        c.insert(2, entry("b", 8));
-        c.insert(3, entry("c", 7));
-        assert_eq!(c.invalidate_where(|e| e.model_fp == 7), 2);
+        c.insert((7, 1), entry("a"));
+        c.insert((8, 2), entry("b"));
+        c.insert((7, 3), entry("c"));
+        assert_eq!(c.invalidate_where(|&(m, _)| m == 7), 2);
         assert_eq!(c.len(), 1);
-        assert!(c.lookup(2).is_some());
+        assert!(c.lookup((8, 2)).is_some());
     }
 
     #[test]
     fn warm_hint_prefers_the_most_recent_matching_entry() {
         let mut c = PlanCache::new(4);
-        let mut a = entry("a", 7);
+        let mut a = entry("a");
         a.sizes = vec![3, 3];
-        let mut b = entry("b", 7);
+        let mut b = entry("b");
         b.sizes = vec![4, 2];
-        c.insert(1, a);
-        c.insert(2, b);
-        assert_eq!(c.warm_hint(7, "Mobius"), Some(vec![4, 2]));
+        c.insert((7, 1), a);
+        c.insert((7, 2), b);
+        assert_eq!(c.warm_hint(7), Some(vec![4, 2]));
         // Touching the older entry makes it the donor again.
-        c.lookup(1);
-        assert_eq!(c.warm_hint(7, "Mobius"), Some(vec![3, 3]));
-        assert_eq!(c.warm_hint(9, "Mobius"), None);
-        assert_eq!(c.warm_hint(7, "GPipe"), None);
+        c.lookup((7, 1));
+        assert_eq!(c.warm_hint(7), Some(vec![3, 3]));
+        assert_eq!(c.warm_hint(9), None);
     }
 }

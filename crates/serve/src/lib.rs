@@ -5,9 +5,9 @@
 //! the milliseconds-to-seconds a cold MIP solve costs. This crate layers a
 //! long-running request loop over the [`mobius`] planner:
 //!
-//! - a **content-addressed plan cache** ([`PlanCache`]) keyed by the
-//!   (model, topology, system, budget) fingerprint tuple from
-//!   [`mobius::fingerprint`], with strict-LRU capacity eviction;
+//! - a **plan cache** keyed by the (model, topology) fingerprint pair from
+//!   [`mobius::fingerprint`] — the only inputs a solve reads — with
+//!   strict-LRU capacity eviction;
 //! - a **deterministic request loop** ([`Server`]) speaking a
 //!   line-delimited `plan` / `estimate` / `invalidate` / `stats` protocol
 //!   over any injected `BufRead`/`Write` pair — no network, so a future
@@ -31,9 +31,8 @@ mod cache;
 mod loadgen;
 mod server;
 
-pub use cache::{Entry, PlanCache};
-pub use loadgen::{run_load, LoadGenConfig, LoadReport};
+pub use loadgen::{run_load, LoadReport};
 pub use server::{
-    cache_key, ServeConfig, ServeError, ServeStats, Server, HIT_SERVICE_US, LATENCY_US_BUCKETS,
-    LEAF_COST_US, MISS_BASE_US,
+    ServeConfig, ServeError, ServeStats, Server, HIT_SERVICE_US, LATENCY_US_BUCKETS, LEAF_COST_US,
+    MISS_BASE_US,
 };

@@ -1,7 +1,7 @@
 //! Deterministic closed-loop load generator for the planning service.
 //!
-//! `N` synthetic tenants share one [`Server`]. Each tenant draws targets
-//! from the same catalog of (model, topology, budget) configurations but
+//! Four synthetic tenants share one [`Server`]. Each tenant draws targets
+//! from the same catalog of (model, topology) configurations but
 //! ranks them by its own seeded permutation, and ranks are sampled from a
 //! zipfian popularity law — a few configurations dominate, a long tail
 //! recurs rarely, which is exactly the regime a plan cache amortizes.
@@ -18,51 +18,22 @@ use crate::server::{ServeConfig, ServeError, Server};
 use crate::ServeStats;
 use mobius_obs::Obs;
 
-/// Load-generator parameters.
-#[derive(Debug, Clone)]
-pub struct LoadGenConfig {
-    /// Synthetic tenants sharing the service.
-    pub tenants: usize,
-    /// Total requests to issue (round-robin across tenants).
-    pub requests: usize,
-    /// RNG seed; every random choice derives from it.
-    pub seed: u64,
-    /// Plan-cache capacity. Smaller than the catalog forces evictions.
-    pub capacity: usize,
-    /// Zipf exponent of the popularity law (larger = more skewed).
-    pub zipf_s: f64,
-    /// Every `invalidate_every`-th request is an `invalidate` of the
-    /// issuing tenant's favourite configuration; zero disables them.
-    pub invalidate_every: usize,
-}
+/// Synthetic tenants sharing the service.
+const TENANTS: usize = 4;
+/// Total requests to issue (round-robin across tenants).
+const REQUESTS: usize = 256;
+/// Plan-cache capacity. Smaller than the catalog forces evictions.
+const CAPACITY: usize = 6;
+/// Zipf exponent of the popularity law (larger = more skewed).
+const ZIPF_S: f64 = 1.2;
+/// Every `INVALIDATE_EVERY`-th request is an `invalidate` of the issuing
+/// tenant's favourite configuration.
+const INVALIDATE_EVERY: usize = 64;
 
-impl Default for LoadGenConfig {
-    fn default() -> Self {
-        LoadGenConfig {
-            tenants: 4,
-            requests: 256,
-            seed: 42,
-            capacity: 6,
-            zipf_s: 1.2,
-            invalidate_every: 64,
-        }
-    }
-}
-
-/// The catalog every tenant draws from: one tractable model across the
-/// commodity topologies the paper evaluates. GPT-2 small's 14 layers keep
-/// every solve inside the planner's node budget, so each miss is proved
-/// optimal, not cut off.
-const CATALOG: [(&str, &str, u64); 8] = [
-    ("gpt2", "2+2", 0),
-    ("gpt2", "4", 0),
-    ("gpt2", "1+3", 0),
-    ("gpt2", "2+1", 0),
-    ("gpt2", "3", 0),
-    ("gpt2", "1+2", 0),
-    ("gpt2", "2+2", 100),
-    ("gpt2", "1+1", 0),
-];
+/// The topologies every tenant plans GPT-2 small on: the commodity
+/// topologies the paper evaluates. Its 14 layers keep every solve inside
+/// the planner's node budget, so each miss is proved optimal, not cut off.
+const CATALOG: [&str; 8] = ["2+2", "4", "1+3", "2+1", "3", "1+2", "1+1+1", "1+1"];
 
 /// What one load run measured.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,8 +42,6 @@ pub struct LoadReport {
     pub stats: ServeStats,
     /// Entries cached when the run ended.
     pub entries: usize,
-    /// Hit rate over `plan`/`estimate` lookups.
-    pub hit_rate: f64,
     /// Median simulated service latency (µs).
     pub p50_us: f64,
     /// 99th-percentile simulated service latency (µs).
@@ -80,31 +49,30 @@ pub struct LoadReport {
     /// 99.9th-percentile simulated service latency (µs).
     pub p999_us: f64,
     /// FNV-1a 64 checksum over every response line (`\n`-framed) — two
-    /// runs of the same config agree on this iff they agree on every byte.
+    /// runs of the same seed agree on this iff they agree on every byte.
     pub response_fnv: u64,
 }
 
-/// Runs the closed loop and reports counters, latency percentiles, and the
-/// response-stream checksum.
+/// Runs the closed loop with every random choice drawn from `seed`, and
+/// reports counters, latency percentiles, and the response-stream checksum.
 ///
 /// # Errors
 ///
 /// Propagates any [`ServeError`] — with a well-formed catalog that means a
 /// planner rejection, which would be a bug in the catalog.
-pub fn run_load(cfg: &LoadGenConfig) -> Result<LoadReport, ServeError> {
-    assert!(cfg.tenants > 0, "need at least one tenant");
+pub fn run_load(seed: u64) -> Result<LoadReport, ServeError> {
     let obs = Obs::new();
     let mut server = Server::new(ServeConfig {
-        capacity: cfg.capacity,
+        capacity: CAPACITY,
         warm_seed: true,
         obs: Some(obs.clone()),
     });
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let mut rng = StdRng::seed_from_u64(seed);
 
     // Tenant preference: a seeded Fisher-Yates permutation of the catalog,
     // so tenants agree on *how skewed* popularity is but not on *what* is
     // popular.
-    let perms: Vec<Vec<usize>> = (0..cfg.tenants)
+    let perms: Vec<Vec<usize>> = (0..TENANTS)
         .map(|_| {
             let mut p: Vec<usize> = (0..CATALOG.len()).collect();
             for i in (1..p.len()).rev() {
@@ -114,28 +82,24 @@ pub fn run_load(cfg: &LoadGenConfig) -> Result<LoadReport, ServeError> {
             p
         })
         .collect();
-    let zipf = ZipfTable::new(CATALOG.len(), cfg.zipf_s);
+    let zipf = ZipfTable::new(CATALOG.len(), ZIPF_S);
 
     let mut hasher_buf = String::new();
-    for i in 0..cfg.requests {
-        let tenant = i % cfg.tenants;
-        let line = if cfg.invalidate_every > 0 && (i + 1) % cfg.invalidate_every == 0 {
+    for i in 0..REQUESTS {
+        let tenant = i % TENANTS;
+        let line = if (i + 1) % INVALIDATE_EVERY == 0 {
             // Tenants occasionally redeploy their favourite config.
-            let (model, topo, _) = CATALOG[perms[tenant][0]];
-            format!("invalidate model={model} topo={topo}")
+            let topo = CATALOG[perms[tenant][0]];
+            format!("invalidate model=gpt2 topo={topo}")
         } else {
             let rank = zipf.sample(&mut rng);
-            let (model, topo, budget) = CATALOG[perms[tenant][rank]];
+            let topo = CATALOG[perms[tenant][rank]];
             let verb = if rng.gen_range(0..4u32) == 0 {
                 "estimate"
             } else {
                 "plan"
             };
-            if budget > 0 {
-                format!("{verb} model={model} topo={topo} budget_ms={budget}")
-            } else {
-                format!("{verb} model={model} topo={topo}")
-            }
+            format!("{verb} model=gpt2 topo={topo}")
         };
         let resp = server
             .handle(&line)?
@@ -154,7 +118,6 @@ pub fn run_load(cfg: &LoadGenConfig) -> Result<LoadReport, ServeError> {
     Ok(LoadReport {
         stats,
         entries: server.cache_len(),
-        hit_rate: stats.hit_rate(),
         p50_us,
         p99_us,
         p999_us,

@@ -6,16 +6,15 @@
 //!
 //! ```text
 //! plan model=gpt2 topo=2+2
-//! estimate model=gpt2 topo=1+3 budget_ms=100
+//! estimate model=gpt2 topo=1+3
 //! invalidate model=gpt2
 //! stats
 //! ```
 //!
-//! Every `plan`/`estimate` is addressed by the fingerprint tuple
-//! (model, topology, system, budget) via [`mobius::fingerprint`]. The
-//! `budget_ms` key is a cache-key label only: every miss solves the same
-//! way whatever it says. A hit replays the cached payload bytes and runs
-//! no solver at all, a miss solves with the planner's MIP under its fixed
+//! Every `plan`/`estimate` is addressed by the (model, topology)
+//! fingerprint pair from [`mobius::fingerprint`] — the only inputs a solve
+//! reads. A hit replays the cached payload bytes and runs no solver at
+//! all, a miss solves a Mobius plan with the planner's MIP under its fixed
 //! node budget ([`PLAN_NODE_BUDGET`], so the work per miss is bounded and
 //! byte-deterministic), seeded from the most recent same-model entry when
 //! one exists (the warm-start path).
@@ -32,8 +31,8 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io::{BufRead, Write};
 
-use mobius::fingerprint::{model_fingerprint, topology_fingerprint, Fingerprint};
-use mobius::{pricing, FineTuner, System, TopoSpecError};
+use mobius::fingerprint::{model_fingerprint, topology_fingerprint};
+use mobius::{pricing, FineTuner, TopoSpecError};
 use mobius_model::Model;
 use mobius_obs::{AttrValue, Lane, Obs};
 use mobius_sim::units::{secs_to_us, NS_PER_US_U64};
@@ -141,9 +140,6 @@ struct Target<'a> {
     /// As written in the request; a miss lowercases it into the payload.
     model_name: &'a str,
     topo: Topology,
-    system: System,
-    /// A cache-key label only; the solver never reads it.
-    budget_ms: u64,
 }
 
 /// The planning service. Drive it line by line with [`Server::handle`] or
@@ -229,9 +225,10 @@ impl Server {
     fn plan_or_estimate(&mut self, kv: &Kv<'_>, want_plan: bool) -> Result<String, ServeError> {
         let verb = if want_plan { "plan" } else { "estimate" };
         let target = parse_target(kv, verb)?;
-        let model_fp = model_fingerprint(&target.model);
-        let topo_fp = topology_fingerprint(&target.topo);
-        let key = cache_key(model_fp, topo_fp, target.system, target.budget_ms);
+        let key = (
+            model_fingerprint(&target.model),
+            topology_fingerprint(&target.topo),
+        );
 
         if let Some(entry) = self.cache.lookup(key) {
             let payload = if want_plan {
@@ -255,18 +252,17 @@ impl Server {
 
         // Miss: solve, seeded from the nearest cached relative if allowed.
         let warm = if self.cfg.warm_seed {
-            self.cache.warm_hint(model_fp, target.system.label())
+            self.cache.warm_hint(key.0)
         } else {
             None
         };
-        let (entry, evaluated, warm_started) = self.solve(&target, model_fp, topo_fp, warm)?;
+        let (entry, evaluated, warm_started) = self.solve(&target, warm)?;
         let payload = if want_plan {
             entry.plan_payload.clone()
         } else {
             entry.estimate_payload.clone()
         };
-        if let Some(victim) = self.cache.insert(key, entry) {
-            let _ = victim;
+        if self.cache.insert(key, entry).is_some() {
             self.stats.evictions += 1;
             self.counter_add("serve.cache.eviction", 1.0);
         }
@@ -288,13 +284,9 @@ impl Server {
     fn solve(
         &self,
         target: &Target,
-        model_fp: u64,
-        topo_fp: u64,
         warm: Option<Vec<usize>>,
     ) -> Result<(Entry, u64, bool), ServeError> {
-        let mut tuner = FineTuner::from_model(target.model.clone())
-            .topology(target.topo.clone())
-            .system(target.system);
+        let mut tuner = FineTuner::from_model(target.model.clone()).topology(target.topo.clone());
         if let Some(sizes) = warm {
             tuner = tuner.warm_start(sizes);
         }
@@ -331,19 +323,15 @@ impl Server {
             .search
             .map(|s| (s.evaluated as u64, s.warm_started))
             .unwrap_or((0, false));
-        let entry = Entry::new(
-            plan_payload,
-            estimate_payload,
-            sizes,
-            model_fp,
-            topo_fp,
-            target.system.label().to_string(),
-        );
-        Ok((entry, evaluated, warm_started))
+        Ok((
+            Entry::new(plan_payload, estimate_payload, sizes),
+            evaluated,
+            warm_started,
+        ))
     }
 
     fn invalidate(&mut self, kv: &Kv<'_>) -> Result<String, ServeError> {
-        reject_unknown_keys(kv, &["model", "topo", "system"], "invalidate")?;
+        reject_unknown_keys(kv, &["model", "topo"], "invalidate")?;
         let model_fp = kv
             .get("model")
             .map(|m| Ok::<u64, ServeError>(model_fingerprint(&parse_model(m)?)))
@@ -352,14 +340,8 @@ impl Server {
             .get("topo")
             .map(|t| Ok::<u64, ServeError>(topology_fingerprint(&parse_topo(t)?)))
             .transpose()?;
-        let system = kv
-            .get("system")
-            .map(|s| Ok::<&'static str, ServeError>(parse_system(s)?.label()))
-            .transpose()?;
-        let removed = self.cache.invalidate_where(|e| {
-            model_fp.is_none_or(|fp| e.model_fp == fp)
-                && topo_fp.is_none_or(|fp| e.topo_fp == fp)
-                && system.is_none_or(|s| e.system == s)
+        let removed = self.cache.invalidate_where(|&(m, t)| {
+            model_fp.is_none_or(|fp| m == fp) && topo_fp.is_none_or(|fp| t == fp)
         }) as u64;
         self.stats.invalidations += removed;
         self.counter_add("serve.cache.invalidate", removed as f64);
@@ -413,17 +395,6 @@ impl Server {
     }
 }
 
-/// Combines the fingerprint tuple into the cache's content address, framed
-/// exactly like every other fingerprint in the workspace.
-pub fn cache_key(model_fp: u64, topo_fp: u64, system: System, budget_ms: u64) -> u64 {
-    Fingerprint::new()
-        .part(format_args!("{model_fp:016x}"))
-        .part(format_args!("{topo_fp:016x}"))
-        .part(format_args!("{}", system.label()))
-        .part(format_args!("budget_ms={budget_ms}"))
-        .finish()
-}
-
 fn parse_kv<'a>(words: impl Iterator<Item = &'a str>) -> Result<Kv<'a>, ServeError> {
     let mut kv = Kv::new();
     for w in words {
@@ -449,7 +420,7 @@ fn reject_unknown_keys(kv: &Kv<'_>, allowed: &[&str], cmd: &str) -> Result<(), S
 }
 
 fn parse_target<'a>(kv: &Kv<'a>, verb: &str) -> Result<Target<'a>, ServeError> {
-    reject_unknown_keys(kv, &["model", "topo", "system", "budget_ms"], verb)?;
+    reject_unknown_keys(kv, &["model", "topo"], verb)?;
     let model_name = *kv
         .get("model")
         .ok_or_else(|| ServeError::Protocol(format!("`{verb}` requires model=")))?;
@@ -458,28 +429,10 @@ fn parse_target<'a>(kv: &Kv<'a>, verb: &str) -> Result<Target<'a>, ServeError> {
         kv.get("topo")
             .ok_or_else(|| ServeError::Protocol(format!("`{verb}` requires topo=")))?,
     )?;
-    let system = match kv.get("system") {
-        Some(s) => parse_system(s)?,
-        None => System::Mobius,
-    };
-    if system != System::Mobius {
-        return Err(ServeError::Protocol(format!(
-            "only system=mobius plans are served (got `{}`)",
-            system.label()
-        )));
-    }
-    let budget_ms = match kv.get("budget_ms") {
-        Some(b) => b
-            .parse::<u64>()
-            .map_err(|_| ServeError::Protocol(format!("bad budget_ms `{b}`")))?,
-        None => 0,
-    };
     Ok(Target {
         model,
         model_name,
         topo,
-        system,
-        budget_ms,
     })
 }
 
@@ -499,12 +452,6 @@ fn parse_topo(s: &str) -> Result<Topology, ServeError> {
             TopoSpecError::TooManyGpus => format!("bad topology `{s}`: {e}"),
         })
     })
-}
-
-/// Parses a system name with [`mobius::parse_system`].
-fn parse_system(s: &str) -> Result<System, ServeError> {
-    mobius::parse_system(s)
-        .ok_or_else(|| ServeError::Protocol(format!("unknown system `{}`", s.to_ascii_lowercase())))
 }
 
 #[cfg(test)]
@@ -573,16 +520,6 @@ mod tests {
         assert!(matches!(err, Err(ServeError::Protocol(_))));
         // The first response was already written; the loop stopped there.
         assert_eq!(String::from_utf8(out).unwrap().lines().count(), 1);
-    }
-
-    #[test]
-    fn cache_key_separates_every_tuple_component() {
-        let k = cache_key(1, 2, System::Mobius, 0);
-        assert_ne!(k, cache_key(3, 2, System::Mobius, 0));
-        assert_ne!(k, cache_key(1, 3, System::Mobius, 0));
-        assert_ne!(k, cache_key(1, 2, System::Gpipe, 0));
-        assert_ne!(k, cache_key(1, 2, System::Mobius, 100));
-        assert_eq!(k, cache_key(1, 2, System::Mobius, 0));
     }
 
     #[test]

@@ -164,7 +164,7 @@ impl<T> FlowNetwork<T> {
         Self::default()
     }
 
-    /// Attaches an observer: strict-validation failures are then emitted as
+    /// Attaches an observer: strict validation failures are then emitted as
     /// structured violation events (with link and allocation context) before
     /// the panic, so post-mortem traces show what went wrong and when.
     pub fn set_obs(&mut self, obs: mobius_obs::Obs) {

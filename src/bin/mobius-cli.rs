@@ -140,7 +140,7 @@ usage:
                      [--steps N] [--checkpoint-out DIR] [--checkpoint-every K]
                      [--checkpoint-keep J] [--resume DIR] [--crash-corrupt]
   mobius-cli analyze --trace-in FILE [--analyze-out FILE]
-  mobius-cli serve   --script FILE [--capacity N] [--no-warm-seed]
+  mobius-cli serve   --script FILE [--capacity N]
 topology GROUPS like 2+2, 1+3, 4, 4+4 (commodity 3090-Ti), at most 16 GPUs
   per server; dc = 4xV100 NVLink
 cluster scales the server out N ways: Mobius runs one pipeline replica per
@@ -172,10 +172,9 @@ add --strict to re-check every schedule and trace against the paper's constraint
   concatenated --trace-out/--metrics-out/--analyze-out chunks of a crashed
   run plus its resume are byte-identical to an uninterrupted run
 serve runs the planning service one-shot over a request script (one
-  plan/estimate/invalidate/stats line per line; blank lines and # comments
-  skipped), answering from a content-addressed LRU plan cache of
-  --capacity entries (default 64); responses go to stdout; --no-warm-seed
-  disables near-miss warm-start seeding
+  plan/estimate/invalidate/stats line per line, keys model= and topo=;
+  blank lines and # comments skipped), answering from an LRU plan cache of
+  --capacity entries (default 64); responses go to stdout
 exit codes: 0 ok, 1 other, 2 usage, 3 OOM, 4 scheduling, 5 unrecovered fault,
   6 injected crash, 7 checkpoint store failure, 8 serve protocol error,
   9 a transfer cannot finish inside the simulated clock (e.g. --nic-gbps 1e-12)";
@@ -206,14 +205,7 @@ const VALUE_FLAGS: &[&str] = &[
 ];
 
 /// Flags that stand alone.
-const BOOL_FLAGS: &[&str] = &[
-    "--strict",
-    "--strict-validation",
-    "--timeline",
-    "--recover",
-    "--crash-corrupt",
-    "--no-warm-seed",
-];
+const BOOL_FLAGS: &[&str] = &["--strict", "--timeline", "--recover", "--crash-corrupt"];
 
 /// Horizon over which `random:<n>` fault clauses are spread. Generous
 /// enough to cover any single simulated step of the Table 3 models.
@@ -227,7 +219,6 @@ const TUNER_FLAGS: &[&str] = &[
     "--mbs",
     "--microbatches",
     "--strict",
-    "--strict-validation",
     "--faults",
     "--seed",
     "--recover",
@@ -273,7 +264,7 @@ fn command_flags(cmd: &str) -> Result<(&'static [&'static str], bool), CliError>
             true,
         ),
         "analyze" => (&["--trace-in", "--analyze-out"], false),
-        "serve" => (&["--script", "--capacity", "--no-warm-seed"], false),
+        "serve" => (&["--script", "--capacity"], false),
         other => return Err(usage(format!("unknown command `{other}`"))),
     })
 }
@@ -324,10 +315,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
     if let Some(m) = parsed(args, "--microbatches")? {
         tuner = tuner.num_microbatches(m);
     }
-    if args
-        .iter()
-        .any(|a| a == "--strict" || a == "--strict-validation")
-    {
+    if args.iter().any(|a| a == "--strict") {
         tuner = tuner.strict_validation(true);
     }
     if let Some(spec) = flag(args, "--faults") {
@@ -374,8 +362,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
             if capacity == 0 {
                 return Err(usage("bad --capacity: need room for at least one plan"));
             }
-            let warm_seed = !args.iter().any(|a| a == "--no-warm-seed");
-            serve_script(&path, capacity, warm_seed)
+            serve_script(&path, capacity)
         }
         "report" => {
             let system = system_flag(args)?;
@@ -796,13 +783,12 @@ fn analyze_trace(path: &str, out: Option<&str>) -> Result<(), CliError> {
 /// [`mobius_serve::Server`] loop, answering on stdout. The loop aborts on
 /// the first malformed request or planner rejection — exit code 8 — so a
 /// scripted deployment can't silently skip half its requests.
-fn serve_script(path: &str, capacity: usize, warm_seed: bool) -> Result<(), CliError> {
+fn serve_script(path: &str, capacity: usize) -> Result<(), CliError> {
     let file =
         std::fs::File::open(path).map_err(|e| CliError::Other(format!("reading {path}: {e}")))?;
     let mut server = mobius_serve::Server::new(mobius_serve::ServeConfig {
         capacity,
-        warm_seed,
-        obs: None,
+        ..mobius_serve::ServeConfig::default()
     });
     let stdout = std::io::stdout();
     server

@@ -75,8 +75,10 @@ fn solver_counters_hold_against_the_committed_baseline() {
     // The same diff `scripts/verify.sh` runs: work counters may not grow,
     // and the event-storm pop count and checksum must match exactly.
     let baseline = include_str!("../BENCH_solver.json");
-    let table = experiments::solver_perf::check_against(baseline, 42)
-        .unwrap_or_else(|delta| panic!("solver counters regressed:\n{delta}"));
+    let fresh = experiments::solver_perf::deterministic(42);
+    let table =
+        experiments::baseline::check(baseline, &fresh, experiments::solver_perf::COUNTERS_ID)
+            .unwrap_or_else(|delta| panic!("solver counters regressed:\n{delta}"));
     for pinned in ["engine.popped", "engine.checksum"] {
         assert!(table.contains(pinned), "{pinned} missing from:\n{table}");
     }

@@ -6,9 +6,8 @@
 
 use mobius::fingerprint::{model_fingerprint, topology_fingerprint};
 use mobius::sim::{FaultSchedule, SimTime};
-use mobius::{ClusterConfig, FineTuner, System};
+use mobius::{ClusterConfig, FineTuner};
 use mobius_model::{GptConfig, Model};
-use mobius_serve::cache_key;
 use mobius_topology::{GpuSpec, Topology};
 
 fn topo(groups: &[usize]) -> Topology {
@@ -33,18 +32,6 @@ fn topology_fingerprints_are_pinned() {
     assert_eq!(topology_fingerprint(&topo(&[1, 3])), 0x12b6_f80e_7ca7_dbb1);
     let dc = Topology::data_center(GpuSpec::v100(), 4);
     assert_eq!(topology_fingerprint(&dc), 0x54f0_b30f_6b01_4cee);
-}
-
-#[test]
-fn cache_key_is_pinned() {
-    let gpt2 = Model::from_config(&GptConfig::gpt2_small());
-    let key = cache_key(
-        model_fingerprint(&gpt2),
-        topology_fingerprint(&topo(&[2, 2])),
-        System::Mobius,
-        0,
-    );
-    assert_eq!(key, 0x7b7b_2062_f611_167d);
 }
 
 #[test]

@@ -9,7 +9,7 @@
 
 use mobius_obs::Obs;
 use mobius_pipeline::PLAN_NODE_BUDGET;
-use mobius_serve::{run_load, LoadGenConfig, ServeConfig, Server, LEAF_COST_US, MISS_BASE_US};
+use mobius_serve::{run_load, ServeConfig, Server, LEAF_COST_US, MISS_BASE_US};
 
 fn server_with(obs: &Obs, capacity: usize, warm_seed: bool) -> Server {
     Server::new(ServeConfig {
@@ -53,24 +53,25 @@ fn cache_hit_replays_byte_identical_plan_with_zero_leaf_evaluations() {
 }
 
 #[test]
-fn budget_and_topology_are_distinct_cache_dimensions() {
+fn the_cache_is_keyed_by_model_and_topology() {
     let obs = Obs::new();
     let mut s = server_with(&obs, 8, false);
     s.handle("plan model=gpt2 topo=2+2").unwrap();
-    let r = s
-        .handle("plan model=gpt2 topo=2+2 budget_ms=100")
-        .unwrap()
-        .unwrap();
-    assert!(
-        r.starts_with("ok plan cache=miss "),
-        "budget is part of the key"
-    );
     let r = s.handle("plan model=gpt2 topo=4").unwrap().unwrap();
     assert!(
         r.starts_with("ok plan cache=miss "),
         "topology is part of the key"
     );
+    let r = s.handle("plan model=gpt2-long topo=2+2").unwrap().unwrap();
+    assert!(
+        r.starts_with("ok plan cache=miss "),
+        "model is part of the key"
+    );
+    // Nothing else is: the same pair, whatever the verb, is one entry.
+    let r = s.handle("estimate model=gpt2 topo=2+2").unwrap().unwrap();
+    assert!(r.starts_with("ok estimate cache=hit "), "{r}");
     assert_eq!(obs.counter("serve.cache.miss"), 3.0);
+    assert_eq!(s.cache_len(), 3);
 }
 
 #[test]
@@ -136,6 +137,15 @@ fn invalidate_forces_a_resolve() {
     );
     // Same configuration, same deterministic solver: same plan bytes.
     assert_eq!(payload_of(&second), payload_of(&first));
+
+    // `topo=` alone removes that topology's entry for every model.
+    s.handle("plan model=gpt2 topo=4").unwrap();
+    let inv = s.handle("invalidate topo=2+2").unwrap().unwrap();
+    assert!(inv.starts_with("ok invalidated entries=1"), "{inv}");
+    let third = s.handle("plan model=gpt2 topo=2+2").unwrap().unwrap();
+    assert!(!third.contains("cache=hit"), "{third}");
+    let kept = s.handle("plan model=gpt2 topo=4").unwrap().unwrap();
+    assert!(kept.starts_with("ok plan cache=hit "), "{kept}");
 }
 
 #[test]
@@ -181,18 +191,17 @@ fn near_miss_warm_start_reaches_the_cold_incumbent_with_fewer_leaves() {
 
 #[test]
 fn load_generator_is_byte_deterministic_and_cache_amortizes_zipf_skew() {
-    let cfg = LoadGenConfig::default();
-    let r1 = run_load(&cfg).unwrap();
-    let r2 = run_load(&cfg).unwrap();
+    let r1 = run_load(42).unwrap();
+    let r2 = run_load(42).unwrap();
     // Full-report equality includes the response-stream FNV: two runs of
     // the same seed agreed on every response byte.
     assert_eq!(r1, r2);
 
-    assert_eq!(r1.stats.requests as usize, cfg.requests);
+    assert_eq!(r1.stats.requests, 256);
     assert!(
-        r1.hit_rate > 0.5,
+        r1.stats.hit_rate() > 0.5,
         "zipfian reuse must amortize: hit rate {}",
-        r1.hit_rate
+        r1.stats.hit_rate()
     );
     assert!(r1.stats.evictions > 0, "capacity pressure was exercised");
     assert!(r1.stats.invalidations > 0, "invalidations were exercised");
@@ -208,13 +217,9 @@ fn load_generator_is_byte_deterministic_and_cache_amortizes_zipf_skew() {
     assert!(r1.p999_us >= r1.p99_us);
 
     // A different seed reorders tenants and draws: different stream.
-    let other = run_load(&LoadGenConfig {
-        seed: 43,
-        ..LoadGenConfig::default()
-    })
-    .unwrap();
+    let other = run_load(43).unwrap();
     assert_ne!(other.response_fnv, r1.response_fnv);
-    assert!(other.hit_rate > 0.5);
+    assert!(other.stats.hit_rate() > 0.5);
 }
 
 fn protocol_error(line: &str) -> String {
@@ -241,6 +246,24 @@ fn protocol_errors_keep_their_precedence_and_wording() {
     assert_eq!(
         protocol_error("plan model=gpt2 topo=2+2 zeta=1 alpha=2"),
         "protocol error: unknown key `alpha` for `plan`"
+    );
+    // A solve reads only the model and the topology, so no other key is
+    // accepted.
+    assert_eq!(
+        protocol_error("plan model=gpt2 topo=2+2 budget_ms=100"),
+        "protocol error: unknown key `budget_ms` for `plan`"
+    );
+    assert_eq!(
+        protocol_error("plan model=gpt2 topo=2+2 system=mobius"),
+        "protocol error: unknown key `system` for `plan`"
+    );
+    assert_eq!(
+        protocol_error("invalidate model=gpt2 budget_ms=100"),
+        "protocol error: unknown key `budget_ms` for `invalidate`"
+    );
+    assert_eq!(
+        protocol_error("invalidate model=gpt2 system=mobius"),
+        "protocol error: unknown key `system` for `invalidate`"
     );
     assert_eq!(
         protocol_error("plan topo=2+2"),
